@@ -29,6 +29,7 @@ from .metrics import METRIC_KEYS, MetricSet
 from .netsim import PlannedRequest, WaterfallPlan, apply_throttle, simulate_waterfall
 from .report import aggregate_regions, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
+from .trace import _number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,17 +216,12 @@ def _load_plan(path: str) -> WaterfallPlan:
         where = f"$.requests[{i}]"
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise SchemaError(where, "each request needs a string id")
+        offset = _number(item, "discovery_offset_ms", where, default=0.0)
+        nbytes = int(_number(item, "bytes", where, default=0))
+        origin = str(item.get("origin", ""))
         try:
-            planned.append(
-                PlannedRequest(
-                    id=item["id"],
-                    parent_id=item.get("parent_id"),
-                    discovery_offset_ms=float(item.get("discovery_offset_ms", 0.0)),
-                    bytes=int(item.get("bytes", 0)),
-                    origin=str(item.get("origin", "")),
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            planned.append(PlannedRequest(item["id"], item.get("parent_id"), offset, nbytes, origin))
+        except ValueError as exc:
             raise SchemaError(where, str(exc)) from exc
     return WaterfallPlan(tuple(planned))
 

@@ -72,12 +72,8 @@ class CaptureRequest:
             raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms!r}")
 
 
-def load_trace(path: str | Path, mode: DeviceMode | None = None) -> NormalizedTrace:
-    """Read and validate a stored trace file.
-
-    The mode parameter mirrors the live-capture signature; a stored trace
-    was already recorded under some mode, so replay does not use it.
-    """
+def load_trace(path: str | Path) -> NormalizedTrace:
+    """Read and validate a stored trace file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)

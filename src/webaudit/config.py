@@ -16,10 +16,11 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .collector import MODE_KINDS, DeviceMode, Viewport
-from .errors import ParseError, SchemaError
+from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
+from .trace import _number
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,11 @@ class ThrottleSpec:
     """A throttle profile as configured.
 
     cpu_multiplier None defers to the device mode it is resolved against;
-    link rates of None mean unlimited.
+    a downlink of None means unlimited.
     """
 
     rtt_ms: float
     downlink_kbps: float | None
-    uplink_kbps: float | None
     cpu_multiplier: float | None
 
     def resolve(self, mode: DeviceMode | None = None) -> ThrottleProfile:
@@ -54,7 +54,6 @@ class ThrottleSpec:
         return ThrottleProfile(
             rtt_ms=self.rtt_ms,
             downlink_kbps=math.inf if self.downlink_kbps is None else self.downlink_kbps,
-            uplink_kbps=math.inf if self.uplink_kbps is None else self.uplink_kbps,
             cpu_multiplier=cpu,
         )
 
@@ -109,15 +108,11 @@ def calibration_from_dict(data: Any) -> Calibration:
         if kind not in MODE_KINDS:
             raise SchemaError(path, f"unknown mode kind (expected one of {', '.join(MODE_KINDS)})")
         viewport = _object(item, "viewport", path)
+        width = int(_number(viewport, "width_px", f"{path}.viewport"))
+        height = int(_number(viewport, "height_px", f"{path}.viewport"))
+        cpu = _number(item, "cpu_multiplier", path)
         try:
-            modes[kind] = DeviceMode(
-                kind=kind,
-                viewport=Viewport(
-                    width_px=int(_positive(viewport, "width_px", f"{path}.viewport")),
-                    height_px=int(_positive(viewport, "height_px", f"{path}.viewport")),
-                ),
-                cpu_multiplier=_positive(item, "cpu_multiplier", path),
-            )
+            modes[kind] = DeviceMode(kind, Viewport(width, height), cpu)
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from exc
     for kind in MODE_KINDS:
@@ -134,12 +129,11 @@ def calibration_from_dict(data: Any) -> Calibration:
         curves[kind] = {}
         for key in METRIC_KEYS:
             item = _object(table, key, path)
+            median = _number(item, "median_ms", f"{path}.{key}")
+            podr = _number(item, "podr_ms", f"{path}.{key}")
             try:
-                curves[kind][key] = ScoreCurve(
-                    median_ms=_positive(item, "median_ms", f"{path}.{key}"),
-                    podr_ms=_positive(item, "podr_ms", f"{path}.{key}"),
-                )
-            except Exception as exc:
+                curves[kind][key] = ScoreCurve(median_ms=median, podr_ms=podr)
+            except InvalidCurve as exc:
                 raise SchemaError(f"{path}.{key}", str(exc)) from exc
     for kind in MODE_KINDS:
         if kind not in curves:
@@ -149,49 +143,36 @@ def calibration_from_dict(data: Any) -> Calibration:
     unknown = sorted(set(weight_data) - set(METRIC_KEYS))
     if unknown:
         raise SchemaError("$.weights", f"unknown metric keys: {', '.join(unknown)}")
-    try:
-        weights = WeightTable(**{key: float(weight_data[key]) for key in METRIC_KEYS if key in weight_data})
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError("$.weights", str(exc)) from exc
+    weights = WeightTable(**{key: _number(weight_data, key, "$.weights") for key in weight_data})
 
     bands_data = data.get("category_bands", {})
+    good_min = _number(bands_data, "good_min", "$.category_bands", default=90.0)
+    average_min = _number(bands_data, "average_min", "$.category_bands", default=50.0)
     try:
-        bands = CategoryBands(
-            good_min=float(bands_data.get("good_min", 90.0)),
-            average_min=float(bands_data.get("average_min", 50.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        bands = CategoryBands(good_min=good_min, average_min=average_min)
+    except ValueError as exc:
         raise SchemaError("$.category_bands", str(exc)) from exc
 
     outlier_data = data.get("outlier_bounds", {})
+    upper = _number(outlier_data, "upper", "$.outlier_bounds", default=95.0)
+    lower = _number(outlier_data, "lower", "$.outlier_bounds", default=5.0)
     try:
-        outliers = OutlierBounds(
-            upper=float(outlier_data.get("upper", 95.0)),
-            lower=float(outlier_data.get("lower", 5.0)),
-        )
+        outliers = OutlierBounds(upper=upper, lower=lower)
     except ValueError as exc:
         raise SchemaError("$.outlier_bounds", str(exc)) from exc
 
-    throttles = {}
-    for name, item in _object(data, "throttle_profiles", "$").items():
-        path = f"$.throttle_profiles.{name}"
-        if not isinstance(item, dict):
-            raise SchemaError(path, "must be an object")
-        throttles[name] = ThrottleSpec(
-            rtt_ms=float(item.get("rtt_ms", 0.0)),
-            downlink_kbps=_optional_rate(item, "downlink_kbps", path),
-            uplink_kbps=_optional_rate(item, "uplink_kbps", path),
-            cpu_multiplier=None if item.get("cpu_multiplier") is None else float(item["cpu_multiplier"]),
-        )
+    throttles = {
+        name: _throttle_spec(item, f"$.throttle_profiles.{name}")
+        for name, item in _object(data, "throttle_profiles", "$").items()
+    }
 
     quiet_data = data.get("quiet_window", {})
+    long_task_ms = _number(quiet_data, "long_task_ms", "$.quiet_window", default=50.0)
+    window_ms = _number(quiet_data, "window_ms", "$.quiet_window", default=5000.0)
+    max_inflight = int(_number(quiet_data, "max_inflight_requests", "$.quiet_window", default=2))
     try:
-        quiet = QuietWindow(
-            long_task_ms=float(quiet_data.get("long_task_ms", 50.0)),
-            window_ms=float(quiet_data.get("window_ms", 5000.0)),
-            max_inflight_requests=int(quiet_data.get("max_inflight_requests", 2)),
-        )
-    except (TypeError, ValueError) as exc:
+        quiet = QuietWindow(long_task_ms=long_task_ms, window_ms=window_ms, max_inflight_requests=max_inflight)
+    except ValueError as exc:
         raise SchemaError("$.quiet_window", str(exc)) from exc
 
     return Calibration(
@@ -217,14 +198,27 @@ def resolve_throttle(spec: str, calibration: Calibration, mode: DeviceMode | Non
         data = json.loads(path.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("$", "throttle profile file must be an object")
-    return ThrottleSpec(
-        rtt_ms=float(data.get("rtt_ms", 0.0)),
-        downlink_kbps=None if data.get("downlink_kbps") is None else float(data["downlink_kbps"]),
-        uplink_kbps=None if data.get("uplink_kbps") is None else float(data["uplink_kbps"]),
-        cpu_multiplier=None if data.get("cpu_multiplier") is None else float(data["cpu_multiplier"]),
-    ).resolve(mode)
+    return _throttle_spec(data, "$").resolve(mode)
+
+
+def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
+    """Read one throttle profile object; keys it does not name are ignored.
+
+    The spec is resolved once here so that ThrottleProfile's own checks
+    reject a bad value when the document is read, not when it is used.
+    """
+    if not isinstance(item, dict):
+        raise SchemaError(path, "throttle profile must be an object")
+    spec = ThrottleSpec(
+        rtt_ms=_number(item, "rtt_ms", path, default=0.0),
+        downlink_kbps=_number(item, "downlink_kbps", path, default=None),
+        cpu_multiplier=_number(item, "cpu_multiplier", path, default=None),
+    )
+    try:
+        spec.resolve()
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+    return spec
 
 
 def load_member_regions(path: str | Path | None = None) -> tuple[str, ...]:
@@ -245,19 +239,3 @@ def _object(data: Any, key: str, path: str) -> dict:
     if not isinstance(data, dict) or not isinstance(data.get(key), dict):
         raise SchemaError(f"{path}.{key}", "must be an object")
     return data[key]
-
-
-def _positive(item: dict, key: str, path: str) -> float:
-    value = item.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise SchemaError(f"{path}.{key}", "must be a positive number")
-    return float(value)
-
-
-def _optional_rate(item: dict, key: str, path: str) -> float | None:
-    value = item.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise SchemaError(f"{path}.{key}", "must be a positive number or null for unlimited")
-    return float(value)

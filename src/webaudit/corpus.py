@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .collector import DeviceMode, load_trace
-from .config import Calibration, OutlierBounds, ThrottleSpec, load_calibration, load_member_regions, resolve_throttle
+from .config import Calibration, OutlierBounds, load_calibration, load_member_regions, resolve_throttle
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError
 from .metrics import MetricSet, compute_all
-from .netsim import ThrottleProfile, apply_throttle
+from .netsim import apply_throttle
 from .scoring import ScoreReport, score_metrics
 from .trace import NormalizedTrace
 
@@ -172,7 +172,7 @@ def trace_slug(url: str) -> str:
 def run_batch(
     records: Sequence[SiteRecord],
     modes: Sequence[str],
-    throttle: str | ThrottleSpec | ThrottleProfile,
+    throttle: str,
     parallelism: int,
     *,
     traces_dir: str | Path,
@@ -193,15 +193,7 @@ def run_batch(
         test_date = date.today()
     traces_dir = Path(traces_dir)
 
-    profiles: dict[str, ThrottleProfile] = {}
-    for kind in modes:
-        device = calibration.mode(kind)
-        if isinstance(throttle, str):
-            profiles[kind] = resolve_throttle(throttle, calibration, device)
-        elif isinstance(throttle, ThrottleSpec):
-            profiles[kind] = throttle.resolve(device)
-        else:
-            profiles[kind] = throttle
+    profiles = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)) for kind in modes}
 
     def run_one(record: SiteRecord, kind: str) -> AuditResult:
         path = traces_dir / (trace_slug(record.url) + ".json")
@@ -220,17 +212,16 @@ def run_batch(
                 outlier_flag=False,
                 failure_reason=f"{type(exc).__name__}: {exc}",
             )
-        score = report.performance_score
-        flagged = score >= calibration.outliers.upper or score <= calibration.outliers.lower
-        return AuditResult(
+        result = AuditResult(
             site=record,
             mode=kind,
             status="ok",
             metrics=metrics,
             report=report,
             test_date=test_date,
-            outlier_flag=flagged,
+            outlier_flag=False,
         )
+        return replace(result, outlier_flag=flag_outliers(result, calibration.outliers))
 
     jobs = [(record, kind) for record in records for kind in modes]
     results: list[AuditResult] = []

@@ -36,17 +36,15 @@ class ThrottleProfile:
 
     rtt_ms: float
     downlink_kbps: float
-    uplink_kbps: float
     cpu_multiplier: float = 1.0
 
+    # Each check is written so that NaN fails it.
     def __post_init__(self):
-        if self.rtt_ms < 0:
-            raise ValueError(f"rtt_ms must be >= 0, got {self.rtt_ms!r}")
+        if not 0 <= self.rtt_ms < math.inf:
+            raise ValueError(f"rtt_ms must be finite and >= 0, got {self.rtt_ms!r}")
         if not self.downlink_kbps > 0:
             raise ValueError(f"downlink_kbps must be > 0, got {self.downlink_kbps!r}")
-        if not self.uplink_kbps > 0:
-            raise ValueError(f"uplink_kbps must be > 0, got {self.uplink_kbps!r}")
-        if self.cpu_multiplier < 1:
+        if not self.cpu_multiplier >= 1:
             raise ValueError(f"cpu_multiplier must be >= 1, got {self.cpu_multiplier!r}")
 
     @property
@@ -55,7 +53,7 @@ class ThrottleProfile:
         return self.rtt_ms == 0 and math.isinf(self.downlink_kbps) and self.cpu_multiplier == 1
 
 
-UNTHROTTLED = ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, uplink_kbps=math.inf, cpu_multiplier=1.0)
+UNTHROTTLED = ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, cpu_multiplier=1.0)
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,8 @@ class PlannedRequest:
     def __post_init__(self):
         if self.bytes < 0:
             raise ValueError(f"bytes must be >= 0, got {self.bytes!r}")
-        if self.discovery_offset_ms < 0:
-            raise ValueError(f"discovery_offset_ms must be >= 0, got {self.discovery_offset_ms!r}")
+        if not 0 <= self.discovery_offset_ms < math.inf:
+            raise ValueError(f"discovery_offset_ms must be finite and >= 0, got {self.discovery_offset_ms!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .config import load_member_regions
 from .corpus import AuditResult, normalize_region
@@ -176,34 +176,6 @@ def _emit_csv(aggregates: Sequence[RegionAggregate]) -> str:
     return buffer.getvalue()
 
 
-def parse_report_csv(text: str) -> list[dict]:
-    """Parse a CSV report back into its row values.
-
-    Returns dicts with region, mean_mobile, mean_web, test_date; the
-    inverse of the projection _emit_csv applies to the aggregates.
-    """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ParseError("empty report") from None
-    if header != REPORT_COLUMNS:
-        raise ParseError(f"unexpected header {header!r}")
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        rows.append(
-            {
-                "region": row[1],
-                "mean_mobile": float(row[2]) if row[2] else None,
-                "mean_web": float(row[3]) if row[3] else None,
-                "test_date": date.fromisoformat(row[4]) if row[4] else None,
-            }
-        )
-    return rows
-
-
 def _emit_md(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResult], comma: bool) -> str:
     lines = ["# Laporan Audit Performa Web", ""]
 
@@ -313,10 +285,17 @@ def aggregate_from_dict(data: dict) -> RegionAggregate:
     )
 
 
-def _emit_json(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResult]) -> str:
-    document = {
+def _aggregates_document(aggregates: Sequence[RegionAggregate]) -> dict:
+    """The aggregates file; the JSON report extends it."""
+    return {
         "aggregates": [aggregate_to_dict(a) for a in aggregates],
         "overall_average": overall_average(aggregates) if aggregates else {"mobile": None, "web": None},
+    }
+
+
+def _emit_json(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResult]) -> str:
+    document = {
+        **_aggregates_document(aggregates),
         "outliers": [
             {
                 "region": r.site.region,
@@ -349,11 +328,7 @@ def aggregates_from_report_json(text: str) -> list[RegionAggregate]:
 
 def write_aggregates(aggregates: Sequence[RegionAggregate], path: str | Path) -> None:
     """Write the aggregates file the report step consumes."""
-    document = {
-        "aggregates": [aggregate_to_dict(a) for a in aggregates],
-        "overall_average": overall_average(aggregates) if aggregates else {"mobile": None, "web": None},
-    }
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", "utf-8")
+    Path(path).write_text(json.dumps(_aggregates_document(aggregates), indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def read_aggregates(path: str | Path) -> list[RegionAggregate]:

@@ -185,7 +185,19 @@ def clamp_visual_progress(samples: Iterable[VisualSample]) -> tuple[VisualSample
     return tuple(out)
 
 
-def _number(item: Any, key: str, path: str, minimum: float | None = None) -> float:
+_REQUIRED = object()
+
+
+def _number(item: Any, key: str, path: str, minimum: float | None = None, default: Any = _REQUIRED) -> Any:
+    """Read a finite number at ``item[key]``, at least ``minimum`` if given.
+
+    With a default, a missing or null value yields the default unchecked.
+    Trace, calibration, throttle-profile and plan documents read their
+    numbers through here, so each bad value is a SchemaError with the
+    field's JSON path.
+    """
+    if default is not _REQUIRED and isinstance(item, dict) and item.get(key) is None:
+        return default
     if not isinstance(item, dict) or key not in item:
         raise SchemaError(f"{path}.{key}" if isinstance(item, dict) else path, "missing field")
     value = item[key]

@@ -7,10 +7,14 @@ is reproducible from its seed.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+from datetime import date
 
 import pytest
 
+from webaudit.errors import ParseError
 from webaudit.netsim import PlannedRequest, ThrottleProfile, WaterfallPlan
 from webaudit.trace import (
     MainThreadTask,
@@ -20,6 +24,7 @@ from webaudit.trace import (
     VisualSample,
     clamp_visual_progress,
 )
+from webaudit.report import REPORT_COLUMNS
 
 # filled by the acceptance tests; echoed after the run so the verdict per
 # criterion survives output capture
@@ -105,9 +110,36 @@ def random_profile(rng: random.Random) -> ThrottleProfile:
     return ThrottleProfile(
         rtt_ms=float(rng.randint(0, 400)),
         downlink_kbps=downlink,
-        uplink_kbps=float("inf"),
         cpu_multiplier=1.0,
     )
+
+
+def parse_report_csv(text: str) -> list[dict]:
+    """Parse a CSV report back into its row values.
+
+    Returns dicts with region, mean_mobile, mean_web, test_date; the
+    inverse of the projection _emit_csv applies to the aggregates.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise ParseError("empty report") from None
+    if header != REPORT_COLUMNS:
+        raise ParseError(f"unexpected header {header!r}")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        rows.append(
+            {
+                "region": row[1],
+                "mean_mobile": float(row[2]) if row[2] else None,
+                "mean_web": float(row[3]) if row[3] else None,
+                "test_date": date.fromisoformat(row[4]) if row[4] else None,
+            }
+        )
+    return rows
 
 
 # Reference per-region mean scores (mobile, web) for the 12 member regions,

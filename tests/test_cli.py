@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from conftest import parse_report_csv
 from webaudit.cli import main
 from webaudit.collector import write_trace
-from webaudit.report import aggregates_from_report_json, parse_report_csv
+from webaudit.report import aggregates_from_report_json
 from webaudit.synth import build_no_paint_trace, write_demo_workspace
 
 
@@ -86,6 +87,18 @@ class TestAuditCommand:
         rc = main(["audit", "https://site.test"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rtt", [float("nan"), [1]])
+    def test_bad_rtt_in_a_profile_file_is_a_config_error(self, tmp_path, simple_trace, capsys, rtt):
+        trace_file = tmp_path / "t.json"
+        write_trace(simple_trace, trace_file)
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"rtt_ms": rtt, "downlink_kbps": 1000}), "utf-8")
+        rc = main(["audit", "x", "--trace-in", str(trace_file), "--throttle", str(profile)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "$.rtt_ms" in err
+        assert "Traceback" not in err
 
     def test_trace_in_and_out_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -214,6 +227,12 @@ class TestSimulateCommand:
     def test_malformed_plan_rejected(self, tmp_path):
         plan = self.write_plan(tmp_path, {"requests": [{"bytes": 5}]})
         assert main(["simulate", "--plan", plan]) == 2
+
+    @pytest.mark.parametrize("offset", [float("nan"), "5"])
+    def test_bad_offset_names_the_field(self, tmp_path, capsys, offset):
+        plan = self.write_plan(tmp_path, {"requests": [{"id": "a", "discovery_offset_ms": offset}]})
+        assert main(["simulate", "--plan", plan]) == 2
+        assert "$.requests[0].discovery_offset_ms" in capsys.readouterr().err
 
 
 class TestParserBasics:

@@ -41,7 +41,7 @@ class TestPackagedDefaults:
     def test_named_profiles_include_4g_and_none(self, calibration):
         assert {"4g", "none"} <= set(calibration.throttles)
         four_g = calibration.throttles["4g"]
-        assert (four_g.rtt_ms, four_g.downlink_kbps, four_g.uplink_kbps) == (150.0, 1638.0, 750.0)
+        assert (four_g.rtt_ms, four_g.downlink_kbps) == (150.0, 1638.0)
         assert four_g.cpu_multiplier is None  # defers to the device mode
 
     def test_quiet_window_defaults(self, calibration):
@@ -56,12 +56,12 @@ class TestPackagedDefaults:
 
 class TestThrottleSpec:
     def test_none_rates_mean_unlimited(self):
-        profile = ThrottleSpec(0.0, None, None, 1.0).resolve()
+        profile = ThrottleSpec(0.0, None, 1.0).resolve()
         assert math.isinf(profile.downlink_kbps)
         assert profile.is_identity
 
     def test_deferred_cpu_takes_the_mode_multiplier(self, calibration):
-        spec = ThrottleSpec(150.0, 1638.0, 750.0, None)
+        spec = ThrottleSpec(150.0, 1638.0, None)
         assert spec.resolve(calibration.mode("mobile")).cpu_multiplier == 4.0
         assert spec.resolve(calibration.mode("desktop")).cpu_multiplier == 1.0
         assert spec.resolve(None).cpu_multiplier == 1.0
@@ -80,11 +80,26 @@ class TestResolveThrottle:
         p.write_text(json.dumps({"rtt_ms": 400, "downlink_kbps": 400}), "utf-8")
         profile = resolve_throttle(str(p), calibration, calibration.mode("desktop"))
         assert (profile.rtt_ms, profile.downlink_kbps, profile.cpu_multiplier) == (400.0, 400.0, 1.0)
-        assert math.isinf(profile.uplink_kbps)
 
     def test_unknown_name_lists_known_profiles(self, calibration):
         with pytest.raises(SchemaError, match="4g"):
             resolve_throttle("5g", calibration)
+
+    def test_profile_file_ignores_unknown_keys(self, tmp_path, calibration):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps({"rtt_ms": 400, "downlink_kbps": 400, "uplink_kbps": 100}), "utf-8")
+        new.write_text(json.dumps({"rtt_ms": 400, "downlink_kbps": 400}), "utf-8")
+        assert resolve_throttle(str(old), calibration) == resolve_throttle(str(new), calibration)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"rtt_ms": -1}, {"rtt_ms": "fast"}, {"downlink_kbps": 0}, {"cpu_multiplier": 0.5}, [150]],
+    )
+    def test_profile_file_rejections_are_schema_errors(self, tmp_path, calibration, doc):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc), "utf-8")
+        with pytest.raises(SchemaError, match=r"^\$"):
+            resolve_throttle(str(p), calibration)
 
     def test_unparsable_profile_file(self, tmp_path, calibration):
         p = tmp_path / "junk.json"
@@ -108,6 +123,10 @@ class TestCalibrationSchema:
             (lambda d: d["category_bands"].update(good_min=40), "category_bands"),
             (lambda d: d["outlier_bounds"].update(lower=96), "outlier_bounds"),
             (lambda d: d["throttle_profiles"]["4g"].update(downlink_kbps=-5), "downlink_kbps"),
+            (lambda d: d["throttle_profiles"]["4g"].update(rtt_ms=float("nan")), "rtt_ms"),
+            (lambda d: d["throttle_profiles"]["4g"].update(rtt_ms="fast"), "rtt_ms"),
+            (lambda d: d["throttle_profiles"]["4g"].update(cpu_multiplier=0.5), "4g"),
+            (lambda d: d["quiet_window"].update(max_inflight_requests="two"), "max_inflight_requests"),
             (lambda d: d["quiet_window"].update(window_ms=0), "window_ms"),
         ],
     )
@@ -117,6 +136,11 @@ class TestCalibrationSchema:
         with pytest.raises(SchemaError) as exc:
             calibration_from_dict(doc)
         assert path_part in str(exc.value)
+
+    def test_old_calibration_with_uplink_still_loads(self):
+        doc = self.base()
+        doc["throttle_profiles"]["4g"]["uplink_kbps"] = 750
+        assert calibration_from_dict(doc) == calibration_from_dict(self.base())
 
     def test_mobile_cpu_may_not_undercut_desktop(self):
         doc = self.base()

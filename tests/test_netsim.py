@@ -24,7 +24,7 @@ from webaudit.trace import (
     VisualSample,
 )
 
-FOUR_G = ThrottleProfile(rtt_ms=100.0, downlink_kbps=1000.0, uplink_kbps=1000.0, cpu_multiplier=1.0)
+FOUR_G = ThrottleProfile(rtt_ms=100.0, downlink_kbps=1000.0, cpu_multiplier=1.0)
 
 
 def plan(*reqs) -> WaterfallPlan:
@@ -34,10 +34,13 @@ def plan(*reqs) -> WaterfallPlan:
 class TestProfiles:
     def test_validation(self):
         for bad in (
-            dict(rtt_ms=-1.0, downlink_kbps=1.0, uplink_kbps=1.0),
-            dict(rtt_ms=0.0, downlink_kbps=0.0, uplink_kbps=1.0),
-            dict(rtt_ms=0.0, downlink_kbps=1.0, uplink_kbps=0.0),
-            dict(rtt_ms=0.0, downlink_kbps=1.0, uplink_kbps=1.0, cpu_multiplier=0.5),
+            dict(rtt_ms=-1.0, downlink_kbps=1.0),
+            dict(rtt_ms=0.0, downlink_kbps=0.0),
+            dict(rtt_ms=0.0, downlink_kbps=1.0, cpu_multiplier=0.5),
+            dict(rtt_ms=math.nan, downlink_kbps=1.0),
+            dict(rtt_ms=math.inf, downlink_kbps=1.0),
+            dict(rtt_ms=0.0, downlink_kbps=math.nan),
+            dict(rtt_ms=0.0, downlink_kbps=1.0, cpu_multiplier=math.nan),
         ):
             with pytest.raises(ValueError):
                 ThrottleProfile(**bad)
@@ -45,7 +48,7 @@ class TestProfiles:
     def test_identity_detection(self):
         assert UNTHROTTLED.is_identity
         assert not FOUR_G.is_identity
-        assert not ThrottleProfile(0.0, math.inf, math.inf, 4.0).is_identity
+        assert not ThrottleProfile(0.0, math.inf, 4.0).is_identity
 
 
 class TestPlanValidation:
@@ -66,6 +69,9 @@ class TestPlanValidation:
             PlannedRequest("a", None, -1.0, 10)
         with pytest.raises(ValueError):
             PlannedRequest("a", None, 0.0, -10)
+        for offset in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="discovery_offset_ms"):
+                PlannedRequest("a", None, offset, 10)
 
 
 class TestSimulateWaterfall:
@@ -97,7 +103,7 @@ class TestSimulateWaterfall:
         assert [(s.start_ms, s.end_ms) for s in sims] == [(140.0, 140.0)]
 
     def test_infinite_downlink_transfers_instantly(self):
-        profile = ThrottleProfile(50.0, math.inf, math.inf, 1.0)
+        profile = ThrottleProfile(50.0, math.inf, 1.0)
         sims = simulate_waterfall(
             plan(("a", None, 0.0, 10**9), ("b", "a", 10.0, 10**9)), profile
         )
@@ -186,18 +192,18 @@ class TestApplyThrottle:
         assert apply_throttle(trace, UNTHROTTLED) is trace
 
     def test_requests_resimulated_under_profile(self):
-        profile = ThrottleProfile(100.0, 1000.0, 1000.0, 2.0)
+        profile = ThrottleProfile(100.0, 1000.0, 2.0)
         out = apply_throttle(self.base_trace(), profile)
         # 1000 kilobits at 1000 kbps: starts after rtt, takes a full second
         assert out.requests == (NetworkRequest(0.0, 100.0, 1100.0, 125000, "https://a.test"),)
 
     def test_tasks_scaled_and_repacked_preserving_gaps(self):
-        profile = ThrottleProfile(100.0, 1000.0, 1000.0, 2.0)
+        profile = ThrottleProfile(100.0, 1000.0, 2.0)
         out = apply_throttle(self.base_trace(), profile)
         assert out.tasks == (MainThreadTask(200.0, 80.0), MainThreadTask(740.0, 200.0))
 
     def test_paints_shift_with_the_latest_finished_request(self):
-        profile = ThrottleProfile(100.0, 1000.0, 1000.0, 2.0)
+        profile = ThrottleProfile(100.0, 1000.0, 2.0)
         out = apply_throttle(self.base_trace(), profile)
         # request end moved 600 -> 1100; the paint before any request end stays
         assert [p.t_ms for p in out.paint_events] == [50.0, 1150.0]
@@ -215,7 +221,7 @@ class TestApplyThrottle:
     def test_unconstrained_network_collapses_recorded_network_time(self):
         # re-simulation attributes the recorded transfer time to the
         # recording network, so an infinite pipe pulls everything to 0
-        profile = ThrottleProfile(0.0, math.inf, math.inf, 4.0)
+        profile = ThrottleProfile(0.0, math.inf, 4.0)
         out = apply_throttle(self.base_trace(), profile)
         assert out.requests == (NetworkRequest(0.0, 0.0, 0.0, 125000, "https://a.test"),)
         assert out.tasks == (MainThreadTask(200.0, 160.0), MainThreadTask(820.0, 400.0))

@@ -4,7 +4,7 @@ import datetime
 
 import pytest
 
-from conftest import REFERENCE_REGION_MEANS
+from conftest import REFERENCE_REGION_MEANS, parse_report_csv
 from webaudit.corpus import AuditResult, SiteRecord
 from webaudit.errors import ParseError, UnknownFormat
 from webaudit.metrics import MetricSet
@@ -17,7 +17,6 @@ from webaudit.report import (
     aggregates_from_report_json,
     emit_report,
     overall_average,
-    parse_report_csv,
     rank_regions,
     read_aggregates,
     write_aggregates,
