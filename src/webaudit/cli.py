@@ -219,11 +219,17 @@ def _load_plan(path: str) -> WaterfallPlan:
         offset = _number(item, "discovery_offset_ms", where, default=0.0)
         nbytes = int(_number(item, "bytes", where, default=0))
         origin = str(item.get("origin", ""))
+        parent_id = item.get("parent_id")
+        if parent_id is not None and not isinstance(parent_id, str):
+            raise SchemaError(f"{where}.parent_id", "must be a string or null")
         try:
-            planned.append(PlannedRequest(item["id"], item.get("parent_id"), offset, nbytes, origin))
+            planned.append(PlannedRequest(item["id"], parent_id, offset, nbytes, origin))
         except ValueError as exc:
             raise SchemaError(where, str(exc)) from exc
-    return WaterfallPlan(tuple(planned))
+    try:
+        return WaterfallPlan(tuple(planned))
+    except ValueError as exc:
+        raise SchemaError("$.requests", str(exc)) from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

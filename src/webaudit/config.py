@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .collector import MODE_KINDS, DeviceMode, Viewport
 from .errors import InvalidCurve, ParseError, SchemaError
@@ -111,10 +111,7 @@ def calibration_from_dict(data: Any) -> Calibration:
         width = int(_number(viewport, "width_px", f"{path}.viewport"))
         height = int(_number(viewport, "height_px", f"{path}.viewport"))
         cpu = _number(item, "cpu_multiplier", path)
-        try:
-            modes[kind] = DeviceMode(kind, Viewport(width, height), cpu)
-        except ValueError as exc:
-            raise SchemaError(path, str(exc)) from exc
+        modes[kind] = _checked(path, lambda: DeviceMode(kind, Viewport(width, height), cpu))
     for kind in MODE_KINDS:
         if kind not in modes:
             raise SchemaError("$.modes", f"missing device mode {kind!r}")
@@ -131,10 +128,7 @@ def calibration_from_dict(data: Any) -> Calibration:
             item = _object(table, key, path)
             median = _number(item, "median_ms", f"{path}.{key}")
             podr = _number(item, "podr_ms", f"{path}.{key}")
-            try:
-                curves[kind][key] = ScoreCurve(median_ms=median, podr_ms=podr)
-            except InvalidCurve as exc:
-                raise SchemaError(f"{path}.{key}", str(exc)) from exc
+            curves[kind][key] = _checked(f"{path}.{key}", lambda: ScoreCurve(median_ms=median, podr_ms=podr))
     for kind in MODE_KINDS:
         if kind not in curves:
             raise SchemaError("$.curves", f"missing curves for mode {kind!r}")
@@ -143,23 +137,18 @@ def calibration_from_dict(data: Any) -> Calibration:
     unknown = sorted(set(weight_data) - set(METRIC_KEYS))
     if unknown:
         raise SchemaError("$.weights", f"unknown metric keys: {', '.join(unknown)}")
-    weights = WeightTable(**{key: _number(weight_data, key, "$.weights") for key in weight_data})
+    weight_values = {key: _number(weight_data, key, "$.weights") for key in weight_data}
+    weights = _checked("$.weights", lambda: WeightTable(**weight_values))
 
     bands_data = data.get("category_bands", {})
     good_min = _number(bands_data, "good_min", "$.category_bands", default=90.0)
     average_min = _number(bands_data, "average_min", "$.category_bands", default=50.0)
-    try:
-        bands = CategoryBands(good_min=good_min, average_min=average_min)
-    except ValueError as exc:
-        raise SchemaError("$.category_bands", str(exc)) from exc
+    bands = _checked("$.category_bands", lambda: CategoryBands(good_min=good_min, average_min=average_min))
 
     outlier_data = data.get("outlier_bounds", {})
     upper = _number(outlier_data, "upper", "$.outlier_bounds", default=95.0)
     lower = _number(outlier_data, "lower", "$.outlier_bounds", default=5.0)
-    try:
-        outliers = OutlierBounds(upper=upper, lower=lower)
-    except ValueError as exc:
-        raise SchemaError("$.outlier_bounds", str(exc)) from exc
+    outliers = _checked("$.outlier_bounds", lambda: OutlierBounds(upper=upper, lower=lower))
 
     throttles = {
         name: _throttle_spec(item, f"$.throttle_profiles.{name}")
@@ -170,10 +159,10 @@ def calibration_from_dict(data: Any) -> Calibration:
     long_task_ms = _number(quiet_data, "long_task_ms", "$.quiet_window", default=50.0)
     window_ms = _number(quiet_data, "window_ms", "$.quiet_window", default=5000.0)
     max_inflight = int(_number(quiet_data, "max_inflight_requests", "$.quiet_window", default=2))
-    try:
-        quiet = QuietWindow(long_task_ms=long_task_ms, window_ms=window_ms, max_inflight_requests=max_inflight)
-    except ValueError as exc:
-        raise SchemaError("$.quiet_window", str(exc)) from exc
+    quiet = _checked(
+        "$.quiet_window",
+        lambda: QuietWindow(long_task_ms=long_task_ms, window_ms=window_ms, max_inflight_requests=max_inflight),
+    )
 
     return Calibration(
         modes=modes,
@@ -214,10 +203,7 @@ def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
         downlink_kbps=_number(item, "downlink_kbps", path, default=None),
         cpu_multiplier=_number(item, "cpu_multiplier", path, default=None),
     )
-    try:
-        spec.resolve()
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    _checked(path, spec.resolve)
     return spec
 
 
@@ -233,6 +219,14 @@ def load_member_regions(path: str | Path | None = None) -> tuple[str, ...]:
         if name and not name.startswith("#"):
             regions.append(name)
     return tuple(regions)
+
+
+def _checked(path: str, build: Callable[[], Any]) -> Any:
+    """build(), with a failed range check reported as a SchemaError at path."""
+    try:
+        return build()
+    except (ValueError, InvalidCurve) as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _object(data: Any, key: str, path: str) -> dict:

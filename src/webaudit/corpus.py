@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -226,9 +226,7 @@ def run_batch(
     jobs = [(record, kind) for record in records for kind in modes]
     results: list[AuditResult] = []
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(run_one, record, kind) for record, kind in jobs]
-        for done, future in enumerate(as_completed(futures), start=1):
-            result = future.result()
+        for done, result in enumerate(pool.map(lambda job: run_one(*job), jobs), start=1):
             log.info(
                 "audit %d/%d %s [%s] %s",
                 done,
@@ -238,8 +236,7 @@ def run_batch(
                 result.status if result.status == "ok" else f"failed: {result.failure_reason}",
             )
             results.append(result)
-    # url breaks ties: `no` is not required to be unique, and arrival order
-    # under a thread pool is not deterministic.
+    # url breaks ties: `no` need not be unique.
     results.sort(key=lambda r: (r.site.no, r.mode, r.site.url))
     return results
 

@@ -25,6 +25,10 @@ class CyclicPlan(AuditError):
     """A waterfall plan whose parent references form a cycle."""
 
 
+class ThrottleOverflow(AuditError):
+    """A throttle so extreme that a replayed time is no longer finite."""
+
+
 class ParseError(AuditError):
     """A document that could not be parsed at all."""
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import CyclicPlan
+from .errors import CyclicPlan, ThrottleOverflow
 from .trace import (
     MainThreadTask,
     NetworkRequest,
@@ -140,6 +140,11 @@ def simulate_waterfall(plan: WaterfallPlan, profile: ThrottleProfile) -> list[Si
         starts[req.id] = start
         heapq.heappush(arrivals, (start, req.id))
 
+    def finish(rid: str, end: float) -> None:
+        ends[rid] = end
+        for child in children.get(rid, []):
+            schedule(child, end)
+
     for root in children.get(None, []):
         schedule(root, 0.0)
 
@@ -147,9 +152,7 @@ def simulate_waterfall(plan: WaterfallPlan, profile: ThrottleProfile) -> list[Si
         # Unlimited pipe: every transfer is instantaneous once started.
         while arrivals:
             start, rid = heapq.heappop(arrivals)
-            ends[rid] = start
-            for child in children.get(rid, []):
-                schedule(child, start)
+            finish(rid, start)
     else:
         capacity = profile.downlink_kbps
         active: dict[str, float] = {}  # id -> kilobits remaining
@@ -167,18 +170,18 @@ def simulate_waterfall(plan: WaterfallPlan, profile: ThrottleProfile) -> list[Si
                 for rid in active:
                     active[rid] -= drained
             now = t_next
-            for rid in sorted(r for r, left in active.items() if left <= _COMPLETION_EPS_KBITS):
+            done_at = _COMPLETION_EPS_KBITS
+            if active and t_next == t_complete:
+                # now + the smallest remainder's drain time may round to now.
+                done_at = max(done_at, min(active.values()))
+            for rid in sorted(r for r, left in active.items() if left <= done_at):
                 del active[rid]
-                ends[rid] = now
-                for child in children.get(rid, []):
-                    schedule(child, now)
+                finish(rid, now)
             while arrivals and arrivals[0][0] <= now:
                 _, rid = heapq.heappop(arrivals)
                 kbits = by_id[rid].bytes * 8.0 / 1000.0
                 if kbits <= _COMPLETION_EPS_KBITS:
-                    ends[rid] = starts[rid]
-                    for child in children.get(rid, []):
-                        schedule(child, starts[rid])
+                    finish(rid, starts[rid])
                 else:
                     active[rid] = kbits
 
@@ -193,44 +196,41 @@ def _plan_request_id(index: int) -> str:
     return f"{index:06d}"
 
 
+def _finish_table(requests: Sequence[NetworkRequest]) -> tuple[list[float], list[int]]:
+    """Distinct end times, ascending, each with the earliest request ending then.
+
+    This is the replay parent rule: an event at time t belongs to entry
+    bisect_right(ends, t) - 1, the request that finished last at or before
+    t, the earliest request winning a tie. No entry means no such request.
+    """
+    first: dict[float, int] = {}
+    for i, req in enumerate(requests):
+        first.setdefault(req.end_ms, i)
+    ends = sorted(first)
+    return ends, [first[end] for end in ends]
+
+
 def infer_plan(trace: NormalizedTrace) -> WaterfallPlan:
     """Reconstruct the dependency plan a recorded waterfall implies.
 
     A request's parent is the request that finished last at or before its
     discovery (ties keep the earliest request); the leftover gap becomes the
-    discovery offset. The parent must additionally precede the child in
-    (end_ms, index) order, or two zero-length requests discovered at the
-    same instant could adopt each other.
+    discovery offset. A request never adopts itself, or two zero-length
+    requests discovered at the same instant could adopt each other. Relies
+    on discovered_ms <= end_ms, which the trace schema enforces.
     """
     reqs = trace.requests
+    ends, first = _finish_table(reqs)
     planned = []
     for i, req in enumerate(reqs):
-        parent_index = None
-        best: tuple[float, int] | None = None
-        for j, cand in enumerate(reqs):
-            if cand.end_ms > req.discovered_ms:
-                continue
-            if (cand.end_ms, j) >= (req.end_ms, i):
-                continue
-            key = (cand.end_ms, -j)
-            if best is None or key > best:
-                best = key
-                parent_index = j
-        if parent_index is None:
-            parent_id = None
-            offset = req.discovered_ms
-        else:
-            parent_id = _plan_request_id(parent_index)
-            offset = req.discovered_ms - reqs[parent_index].end_ms
-        planned.append(
-            PlannedRequest(
-                id=_plan_request_id(i),
-                parent_id=parent_id,
-                discovery_offset_ms=offset,
-                bytes=req.bytes,
-                origin=req.origin,
-            )
-        )
+        k = bisect.bisect_right(ends, req.discovered_ms) - 1
+        if k >= 0 and first[k] == i:
+            # i ended at its own discovery; take the previous end instead.
+            k -= 1
+        parent = first[k] if k >= 0 else None
+        parent_id = None if parent is None else _plan_request_id(parent)
+        offset = req.discovered_ms - (0.0 if parent is None else reqs[parent].end_ms)
+        planned.append(PlannedRequest(_plan_request_id(i), parent_id, offset, req.bytes, req.origin))
     return WaterfallPlan(tuple(planned))
 
 
@@ -266,13 +266,22 @@ def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> Normaliz
         scaled_tasks.append(MainThreadTask(start_ms=start, dur_ms=dur))
         prev_old_end = task.end_ms
         prev_new_end = start + dur
+    # A request's end bounds its start and discovery; the last task's end
+    # bounds every task.
+    rebuilt = [r.end_ms for r in new_requests] + [prev_new_end]
+    if not all(map(math.isfinite, rebuilt)):
+        raise ThrottleOverflow(f"throttle too extreme to simulate: a replayed time reached {max(rebuilt)!r}")
 
-    shifts = _end_shift_table(trace.requests, simulated)
-    new_paints = tuple(replace(p, t_ms=p.t_ms + _shift_at(shifts, p.t_ms)) for p in trace.paint_events)
-    moved = sorted(
-        (VisualSample(t_ms=s.t_ms + _shift_at(shifts, s.t_ms), fraction=s.fraction) for s in trace.visual_progress),
-        key=lambda s: s.t_ms,
-    )
+    # Paints and visual samples move with the request the parent rule gives them.
+    ends, first = _finish_table(trace.requests)
+    deltas = [simulated[j].end_ms - trace.requests[j].end_ms for j in first]
+
+    def shifted(t_ms: float) -> float:
+        k = bisect.bisect_right(ends, t_ms) - 1
+        return t_ms + (deltas[k] if k >= 0 else 0.0)
+
+    new_paints = tuple(replace(p, t_ms=shifted(p.t_ms)) for p in trace.paint_events)
+    moved = sorted((VisualSample(shifted(s.t_ms), s.fraction) for s in trace.visual_progress), key=lambda s: s.t_ms)
 
     return NormalizedTrace(
         nav_start=trace.nav_start,
@@ -281,22 +290,3 @@ def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> Normaliz
         requests=new_requests,
         visual_progress=clamp_visual_progress(moved),
     )
-
-
-def _end_shift_table(
-    old_requests: Sequence[NetworkRequest], simulated: Sequence[SimulatedRequest]
-) -> tuple[list[float], list[float]]:
-    """End-time deltas keyed by original end time, earliest request winning ties."""
-    deltas: dict[float, float] = {}
-    for old, sim in zip(old_requests, simulated):
-        if old.end_ms not in deltas:
-            deltas[old.end_ms] = sim.end_ms - old.end_ms
-    ends = sorted(deltas)
-    return ends, [deltas[end] for end in ends]
-
-
-def _shift_at(shifts: tuple[list[float], list[float]], t_ms: float) -> float:
-    """Delta of the latest request completed at or before t_ms; 0 if none."""
-    ends, deltas = shifts
-    idx = bisect.bisect_right(ends, t_ms) - 1
-    return deltas[idx] if idx >= 0 else 0.0

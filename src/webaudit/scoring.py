@@ -42,6 +42,12 @@ class WeightTable:
     fci: float = 0.133
     max_fid: float = 0.000
 
+    # Each check is written so that NaN fails it.
+    def __post_init__(self):
+        weights = self.as_dict().values()
+        if not all(0 <= w < math.inf for w in weights) or not abs(math.fsum(weights) - 1) <= 1e-9:
+            raise ValueError(f"weights must be finite, >= 0 and sum to 1 within 1e-9, got {self.as_dict()!r}")
+
     def as_dict(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in METRIC_KEYS}
 

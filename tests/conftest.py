@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import signal
 from datetime import date
 
 import pytest
@@ -36,6 +37,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus: int, config) -> None:
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def call_within(seconds: float, fn, *args, **kwargs):
+    """fn(*args, **kwargs), failing the test once it has run for ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"{fn.__name__} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_trace(rng: random.Random) -> NormalizedTrace:

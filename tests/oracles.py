@@ -9,12 +9,13 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 import numpy as np
 
 from webaudit.netsim import ThrottleProfile, WaterfallPlan
-from webaudit.trace import NormalizedTrace
+from webaudit.trace import NetworkRequest, NormalizedTrace
 
 mpmath.mp.dps = 50
 
@@ -114,6 +115,35 @@ def max_fid_brute(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     """Longest task whose closed interval touches [fcp, tti]."""
     durations = [t.dur_ms for t in trace.tasks if t.start_ms <= tti and t.end_ms >= fcp]
     return float(max(durations, default=0.0))
+
+
+def parent_scan(requests: Sequence[NetworkRequest]) -> list[tuple[int | None, float]]:
+    """(parent index, discovery offset) per request, by scanning every pair.
+
+    The parent finished last at or before the discovery, the earliest
+    request winning a tie, and precedes the child in (end_ms, index) order.
+    """
+    plan = []
+    for i, req in enumerate(requests):
+        parent = None
+        best: tuple[float, int] | None = None
+        for j, cand in enumerate(requests):
+            if cand.end_ms > req.discovered_ms or (cand.end_ms, j) >= (req.end_ms, i):
+                continue
+            if best is None or (cand.end_ms, -j) > best:
+                best = (cand.end_ms, -j)
+                parent = j
+        plan.append((parent, req.discovered_ms - (0.0 if parent is None else requests[parent].end_ms)))
+    return plan
+
+
+def shift_source_scan(requests: Sequence[NetworkRequest], t_ms: float) -> int | None:
+    """Index of the latest request finished at or before t_ms, earliest on a tie."""
+    source = None
+    for j, req in enumerate(requests):
+        if req.end_ms <= t_ms and (source is None or req.end_ms > requests[source].end_ms):
+            source = j
+    return source
 
 
 def waterfall_march(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, tuple[float, float]]:

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from conftest import parse_report_csv
+from conftest import call_within, parse_report_csv
 from webaudit.cli import main
 from webaudit.collector import write_trace
 from webaudit.report import aggregates_from_report_json
-from webaudit.synth import build_no_paint_trace, write_demo_workspace
+from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
 
 
 @pytest.fixture
@@ -99,6 +99,41 @@ class TestAuditCommand:
         assert rc == 2
         assert "$.rtt_ms" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "request_bytes, throttle",
+        [(None, {"rtt_ms": 1e7, "downlink_kbps": 1638}), (10**10, "4g")],
+        ids=["rtt-1e7", "bytes-1e10"],
+    )
+    def test_extreme_but_finite_throttle_terminates(self, tmp_path, capsys, request_bytes, throttle):
+        # near 3e7 ms, now + a remainder's drain time rounds back to now
+        trace = build_demo_trace(5).to_dict()
+        if request_bytes is not None:
+            trace["requests"][0]["bytes"] = request_bytes
+        trace_file = tmp_path / "t.json"
+        trace_file.write_text(json.dumps(trace), "utf-8")
+        if isinstance(throttle, dict):
+            (tmp_path / "profile.json").write_text(json.dumps(throttle), "utf-8")
+            throttle = str(tmp_path / "profile.json")
+        assert call_within(10, main, ["audit", "x", "--trace-in", str(trace_file), "--throttle", throttle]) == 0
+        assert "performance score:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "profile",
+        [{"rtt_ms": 1e308, "downlink_kbps": 1638}, {"rtt_ms": 100, "downlink_kbps": 1000, "cpu_multiplier": 1e308}],
+        ids=["rtt-1e308", "cpu-1e308"],
+    )
+    def test_throttle_too_extreme_to_simulate_is_a_config_error(self, tmp_path, capsys, profile):
+        trace_file = tmp_path / "t.json"
+        write_trace(build_demo_trace(5), trace_file)
+        profile_file = tmp_path / "profile.json"
+        profile_file.write_text(json.dumps(profile), "utf-8")
+        argv = ["audit", "x", "--trace-in", str(trace_file), "--throttle", str(profile_file)]
+        assert call_within(10, main, argv) == 2
+        captured = capsys.readouterr()
+        assert "too extreme to simulate" in captured.err
+        assert "Traceback" not in captured.err
+        assert "performance score" not in captured.out
 
     def test_trace_in_and_out_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -233,6 +268,21 @@ class TestSimulateCommand:
         plan = self.write_plan(tmp_path, {"requests": [{"id": "a", "discovery_offset_ms": offset}]})
         assert main(["simulate", "--plan", plan]) == 2
         assert "$.requests[0].discovery_offset_ms" in capsys.readouterr().err
+
+    def test_non_string_parent_names_the_field(self, tmp_path, capsys):
+        plan = self.write_plan(tmp_path, {"requests": [{"id": "a", "parent_id": 5}]})
+        assert main(["simulate", "--plan", plan]) == 2
+        assert "$.requests[0].parent_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "requests",
+        [[{"id": "a"}, {"id": "a"}], [{"id": "a", "parent_id": "b"}]],
+        ids=["duplicate-id", "unknown-parent"],
+    )
+    def test_inconsistent_plan_names_the_requests(self, tmp_path, capsys, requests):
+        plan = self.write_plan(tmp_path, {"requests": requests})
+        assert main(["simulate", "--plan", plan]) == 2
+        assert "error: $.requests: " in capsys.readouterr().err
 
 
 class TestParserBasics:

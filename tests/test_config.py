@@ -137,6 +137,21 @@ class TestCalibrationSchema:
             calibration_from_dict(doc)
         assert path_part in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "weights_patch",
+        [{"fcp": -0.5}, {"fcp": 1.2}, None],
+        ids=["negative", "above_one", "missing_metrics"],
+    )
+    def test_weight_rejections_carry_a_path(self, weights_patch):
+        doc = self.base()
+        if weights_patch is None:
+            doc["weights"] = {"fcp": 1.0}
+        else:
+            doc["weights"].update(weights_patch)
+        with pytest.raises(SchemaError) as exc:
+            calibration_from_dict(doc)
+        assert "weights" in str(exc.value)
+
     def test_old_calibration_with_uplink_still_loads(self):
         doc = self.base()
         doc["throttle_profiles"]["4g"]["uplink_kbps"] = 750

@@ -1,6 +1,7 @@
 """Corpus ingestion, membership, batch running, and result files."""
 
 import datetime
+import json
 import logging
 
 import pytest
@@ -25,6 +26,7 @@ from webaudit.corpus import (
 from webaudit.errors import CsvError, DuplicateUrl, ParseError
 from webaudit.metrics import MetricSet, compute_all
 from webaudit.scoring import ScoreReport
+from webaudit.synth import build_demo_trace
 from webaudit.config import OutlierBounds
 
 MEMBERS = ("Kota Bandung", "Kab. Bogor")
@@ -271,6 +273,19 @@ class TestRunBatch:
         progress = [m for m in caplog.messages if m.startswith("audit ")]
         assert len(progress) == 2
         assert progress[0].startswith("audit 1/2")
+
+    @pytest.mark.parametrize(
+        "profile",
+        [{"rtt_ms": 1e308, "downlink_kbps": 1638}, {"rtt_ms": 100, "downlink_kbps": 1000, "cpu_multiplier": 1e308}],
+        ids=["rtt-1e308", "cpu-1e308"],
+    )
+    def test_throttle_too_extreme_to_simulate_fails_audits(self, tmp_path, profile):
+        records, traces = self.setup_workspace(tmp_path, build_demo_trace(5))
+        profile_file = tmp_path / "profile.json"
+        profile_file.write_text(json.dumps(profile), "utf-8")
+        results = run_batch(records, ("mobile",), str(profile_file), 1, traces_dir=traces, test_date=TEST_DATE)
+        assert [(r.site.no, r.status) for r in results] == [(1, "failed"), (2, "failed")]
+        assert results[0].failure_reason.startswith("ThrottleOverflow: ")
 
     def test_bad_parallelism_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Waterfall simulation, plan inference, and trace throttling."""
 
 import math
+import random
 
 import pytest
 
-from oracles import waterfall_march
+from oracles import parent_scan, shift_source_scan, waterfall_march
 from conftest import random_plan, random_profile
 from webaudit.errors import CyclicPlan
 from webaudit.netsim import (
@@ -226,3 +227,50 @@ class TestApplyThrottle:
         assert out.requests == (NetworkRequest(0.0, 0.0, 0.0, 125000, "https://a.test"),)
         assert out.tasks == (MainThreadTask(200.0, 160.0), MainThreadTask(820.0, 400.0))
         assert [p.t_ms for p in out.paint_events] == [50.0, 50.0]
+
+
+def tied_requests(rng: random.Random) -> list[NetworkRequest]:
+    """Requests on a grid of six instants: many zero-length requests, equal
+    ends, and discoveries at some request's end, often the request's own.
+    The grid step is not a binary fraction, so sums round as real times do."""
+    requests = []
+    for _ in range(rng.randint(0, 9)):
+        if rng.random() < 0.3:
+            discovered = start = end = rng.randint(0, 5) * 137.3
+        else:
+            discovered, start, end = sorted(rng.randint(0, 5) * 137.3 for _ in range(3))
+        requests.append(NetworkRequest(discovered, start, end, rng.choice((0, 0, 500, 20000)), "https://a.test"))
+    return requests
+
+
+class TestParentRuleOracle:
+    SETS = 2000
+
+    def test_plan_matches_the_pairwise_scan(self):
+        rng = random.Random(0x9A7E)
+        for _ in range(self.SETS):
+            requests = tied_requests(rng)
+            plan = infer_plan(NormalizedTrace(requests=tuple(requests)))
+            got = [
+                (None if r.parent_id is None else int(r.parent_id), r.discovery_offset_ms) for r in plan.requests
+            ]
+            assert got == parent_scan(requests), requests
+
+    def test_paints_and_samples_shift_with_the_scanned_request(self):
+        rng = random.Random(0x5417)
+        for _ in range(self.SETS):
+            requests = tied_requests(rng)
+            # half-steps fall between the grid's end times; 0 may precede every end
+            times = sorted(rng.randint(0, 12) * 137.3 / 2 for _ in range(rng.randint(1, 5)))
+            trace = NormalizedTrace(
+                paint_events=tuple(PaintEvent(t, "contentful-paint") for t in times),
+                requests=tuple(requests),
+                visual_progress=tuple(VisualSample(t, 1.0) for t in times),
+            )
+            out = apply_throttle(trace, FOUR_G)
+            want = []
+            for t in times:
+                j = shift_source_scan(requests, t)
+                want.append(t + (0.0 if j is None else out.requests[j].end_ms - requests[j].end_ms))
+            assert [p.t_ms for p in out.paint_events] == want, requests
+            assert [s.t_ms for s in out.visual_progress] == sorted(want), requests

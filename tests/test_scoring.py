@@ -94,6 +94,11 @@ class TestWeights:
             "max_fid": 0.0,
         }
 
+    @pytest.mark.parametrize("fcp", [-0.5, 1.2, 0.2 + 2e-9, math.inf, math.nan])
+    def test_rejects_a_bad_weight_or_sum(self, fcp):
+        with pytest.raises(ValueError, match="weights must be"):
+            WeightTable(fcp=fcp)
+
 
 class TestAggregate:
     def full(self, value: float) -> dict[str, float]:
