@@ -29,7 +29,7 @@ from .metrics import METRIC_KEYS, MetricSet
 from .netsim import PlannedRequest, WaterfallPlan, apply_throttle, simulate_waterfall
 from .report import aggregate_regions, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
-from .trace import _number
+from .trace import _integer, _number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -217,8 +217,10 @@ def _load_plan(path: str) -> WaterfallPlan:
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise SchemaError(where, "each request needs a string id")
         offset = _number(item, "discovery_offset_ms", where, default=0.0)
-        nbytes = int(_number(item, "bytes", where, default=0))
-        origin = str(item.get("origin", ""))
+        nbytes = _integer(item, "bytes", where, minimum=0, default=0)
+        origin = "" if item.get("origin") is None else item["origin"]
+        if not isinstance(origin, str):
+            raise SchemaError(f"{where}.origin", "must be a string or null")
         parent_id = item.get("parent_id")
         if parent_id is not None and not isinstance(parent_id, str):
             raise SchemaError(f"{where}.parent_id", "must be a string or null")

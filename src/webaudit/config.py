@@ -20,7 +20,7 @@ from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
-from .trace import _number
+from .trace import _integer, _number
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def calibration_from_dict(data: Any) -> Calibration:
         if kind not in MODE_KINDS:
             raise SchemaError(path, f"unknown mode kind (expected one of {', '.join(MODE_KINDS)})")
         viewport = _object(item, "viewport", path)
-        width = int(_number(viewport, "width_px", f"{path}.viewport"))
-        height = int(_number(viewport, "height_px", f"{path}.viewport"))
+        width = _integer(viewport, "width_px", f"{path}.viewport")
+        height = _integer(viewport, "height_px", f"{path}.viewport")
         cpu = _number(item, "cpu_multiplier", path)
         modes[kind] = _checked(path, lambda: DeviceMode(kind, Viewport(width, height), cpu))
     for kind in MODE_KINDS:
@@ -158,7 +158,7 @@ def calibration_from_dict(data: Any) -> Calibration:
     quiet_data = data.get("quiet_window", {})
     long_task_ms = _number(quiet_data, "long_task_ms", "$.quiet_window", default=50.0)
     window_ms = _number(quiet_data, "window_ms", "$.quiet_window", default=5000.0)
-    max_inflight = int(_number(quiet_data, "max_inflight_requests", "$.quiet_window", default=2))
+    max_inflight = _integer(quiet_data, "max_inflight_requests", "$.quiet_window", default=2)
     quiet = _checked(
         "$.quiet_window",
         lambda: QuietWindow(long_task_ms=long_task_ms, window_ms=window_ms, max_inflight_requests=max_inflight),

@@ -26,7 +26,8 @@ class CyclicPlan(AuditError):
 
 
 class ThrottleOverflow(AuditError):
-    """A throttle so extreme that a replayed time is no longer finite."""
+    """A throttle so extreme that a replayed time is no longer finite, or
+    the downlink simulation stops advancing."""
 
 
 class ParseError(AuditError):

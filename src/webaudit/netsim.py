@@ -1,11 +1,13 @@
 """Network waterfall simulation for throttled replay.
 
 The downlink is modeled as a single shared pipe split equally among all
-requests in flight (processor sharing). A request becomes visible some
-fixed offset after its parent finishes, then spends one round trip before
-its first byte arrives. Applying a throttle to a recorded trace rebuilds
-the request waterfall under these rules, stretches main-thread tasks, and
-shifts paint/visual timestamps along with the requests that preceded them.
+requests in flight (processor sharing), simulated with a GPS virtual
+clock and a heap of finish tags, O(log n) per arrival or completion. A
+request becomes visible some fixed offset after its parent finishes,
+then spends one round trip before its first byte arrives. Applying a
+throttle to a recorded trace rebuilds the request waterfall under these
+rules, stretches main-thread tasks, and shifts paint/visual timestamps
+along with the requests that preceded them.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .trace import (
     clamp_visual_progress,
 )
 
-# A transfer counts as finished once this little payload remains; soaks up
-# float drift from repeated share subtraction.
+# A transfer counts as finished once the virtual clock is this close to its
+# finish tag; soaks up float drift from summing the clock's advances.
 _COMPLETION_EPS_KBITS = 1e-9
 
 
@@ -121,7 +123,8 @@ def simulate_waterfall(plan: WaterfallPlan, profile: ThrottleProfile) -> list[Si
 
     A request starts at max(parent end, 0) + discovery_offset_ms + rtt_ms
     and finishes once its payload has passed through its time-varying share
-    of the downlink. The result is sorted by request id.
+    of the downlink. The result is sorted by request id. Raises
+    ThrottleOverflow if an event turn retires no arrival or completion.
     """
     requests = plan.requests
     if not requests:
@@ -154,36 +157,42 @@ def simulate_waterfall(plan: WaterfallPlan, profile: ThrottleProfile) -> list[Si
             start, rid = heapq.heappop(arrivals)
             finish(rid, start)
     else:
+        # GPS virtual time: every flow in flight has received the same
+        # `virtual` kilobits since the busy period began, so a flow finishes
+        # once `virtual` reaches its tag, V(arrival) + size. Only the
+        # smallest tag matters, and a heap keeps it.
         capacity = profile.downlink_kbps
-        active: dict[str, float] = {}  # id -> kilobits remaining
+        tags: list[tuple[float, str]] = []  # heap: (virtual finish tag, id)
+        virtual = 0.0
         now = 0.0
-        while arrivals or active:
-            if active:
-                n = len(active)
-                t_complete = now + min(active.values()) * n / capacity * 1000.0
-            else:
-                t_complete = math.inf
+        while arrivals or tags:
+            n = len(tags)
+            t_complete = now + (tags[0][0] - virtual) * n / capacity * 1000.0 if tags else math.inf
             t_arrival = arrivals[0][0] if arrivals else math.inf
             t_next = min(t_complete, t_arrival)
-            if active and t_next > now:
-                drained = capacity / len(active) * (t_next - now) / 1000.0
-                for rid in active:
-                    active[rid] -= drained
+            if tags and t_next > now:
+                virtual += capacity / n * (t_next - now) / 1000.0
             now = t_next
-            done_at = _COMPLETION_EPS_KBITS
-            if active and t_next == t_complete:
-                # now + the smallest remainder's drain time may round to now.
-                done_at = max(done_at, min(active.values()))
-            for rid in sorted(r for r, left in active.items() if left <= done_at):
-                del active[rid]
-                finish(rid, now)
+            done_at = virtual + _COMPLETION_EPS_KBITS
+            if tags and t_next == t_complete:
+                # now + the smallest tag's drain time may round to now.
+                done_at = max(done_at, tags[0][0])
+            retired = 0
+            while tags and tags[0][0] <= done_at:
+                finish(heapq.heappop(tags)[1], now)
+                retired += 1
+            if not tags:
+                virtual = 0.0  # a new busy period starts from zero
             while arrivals and arrivals[0][0] <= now:
                 _, rid = heapq.heappop(arrivals)
                 kbits = by_id[rid].bytes * 8.0 / 1000.0
                 if kbits <= _COMPLETION_EPS_KBITS:
                     finish(rid, starts[rid])
                 else:
-                    active[rid] = kbits
+                    heapq.heappush(tags, (virtual + kbits, rid))
+                retired += 1
+            if not retired:
+                raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {n} transfers in flight")
 
     return sorted(
         (SimulatedRequest(rid, starts[rid], ends[rid]) for rid in starts),

@@ -120,9 +120,7 @@ class NormalizedTrace:
             end = _number(item, "end_ms", path, minimum=0.0)
             if not discovered <= start <= end:
                 raise SchemaError(path, "must satisfy discovered_ms <= start_ms <= end_ms")
-            nbytes = item.get("bytes")
-            if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
-                raise SchemaError(f"{path}.bytes", "must be a nonnegative integer")
+            nbytes = _integer(item, "bytes", path, minimum=0)
             origin = item.get("origin")
             if not isinstance(origin, str):
                 raise SchemaError(f"{path}.origin", "must be a string")
@@ -186,6 +184,7 @@ def clamp_visual_progress(samples: Iterable[VisualSample]) -> tuple[VisualSample
 
 
 _REQUIRED = object()
+_FLOAT_MAX_INT = int(1.7976931348623157e308)  # the largest float, as an int
 
 
 def _number(item: Any, key: str, path: str, minimum: float | None = None, default: Any = _REQUIRED) -> Any:
@@ -203,11 +202,30 @@ def _number(item: Any, key: str, path: str, minimum: float | None = None, defaul
     value = item[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}.{key}", "must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}.{key}", "must be within float range") from None
     if value != value or value in (float("inf"), float("-inf")):
         raise SchemaError(f"{path}.{key}", "must be finite")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{path}.{key}", f"must be >= {minimum:g}")
+    return value
+
+
+def _integer(item: Any, key: str, path: str, minimum: int | None = None, default: Any = _REQUIRED) -> Any:
+    """Read a JSON integer at ``item[key]``, as _number reads a number; a bool
+    or a float is not one."""
+    if default is not _REQUIRED and isinstance(item, dict) and item.get(key) is None:
+        return default
+    value = item.get(key) if isinstance(item, dict) else None
+    if type(value) is not int:  # excludes bool, a subclass of int
+        _number(item, key, path)  # names a missing field or a non-number
+        raise SchemaError(f"{path}.{key}", "must be an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{path}.{key}", f"must be >= {minimum}")
+    if not -_FLOAT_MAX_INT <= value <= _FLOAT_MAX_INT:  # counts take part in float arithmetic
+        raise SchemaError(f"{path}.{key}", "must be within float range")
     return value
 
 

@@ -146,6 +146,65 @@ def shift_source_scan(requests: Sequence[NetworkRequest], t_ms: float) -> int | 
     return source
 
 
+def share_rescan(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, tuple[float, float]]:
+    """Fair-share download simulation that tracks each flow's remainder.
+
+    On every arrival or completion it drains all flows in flight by their
+    equal share and retires those at or below 1e-9 kbit; a turn that lands
+    on the next completion also retires every flow at or below the smallest
+    remainder. Float arithmetic, O(n) per event. Returns {id: (start_ms, end_ms)}.
+    """
+    rtt = profile.rtt_ms
+    capacity = profile.downlink_kbps
+    by_id = {r.id: r for r in plan.requests}
+    children: dict[str | None, list[str]] = {}
+    for r in plan.requests:
+        children.setdefault(r.parent_id, []).append(r.id)
+
+    starts: dict[str, float] = {}
+    ends: dict[str, float] = {}
+    arrivals: list[tuple[float, str]] = []
+
+    def schedule(rid: str, parent_end: float) -> None:
+        starts[rid] = max(parent_end, 0.0) + by_id[rid].discovery_offset_ms + rtt
+        heapq.heappush(arrivals, (starts[rid], rid))
+
+    def finish(rid: str, end: float) -> None:
+        ends[rid] = end
+        for cid in children.get(rid, []):
+            schedule(cid, end)
+
+    for rid in children.get(None, []):
+        schedule(rid, 0.0)
+
+    active: dict[str, float] = {}  # id -> kilobits remaining
+    now = 0.0
+    while arrivals or active:
+        t_complete = now + min(active.values()) * len(active) / capacity * 1000.0 if active else math.inf
+        t_arrival = arrivals[0][0] if arrivals else math.inf
+        t_next = min(t_complete, t_arrival)
+        if active and t_next > now:
+            drained = capacity / len(active) * (t_next - now) / 1000.0
+            for rid in active:
+                active[rid] -= drained
+        now = t_next
+        done_at = 1e-9
+        if active and t_next == t_complete:
+            done_at = max(done_at, min(active.values()))
+        for rid in sorted(r for r, left in active.items() if left <= done_at):
+            del active[rid]
+            finish(rid, now)
+        while arrivals and arrivals[0][0] <= now:
+            _, rid = heapq.heappop(arrivals)
+            kbits = by_id[rid].bytes * 8.0 / 1000.0
+            if kbits <= 1e-9:
+                finish(rid, starts[rid])
+            else:
+                active[rid] = kbits
+
+    return {rid: (starts[rid], ends[rid]) for rid in by_id}
+
+
 def waterfall_march(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, tuple[float, float]]:
     """Time-marched fair-share download simulation in exact arithmetic.
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from conftest import call_within, parse_report_csv
-from webaudit.cli import main
+from webaudit.cli import _load_plan, main
+from webaudit.config import default_calibration_text
 from webaudit.collector import write_trace
 from webaudit.report import aggregates_from_report_json
 from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
@@ -283,6 +284,46 @@ class TestSimulateCommand:
         plan = self.write_plan(tmp_path, {"requests": requests})
         assert main(["simulate", "--plan", plan]) == 2
         assert "error: $.requests: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bytes", 1.5), ("bytes", True), ("bytes", -1), ("origin", 5)],
+        ids=["fractional-bytes", "bool-bytes", "negative-bytes", "number-origin"],
+    )
+    def test_bad_request_field_names_the_field(self, tmp_path, capsys, field, value):
+        plan = self.write_plan(tmp_path, {"requests": [{"id": "a", field: value}]})
+        assert main(["simulate", "--plan", plan]) == 2
+        err = capsys.readouterr().err
+        assert f"error: $.requests[0].{field}: " in err
+        assert "Traceback" not in err
+
+    def test_null_origin_means_no_origin(self, tmp_path):
+        plan = self.write_plan(tmp_path, [{"id": "a", "bytes": 1000, "origin": None}])
+        assert main(["simulate", "--plan", plan]) == 0
+        assert _load_plan(plan).requests[0].origin == ""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (("modes", "mobile", "viewport"), "width_px", 360.5),
+            (("modes", "desktop", "viewport"), "height_px", True),
+            (("quiet_window",), "max_inflight_requests", 2.5),
+        ],
+        ids=["fractional-width", "bool-height", "fractional-inflight"],
+    )
+    def test_non_integer_calibration_count_names_the_field(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(default_calibration_text())
+        target = doc
+        for name in section:
+            target = target[name]
+        target[key] = value
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(doc), "utf-8")
+        plan = self.write_plan(tmp_path, [{"id": "a", "bytes": 1000}])
+        assert main(["simulate", "--plan", plan, "--calibration", str(calibration)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: $.{'.'.join(section)}.{key}: must be " in err
+        assert "Traceback" not in err
 
 
 class TestParserBasics:

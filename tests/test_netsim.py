@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from oracles import parent_scan, shift_source_scan, waterfall_march
-from conftest import random_plan, random_profile
-from webaudit.errors import CyclicPlan
+from oracles import parent_scan, share_rescan, shift_source_scan, waterfall_march
+from conftest import call_within, random_plan, random_profile
+from webaudit.errors import CyclicPlan, ThrottleOverflow
 from webaudit.netsim import (
     PlannedRequest,
     ThrottleProfile,
@@ -131,6 +131,14 @@ class TestSimulateWaterfall:
                 want_start, want_end = expected[sim.id]
                 assert sim.start_ms == pytest.approx(want_start, abs=1e-3)
                 assert sim.end_ms == pytest.approx(want_end, abs=1e-3)
+
+    def test_a_turn_that_retires_nothing_raises(self):
+        # Validation rejects a NaN downlink; forced in, it makes every event
+        # time NaN, so no turn can retire a transfer.
+        profile = ThrottleProfile(0.0, 1000.0)
+        object.__setattr__(profile, "downlink_kbps", math.nan)
+        with pytest.raises(ThrottleOverflow, match="stalled"):
+            call_within(10, simulate_waterfall, plan(("a", None, 0.0, 1000)), profile)
 
 
 class TestInferPlan:
@@ -274,3 +282,75 @@ class TestParentRuleOracle:
                 want.append(t + (0.0 if j is None else out.requests[j].end_ms - requests[j].end_ms))
             assert [p.t_ms for p in out.paint_events] == want, requests
             assert [s.t_ms for s in out.visual_progress] == sorted(want), requests
+
+
+def burst_plan(rng: random.Random) -> WaterfallPlan:
+    """Up to ~200 requests, discovered in bursts of up to 64 siblings.
+
+    Sizes come from a palette of four per plan: 0 bytes, two whole numbers
+    of kilobits and one odd size, so many flows share a finish tag and
+    complete together. An offset of 0 under a zero round trip lands a
+    child's arrival exactly on its parent's completion. A quarter of the
+    plans open with one 200,000 kbit transfer that every later request
+    waits on, so the virtual clock has run far before the bursts begin.
+    """
+    palette = [0, rng.choice((125, 12500, 62500)), rng.choice((125, 12500, 62500)) * rng.randint(2, 9)]
+    palette.append(rng.randint(1, 100000))
+    target = rng.randint(1, 200)
+    requests: list[PlannedRequest] = []
+    if rng.random() < 0.25:
+        requests.append(PlannedRequest("r000", None, 0.0, 25_000_000))
+    lone_opening = bool(requests)
+    while len(requests) < target:
+        burst = min(rng.choice((1, 1, 2, 4, rng.randint(1, 64))), target - len(requests))
+        parent = None if not requests or (not lone_opening and rng.random() < 0.2) else rng.choice(requests).id
+        offset = rng.choice((0.0, 0.0, float(rng.randint(0, 400)), rng.randint(0, 400) * 0.1))
+        for _ in range(burst):
+            requests.append(PlannedRequest(f"r{len(requests):03d}", parent, offset, rng.choice(palette)))
+    return WaterfallPlan(tuple(requests))
+
+
+class TestShareRescanOracle:
+    """The virtual clock against the per-flow loop it replaced."""
+
+    PLANS = 2000
+
+    def test_ends_match_the_rescan(self):
+        rng = random.Random(0x6B5)
+        for i in range(self.PLANS):
+            p = burst_plan(rng)
+            profile = ThrottleProfile(
+                rtt_ms=rng.choice((0.0, 0.0, 40.0, 150.0, 562.5)),
+                downlink_kbps=rng.choice((1000.0, 1000.0, 1638.4, 9000.0, 1500.0)),
+            )
+            want = share_rescan(p, profile)
+            for sim in simulate_waterfall(p, profile):
+                assert abs(sim.start_ms - want[sim.id][0]) <= 1e-9, (i, sim)
+                assert abs(sim.end_ms - want[sim.id][1]) <= 1e-9, (i, sim)
+
+    def test_a_far_clock_still_retires_every_flow(self):
+        # Past 1e7 ms, now + a flow's drain time can round back to now, and
+        # the clock can stop short of the smallest tag.
+        rng = random.Random(0xFA7)
+        for i in range(200):
+            p = burst_plan(rng)
+            profile = ThrottleProfile(rtt_ms=rng.choice((1e7, 3e7)), downlink_kbps=rng.choice((750.0, 1000.0, 1638.0)))
+            want = share_rescan(p, profile)
+            for sim in simulate_waterfall(p, profile):
+                assert sim.end_ms == pytest.approx(want[sim.id][1], rel=1e-15, abs=0), (i, sim)
+
+    def test_wide_bursts_match_the_exact_march(self):
+        rng = random.Random(0x3A9C)
+        for i in range(8):
+            n = rng.randint(30, 64)
+            palette = (0, 12500, 12500, rng.randint(1, 40000))
+            requests = []
+            for k in range(n):
+                parent = None if k < n // 2 or rng.random() < 0.3 else f"r{rng.randrange(k):02d}"
+                offset = rng.choice((0.0, 0.0, 5.0, rng.randint(0, 40) * 0.7))
+                requests.append(PlannedRequest(f"r{k:02d}", parent, offset, rng.choice(palette)))
+            p = WaterfallPlan(tuple(requests))
+            profile = ThrottleProfile(rtt_ms=rng.choice((0.0, 28.0)), downlink_kbps=rng.choice((20000.0, 16384.0)))
+            want = waterfall_march(p, profile)
+            for sim in simulate_waterfall(p, profile):
+                assert abs(sim.end_ms - want[sim.id][1]) <= 1e-6, (i, sim)

@@ -87,6 +87,23 @@ def test_schema_violations_carry_a_field_path(mutate, path_part):
     assert path_part in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "mutate, path_part",
+    [
+        (lambda d: d["requests"].append({"discovered_ms": 0, "start_ms": 0, "end_ms": 1, "bytes": 1.5, "origin": "x"}), "bytes"),
+        (lambda d: d["requests"].append({"discovered_ms": 0, "start_ms": 0, "end_ms": 1, "bytes": 10**400, "origin": "x"}), "bytes"),
+        (lambda d: d["tasks"].append({"start_ms": 10**400, "dur_ms": 5}), "start_ms"),
+    ],
+    ids=["fractional-bytes", "bytes-beyond-float-range", "time-beyond-float-range"],
+)
+def test_counts_are_integers_and_numbers_fit_a_float(mutate, path_part):
+    doc = valid_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as exc:
+        NormalizedTrace.from_dict(doc)
+    assert path_part in str(exc.value)
+
+
 def test_non_object_document_rejected():
     with pytest.raises(SchemaError):
         NormalizedTrace.from_dict([1, 2, 3])
