@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -25,7 +24,7 @@ from .collector import DeviceMode, load_trace
 from .config import Calibration, OutlierBounds, load_calibration, load_member_regions, resolve_throttle
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError
 from .metrics import MetricSet, compute_all
-from .netsim import apply_throttle
+from .netsim import _replay_network, _retime_tasks
 from .scoring import ScoreReport, score_metrics
 from .trace import NormalizedTrace
 
@@ -179,11 +178,12 @@ def run_batch(
     calibration: Calibration | None = None,
     test_date: date | None = None,
 ) -> list[AuditResult]:
-    """Audit every record in every mode from stored traces.
+    """Audit every record in every mode from stored traces, one pass per site.
 
-    Results come back sorted by (site number, mode kind) so the output is
-    identical for any parallelism level. Per-item failures never abort the
-    batch.
+    A site's trace is loaded once and its network replayed once per link;
+    only the tasks are retimed per mode. Results come back sorted by (site
+    number, mode kind). Per-item failures never abort the batch.
+    `parallelism` is checked (>= 1) but has no effect: audits run serially.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -194,48 +194,63 @@ def run_batch(
     traces_dir = Path(traces_dir)
 
     profiles = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)) for kind in modes}
+    results: list[AuditResult] = []
 
-    def run_one(record: SiteRecord, kind: str) -> AuditResult:
-        path = traces_dir / (trace_slug(record.url) + ".json")
-        try:
-            trace = load_trace(path)
-            throttled = apply_throttle(trace, profiles[kind])
-            metrics, report = audit_trace(throttled, calibration.mode(kind), calibration)
-        except (AuditError, OSError) as exc:
-            return AuditResult(
-                site=record,
-                mode=kind,
-                status="failed",
-                metrics=None,
-                report=None,
-                test_date=test_date,
-                outlier_flag=False,
-                failure_reason=f"{type(exc).__name__}: {exc}",
-            )
-        result = AuditResult(
-            site=record,
+    def add_result(result: AuditResult) -> None:
+        results.append(result)
+        log.info(
+            "audit %d/%d %s [%s] %s",
+            len(results),
+            len(records) * len(modes),
+            result.site.url,
+            result.mode,
+            result.status if result.status == "ok" else f"failed: {result.failure_reason}",
+        )
+
+    def failed(site: SiteRecord, kind: str, exc: Exception) -> AuditResult:
+        return AuditResult(
+            site=site,
             mode=kind,
-            status="ok",
-            metrics=metrics,
-            report=report,
+            status="failed",
+            metrics=None,
+            report=None,
             test_date=test_date,
             outlier_flag=False,
+            failure_reason=f"{type(exc).__name__}: {exc}",
         )
-        return replace(result, outlier_flag=flag_outliers(result, calibration.outliers))
 
-    jobs = [(record, kind) for record in records for kind in modes]
-    results: list[AuditResult] = []
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        for done, result in enumerate(pool.map(lambda job: run_one(*job), jobs), start=1):
-            log.info(
-                "audit %d/%d %s [%s] %s",
-                done,
-                len(jobs),
-                result.site.url,
-                result.mode,
-                result.status if result.status == "ok" else f"failed: {result.failure_reason}",
+    for site in records:
+        try:
+            trace = load_trace(traces_dir / (trace_slug(site.url) + ".json"))
+        except (AuditError, OSError) as exc:
+            for kind in modes:
+                add_result(failed(site, kind, exc))
+            continue
+        networks = {}  # (rtt_ms, downlink_kbps) -> the network replayed on that link
+        for kind in modes:
+            profile = profiles[kind]
+            link = (profile.rtt_ms, profile.downlink_kbps)
+            try:
+                if profile.is_identity:
+                    throttled = trace
+                else:
+                    if link not in networks:
+                        networks[link] = _replay_network(trace, profile)
+                    throttled = _retime_tasks(trace, networks[link], profile)
+                metrics, report = audit_trace(throttled, calibration.mode(kind), calibration)
+            except AuditError as exc:
+                add_result(failed(site, kind, exc))
+                continue
+            result = AuditResult(
+                site=site,
+                mode=kind,
+                status="ok",
+                metrics=metrics,
+                report=report,
+                test_date=test_date,
+                outlier_flag=False,
             )
-            results.append(result)
+            add_result(replace(result, outlier_flag=flag_outliers(result, calibration.outliers)))
     # url breaks ties: `no` need not be unique.
     results.sort(key=lambda r: (r.site.no, r.mode, r.site.url))
     return results

@@ -23,6 +23,7 @@ from .trace import (
     MainThreadTask,
     NetworkRequest,
     NormalizedTrace,
+    PaintEvent,
     VisualSample,
     clamp_visual_progress,
 )
@@ -243,6 +244,9 @@ def infer_plan(trace: NormalizedTrace) -> WaterfallPlan:
     return WaterfallPlan(tuple(planned))
 
 
+_Network = tuple[tuple[NetworkRequest, ...], tuple[PaintEvent, ...], tuple[VisualSample, ...]]
+
+
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
     """Rebuild a trace as if it had been recorded under the profile."""
     # Recorded timestamps already contain the recording network's own
@@ -250,7 +254,12 @@ def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> Normaliz
     # profile must therefore return the trace exactly as given.
     if profile.is_identity:
         return trace
+    return _retime_tasks(trace, _replay_network(trace, profile), profile)
 
+
+def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> _Network:
+    """The trace's requests, paints and visual samples replayed on the
+    profile's link. Reads only rtt_ms and downlink_kbps."""
     simulated = simulate_waterfall(infer_plan(trace), profile)
     # Plan ids are zero-padded indices, so the id-sorted output lines up
     # with the trace's request order.
@@ -264,22 +273,8 @@ def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> Normaliz
         )
         for old, sim in zip(trace.requests, simulated)
     )
-
-    scaled_tasks = []
-    prev_old_end = 0.0
-    prev_new_end = 0.0
-    for task in trace.tasks:
-        gap = task.start_ms - prev_old_end
-        start = prev_new_end + gap
-        dur = task.dur_ms * profile.cpu_multiplier
-        scaled_tasks.append(MainThreadTask(start_ms=start, dur_ms=dur))
-        prev_old_end = task.end_ms
-        prev_new_end = start + dur
-    # A request's end bounds its start and discovery; the last task's end
-    # bounds every task.
-    rebuilt = [r.end_ms for r in new_requests] + [prev_new_end]
-    if not all(map(math.isfinite, rebuilt)):
-        raise ThrottleOverflow(f"throttle too extreme to simulate: a replayed time reached {max(rebuilt)!r}")
+    # A request's end bounds its start and discovery.
+    _check_finite([r.end_ms for r in new_requests])
 
     # Paints and visual samples move with the request the parent rule gives them.
     ends, first = _finish_table(trace.requests)
@@ -291,11 +286,34 @@ def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> Normaliz
 
     new_paints = tuple(replace(p, t_ms=shifted(p.t_ms)) for p in trace.paint_events)
     moved = sorted((VisualSample(shifted(s.t_ms), s.fraction) for s in trace.visual_progress), key=lambda s: s.t_ms)
+    return new_requests, new_paints, clamp_visual_progress(moved)
 
+
+def _retime_tasks(trace: NormalizedTrace, network: _Network, profile: ThrottleProfile) -> NormalizedTrace:
+    """The trace on the replayed network, its tasks cpu_multiplier times slower."""
+    scaled_tasks = []
+    prev_old_end = 0.0
+    prev_new_end = 0.0
+    for task in trace.tasks:
+        gap = task.start_ms - prev_old_end
+        start = prev_new_end + gap
+        dur = task.dur_ms * profile.cpu_multiplier
+        scaled_tasks.append(MainThreadTask(start_ms=start, dur_ms=dur))
+        prev_old_end = task.end_ms
+        prev_new_end = start + dur
+    # The last task's end bounds every task.
+    _check_finite([prev_new_end])
+
+    requests, paints, visual = network
     return NormalizedTrace(
         nav_start=trace.nav_start,
-        paint_events=new_paints,
+        paint_events=paints,
         tasks=tuple(scaled_tasks),
-        requests=new_requests,
-        visual_progress=clamp_visual_progress(moved),
+        requests=requests,
+        visual_progress=visual,
     )
+
+
+def _check_finite(times: list[float]) -> None:
+    if not all(map(math.isfinite, times)):
+        raise ThrottleOverflow(f"throttle too extreme to simulate: a replayed time reached {max(times)!r}")

@@ -1,13 +1,18 @@
 """Corpus ingestion, membership, batch running, and result files."""
 
+import dataclasses
 import datetime
 import json
 import logging
+import random
 
 import pytest
 
-from webaudit.collector import write_trace
-from webaudit.config import load_calibration
+import webaudit.corpus
+import webaudit.netsim
+from conftest import random_trace
+from webaudit.collector import load_trace, write_trace
+from webaudit.config import load_calibration, resolve_throttle
 from webaudit.corpus import (
     AuditResult,
     SiteRecord,
@@ -23,8 +28,9 @@ from webaudit.corpus import (
     trace_slug,
     write_results,
 )
-from webaudit.errors import CsvError, DuplicateUrl, ParseError
+from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError
 from webaudit.metrics import MetricSet, compute_all
+from webaudit.netsim import apply_throttle
 from webaudit.scoring import ScoreReport
 from webaudit.synth import build_demo_trace
 from webaudit.config import OutlierBounds
@@ -256,6 +262,7 @@ class TestRunBatch:
             (2, "mobile", "failed"),
         ]
         assert "FileNotFoundError" in results[-1].failure_reason
+        assert results[2].failure_reason == results[3].failure_reason
         assert results[0].metrics is not None
 
     def test_parallelism_does_not_change_results(self, tmp_path, simple_trace):
@@ -269,10 +276,47 @@ class TestRunBatch:
     def test_progress_logged_per_completed_audit(self, tmp_path, simple_trace, caplog):
         records, traces = self.setup_workspace(tmp_path, simple_trace)
         with caplog.at_level(logging.INFO, logger="webaudit.corpus"):
-            run_batch(records, ("mobile",), "none", 1, traces_dir=traces, test_date=TEST_DATE)
+            results = run_batch(records, ("mobile", "desktop"), "none", 1, traces_dir=traces, test_date=TEST_DATE)
         progress = [m for m in caplog.messages if m.startswith("audit ")]
-        assert len(progress) == 2
-        assert progress[0].startswith("audit 1/2")
+        reason = results[-1].failure_reason
+        assert reason.startswith("FileNotFoundError: ")
+        assert progress == [
+            "audit 1/4 https://ok.test [mobile] ok",
+            "audit 2/4 https://ok.test [desktop] ok",
+            f"audit 3/4 https://missing.test [mobile] failed: {reason}",
+            f"audit 4/4 https://missing.test [desktop] failed: {reason}",
+        ]
+
+    def test_one_load_and_one_network_replay_per_site(self, tmp_path, simple_trace, monkeypatch):
+        records, traces = self.setup_workspace(tmp_path, simple_trace)
+        records.append(SiteRecord(3, "C", "kabupaten-kota", "Kota Bandung", "https://ok3.test", True))
+        write_trace(simple_trace, traces / (trace_slug("https://ok3.test") + ".json"))
+        calls = {"load_trace": 0, "simulate_waterfall": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(webaudit.corpus, "load_trace")
+        counted(webaudit.netsim, "simulate_waterfall")
+        results = run_batch(records, ("mobile", "desktop"), "4g", 1, traces_dir=traces, test_date=TEST_DATE)
+        assert [r.status for r in results] == ["ok", "ok", "failed", "failed", "ok", "ok"]
+        assert calls == {"load_trace": 3, "simulate_waterfall": 2}
+
+    def test_task_overflow_fails_only_its_mode(self, tmp_path):
+        trace = build_demo_trace(5)
+        last = dataclasses.replace(trace.tasks[-1], dur_ms=5e307)  # finite, but inf at 4x CPU
+        records, traces = self.setup_workspace(tmp_path, dataclasses.replace(trace, tasks=trace.tasks[:-1] + (last,)))
+        results = run_batch(records[:1], ("mobile", "desktop"), "4g", 1, traces_dir=traces, test_date=TEST_DATE)
+        desktop, mobile = results
+        assert mobile.failure_reason == "ThrottleOverflow: throttle too extreme to simulate: a replayed time reached inf"
+        assert desktop.status == "ok"
+        assert desktop.report.performance_score == 53.242505369267796
 
     @pytest.mark.parametrize(
         "profile",
@@ -290,6 +334,53 @@ class TestRunBatch:
     def test_bad_parallelism_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_batch([], ("mobile",), "none", 0, traces_dir=tmp_path)
+
+
+def single_audit(record, kind, throttle, traces, calibration):
+    """The result one site in one mode gets on its own: load, throttle, audit."""
+    try:
+        trace = load_trace(traces / (trace_slug(record.url) + ".json"))
+        throttled = apply_throttle(trace, resolve_throttle(throttle, calibration, calibration.mode(kind)))
+        metrics, report = audit_trace(throttled, calibration.mode(kind), calibration)
+    except (AuditError, OSError) as exc:
+        return AuditResult(record, kind, "failed", None, None, TEST_DATE, False, f"{type(exc).__name__}: {exc}")
+    result = AuditResult(record, kind, "ok", metrics, report, TEST_DATE, False)
+    return dataclasses.replace(result, outlier_flag=flag_outliers(result, calibration.outliers))
+
+
+class TestBatchMatchesSingleAudits:
+    """The batch shares one load and one network replay among a site's modes;
+    each of its results must still be the one the site gets audited alone."""
+
+    @pytest.mark.parametrize(
+        "throttle",
+        ["4g", {"rtt_ms": 40, "downlink_kbps": 5000}, {"rtt_ms": 0}, "none"],
+        ids=["4g", "profile-file", "unlimited-link", "none"],
+    )
+    def test_each_result_equals_its_single_audit(self, tmp_path, throttle):
+        if isinstance(throttle, dict):
+            profile_file = tmp_path / "profile.json"
+            profile_file.write_text(json.dumps(throttle), "utf-8")
+            throttle = str(profile_file)
+        calibration = load_calibration()
+        rng = random.Random(6)
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        records = []
+        for no in range(1, 51):
+            record = SiteRecord(no, "A", "kecamatan", "Kota Bandung", f"https://s{no}.test", True)
+            write_trace(random_trace(rng), traces / (trace_slug(record.url) + ".json"))
+            records.append(record)
+        records.append(SiteRecord(51, "B", "kecamatan", "Kab. Bogor", "https://missing.test", True))
+
+        results = run_batch(records, ("mobile", "desktop"), throttle, 1, traces_dir=traces, test_date=TEST_DATE)
+        expected = [
+            single_audit(record, kind, throttle, traces, calibration)
+            for record in records
+            for kind in ("desktop", "mobile")
+        ]
+        assert [result_to_dict(r) for r in results] == [result_to_dict(r) for r in expected]
+        assert sum(r.status == "ok" for r in results) > 50
 
 
 class TestResultFiles:

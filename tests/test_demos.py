@@ -1,4 +1,4 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter and cleans up after itself."""
 
 import os
 import subprocess
@@ -33,5 +33,6 @@ def test_demo_runs_cleanly(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+    assert list(tmp_path.iterdir()) == [], "the demo left files in the temp directory"
     if demo.name in EXPECTED_STDOUT:
         assert done.stdout == EXPECTED_STDOUT[demo.name]
