@@ -20,13 +20,13 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .collector import DeviceMode, load_trace
+from .collector import MODE_KINDS, DeviceMode, load_trace
 from .config import Calibration, OutlierBounds, load_calibration, load_member_regions, resolve_throttle
-from .errors import AuditError, CsvError, DuplicateUrl, ParseError
+from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from .metrics import MetricSet, compute_all
 from .netsim import _replay_network, _retime_tasks
 from .scoring import ScoreReport, score_metrics
-from .trace import NormalizedTrace
+from .trace import NormalizedTrace, _number
 
 log = logging.getLogger(__name__)
 
@@ -281,6 +281,10 @@ def result_to_dict(result: AuditResult) -> dict:
 
 def result_from_dict(data: dict) -> AuditResult:
     site = SiteRecord(**data["site"])
+    if data["mode"] not in MODE_KINDS:
+        raise SchemaError("$.mode", f"must be one of {', '.join(MODE_KINDS)}")
+    if type(data["outlier_flag"]) is not bool:
+        raise SchemaError("$.outlier_flag", "must be true or false")
     ok = data["status"] == "ok"
     report = None
     metrics = None
@@ -288,7 +292,7 @@ def result_from_dict(data: dict) -> AuditResult:
         metrics = MetricSet.from_dict(data["metrics"])
         report = ScoreReport(
             scores={key: float(value) for key, value in data["scores"].items()},
-            performance_score=float(data["performance_score"]),
+            performance_score=_number(data, "performance_score", "$"),
             category=data["category"],
         )
     return AuditResult(
@@ -298,7 +302,7 @@ def result_from_dict(data: dict) -> AuditResult:
         metrics=metrics,
         report=report,
         test_date=date.fromisoformat(data["test_date"]),
-        outlier_flag=bool(data["outlier_flag"]),
+        outlier_flag=data["outlier_flag"],
         failure_reason=data.get("failure_reason"),
     )
 
@@ -320,6 +324,6 @@ def read_results(path: str | Path) -> list[AuditResult]:
                 continue
             try:
                 results.append(result_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, SchemaError) as exc:
                 raise ParseError(f"{path}, line {number}: {exc}") from exc
     return results

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CyclicPlan, ThrottleOverflow
@@ -284,7 +284,7 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> _Networ
         k = bisect.bisect_right(ends, t_ms) - 1
         return t_ms + (deltas[k] if k >= 0 else 0.0)
 
-    new_paints = tuple(replace(p, t_ms=shifted(p.t_ms)) for p in trace.paint_events)
+    new_paints = tuple(PaintEvent(shifted(p.t_ms), p.kind, p.significance) for p in trace.paint_events)
     moved = sorted((VisualSample(shifted(s.t_ms), s.fraction) for s in trace.visual_progress), key=lambda s: s.t_ms)
     return new_requests, new_paints, clamp_visual_progress(moved)
 

@@ -7,6 +7,7 @@ navigation start (which is defined to be 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -87,33 +88,71 @@ class NormalizedTrace:
         if nav_start != 0:
             raise SchemaError("$.nav_start", "must be 0 (all times are relative to it)")
 
+        # One guard per item: exact types, and chained comparisons that NaN,
+        # infinities and ints beyond float range fail. It is stricter than the
+        # field readers below it, which read an item that fails it or lacks a
+        # key, and name the bad field or accept the item.
         paints = []
         for i, item in enumerate(_array(data, "paint_events", "$.paint_events")):
+            try:
+                t, kind = item["t_ms"], item["kind"]
+                if type(t) in _REAL and 0.0 <= t <= _FLOAT_MAX:
+                    if kind == "first-paint" or kind == "contentful-paint":
+                        paints.append(PaintEvent(float(t), kind))
+                        continue
+                    s = item["significance"]
+                    if kind == "fmp-candidate" and type(s) in _REAL and 0.0 <= s <= _FLOAT_MAX:
+                        paints.append(PaintEvent(float(t), kind, float(s)))
+                        continue
+            except (KeyError, TypeError):
+                pass
             path = f"$.paint_events[{i}]"
             t = _number(item, "t_ms", path, minimum=0.0)
             kind = item.get("kind")
             if kind not in PAINT_KINDS:
                 raise SchemaError(f"{path}.kind", f"must be one of {', '.join(PAINT_KINDS)}")
-            significance = None
-            if kind == "fmp-candidate":
-                significance = _number(item, "significance", path, minimum=0.0)
+            significance = _number(item, "significance", path, minimum=0.0) if kind == "fmp-candidate" else None
             paints.append(PaintEvent(t, kind, significance))
 
         tasks = []
-        prev_end = None
+        prev_end = 0.0
         for i, item in enumerate(_array(data, "tasks", "$.tasks")):
+            try:
+                start, dur = item["start_ms"], item["dur_ms"]
+                if (
+                    type(start) in _REAL and type(dur) in _REAL
+                    and prev_end <= start <= _FLOAT_MAX and 0.0 < dur <= _FLOAT_MAX
+                ):
+                    start, dur = float(start), float(dur)
+                    prev_end = start + dur
+                    tasks.append(MainThreadTask(start, dur))
+                    continue
+            except (KeyError, TypeError):
+                pass
             path = f"$.tasks[{i}]"
             start = _number(item, "start_ms", path, minimum=0.0)
             dur = _number(item, "dur_ms", path)
             if dur <= 0:
                 raise SchemaError(f"{path}.dur_ms", "must be > 0")
-            if prev_end is not None and start < prev_end:
+            if start < prev_end:
                 raise SchemaError(path, "tasks must be sorted by start_ms and non-overlapping")
             prev_end = start + dur
             tasks.append(MainThreadTask(start, dur))
 
         requests = []
         for i, item in enumerate(_array(data, "requests", "$.requests")):
+            try:
+                discovered, start, end = item["discovered_ms"], item["start_ms"], item["end_ms"]
+                nbytes, origin = item["bytes"], item["origin"]
+                if (
+                    type(discovered) in _REAL and type(start) in _REAL and type(end) in _REAL
+                    and 0.0 <= discovered <= start <= end <= _FLOAT_MAX
+                    and type(nbytes) is int and 0 <= nbytes <= _FLOAT_MAX_INT and type(origin) is str
+                ):
+                    requests.append(NetworkRequest(float(discovered), float(start), float(end), nbytes, origin))
+                    continue
+            except (KeyError, TypeError):
+                pass
             path = f"$.requests[{i}]"
             discovered = _number(item, "discovered_ms", path, minimum=0.0)
             start = _number(item, "start_ms", path, minimum=0.0)
@@ -127,14 +166,25 @@ class NormalizedTrace:
             requests.append(NetworkRequest(discovered, start, end, nbytes, origin))
 
         samples = []
-        prev_t = None
+        prev_t = 0.0
         for i, item in enumerate(_array(data, "visual_progress", "$.visual_progress")):
+            try:
+                t, fraction = item["t_ms"], item["fraction"]
+                if (
+                    type(t) in _REAL and type(fraction) in _REAL
+                    and prev_t <= t <= _FLOAT_MAX and 0.0 <= fraction <= 1.0
+                ):
+                    prev_t = float(t)
+                    samples.append(VisualSample(prev_t, float(fraction)))
+                    continue
+            except (KeyError, TypeError):
+                pass
             path = f"$.visual_progress[{i}]"
             t = _number(item, "t_ms", path, minimum=0.0)
             fraction = _number(item, "fraction", path)
             if not 0.0 <= fraction <= 1.0:
                 raise SchemaError(f"{path}.fraction", "must be within [0, 1]")
-            if prev_t is not None and t < prev_t:
+            if t < prev_t:
                 raise SchemaError(f"{path}.t_ms", "visual_progress must be sorted by t_ms")
             prev_t = t
             samples.append(VisualSample(t, fraction))
@@ -184,7 +234,9 @@ def clamp_visual_progress(samples: Iterable[VisualSample]) -> tuple[VisualSample
 
 
 _REQUIRED = object()
-_FLOAT_MAX_INT = int(1.7976931348623157e308)  # the largest float, as an int
+_REAL = (int, float)  # exact JSON number types: a bool is neither
+_FLOAT_MAX = 1.7976931348623157e308  # the largest float
+_FLOAT_MAX_INT = int(_FLOAT_MAX)
 
 
 def _number(item: Any, key: str, path: str, minimum: float | None = None, default: Any = _REQUIRED) -> Any:
@@ -206,7 +258,7 @@ def _number(item: Any, key: str, path: str, minimum: float | None = None, defaul
         value = float(value)
     except OverflowError:
         raise SchemaError(f"{path}.{key}", "must be within float range") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise SchemaError(f"{path}.{key}", "must be finite")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{path}.{key}", f"must be >= {minimum:g}")

@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the real ones.
 
 Each oracle recomputes a quantity by brute force or exact arithmetic,
-sharing no code with the package. Slow and simple on purpose.
+sharing no code with the package. Slow and simple on purpose. The one
+exception is from_dict_fieldwise, which checks the guard in front of the
+trace field readers and so calls those readers.
 """
 
 from __future__ import annotations
@@ -14,8 +16,20 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
+from webaudit.errors import SchemaError
 from webaudit.netsim import ThrottleProfile, WaterfallPlan
-from webaudit.trace import NetworkRequest, NormalizedTrace
+from webaudit.trace import (
+    PAINT_KINDS,
+    MainThreadTask,
+    NetworkRequest,
+    NormalizedTrace,
+    PaintEvent,
+    VisualSample,
+    _array,
+    _integer,
+    _number,
+    clamp_visual_progress,
+)
 
 mpmath.mp.dps = 50
 
@@ -262,3 +276,78 @@ def waterfall_march(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, 
                 remaining[rid] = kbits
 
     return {rid: (float(started[rid]), float(finished[rid])) for rid in by_id}
+
+
+def from_dict_fieldwise(data) -> NormalizedTrace:
+    """NormalizedTrace.from_dict read one field at a time, with no guard.
+
+    It shares the field readers with the package, so it checks the guard
+    in front of them: a document must give an equal trace, or the same
+    SchemaError at the same path, either way.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError("$", "trace document must be an object")
+
+    nav_start = _number(data, "nav_start", "$")
+    if nav_start != 0:
+        raise SchemaError("$.nav_start", "must be 0 (all times are relative to it)")
+
+    paints = []
+    for i, item in enumerate(_array(data, "paint_events", "$.paint_events")):
+        path = f"$.paint_events[{i}]"
+        t = _number(item, "t_ms", path, minimum=0.0)
+        kind = item.get("kind")
+        if kind not in PAINT_KINDS:
+            raise SchemaError(f"{path}.kind", f"must be one of {', '.join(PAINT_KINDS)}")
+        significance = None
+        if kind == "fmp-candidate":
+            significance = _number(item, "significance", path, minimum=0.0)
+        paints.append(PaintEvent(t, kind, significance))
+
+    tasks = []
+    prev_end = None
+    for i, item in enumerate(_array(data, "tasks", "$.tasks")):
+        path = f"$.tasks[{i}]"
+        start = _number(item, "start_ms", path, minimum=0.0)
+        dur = _number(item, "dur_ms", path)
+        if dur <= 0:
+            raise SchemaError(f"{path}.dur_ms", "must be > 0")
+        if prev_end is not None and start < prev_end:
+            raise SchemaError(path, "tasks must be sorted by start_ms and non-overlapping")
+        prev_end = start + dur
+        tasks.append(MainThreadTask(start, dur))
+
+    requests = []
+    for i, item in enumerate(_array(data, "requests", "$.requests")):
+        path = f"$.requests[{i}]"
+        discovered = _number(item, "discovered_ms", path, minimum=0.0)
+        start = _number(item, "start_ms", path, minimum=0.0)
+        end = _number(item, "end_ms", path, minimum=0.0)
+        if not discovered <= start <= end:
+            raise SchemaError(path, "must satisfy discovered_ms <= start_ms <= end_ms")
+        nbytes = _integer(item, "bytes", path, minimum=0)
+        origin = item.get("origin")
+        if not isinstance(origin, str):
+            raise SchemaError(f"{path}.origin", "must be a string")
+        requests.append(NetworkRequest(discovered, start, end, nbytes, origin))
+
+    samples = []
+    prev_t = None
+    for i, item in enumerate(_array(data, "visual_progress", "$.visual_progress")):
+        path = f"$.visual_progress[{i}]"
+        t = _number(item, "t_ms", path, minimum=0.0)
+        fraction = _number(item, "fraction", path)
+        if not 0.0 <= fraction <= 1.0:
+            raise SchemaError(f"{path}.fraction", "must be within [0, 1]")
+        if prev_t is not None and t < prev_t:
+            raise SchemaError(f"{path}.t_ms", "visual_progress must be sorted by t_ms")
+        prev_t = t
+        samples.append(VisualSample(t, fraction))
+
+    return NormalizedTrace(
+        nav_start=nav_start,
+        paint_events=tuple(paints),
+        tasks=tuple(tasks),
+        requests=tuple(requests),
+        visual_progress=clamp_visual_progress(samples),
+    )

@@ -225,6 +225,33 @@ class TestAggregateAndReportCommands:
         bad.write_text("{broken\n", "utf-8")
         assert main(["aggregate", "--results", str(bad), "--out", str(tmp_path / "a.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("performance_score", float("nan")), ("outlier_flag", "no"), ("mode", "tablet")],
+        ids=["nan-score", "string-flag", "unknown-mode"],
+    )
+    def test_bad_result_field_names_the_line_and_field(self, workspace, tmp_path, capsys, field, value):
+        rc, results = run_batch_cli(workspace, tmp_path)
+        assert rc == 0
+        aggregates = tmp_path / "aggregates.json"
+        assert main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+        lines = results.read_text("utf-8").splitlines()
+        number = max(n for n, line in enumerate(lines, start=1) if json.loads(line)["status"] == "ok")
+        row = json.loads(lines[number - 1])
+        row[field] = value
+        lines[number - 1] = json.dumps(row)
+        results.write_text("\n".join(lines) + "\n", "utf-8")
+        capsys.readouterr()
+        for argv in (
+            ["aggregate", "--results", str(results), "--out", str(tmp_path / "again.json")],
+            ["report", "--aggregates", str(aggregates), "--results", str(results), "--format", "md",
+             "--out", str(tmp_path / "report.md")],
+        ):
+            assert call_within(10, main, argv) == 2
+            err = capsys.readouterr().err
+            assert f"line {number}: $.{field}: " in err
+            assert "Traceback" not in err
+
 
 class TestSimulateCommand:
     def write_plan(self, tmp_path, payload) -> str:

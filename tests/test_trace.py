@@ -1,9 +1,14 @@
 """Trace model: JSON round trips, schema rejection paths, clamping."""
 
+import copy
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from conftest import random_trace
+from oracles import from_dict_fieldwise
 from webaudit.errors import SchemaError
 from webaudit.trace import (
     MainThreadTask,
@@ -107,3 +112,124 @@ def test_counts_are_integers_and_numbers_fit_a_float(mutate, path_part):
 def test_non_object_document_rejected():
     with pytest.raises(SchemaError):
         NormalizedTrace.from_dict([1, 2, 3])
+
+
+# Values a mutation writes into a field: non-finite, beyond float range, bools,
+# numeric strings, null, negative, fractional, and in-range edge values the
+# reader must accept. int(max float) + 1 rounds to the largest float, so the
+# field readers accept it where the guard's exact comparison does not.
+MUTANT_VALUES = (
+    float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), True, False, "5", "1e3", "NaN",
+    None, -1, -0.5, -0.0, 0, 0.0, 1.5, 1, 2**53 + 1, 1e308, 1.7976931348623157e308,
+    int(1.7976931348623157e308) + 1, [1], {"v": 1},
+)
+ITEM_FIELDS = {
+    "paint_events": ("t_ms", "kind", "significance"),
+    "tasks": ("start_ms", "dur_ms"),
+    "requests": ("discovered_ms", "start_ms", "end_ms", "bytes", "origin"),
+    "visual_progress": ("t_ms", "fraction"),
+}
+
+
+def integral(value):
+    """The document with every whole float written as a JSON integer."""
+    if isinstance(value, dict):
+        return {key: integral(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [integral(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def mutate(rng: random.Random, doc: dict) -> str:
+    """Apply one seeded mutation to ``doc`` in place and return its name,
+    or "none" when the document has nothing it applies to."""
+    name = rng.choice(
+        ("value", "value", "value", "missing-key", "non-object", "swap", "paint-kind",
+         "discovered-after-start", "bytes", "origin", "overlap", "nav-start", "list")
+    )
+    key = {
+        "paint-kind": "paint_events",
+        "discovered-after-start": "requests",
+        "bytes": "requests",
+        "origin": "requests",
+        "overlap": "tasks",
+        "swap": rng.choice(("tasks", "visual_progress")),
+    }.get(name) or rng.choice(list(ITEM_FIELDS))
+    if name == "nav-start":
+        doc["nav_start"] = rng.choice((0, 0.0, -0.0, 5, None, True, float("nan"), "0"))
+        return name
+    if name == "list":
+        doc[key] = rng.choice((None, {}, "x", 3))
+        return name
+    items = doc.get(key)
+    if not isinstance(items, list) or not items:
+        return "none"
+    i = rng.randrange(len(items))
+    item = items[i] if isinstance(items[i], dict) else None
+    if name == "non-object":
+        items[i] = rng.choice(([1], [], "t_ms", 3, None, True))
+    elif name == "swap" and len(items) > 1:
+        j = rng.randrange(len(items) - 1)
+        items[j], items[j + 1] = items[j + 1], items[j]
+    elif item is None:
+        return "none"
+    elif name == "value":
+        item[rng.choice(ITEM_FIELDS[key])] = rng.choice(MUTANT_VALUES)
+    elif name == "missing-key":
+        item.pop(rng.choice(ITEM_FIELDS[key]), None)
+    elif name == "paint-kind":
+        item["kind"] = rng.choice(
+            ("mystery-paint", "FIRST-PAINT", None, 3, ["first-paint"], "fmp-candidate", "first-paint")
+        )
+    elif name == "discovered-after-start" and is_number(item.get("start_ms")):
+        item["discovered_ms"] = item["start_ms"] + rng.choice((1, 0.5, 1e-9))
+    elif name == "bytes":
+        item["bytes"] = rng.choice((1.5, 2.0, -1, -0.5, True, "10", None, 10**400))
+    elif name == "origin":
+        item["origin"] = rng.choice((3, None, ["a"], {"a": 1}, True, ""))
+    elif name == "overlap" and i > 0 and isinstance(items[i - 1], dict):
+        prev = items[i - 1]
+        if not (is_number(prev.get("start_ms")) and is_number(prev.get("dur_ms"))):
+            return "none"
+        item["start_ms"] = prev["start_ms"] + prev["dur_ms"] - rng.choice((1, 0, 1e-9, 0.5))
+    else:
+        return "none"
+    return name
+
+
+def outcome(read, doc) -> tuple:
+    """The trace read, or the class, path and message of what was raised."""
+    try:
+        return ("trace", repr(read(doc)))  # repr tells 1 from 1.0 and 0.0 from -0.0
+    except Exception as exc:
+        return (type(exc).__name__, getattr(exc, "path", None), str(exc))
+
+
+class TestFromDictOracle:
+    """The guarded reader gives the field-by-field reader's trace or error."""
+
+    def test_mutations_match_the_fieldwise_reader(self):
+        rng = random.Random(0x7ACE)
+        seen: Counter = Counter()
+        outcomes: Counter = Counter()
+        for case in range(3000):
+            doc = random_trace(rng).to_dict()
+            if rng.random() < 0.5:
+                doc = integral(doc)
+            for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+                seen[mutate(rng, doc)] += 1
+            expected = outcome(from_dict_fieldwise, copy.deepcopy(doc))
+            assert outcome(NormalizedTrace.from_dict, doc) == expected, (case, doc)
+            outcomes[expected[0]] += 1
+        assert outcomes["SchemaError"] >= 1500 and outcomes["trace"] >= 500, outcomes
+        del seen["none"]
+        assert sum(seen.values()) >= 2000 and seen["value"] >= 600, seen
+        for name in ("missing-key", "non-object", "swap", "paint-kind", "discovered-after-start",
+                     "bytes", "origin", "overlap", "nav-start", "list"):
+            assert seen[name] >= 100, (name, seen)
