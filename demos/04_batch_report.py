@@ -35,7 +35,6 @@ with tempfile.TemporaryDirectory(prefix="webaudit-demo-") as tmp:
         records,
         modes=("mobile", "desktop"),
         throttle="4g",
-        parallelism=1,
         traces_dir=paths["traces"],
         test_date=date(2019, 8, 25),
     )

@@ -7,62 +7,19 @@ performance score; batches over a site corpus aggregate per region into
 ranked, reportable tables. A network/CPU throttle simulator rebuilds
 traces under slow conditions so stored recordings can be re-audited as if
 on a 4G connection.
+
+The names below are the short API that the demos, the README example and
+`bench/` import; everything else is imported from its module
+(`webaudit.corpus`, `webaudit.report`, ...). Live capture is
+`webaudit.capture`, which this package does not import.
 """
 
-from .collector import (
-    ENDPOINT_ENV,
-    MODE_KINDS,
-    CaptureRequest,
-    DeviceMode,
-    Viewport,
-    capture_live,
-    load_trace,
-    trace_from_performance_entries,
-    write_trace,
-)
-from .config import (
-    Calibration,
-    OutlierBounds,
-    ThrottleSpec,
-    load_calibration,
-    load_member_regions,
-    resolve_throttle,
-)
-from .corpus import (
-    TIERS,
-    AuditResult,
-    SiteRecord,
-    audit_trace,
-    flag_outliers,
-    ingest_corpus,
-    membership_filter,
-    normalize_region,
-    read_results,
-    run_batch,
-    trace_slug,
-    write_results,
-)
-from .errors import (
-    AuditError,
-    ConversionError,
-    CsvError,
-    CyclicPlan,
-    DuplicateUrl,
-    IncompleteVisualProgress,
-    InvalidCurve,
-    NavigationTimeout,
-    NoContentfulPaint,
-    ParseError,
-    SchemaError,
-    Unreachable,
-    UnknownFormat,
-    WeightMismatch,
-)
+from .collector import load_trace
+from .config import load_calibration, load_member_regions, resolve_throttle
+from .corpus import audit_trace, ingest_corpus, membership_filter, run_batch, trace_slug
+from .errors import AuditError
 from .metrics import (
-    DEFAULT_QUIET_WINDOW,
     METRIC_KEYS,
-    MetricSet,
-    QuietWindow,
     compute_all,
     compute_fci,
     compute_fcp,
@@ -71,130 +28,9 @@ from .metrics import (
     compute_speed_index,
     compute_tti,
 )
-from .netsim import (
-    UNTHROTTLED,
-    PlannedRequest,
-    SimulatedRequest,
-    ThrottleProfile,
-    WaterfallPlan,
-    apply_throttle,
-    infer_plan,
-    simulate_waterfall,
-)
-from .report import (
-    RegionAggregate,
-    aggregate_regions,
-    emit_report,
-    overall_average,
-    rank_regions,
-    read_aggregates,
-    write_aggregates,
-)
-from .scoring import (
-    DEFAULT_BANDS,
-    DEFAULT_WEIGHTS,
-    CategoryBands,
-    ScoreCurve,
-    ScoreReport,
-    WeightTable,
-    aggregate,
-    categorize,
-    metric_score,
-    round_half_away,
-    score_metrics,
-)
-from .trace import (
-    MainThreadTask,
-    NetworkRequest,
-    NormalizedTrace,
-    PaintEvent,
-    VisualSample,
-)
+from .netsim import UNTHROTTLED, PlannedRequest, WaterfallPlan, apply_throttle, simulate_waterfall
+from .report import aggregate_regions, emit_report, overall_average, rank_regions
+from .scoring import DEFAULT_WEIGHTS, ScoreCurve, aggregate, categorize, metric_score
+from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, PaintEvent, VisualSample
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuditError",
-    "AuditResult",
-    "Calibration",
-    "CaptureRequest",
-    "CategoryBands",
-    "ConversionError",
-    "CsvError",
-    "CyclicPlan",
-    "DEFAULT_BANDS",
-    "DEFAULT_QUIET_WINDOW",
-    "DEFAULT_WEIGHTS",
-    "DeviceMode",
-    "DuplicateUrl",
-    "ENDPOINT_ENV",
-    "IncompleteVisualProgress",
-    "InvalidCurve",
-    "MainThreadTask",
-    "METRIC_KEYS",
-    "MetricSet",
-    "MODE_KINDS",
-    "NavigationTimeout",
-    "NetworkRequest",
-    "NoContentfulPaint",
-    "NormalizedTrace",
-    "OutlierBounds",
-    "PaintEvent",
-    "ParseError",
-    "PlannedRequest",
-    "QuietWindow",
-    "RegionAggregate",
-    "SchemaError",
-    "ScoreCurve",
-    "ScoreReport",
-    "SimulatedRequest",
-    "SiteRecord",
-    "ThrottleProfile",
-    "ThrottleSpec",
-    "TIERS",
-    "Unreachable",
-    "UnknownFormat",
-    "UNTHROTTLED",
-    "Viewport",
-    "VisualSample",
-    "WaterfallPlan",
-    "WeightMismatch",
-    "WeightTable",
-    "aggregate",
-    "aggregate_regions",
-    "apply_throttle",
-    "audit_trace",
-    "capture_live",
-    "categorize",
-    "compute_all",
-    "compute_fci",
-    "compute_fcp",
-    "compute_fmp",
-    "compute_max_fid",
-    "compute_speed_index",
-    "compute_tti",
-    "emit_report",
-    "flag_outliers",
-    "infer_plan",
-    "ingest_corpus",
-    "load_calibration",
-    "load_member_regions",
-    "load_trace",
-    "membership_filter",
-    "metric_score",
-    "normalize_region",
-    "overall_average",
-    "rank_regions",
-    "read_aggregates",
-    "read_results",
-    "resolve_throttle",
-    "round_half_away",
-    "run_batch",
-    "score_metrics",
-    "simulate_waterfall",
-    "trace_from_performance_entries",
-    "trace_slug",
-    "write_aggregates",
-    "write_results",
-    "write_trace",
-]

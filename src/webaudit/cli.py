@@ -14,8 +14,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from .collector import ENDPOINT_ENV, MODE_KINDS, CaptureRequest, capture_live, load_trace, write_trace
-from .config import load_calibration, load_member_regions, resolve_throttle
+from .collector import load_trace, write_trace
+from .config import MODE_KINDS, load_calibration, load_member_regions, resolve_throttle
 from .corpus import audit_trace, ingest_corpus, membership_filter, read_results, run_batch, write_results
 from .errors import (
     AuditError,
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--trace-out", metavar="FILE", help="store the captured trace here")
     audit.add_argument("--repeat", type=int, default=1, metavar="N", help="run N times and average the scores")
     audit.add_argument("--calibration", metavar="FILE")
-    audit.add_argument("--endpoint", metavar="HOST:PORT", help=f"browser endpoint (default: ${ENDPOINT_ENV})")
+    audit.add_argument("--endpoint", metavar="HOST:PORT", help="browser endpoint (default: $AUDIT_BROWSER_ENDPOINT)")
 
     batch = sub.add_parser("batch", help="audit a corpus of sites from stored traces")
     batch.add_argument("--corpus", required=True, metavar="FILE")
@@ -125,14 +125,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     last = None
     for run in range(args.repeat):
         if args.trace_in:
-            trace = apply_throttle(load_trace(args.trace_in), profile)
+            trace = load_trace(args.trace_in)
         else:
-            request = CaptureRequest(url=args.url, mode=mode, throttle=profile)
-            trace = capture_live(request, endpoint=args.endpoint)
-            if args.trace_out and run == 0:
-                # The stored trace already includes the throttle; replay it
-                # with --throttle none.
-                write_trace(trace, args.trace_out)
+            from . import capture  # only a live audit needs its network modules
+
+            trace = capture.capture_live(capture.CaptureRequest(url=args.url, mode=mode), endpoint=args.endpoint)
+        trace = apply_throttle(trace, profile)
+        if args.trace_out and run == 0:
+            # The stored trace already includes the throttle; replay it with
+            # --throttle none.
+            write_trace(trace, args.trace_out)
         metrics, report = audit_trace(trace, mode, calibration)
         scores.append(report.performance_score)
         last = (metrics, report)
@@ -165,6 +167,8 @@ def _parse_modes(text: str) -> list[str]:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
     calibration = load_calibration(args.calibration)
     modes = _parse_modes(args.modes)
     test_date = date.fromisoformat(args.test_date) if args.test_date else None
@@ -174,7 +178,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         records,
         modes,
         args.throttle,
-        args.parallel,
         traces_dir=args.traces,
         calibration=calibration,
         test_date=test_date,

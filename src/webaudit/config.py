@@ -1,9 +1,11 @@
-"""Calibration loading.
+"""Calibration loading and the device-mode types it builds.
 
 Everything tunable lives in one JSON document: device modes, per-mode
 scoring curves, metric weights, category bands, outlier bounds, named
 throttle profiles, and the quiet-window parameters. A packaged default
 ships with the library; any audit can point at its own file instead.
+`DeviceMode` (with its `Viewport`) is defined here because the
+calibration's `modes` section is the only place one is built.
 """
 
 from __future__ import annotations
@@ -15,12 +17,38 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .collector import MODE_KINDS, DeviceMode, Viewport
 from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
 from .trace import _integer, _number
+
+MODE_KINDS = ("mobile", "desktop")
+
+
+@dataclass(frozen=True)
+class Viewport:
+    width_px: int
+    height_px: int
+
+    def __post_init__(self):
+        if self.width_px <= 0 or self.height_px <= 0:
+            raise ValueError(f"viewport dimensions must be > 0, got {self.width_px}x{self.height_px}")
+
+
+@dataclass(frozen=True)
+class DeviceMode:
+    """One measurement condition: an emulated device class."""
+
+    kind: str
+    viewport: Viewport
+    cpu_multiplier: float
+
+    def __post_init__(self):
+        if self.kind not in MODE_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(MODE_KINDS)}, got {self.kind!r}")
+        if self.cpu_multiplier < 1:
+            raise ValueError(f"cpu_multiplier must be >= 1, got {self.cpu_multiplier!r}")
 
 
 @dataclass(frozen=True)

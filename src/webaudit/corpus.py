@@ -14,18 +14,27 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from .collector import MODE_KINDS, DeviceMode, load_trace
-from .config import Calibration, OutlierBounds, load_calibration, load_member_regions, resolve_throttle
+from .collector import load_trace
+from .config import (
+    MODE_KINDS,
+    Calibration,
+    DeviceMode,
+    OutlierBounds,
+    load_calibration,
+    load_member_regions,
+    resolve_throttle,
+)
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
-from .metrics import MetricSet, compute_all
+from .metrics import METRIC_KEYS, MetricSet, compute_all
 from .netsim import _replay_network, _retime_tasks
-from .scoring import ScoreReport, score_metrics
+from .scoring import CATEGORIES, ScoreReport, score_metrics
 from .trace import NormalizedTrace, _number
 
 log = logging.getLogger(__name__)
@@ -172,7 +181,6 @@ def run_batch(
     records: Sequence[SiteRecord],
     modes: Sequence[str],
     throttle: str,
-    parallelism: int,
     *,
     traces_dir: str | Path,
     calibration: Calibration | None = None,
@@ -183,10 +191,7 @@ def run_batch(
     A site's trace is loaded once and its network replayed once per link;
     only the tasks are retimed per mode. Results come back sorted by (site
     number, mode kind). Per-item failures never abort the batch.
-    `parallelism` is checked (>= 1) but has no effect: audits run serially.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if calibration is None:
         calibration = load_calibration()
     if test_date is None:
@@ -280,7 +285,8 @@ def result_to_dict(result: AuditResult) -> dict:
 
 
 def result_from_dict(data: dict) -> AuditResult:
-    site = SiteRecord(**data["site"])
+    """Read one result line back; a bad value is a SchemaError at its JSON path."""
+    site = _site_from_dict(data.get("site"))
     if data["mode"] not in MODE_KINDS:
         raise SchemaError("$.mode", f"must be one of {', '.join(MODE_KINDS)}")
     if type(data["outlier_flag"]) is not bool:
@@ -289,12 +295,14 @@ def result_from_dict(data: dict) -> AuditResult:
     report = None
     metrics = None
     if ok:
-        metrics = MetricSet.from_dict(data["metrics"])
-        report = ScoreReport(
-            scores={key: float(value) for key, value in data["scores"].items()},
-            performance_score=_number(data, "performance_score", "$"),
-            category=data["category"],
-        )
+        values = _metric_values(data, "metrics")
+        metrics = MetricSet(values["fcp"], values["fmp"], values["si"], values["tti"], values["fci"], values["max_fid"])
+        score = data.get("performance_score")
+        if type(score) is not float or not math.isfinite(score):
+            score = _number(data, "performance_score", "$")
+        if data.get("category") not in CATEGORIES:
+            raise SchemaError("$.category", f"must be one of {', '.join(CATEGORIES)}")
+        report = ScoreReport(scores=_metric_values(data, "scores"), performance_score=score, category=data["category"])
     return AuditResult(
         site=site,
         mode=data["mode"],
@@ -305,6 +313,60 @@ def result_from_dict(data: dict) -> AuditResult:
         outlier_flag=data["outlier_flag"],
         failure_reason=data.get("failure_reason"),
     )
+
+
+_SITE_FIELDS = {"no": int, "institution": str, "tier": str, "region": str, "url": str, "smart_city_member": bool}
+_JSON_TYPE_NAMES = {int: "integer", str: "string", bool: "bool"}
+_METRIC_KEY_SET = frozenset(METRIC_KEYS)
+
+
+def _site_from_dict(site: Any) -> SiteRecord:
+    """The `site` object of a result line: the six SiteRecord fields, each of
+    its exact JSON type (a bool is not an integer).
+
+    One guard passes a well-formed object; only one that fails it is read
+    field by field, which names the bad field.
+    """
+    if (
+        type(site) is dict and site.keys() == _SITE_FIELDS.keys()
+        and type(site["no"]) is int and type(site["smart_city_member"]) is bool
+        and type(site["institution"]) is type(site["tier"]) is type(site["region"]) is type(site["url"]) is str
+    ):
+        return SiteRecord(**site)
+    if type(site) is not dict:
+        raise SchemaError("$.site", "must be an object")
+    unknown = sorted(site.keys() - _SITE_FIELDS.keys())
+    if unknown:
+        raise SchemaError(f"$.site.{unknown[0]}", "unknown field")
+    for key, kind in _SITE_FIELDS.items():
+        if key not in site:
+            raise SchemaError(f"$.site.{key}", "missing field")
+        if type(site[key]) is not kind:
+            raise SchemaError(f"$.site.{key}", f"must be a JSON {_JSON_TYPE_NAMES[kind]}")
+    return SiteRecord(**site)
+
+
+def _metric_values(data: dict, key: str) -> dict[str, float]:
+    """``data[key]``: the six metric keys, each a finite number, as floats.
+
+    One guard passes six floats with a finite sum as they are: a NaN or
+    infinite term makes the sum NaN or infinite. A mapping that fails the
+    guard (an integer value, or a sum that overflows) is read field by
+    field, which names the bad field or accepts the mapping.
+    """
+    values = data.get(key)
+    if (
+        type(values) is dict and values.keys() == _METRIC_KEY_SET
+        and {*map(type, values.values())} == {float} and math.isfinite(sum(values.values()))
+    ):
+        return values
+    path = f"$.{key}"
+    if not isinstance(values, dict):
+        raise SchemaError(path, "must be an object")
+    unknown = sorted(values.keys() - _METRIC_KEY_SET)
+    if unknown:
+        raise SchemaError(f"{path}.{unknown[0]}", "unknown field")
+    return {name: _number(values, name, path) for name in METRIC_KEYS}
 
 
 def write_results(results: Iterable[AuditResult], path: str | Path) -> None:

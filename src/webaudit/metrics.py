@@ -66,17 +66,6 @@ class MetricSet:
             "max_fid": self.max_fid_ms,
         }
 
-    @classmethod
-    def from_dict(cls, values: dict[str, float]) -> "MetricSet":
-        return cls(
-            fcp_ms=float(values["fcp"]),
-            fmp_ms=float(values["fmp"]),
-            speed_index_ms=float(values["si"]),
-            tti_ms=float(values["tti"]),
-            fci_ms=float(values["fci"]),
-            max_fid_ms=float(values["max_fid"]),
-        )
-
 
 def compute_fcp(trace: NormalizedTrace) -> float:
     """Earliest contentful-paint event; raises NoContentfulPaint if none."""

@@ -125,6 +125,9 @@ def aggregate(scores: Mapping[str, float], weights: WeightTable = DEFAULT_WEIGHT
     return float(total)
 
 
+CATEGORIES = ("good", "average", "poor")  # what categorize returns, best first
+
+
 def categorize(performance_score: float, bands: CategoryBands = DEFAULT_BANDS) -> str:
     """Band a 0-100 performance score into good / average / poor."""
     if performance_score >= bands.good_min:

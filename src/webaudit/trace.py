@@ -64,15 +64,6 @@ class NormalizedTrace:
     requests: tuple[NetworkRequest, ...] = ()
     visual_progress: tuple[VisualSample, ...] = ()
 
-    def end_ms(self) -> float:
-        """Last timestamp carried by any event in the trace."""
-        times = [0.0]
-        times.extend(p.t_ms for p in self.paint_events)
-        times.extend(t.end_ms for t in self.tasks)
-        times.extend(r.end_ms for r in self.requests)
-        times.extend(v.t_ms for v in self.visual_progress)
-        return max(times)
-
     @classmethod
     def from_dict(cls, data: Any) -> "NormalizedTrace":
         """Build a validated trace from a parsed JSON document.

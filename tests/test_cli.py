@@ -1,13 +1,20 @@
 """The command-line surface, run in-process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import webaudit
+import webaudit.capture
 from conftest import call_within, parse_report_csv
 from webaudit.cli import _load_plan, main
-from webaudit.config import default_calibration_text
 from webaudit.collector import write_trace
+from webaudit.config import default_calibration_text, load_calibration, resolve_throttle
+from webaudit.netsim import apply_throttle
 from webaudit.report import aggregates_from_report_json
 from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
 
@@ -136,6 +143,31 @@ class TestAuditCommand:
         assert "Traceback" not in captured.err
         assert "performance score" not in captured.out
 
+    def test_live_capture_is_throttled_once_like_a_replay(self, tmp_path, monkeypatch, capsys):
+        recorded = build_demo_trace(5)
+        requests = []
+
+        def fake_capture(request, endpoint=None):
+            requests.append((request.url, request.mode.kind, endpoint))
+            return recorded
+
+        monkeypatch.setattr(webaudit.capture, "capture_live", fake_capture)
+        stored = tmp_path / "captured.json"
+        argv = ["audit", "https://site.test", "--throttle", "4g", "--endpoint", "127.0.0.1:9"]
+        assert main(argv + ["--trace-out", str(stored)]) == 0
+        live = capsys.readouterr().out
+        assert requests == [("https://site.test", "mobile", "127.0.0.1:9")]
+
+        calibration = load_calibration()
+        expected = tmp_path / "expected.json"
+        write_trace(apply_throttle(recorded, resolve_throttle("4g", calibration, calibration.mode("mobile"))), expected)
+        assert stored.read_bytes() == expected.read_bytes()
+
+        replayed = tmp_path / "recorded.json"
+        write_trace(recorded, replayed)
+        assert main(argv + ["--trace-in", str(replayed)]) == 0
+        assert capsys.readouterr().out == live
+
     def test_trace_in_and_out_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["audit", "https://x.test", "--trace-in", "a.json", "--trace-out", "b.json"])
@@ -169,6 +201,20 @@ class TestBatchCommand:
         )
         assert rc == 2
         assert "tablet" in capsys.readouterr().err
+
+    def test_zero_parallel_is_a_usage_error(self, workspace, tmp_path, capsys):
+        rc = main(
+            [
+                "batch",
+                "--corpus", str(workspace["corpus"]),
+                "--traces", str(workspace["traces"]),
+                "--parallel", "0",
+                "--out", str(tmp_path / "r.jsonl"),
+            ]
+        )
+        assert rc == 2
+        assert "--parallel must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_bad_corpus_is_a_config_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -227,8 +273,26 @@ class TestAggregateAndReportCommands:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("performance_score", float("nan")), ("outlier_flag", "no"), ("mode", "tablet")],
-        ids=["nan-score", "string-flag", "unknown-mode"],
+        [
+            ("performance_score", float("nan")),
+            ("outlier_flag", "no"),
+            ("mode", "tablet"),
+            ("metrics.fcp", "NaN"),
+            ("scores.fcp", float("nan")),
+            ("category", 7),
+            ("site.nickname", "x"),
+            ("site.no", "7"),
+        ],
+        ids=[
+            "nan-score",
+            "string-flag",
+            "unknown-mode",
+            "nan-string-metric",
+            "nan-metric-score",
+            "bad-category",
+            "unknown-site-key",
+            "string-site-number",
+        ],
     )
     def test_bad_result_field_names_the_line_and_field(self, workspace, tmp_path, capsys, field, value):
         rc, results = run_batch_cli(workspace, tmp_path)
@@ -238,7 +302,11 @@ class TestAggregateAndReportCommands:
         lines = results.read_text("utf-8").splitlines()
         number = max(n for n, line in enumerate(lines, start=1) if json.loads(line)["status"] == "ok")
         row = json.loads(lines[number - 1])
-        row[field] = value
+        *parents, key = field.split(".")
+        target = row
+        for name in parents:
+            target = target[name]
+        target[key] = value
         lines[number - 1] = json.dumps(row)
         results.write_text("\n".join(lines) + "\n", "utf-8")
         capsys.readouterr()
@@ -351,6 +419,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"error: $.{'.'.join(section)}.{key}: must be " in err
         assert "Traceback" not in err
+
+
+def test_package_and_cli_import_no_network_modules():
+    # Only a live audit needs capture's HTTP and socket client.
+    src = str(Path(webaudit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, webaudit, webaudit.cli; "
+        "print(' '.join(m for m in ('urllib.request', 'http.client', 'ssl', 'socket') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 class TestParserBasics:

@@ -1,28 +1,26 @@
-"""Trace file IO, performance-entry conversion, and capture plumbing."""
+"""Trace file IO (webaudit.collector), and performance-entry conversion and
+capture plumbing (webaudit.capture)."""
 
 import socket
 
 import pytest
 
-from webaudit.collector import (
+from webaudit.capture import (
     CaptureRequest,
-    DeviceMode,
-    Viewport,
     _decode_frame,
     _encode_frame,
     capture_live,
-    load_trace,
     trace_from_performance_entries,
-    write_trace,
 )
+from webaudit.collector import load_trace, write_trace
+from webaudit.config import DeviceMode, Viewport
 from webaudit.errors import ConversionError, ParseError, SchemaError, Unreachable
-from webaudit.netsim import UNTHROTTLED
 
 MOBILE = DeviceMode(kind="mobile", viewport=Viewport(360, 640), cpu_multiplier=4.0)
 
 
 def capture_request(url: str = "https://site.test", timeout_ms: float = 300.0) -> CaptureRequest:
-    return CaptureRequest(url=url, mode=MOBILE, throttle=UNTHROTTLED, timeout_ms=timeout_ms)
+    return CaptureRequest(url=url, mode=MOBILE, timeout_ms=timeout_ms)
 
 
 class TestTraceFiles:

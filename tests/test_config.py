@@ -5,11 +5,12 @@ import math
 
 import pytest
 
-from webaudit.collector import DeviceMode, Viewport
 from webaudit.config import (
     Calibration,
+    DeviceMode,
     OutlierBounds,
     ThrottleSpec,
+    Viewport,
     calibration_from_dict,
     default_calibration_text,
     load_calibration,

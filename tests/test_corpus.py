@@ -28,7 +28,7 @@ from webaudit.corpus import (
     trace_slug,
     write_results,
 )
-from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError
+from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
 from webaudit.scoring import ScoreReport
@@ -254,7 +254,7 @@ class TestRunBatch:
 
     def test_failures_are_data_not_exceptions(self, tmp_path, simple_trace):
         records, traces = self.setup_workspace(tmp_path, simple_trace)
-        results = run_batch(records, ("mobile", "desktop"), "none", 2, traces_dir=traces, test_date=TEST_DATE)
+        results = run_batch(records, ("mobile", "desktop"), "none", traces_dir=traces, test_date=TEST_DATE)
         assert [(r.site.no, r.mode, r.status) for r in results] == [
             (1, "desktop", "ok"),
             (1, "mobile", "ok"),
@@ -265,18 +265,10 @@ class TestRunBatch:
         assert results[2].failure_reason == results[3].failure_reason
         assert results[0].metrics is not None
 
-    def test_parallelism_does_not_change_results(self, tmp_path, simple_trace):
-        records, traces = self.setup_workspace(tmp_path, simple_trace)
-        runs = [
-            run_batch(records, ("mobile", "desktop"), "none", p, traces_dir=traces, test_date=TEST_DATE)
-            for p in (1, 4)
-        ]
-        assert runs[0] == runs[1]
-
     def test_progress_logged_per_completed_audit(self, tmp_path, simple_trace, caplog):
         records, traces = self.setup_workspace(tmp_path, simple_trace)
         with caplog.at_level(logging.INFO, logger="webaudit.corpus"):
-            results = run_batch(records, ("mobile", "desktop"), "none", 1, traces_dir=traces, test_date=TEST_DATE)
+            results = run_batch(records, ("mobile", "desktop"), "none", traces_dir=traces, test_date=TEST_DATE)
         progress = [m for m in caplog.messages if m.startswith("audit ")]
         reason = results[-1].failure_reason
         assert reason.startswith("FileNotFoundError: ")
@@ -304,7 +296,7 @@ class TestRunBatch:
 
         counted(webaudit.corpus, "load_trace")
         counted(webaudit.netsim, "simulate_waterfall")
-        results = run_batch(records, ("mobile", "desktop"), "4g", 1, traces_dir=traces, test_date=TEST_DATE)
+        results = run_batch(records, ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         assert [r.status for r in results] == ["ok", "ok", "failed", "failed", "ok", "ok"]
         assert calls == {"load_trace": 3, "simulate_waterfall": 2}
 
@@ -312,7 +304,7 @@ class TestRunBatch:
         trace = build_demo_trace(5)
         last = dataclasses.replace(trace.tasks[-1], dur_ms=5e307)  # finite, but inf at 4x CPU
         records, traces = self.setup_workspace(tmp_path, dataclasses.replace(trace, tasks=trace.tasks[:-1] + (last,)))
-        results = run_batch(records[:1], ("mobile", "desktop"), "4g", 1, traces_dir=traces, test_date=TEST_DATE)
+        results = run_batch(records[:1], ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         desktop, mobile = results
         assert mobile.failure_reason == "ThrottleOverflow: throttle too extreme to simulate: a replayed time reached inf"
         assert desktop.status == "ok"
@@ -327,13 +319,9 @@ class TestRunBatch:
         records, traces = self.setup_workspace(tmp_path, build_demo_trace(5))
         profile_file = tmp_path / "profile.json"
         profile_file.write_text(json.dumps(profile), "utf-8")
-        results = run_batch(records, ("mobile",), str(profile_file), 1, traces_dir=traces, test_date=TEST_DATE)
+        results = run_batch(records, ("mobile",), str(profile_file), traces_dir=traces, test_date=TEST_DATE)
         assert [(r.site.no, r.status) for r in results] == [(1, "failed"), (2, "failed")]
         assert results[0].failure_reason.startswith("ThrottleOverflow: ")
-
-    def test_bad_parallelism_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_batch([], ("mobile",), "none", 0, traces_dir=tmp_path)
 
 
 def single_audit(record, kind, throttle, traces, calibration):
@@ -373,7 +361,7 @@ class TestBatchMatchesSingleAudits:
             records.append(record)
         records.append(SiteRecord(51, "B", "kecamatan", "Kab. Bogor", "https://missing.test", True))
 
-        results = run_batch(records, ("mobile", "desktop"), throttle, 1, traces_dir=traces, test_date=TEST_DATE)
+        results = run_batch(records, ("mobile", "desktop"), throttle, traces_dir=traces, test_date=TEST_DATE)
         expected = [
             single_audit(record, kind, throttle, traces, calibration)
             for record in records
@@ -389,7 +377,7 @@ class TestResultFiles:
         traces = tmp_path / "traces"
         traces.mkdir()
         write_trace(simple_trace, traces / (trace_slug("https://ok.test") + ".json"))
-        results = run_batch(records, ("mobile",), "4g", 1, traces_dir=traces, test_date=TEST_DATE)
+        results = run_batch(records, ("mobile",), "4g", traces_dir=traces, test_date=TEST_DATE)
         results.append(
             AuditResult(
                 site=SiteRecord(2, "B", "provinsi", "Kab. Bogor", "https://gone.test", True),
@@ -412,6 +400,36 @@ class TestResultFiles:
         write_results(results, a)
         write_results([result_from_dict(result_to_dict(r)) for r in results], b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_integer_metric_values_read_as_floats(self):
+        data = result_to_dict(ok_result(50.0))
+        data["metrics"]["fcp"] = 800
+        data["scores"]["fcp"] = 90
+        result = result_from_dict(data)
+        assert type(result.metrics.fcp_ms) is float and result.metrics.fcp_ms == 800.0
+        assert type(result.report.scores["fcp"]) is float and result.report.scores["fcp"] == 90.0
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["metrics"].pop("tti"), "$.metrics.tti: missing field"),
+            (lambda d: d["scores"].update(speed=1.0), "$.scores.speed: unknown field"),
+            (lambda d: d["metrics"].update(fcp=True), "$.metrics.fcp: must be a number"),
+            (lambda d: d["scores"].update(si=1e400), "$.scores.si: must be finite"),
+            (lambda d: d.update(scores=None), "$.scores: must be an object"),
+            (lambda d: d.update(site=[]), "$.site: must be an object"),
+            (lambda d: d["site"].pop("url"), "$.site.url: missing field"),
+            (lambda d: d["site"].update(smart_city_member=1), "$.site.smart_city_member: must be a JSON bool"),
+            (lambda d: d["site"].update(no=True), "$.site.no: must be a JSON integer"),
+            (lambda d: d.update(category=None), "$.category: must be one of good, average, poor"),
+        ],
+    )
+    def test_bad_field_is_a_schema_error_at_its_path(self, edit, message):
+        data = result_to_dict(ok_result(50.0))
+        edit(data)
+        with pytest.raises(SchemaError) as exc:
+            result_from_dict(data)
+        assert str(exc.value) == message
 
     def test_corrupt_line_reports_its_number(self, tmp_path):
         path = tmp_path / "results.jsonl"

@@ -200,7 +200,3 @@ class TestComputeAll:
             assert m.fcp_ms <= m.fmp_ms
             assert m.speed_index_ms >= 0.0
             assert m.max_fid_ms >= 0.0
-
-    def test_metric_set_dict_round_trip(self, simple_trace):
-        m = compute_all(simple_trace)
-        assert MetricSet.from_dict(m.as_dict()) == m

@@ -82,14 +82,14 @@ class TestDemoWorkspace:
         assert len(records) == 12
         for record in records:
             assert (paths["traces"] / (trace_slug(record.url) + ".json")).exists()
-        results = run_batch(records, ("mobile",), "4g", 4, traces_dir=paths["traces"], test_date=DEMO_TEST_DATE)
+        results = run_batch(records, ("mobile",), "4g", traces_dir=paths["traces"], test_date=DEMO_TEST_DATE)
         assert all(r.status == "ok" for r in results)
 
     def test_failure_site_included_on_request(self, tmp_path):
         paths = write_demo_workspace(tmp_path, include_failure=True)
         records = ingest_corpus(paths["corpus"])
         assert len(records) == 13
-        results = run_batch(records, ("mobile",), "4g", 2, traces_dir=paths["traces"], test_date=DEMO_TEST_DATE)
+        results = run_batch(records, ("mobile",), "4g", traces_dir=paths["traces"], test_date=DEMO_TEST_DATE)
         failed = [r for r in results if r.status == "failed"]
         assert len(failed) == 1
         assert "NoContentfulPaint" in failed[0].failure_reason

@@ -50,11 +50,6 @@ def test_task_end_is_start_plus_duration():
     assert MainThreadTask(100.0, 40.0).end_ms == 140.0
 
 
-def test_trace_end_covers_every_event_family(simple_trace):
-    assert simple_trace.end_ms() == 2700.0
-    assert NormalizedTrace().end_ms() == 0.0
-
-
 def test_visual_regression_clamped_to_running_max():
     samples = [VisualSample(0.0, 0.5), VisualSample(10.0, 0.3), VisualSample(20.0, 0.8)]
     clamped = clamp_visual_progress(samples)
