@@ -221,14 +221,11 @@ def _load_plan(path: str) -> WaterfallPlan:
             raise SchemaError(where, "each request needs a string id")
         offset = _number(item, "discovery_offset_ms", where, default=0.0)
         nbytes = _integer(item, "bytes", where, minimum=0, default=0)
-        origin = "" if item.get("origin") is None else item["origin"]
-        if not isinstance(origin, str):
-            raise SchemaError(f"{where}.origin", "must be a string or null")
         parent_id = item.get("parent_id")
         if parent_id is not None and not isinstance(parent_id, str):
             raise SchemaError(f"{where}.parent_id", "must be a string or null")
         try:
-            planned.append(PlannedRequest(item["id"], parent_id, offset, nbytes, origin))
+            planned.append(PlannedRequest(item["id"], parent_id, offset, nbytes))
         except ValueError as exc:
             raise SchemaError(where, str(exc)) from exc
     try:

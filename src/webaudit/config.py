@@ -62,6 +62,10 @@ class OutlierBounds:
         if not 0 <= self.lower < self.upper <= 100:
             raise ValueError(f"need 0 <= lower < upper <= 100, got {self.lower!r}/{self.upper!r}")
 
+    def flags(self, score: float) -> bool:
+        """True when a score sits close enough to 0 or 100 to deserve a manual look."""
+        return score >= self.upper or score <= self.lower
+
 
 @dataclass(frozen=True)
 class ThrottleSpec:
@@ -168,28 +172,14 @@ def calibration_from_dict(data: Any) -> Calibration:
     weight_values = {key: _number(weight_data, key, "$.weights") for key in weight_data}
     weights = _checked("$.weights", lambda: WeightTable(**weight_values))
 
-    bands_data = data.get("category_bands", {})
-    good_min = _number(bands_data, "good_min", "$.category_bands", default=90.0)
-    average_min = _number(bands_data, "average_min", "$.category_bands", default=50.0)
-    bands = _checked("$.category_bands", lambda: CategoryBands(good_min=good_min, average_min=average_min))
-
-    outlier_data = data.get("outlier_bounds", {})
-    upper = _number(outlier_data, "upper", "$.outlier_bounds", default=95.0)
-    lower = _number(outlier_data, "lower", "$.outlier_bounds", default=5.0)
-    outliers = _checked("$.outlier_bounds", lambda: OutlierBounds(upper=upper, lower=lower))
-
+    bands = _optional_section(data, "category_bands", CategoryBands, good_min=_number, average_min=_number)
+    outliers = _optional_section(data, "outlier_bounds", OutlierBounds, upper=_number, lower=_number)
     throttles = {
         name: _throttle_spec(item, f"$.throttle_profiles.{name}")
         for name, item in _object(data, "throttle_profiles", "$").items()
     }
-
-    quiet_data = data.get("quiet_window", {})
-    long_task_ms = _number(quiet_data, "long_task_ms", "$.quiet_window", default=50.0)
-    window_ms = _number(quiet_data, "window_ms", "$.quiet_window", default=5000.0)
-    max_inflight = _integer(quiet_data, "max_inflight_requests", "$.quiet_window", default=2)
-    quiet = _checked(
-        "$.quiet_window",
-        lambda: QuietWindow(long_task_ms=long_task_ms, window_ms=window_ms, max_inflight_requests=max_inflight),
+    quiet = _optional_section(
+        data, "quiet_window", QuietWindow, long_task_ms=_number, window_ms=_number, max_inflight_requests=_integer
     )
 
     return Calibration(
@@ -201,6 +191,19 @@ def calibration_from_dict(data: Any) -> Calibration:
         throttles=throttles,
         quiet_window=quiet,
     )
+
+
+def _optional_section(data: dict, key: str, cls: type, **readers: Callable[[Any, str, str], Any]) -> Any:
+    """``cls`` built from the section ``data[key]``, each field read by its reader.
+
+    An absent section, or a field that is absent or null, keeps cls's default.
+    """
+    path = f"$.{key}"
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise SchemaError(path, "missing field")
+    values = {name: read(section, name, path) for name, read in readers.items() if section.get(name) is not None}
+    return _checked(path, lambda: cls(**values))
 
 
 def resolve_throttle(spec: str, calibration: Calibration, mode: DeviceMode | None = None) -> ThrottleProfile:

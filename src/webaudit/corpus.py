@@ -26,16 +26,15 @@ from .config import (
     MODE_KINDS,
     Calibration,
     DeviceMode,
-    OutlierBounds,
     load_calibration,
     load_member_regions,
     resolve_throttle,
 )
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from .metrics import METRIC_KEYS, MetricSet, compute_all
-from .netsim import _replay_network, _retime_tasks
+from .netsim import throttler
 from .scoring import CATEGORIES, ScoreReport, score_metrics
-from .trace import NormalizedTrace, _number
+from .trace import NormalizedTrace, _date, _number
 
 log = logging.getLogger(__name__)
 
@@ -160,15 +159,6 @@ def audit_trace(trace: NormalizedTrace, mode: DeviceMode, calibration: Calibrati
     return metrics, report
 
 
-def flag_outliers(result: AuditResult, bounds: OutlierBounds | None = None) -> bool:
-    """True when a score sits close enough to 0 or 100 to deserve a manual look."""
-    if result.status != "ok":
-        raise ValueError("outlier flagging applies to ok results only")
-    bounds = bounds or OutlierBounds()
-    score = result.report.performance_score
-    return score >= bounds.upper or score <= bounds.lower
-
-
 def trace_slug(url: str) -> str:
     """Stable filesystem name (without extension) for a site's trace."""
     stripped = re.sub(r"^[a-z][a-z0-9+.-]*://", "", url.strip().lower())
@@ -188,9 +178,10 @@ def run_batch(
 ) -> list[AuditResult]:
     """Audit every record in every mode from stored traces, one pass per site.
 
-    A site's trace is loaded once and its network replayed once per link;
-    only the tasks are retimed per mode. Results come back sorted by (site
-    number, mode kind). Per-item failures never abort the batch.
+    A site's trace is loaded once and throttled per mode through one
+    `netsim.throttler`, so the modes share its network replay. Results come
+    back sorted by (site number, mode kind). Per-item failures never abort
+    the batch.
     """
     if calibration is None:
         calibration = load_calibration()
@@ -201,61 +192,51 @@ def run_batch(
     profiles = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)) for kind in modes}
     results: list[AuditResult] = []
 
-    def add_result(result: AuditResult) -> None:
-        results.append(result)
+    def add_result(
+        site: SiteRecord,
+        kind: str,
+        metrics: MetricSet | None = None,
+        report: ScoreReport | None = None,
+        exc: Exception | None = None,
+    ) -> None:
+        """Record an ok result from metrics and report, or a failed one from exc."""
+        ok = exc is None
+        reason = None if ok else f"{type(exc).__name__}: {exc}"
+        results.append(
+            AuditResult(
+                site=site,
+                mode=kind,
+                status="ok" if ok else "failed",
+                metrics=metrics,
+                report=report,
+                test_date=test_date,
+                outlier_flag=ok and calibration.outliers.flags(report.performance_score),
+                failure_reason=reason,
+            )
+        )
         log.info(
             "audit %d/%d %s [%s] %s",
             len(results),
             len(records) * len(modes),
-            result.site.url,
-            result.mode,
-            result.status if result.status == "ok" else f"failed: {result.failure_reason}",
-        )
-
-    def failed(site: SiteRecord, kind: str, exc: Exception) -> AuditResult:
-        return AuditResult(
-            site=site,
-            mode=kind,
-            status="failed",
-            metrics=None,
-            report=None,
-            test_date=test_date,
-            outlier_flag=False,
-            failure_reason=f"{type(exc).__name__}: {exc}",
+            site.url,
+            kind,
+            "ok" if ok else f"failed: {reason}",
         )
 
     for site in records:
         try:
-            trace = load_trace(traces_dir / (trace_slug(site.url) + ".json"))
+            replay = throttler(load_trace(traces_dir / (trace_slug(site.url) + ".json")))
         except (AuditError, OSError) as exc:
             for kind in modes:
-                add_result(failed(site, kind, exc))
+                add_result(site, kind, exc=exc)
             continue
-        networks = {}  # (rtt_ms, downlink_kbps) -> the network replayed on that link
         for kind in modes:
-            profile = profiles[kind]
-            link = (profile.rtt_ms, profile.downlink_kbps)
             try:
-                if profile.is_identity:
-                    throttled = trace
-                else:
-                    if link not in networks:
-                        networks[link] = _replay_network(trace, profile)
-                    throttled = _retime_tasks(trace, networks[link], profile)
-                metrics, report = audit_trace(throttled, calibration.mode(kind), calibration)
+                metrics, report = audit_trace(replay(profiles[kind]), calibration.mode(kind), calibration)
             except AuditError as exc:
-                add_result(failed(site, kind, exc))
-                continue
-            result = AuditResult(
-                site=site,
-                mode=kind,
-                status="ok",
-                metrics=metrics,
-                report=report,
-                test_date=test_date,
-                outlier_flag=False,
-            )
-            add_result(replace(result, outlier_flag=flag_outliers(result, calibration.outliers)))
+                add_result(site, kind, exc=exc)
+            else:
+                add_result(site, kind, metrics, report)
     # url breaks ties: `no` need not be unique.
     results.sort(key=lambda r: (r.site.no, r.mode, r.site.url))
     return results
@@ -264,14 +245,7 @@ def run_batch(
 def result_to_dict(result: AuditResult) -> dict:
     ok = result.status == "ok"
     return {
-        "site": {
-            "no": result.site.no,
-            "institution": result.site.institution,
-            "tier": result.site.tier,
-            "region": result.site.region,
-            "url": result.site.url,
-            "smart_city_member": result.site.smart_city_member,
-        },
+        "site": dict(vars(result.site)),
         "mode": result.mode,
         "status": result.status,
         "failure_reason": result.failure_reason,
@@ -284,14 +258,21 @@ def result_to_dict(result: AuditResult) -> dict:
     }
 
 
-def result_from_dict(data: dict) -> AuditResult:
+def result_from_dict(data: Any) -> AuditResult:
     """Read one result line back; a bad value is a SchemaError at its JSON path."""
+    if type(data) is not dict:
+        raise SchemaError("$", "result line must be an object")
     site = _site_from_dict(data.get("site"))
-    if data["mode"] not in MODE_KINDS:
+    if data.get("mode") not in MODE_KINDS:
         raise SchemaError("$.mode", f"must be one of {', '.join(MODE_KINDS)}")
-    if type(data["outlier_flag"]) is not bool:
+    if type(data.get("outlier_flag")) is not bool:
         raise SchemaError("$.outlier_flag", "must be true or false")
-    ok = data["status"] == "ok"
+    status, reason = data.get("status"), data.get("failure_reason")
+    if status not in ("ok", "failed"):
+        raise SchemaError("$.status", "must be one of ok, failed")
+    ok = status == "ok"
+    if (reason is not None) if ok else (type(reason) is not str or not reason):
+        raise SchemaError("$.failure_reason", "must be null on an ok result and a non-empty string on a failed one")
     report = None
     metrics = None
     if ok:
@@ -306,12 +287,12 @@ def result_from_dict(data: dict) -> AuditResult:
     return AuditResult(
         site=site,
         mode=data["mode"],
-        status=data["status"],
+        status=status,
         metrics=metrics,
         report=report,
-        test_date=date.fromisoformat(data["test_date"]),
+        test_date=_date(data, "test_date", "$"),
         outlier_flag=data["outlier_flag"],
-        failure_reason=data.get("failure_reason"),
+        failure_reason=reason,
     )
 
 

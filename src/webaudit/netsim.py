@@ -16,7 +16,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import CyclicPlan, ThrottleOverflow
 from .trace import (
@@ -71,7 +71,6 @@ class PlannedRequest:
     parent_id: str | None
     discovery_offset_ms: float
     bytes: int
-    origin: str = ""
 
     def __post_init__(self):
         if self.bytes < 0:
@@ -240,25 +239,55 @@ def infer_plan(trace: NormalizedTrace) -> WaterfallPlan:
         parent = first[k] if k >= 0 else None
         parent_id = None if parent is None else _plan_request_id(parent)
         offset = req.discovered_ms - (0.0 if parent is None else reqs[parent].end_ms)
-        planned.append(PlannedRequest(_plan_request_id(i), parent_id, offset, req.bytes, req.origin))
+        planned.append(PlannedRequest(_plan_request_id(i), parent_id, offset, req.bytes))
     return WaterfallPlan(tuple(planned))
-
-
-_Network = tuple[tuple[NetworkRequest, ...], tuple[PaintEvent, ...], tuple[VisualSample, ...]]
 
 
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
     """Rebuild a trace as if it had been recorded under the profile."""
-    # Recorded timestamps already contain the recording network's own
-    # delays, so even a no-op re-simulation would move them; the identity
-    # profile must therefore return the trace exactly as given.
-    if profile.is_identity:
-        return trace
-    return _retime_tasks(trace, _replay_network(trace, profile), profile)
+    return throttler(trace)(profile)
 
 
-def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> _Network:
-    """The trace's requests, paints and visual samples replayed on the
+def throttler(trace: NormalizedTrace) -> Callable[[ThrottleProfile], NormalizedTrace]:
+    """``throttle(profile)``: the trace rebuilt as if recorded under the profile.
+
+    The network replay reads only the link (rtt_ms, downlink_kbps), so it
+    runs once per distinct link; tasks are retimed per profile.
+    """
+    networks: dict[tuple[float, float], tuple] = {}  # link -> (requests, paints, visual)
+
+    def throttle(profile: ThrottleProfile) -> NormalizedTrace:
+        # Recorded times already contain the recording network's delays, so even
+        # a no-op re-simulation would move them: identity returns the trace as given.
+        if profile.is_identity:
+            return trace
+        link = (profile.rtt_ms, profile.downlink_kbps)
+        if link not in networks:
+            networks[link] = _replay_network(trace, profile)
+        requests, paints, visual = networks[link]
+        scaled_tasks = []
+        prev_old_end = prev_new_end = 0.0
+        for task in trace.tasks:
+            start = prev_new_end + (task.start_ms - prev_old_end)
+            dur = task.dur_ms * profile.cpu_multiplier
+            scaled_tasks.append(MainThreadTask(start_ms=start, dur_ms=dur))
+            prev_old_end = task.end_ms
+            prev_new_end = start + dur
+        # The last task's end bounds every task.
+        _check_finite([prev_new_end])
+        return NormalizedTrace(
+            nav_start=trace.nav_start,
+            paint_events=paints,
+            tasks=tuple(scaled_tasks),
+            requests=requests,
+            visual_progress=visual,
+        )
+
+    return throttle
+
+
+def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
+    """The trace's (requests, paints, visual samples) replayed on the
     profile's link. Reads only rtt_ms and downlink_kbps."""
     simulated = simulate_waterfall(infer_plan(trace), profile)
     # Plan ids are zero-padded indices, so the id-sorted output lines up
@@ -287,31 +316,6 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> _Networ
     new_paints = tuple(PaintEvent(shifted(p.t_ms), p.kind, p.significance) for p in trace.paint_events)
     moved = sorted((VisualSample(shifted(s.t_ms), s.fraction) for s in trace.visual_progress), key=lambda s: s.t_ms)
     return new_requests, new_paints, clamp_visual_progress(moved)
-
-
-def _retime_tasks(trace: NormalizedTrace, network: _Network, profile: ThrottleProfile) -> NormalizedTrace:
-    """The trace on the replayed network, its tasks cpu_multiplier times slower."""
-    scaled_tasks = []
-    prev_old_end = 0.0
-    prev_new_end = 0.0
-    for task in trace.tasks:
-        gap = task.start_ms - prev_old_end
-        start = prev_new_end + gap
-        dur = task.dur_ms * profile.cpu_multiplier
-        scaled_tasks.append(MainThreadTask(start_ms=start, dur_ms=dur))
-        prev_old_end = task.end_ms
-        prev_new_end = start + dur
-    # The last task's end bounds every task.
-    _check_finite([prev_new_end])
-
-    requests, paints, visual = network
-    return NormalizedTrace(
-        nav_start=trace.nav_start,
-        paint_events=paints,
-        tasks=tuple(scaled_tasks),
-        requests=requests,
-        visual_progress=visual,
-    )
 
 
 def _check_finite(times: list[float]) -> None:

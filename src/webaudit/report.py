@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from .config import load_member_regions
 from .corpus import AuditResult, normalize_region
-from .errors import ParseError, UnknownFormat
+from .errors import ParseError, SchemaError, UnknownFormat
 from .scoring import round_half_away
+from .trace import _date, _integer, _number
 
 # Device mode kinds feeding the two report columns. The recording modes
 # are called mobile and desktop; reports label the desktop column "Web".
@@ -258,30 +259,26 @@ def _emit_md(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResul
 
 
 def aggregate_to_dict(aggregate: RegionAggregate) -> dict:
-    return {
-        "region": aggregate.region,
-        "mean_mobile": aggregate.mean_mobile,
-        "mean_web": aggregate.mean_web,
-        "raw_mean_mobile": aggregate.raw_mean_mobile,
-        "raw_mean_web": aggregate.raw_mean_web,
-        "n_ok_mobile": aggregate.n_ok_mobile,
-        "n_ok_web": aggregate.n_ok_web,
-        "n_failed": aggregate.n_failed,
-        "test_date": aggregate.test_date.isoformat() if aggregate.test_date else None,
-    }
+    return {**vars(aggregate), "test_date": aggregate.test_date.isoformat() if aggregate.test_date else None}
 
 
-def aggregate_from_dict(data: dict) -> RegionAggregate:
+def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
+    """Read one aggregates row; a bad value is a SchemaError at its JSON path."""
+    if not isinstance(data, dict):
+        raise SchemaError(path, "must be an object")
+    for key in RegionAggregate.__dataclass_fields__:
+        if key not in data:
+            raise SchemaError(f"{path}.{key}", "missing field")
+    if type(data["region"]) is not str:
+        raise SchemaError(f"{path}.region", "must be a string")
     return RegionAggregate(
         region=data["region"],
-        mean_mobile=data["mean_mobile"],
-        mean_web=data["mean_web"],
-        raw_mean_mobile=data["raw_mean_mobile"],
-        raw_mean_web=data["raw_mean_web"],
-        n_ok_mobile=int(data["n_ok_mobile"]),
-        n_ok_web=int(data["n_ok_web"]),
-        n_failed=int(data["n_failed"]),
-        test_date=date.fromisoformat(data["test_date"]) if data["test_date"] else None,
+        **{
+            key: _number(data, key, path, default=None)
+            for key in ("mean_mobile", "mean_web", "raw_mean_mobile", "raw_mean_web")
+        },
+        **{key: _integer(data, key, path, minimum=0) for key in ("n_ok_mobile", "n_ok_web", "n_failed")},
+        test_date=_date(data, "test_date", path, default=None),
     )
 
 
@@ -321,7 +318,7 @@ def _emit_json(aggregates: Sequence[RegionAggregate], results: Sequence[AuditRes
 def aggregates_from_report_json(text: str) -> list[RegionAggregate]:
     try:
         document = json.loads(text)
-        return [aggregate_from_dict(item) for item in document["aggregates"]]
+        return [aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(document["aggregates"])]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"not a JSON report: {exc}") from exc
 

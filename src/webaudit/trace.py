@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from datetime import date
 from typing import Any, Iterable, Sequence
 
 from .errors import SchemaError
@@ -234,9 +235,9 @@ def _number(item: Any, key: str, path: str, minimum: float | None = None, defaul
     """Read a finite number at ``item[key]``, at least ``minimum`` if given.
 
     With a default, a missing or null value yields the default unchecked.
-    Trace, calibration, throttle-profile and plan documents read their
-    numbers through here, so each bad value is a SchemaError with the
-    field's JSON path.
+    Trace, calibration, throttle-profile, plan, results and aggregates
+    documents read their numbers through here, so each bad value is a
+    SchemaError with the field's JSON path.
     """
     if default is not _REQUIRED and isinstance(item, dict) and item.get(key) is None:
         return default
@@ -270,6 +271,22 @@ def _integer(item: Any, key: str, path: str, minimum: int | None = None, default
     if not -_FLOAT_MAX_INT <= value <= _FLOAT_MAX_INT:  # counts take part in float arithmetic
         raise SchemaError(f"{path}.{key}", "must be within float range")
     return value
+
+
+def _date(item: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
+    """Read an ISO date string (YYYY-MM-DD) at ``item[key]`` of an object, as
+    _number reads a number."""
+    if default is not _REQUIRED and item.get(key) is None:
+        return default
+    if key not in item:
+        raise SchemaError(f"{path}.{key}", "missing field")
+    try:
+        value = date.fromisoformat(item[key])
+        if value.isoformat() == item[key]:  # Python 3.11 also parses forms such as 20190825
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise SchemaError(f"{path}.{key}", "must be an ISO date string (YYYY-MM-DD)")
 
 
 def _array(data: dict, key: str, path: str) -> Sequence[Any]:

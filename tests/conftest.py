@@ -115,7 +115,6 @@ def random_plan(rng: random.Random) -> WaterfallPlan:
                 parent_id=parent,
                 discovery_offset_ms=float(rng.randint(0, 800)),
                 bytes=rng.choice((0, rng.randint(1, 400000))),
-                origin="https://x.test",
             )
         )
     return WaterfallPlan(tuple(requests))

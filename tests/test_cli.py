@@ -11,7 +11,7 @@ import pytest
 import webaudit
 import webaudit.capture
 from conftest import call_within, parse_report_csv
-from webaudit.cli import _load_plan, main
+from webaudit.cli import main
 from webaudit.collector import write_trace
 from webaudit.config import default_calibration_text, load_calibration, resolve_throttle
 from webaudit.netsim import apply_throttle
@@ -272,16 +272,22 @@ class TestAggregateAndReportCommands:
         assert main(["aggregate", "--results", str(bad), "--out", str(tmp_path / "a.json")]) == 2
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, line_status",
         [
-            ("performance_score", float("nan")),
-            ("outlier_flag", "no"),
-            ("mode", "tablet"),
-            ("metrics.fcp", "NaN"),
-            ("scores.fcp", float("nan")),
-            ("category", 7),
-            ("site.nickname", "x"),
-            ("site.no", "7"),
+            ("performance_score", float("nan"), "ok"),
+            ("outlier_flag", "no", "ok"),
+            ("mode", "tablet", "ok"),
+            ("metrics.fcp", "NaN", "ok"),
+            ("scores.fcp", float("nan"), "ok"),
+            ("category", 7, "ok"),
+            ("site.nickname", "x", "ok"),
+            ("site.no", "7", "ok"),
+            ("status", "done", "ok"),
+            ("test_date", 20190825, "ok"),
+            ("test_date", "25/08/2019", "failed"),
+            ("failure_reason", 7, "failed"),
+            ("failure_reason", "", "failed"),
+            ("failure_reason", "slow", "ok"),
         ],
         ids=[
             "nan-score",
@@ -292,9 +298,15 @@ class TestAggregateAndReportCommands:
             "bad-category",
             "unknown-site-key",
             "string-site-number",
+            "unknown-status",
+            "number-date",
+            "non-iso-date",
+            "number-reason",
+            "empty-reason",
+            "reason-on-ok-line",
         ],
     )
-    def test_bad_result_field_names_the_line_and_field(self, workspace, tmp_path, capsys, field, value):
+    def test_bad_result_field_names_the_line_and_field(self, workspace, tmp_path, capsys, field, value, line_status):
         rc, results = run_batch_cli(workspace, tmp_path)
         assert rc == 0
         aggregates = tmp_path / "aggregates.json"
@@ -302,6 +314,9 @@ class TestAggregateAndReportCommands:
         lines = results.read_text("utf-8").splitlines()
         number = max(n for n, line in enumerate(lines, start=1) if json.loads(line)["status"] == "ok")
         row = json.loads(lines[number - 1])
+        if line_status == "failed":
+            row.update(status="failed", failure_reason="NoContentfulPaint: nothing painted", outlier_flag=False,
+                       metrics=None, scores=None, performance_score=None, category=None)
         *parents, key = field.split(".")
         target = row
         for name in parents:
@@ -318,6 +333,35 @@ class TestAggregateAndReportCommands:
             assert call_within(10, main, argv) == 2
             err = capsys.readouterr().err
             assert f"line {number}: $.{field}: " in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_mobile", "x"),
+            ("mean_mobile", float("nan")),
+            ("n_failed", 1.7),
+            ("n_failed", True),
+            ("region", 5),
+            ("test_date", "2019/08/25"),
+        ],
+        ids=["string-mean", "nan-mean", "fractional-count", "bool-count", "number-region", "non-iso-date"],
+    )
+    def test_bad_aggregates_field_names_the_row_and_field(self, workspace, tmp_path, capsys, field, value):
+        rc, results = run_batch_cli(workspace, tmp_path)
+        assert rc == 0
+        aggregates = tmp_path / "aggregates.json"
+        assert main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+        document = json.loads(aggregates.read_text("utf-8"))
+        document["aggregates"][3][field] = value
+        aggregates.write_text(json.dumps(document), "utf-8")
+        capsys.readouterr()
+        for fmt in ("md", "csv", "json"):
+            argv = ["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt,
+                    "--out", str(tmp_path / f"report.{fmt}")]
+            assert call_within(10, main, argv) == 2
+            err = capsys.readouterr().err
+            assert f"$.aggregates[3].{field}: " in err
             assert "Traceback" not in err
 
 
@@ -382,8 +426,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("bytes", 1.5), ("bytes", True), ("bytes", -1), ("origin", 5)],
-        ids=["fractional-bytes", "bool-bytes", "negative-bytes", "number-origin"],
+        [("bytes", 1.5), ("bytes", True), ("bytes", -1)],
+        ids=["fractional-bytes", "bool-bytes", "negative-bytes"],
     )
     def test_bad_request_field_names_the_field(self, tmp_path, capsys, field, value):
         plan = self.write_plan(tmp_path, {"requests": [{"id": "a", field: value}]})
@@ -391,11 +435,6 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"error: $.requests[0].{field}: " in err
         assert "Traceback" not in err
-
-    def test_null_origin_means_no_origin(self, tmp_path):
-        plan = self.write_plan(tmp_path, [{"id": "a", "bytes": 1000, "origin": None}])
-        assert main(["simulate", "--plan", plan]) == 0
-        assert _load_plan(plan).requests[0].origin == ""
 
     @pytest.mark.parametrize(
         "section, key, value",

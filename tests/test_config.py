@@ -129,6 +129,9 @@ class TestCalibrationSchema:
             (lambda d: d["throttle_profiles"]["4g"].update(cpu_multiplier=0.5), "4g"),
             (lambda d: d["quiet_window"].update(max_inflight_requests="two"), "max_inflight_requests"),
             (lambda d: d["quiet_window"].update(window_ms=0), "window_ms"),
+            (lambda d: d.update(category_bands=[1]), "$.category_bands: missing field"),
+            (lambda d: d.update(outlier_bounds=7), "$.outlier_bounds: missing field"),
+            (lambda d: d.update(quiet_window="quiet"), "$.quiet_window: missing field"),
         ],
     )
     def test_rejections_carry_a_path(self, mutate, path_part):
@@ -157,6 +160,18 @@ class TestCalibrationSchema:
         doc = self.base()
         doc["throttle_profiles"]["4g"]["uplink_kbps"] = 750
         assert calibration_from_dict(doc) == calibration_from_dict(self.base())
+
+    def test_missing_optional_sections_load_the_packaged_values(self):
+        doc = self.base()
+        for section in ("category_bands", "outlier_bounds", "quiet_window"):
+            del doc[section]
+        assert calibration_from_dict(doc) == calibration_from_dict(self.base())
+
+    def test_null_optional_field_keeps_its_default(self):
+        doc = self.base()
+        doc["quiet_window"] = {"window_ms": None, "max_inflight_requests": 3}
+        quiet = calibration_from_dict(doc).quiet_window
+        assert (quiet.long_task_ms, quiet.window_ms, quiet.max_inflight_requests) == (50.0, 5000.0, 3)
 
     def test_mobile_cpu_may_not_undercut_desktop(self):
         doc = self.base()

@@ -17,7 +17,6 @@ from webaudit.corpus import (
     AuditResult,
     SiteRecord,
     audit_trace,
-    flag_outliers,
     ingest_corpus,
     membership_filter,
     normalize_region,
@@ -36,6 +35,7 @@ from webaudit.synth import build_demo_trace
 from webaudit.config import OutlierBounds
 
 MEMBERS = ("Kota Bandung", "Kab. Bogor")
+REASON_MESSAGE = "$.failure_reason: must be null on an ok result and a non-empty string on a failed one"
 TEST_DATE = datetime.date(2019, 8, 25)
 _METRICS = MetricSet(800.0, 1500.0, 1460.0, 1100.0, 1100.0, 200.0)
 
@@ -162,28 +162,15 @@ class TestAuditTrace:
 
 class TestFlagOutliers:
     def test_extremes_flagged_midrange_not(self):
-        assert flag_outliers(ok_result(97.0))
-        assert flag_outliers(ok_result(3.0))
-        assert not flag_outliers(ok_result(50.0))
-        assert flag_outliers(ok_result(95.0))  # bounds are inclusive
-        assert flag_outliers(ok_result(5.0))
+        bounds = OutlierBounds()
+        assert bounds.flags(97.0)
+        assert bounds.flags(3.0)
+        assert not bounds.flags(50.0)
+        assert bounds.flags(95.0)  # bounds are inclusive
+        assert bounds.flags(5.0)
 
     def test_custom_bounds(self):
-        assert flag_outliers(ok_result(80.0), OutlierBounds(upper=75.0, lower=10.0))
-
-    def test_failed_results_cannot_be_flagged(self):
-        failed = AuditResult(
-            site=SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://a.test", True),
-            mode="mobile",
-            status="failed",
-            metrics=None,
-            report=None,
-            test_date=TEST_DATE,
-            outlier_flag=False,
-            failure_reason="NoContentfulPaint: nothing painted",
-        )
-        with pytest.raises(ValueError):
-            flag_outliers(failed)
+        assert OutlierBounds(upper=75.0, lower=10.0).flags(80.0)
 
 
 class TestAuditResultInvariants:
@@ -332,8 +319,7 @@ def single_audit(record, kind, throttle, traces, calibration):
         metrics, report = audit_trace(throttled, calibration.mode(kind), calibration)
     except (AuditError, OSError) as exc:
         return AuditResult(record, kind, "failed", None, None, TEST_DATE, False, f"{type(exc).__name__}: {exc}")
-    result = AuditResult(record, kind, "ok", metrics, report, TEST_DATE, False)
-    return dataclasses.replace(result, outlier_flag=flag_outliers(result, calibration.outliers))
+    return AuditResult(record, kind, "ok", metrics, report, TEST_DATE, calibration.outliers.flags(report.performance_score))
 
 
 class TestBatchMatchesSingleAudits:
@@ -422,6 +408,16 @@ class TestResultFiles:
             (lambda d: d["site"].update(smart_city_member=1), "$.site.smart_city_member: must be a JSON bool"),
             (lambda d: d["site"].update(no=True), "$.site.no: must be a JSON integer"),
             (lambda d: d.update(category=None), "$.category: must be one of good, average, poor"),
+            (lambda d: d.update(status="done"), "$.status: must be one of ok, failed"),
+            (lambda d: d.pop("status"), "$.status: must be one of ok, failed"),
+            (lambda d: d.update(test_date=20190825), "$.test_date: must be an ISO date string (YYYY-MM-DD)"),
+            (lambda d: d.update(test_date="25/08/2019"), "$.test_date: must be an ISO date string (YYYY-MM-DD)"),
+            (lambda d: d.update(test_date="20190825"), "$.test_date: must be an ISO date string (YYYY-MM-DD)"),
+            (lambda d: d.pop("test_date"), "$.test_date: missing field"),
+            (lambda d: d.update(failure_reason="slow"), REASON_MESSAGE),
+            (lambda d: d.update(status="failed", failure_reason=7), REASON_MESSAGE),
+            (lambda d: d.update(status="failed", failure_reason=""), REASON_MESSAGE),
+            (lambda d: d.update(status="failed", failure_reason=None), REASON_MESSAGE),
         ],
     )
     def test_bad_field_is_a_schema_error_at_its_path(self, edit, message):
@@ -430,6 +426,13 @@ class TestResultFiles:
         with pytest.raises(SchemaError) as exc:
             result_from_dict(data)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("line", ["[]", "7", "null"])
+    def test_non_object_line_is_a_schema_error(self, tmp_path, line):
+        path = tmp_path / "results.jsonl"
+        path.write_text(line + "\n", "utf-8")
+        with pytest.raises(ParseError, match=r"line 1: \$: result line must be an object"):
+            read_results(path)
 
     def test_corrupt_line_reports_its_number(self, tmp_path):
         path = tmp_path / "results.jsonl"
