@@ -284,6 +284,13 @@ def result_from_dict(data: Any) -> AuditResult:
         if data.get("category") not in CATEGORIES:
             raise SchemaError("$.category", f"must be one of {', '.join(CATEGORIES)}")
         report = ScoreReport(scores=_metric_values(data, "scores"), performance_score=score, category=data["category"])
+    else:
+        # A failed audit has nothing to score; write_results writes these as null and false.
+        for key in ("metrics", "scores", "performance_score", "category"):
+            if data.get(key) is not None:
+                raise SchemaError(f"$.{key}", "must be null on a failed result")
+        if data["outlier_flag"]:
+            raise SchemaError("$.outlier_flag", "must be false on a failed result")
     return AuditResult(
         site=site,
         mode=data["mode"],

@@ -119,85 +119,98 @@ class SimulatedRequest:
 
 
 def simulate_waterfall(plan: WaterfallPlan, profile: ThrottleProfile) -> list[SimulatedRequest]:
-    """Play a plan through the shared-downlink model.
+    """Play a plan through the shared-downlink model (see waterfall_times).
 
-    A request starts at max(parent end, 0) + discovery_offset_ms + rtt_ms
-    and finishes once its payload has passed through its time-varying share
-    of the downlink. The result is sorted by request id. Raises
-    ThrottleOverflow if an event turn retires no arrival or completion.
+    The result is sorted by request id; requests are numbered in id order,
+    so simultaneous events are taken in id order.
     """
-    requests = plan.requests
-    if not requests:
-        return []
-    by_id = {r.id: r for r in requests}
-    children: dict[str | None, list[PlannedRequest]] = {}
-    for req in requests:
-        children.setdefault(req.parent_id, []).append(req)
-
-    starts: dict[str, float] = {}
-    ends: dict[str, float] = {}
-    arrivals: list[tuple[float, str]] = []  # heap: (first-byte time, id)
-
-    def schedule(req: PlannedRequest, parent_end: float) -> None:
-        start = max(parent_end, 0.0) + req.discovery_offset_ms + profile.rtt_ms
-        starts[req.id] = start
-        heapq.heappush(arrivals, (start, req.id))
-
-    def finish(rid: str, end: float) -> None:
-        ends[rid] = end
-        for child in children.get(rid, []):
-            schedule(child, end)
-
-    for root in children.get(None, []):
-        schedule(root, 0.0)
-
-    if math.isinf(profile.downlink_kbps):
-        # Unlimited pipe: every transfer is instantaneous once started.
-        while arrivals:
-            start, rid = heapq.heappop(arrivals)
-            finish(rid, start)
-    else:
-        # GPS virtual time: every flow in flight has received the same
-        # `virtual` kilobits since the busy period began, so a flow finishes
-        # once `virtual` reaches its tag, V(arrival) + size. Only the
-        # smallest tag matters, and a heap keeps it.
-        capacity = profile.downlink_kbps
-        tags: list[tuple[float, str]] = []  # heap: (virtual finish tag, id)
-        virtual = 0.0
-        now = 0.0
-        while arrivals or tags:
-            n = len(tags)
-            t_complete = now + (tags[0][0] - virtual) * n / capacity * 1000.0 if tags else math.inf
-            t_arrival = arrivals[0][0] if arrivals else math.inf
-            t_next = min(t_complete, t_arrival)
-            if tags and t_next > now:
-                virtual += capacity / n * (t_next - now) / 1000.0
-            now = t_next
-            done_at = virtual + _COMPLETION_EPS_KBITS
-            if tags and t_next == t_complete:
-                # now + the smallest tag's drain time may round to now.
-                done_at = max(done_at, tags[0][0])
-            retired = 0
-            while tags and tags[0][0] <= done_at:
-                finish(heapq.heappop(tags)[1], now)
-                retired += 1
-            if not tags:
-                virtual = 0.0  # a new busy period starts from zero
-            while arrivals and arrivals[0][0] <= now:
-                _, rid = heapq.heappop(arrivals)
-                kbits = by_id[rid].bytes * 8.0 / 1000.0
-                if kbits <= _COMPLETION_EPS_KBITS:
-                    finish(rid, starts[rid])
-                else:
-                    heapq.heappush(tags, (virtual + kbits, rid))
-                retired += 1
-            if not retired:
-                raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {n} transfers in flight")
-
-    return sorted(
-        (SimulatedRequest(rid, starts[rid], ends[rid]) for rid in starts),
-        key=lambda sim: sim.id,
+    requests = sorted(plan.requests, key=lambda r: r.id)
+    index = {r.id: i for i, r in enumerate(requests)}
+    starts, ends = waterfall_times(
+        [-1 if r.parent_id is None else index[r.parent_id] for r in requests],
+        [r.discovery_offset_ms for r in requests],
+        [r.bytes for r in requests],
+        profile,
     )
+    return [SimulatedRequest(r.id, start, end) for r, start, end in zip(requests, starts, ends)]
+
+
+def waterfall_times(
+    parents: Sequence[int], offsets: Sequence[float], sizes: Sequence[int], profile: ThrottleProfile
+) -> tuple[list[float], list[float]]:
+    """(starts, ends) of requests 0..n-1 played through the shared downlink.
+
+    Request i waits on request parents[i], or on nothing when that is -1,
+    and is discovered offsets[i] ms after it; sizes[i] is its payload in
+    bytes. It starts at max(parent end, 0) + offset + rtt_ms and finishes
+    once its payload has passed through its time-varying share of the
+    downlink. The parents must form a forest. Simultaneous events are taken
+    in index order. Raises ThrottleOverflow if an event turn retires no
+    arrival or completion.
+    """
+    n = len(parents)
+    rtt = profile.rtt_ms
+    capacity = profile.downlink_kbps
+    # Unlimited pipe: every transfer is instantaneous once started.
+    instant = math.isinf(capacity)
+    starts = [0.0] * n
+    ends = [0.0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    arrivals: list[tuple[float, int]] = []  # heap: (first-byte time, index)
+    for i, parent in enumerate(parents):
+        if parent < 0:
+            start = 0.0 + offsets[i] + rtt  # as if after a parent that ended at 0
+            starts[i] = start
+            arrivals.append((start, i))
+        else:
+            children[parent].append(i)
+    heapq.heapify(arrivals)
+
+    # GPS virtual time: every flow in flight has received the same `virtual`
+    # kilobits since the busy period began, so a flow finishes once `virtual`
+    # reaches its tag, V(arrival) + size. Only the smallest tag matters, and
+    # a heap keeps it.
+    tags: list[tuple[float, int]] = []  # heap: (virtual finish tag, index)
+    virtual = 0.0
+    now = 0.0
+    while arrivals or tags:
+        in_flight = len(tags)
+        t_complete = now + (tags[0][0] - virtual) * in_flight / capacity * 1000.0 if tags else math.inf
+        t_arrival = arrivals[0][0] if arrivals else math.inf
+        t_next = min(t_complete, t_arrival)
+        if tags and t_next > now:
+            virtual += capacity / in_flight * (t_next - now) / 1000.0
+        now = t_next
+        done_at = virtual + _COMPLETION_EPS_KBITS
+        if tags and t_next == t_complete:
+            # now + the smallest tag's drain time may round to now.
+            done_at = max(done_at, tags[0][0])
+        retired = 0
+        while tags and tags[0][0] <= done_at:
+            i = heapq.heappop(tags)[1]
+            ends[i] = now
+            for child in children[i]:
+                start = max(now, 0.0) + offsets[child] + rtt
+                starts[child] = start
+                heapq.heappush(arrivals, (start, child))
+            retired += 1
+        if not tags:
+            virtual = 0.0  # a new busy period starts from zero
+        while arrivals and arrivals[0][0] <= now:
+            start, i = heapq.heappop(arrivals)
+            kbits = sizes[i] * 8.0 / 1000.0
+            if instant or kbits <= _COMPLETION_EPS_KBITS:
+                ends[i] = start
+                for child in children[i]:
+                    child_start = max(start, 0.0) + offsets[child] + rtt
+                    starts[child] = child_start
+                    heapq.heappush(arrivals, (child_start, child))
+            else:
+                heapq.heappush(tags, (virtual + kbits, i))
+            retired += 1
+        if not retired:
+            raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {in_flight} transfers in flight")
+    return starts, ends
 
 
 def _plan_request_id(index: int) -> str:
@@ -219,8 +232,10 @@ def _finish_table(requests: Sequence[NetworkRequest]) -> tuple[list[float], list
     return ends, [first[end] for end in ends]
 
 
-def infer_plan(trace: NormalizedTrace) -> WaterfallPlan:
-    """Reconstruct the dependency plan a recorded waterfall implies.
+def _parents(
+    requests: Sequence[NetworkRequest], table: tuple[list[float], list[int]]
+) -> tuple[list[int], list[float]]:
+    """(parent index or -1, discovery offset) per request, by the finish table.
 
     A request's parent is the request that finished last at or before its
     discovery (ties keep the earliest request); the leftover gap becomes the
@@ -228,19 +243,37 @@ def infer_plan(trace: NormalizedTrace) -> WaterfallPlan:
     requests discovered at the same instant could adopt each other. Relies
     on discovered_ms <= end_ms, which the trace schema enforces.
     """
-    reqs = trace.requests
-    ends, first = _finish_table(reqs)
-    planned = []
-    for i, req in enumerate(reqs):
+    ends, first = table
+    parents = []
+    offsets = []
+    for i, req in enumerate(requests):
         k = bisect.bisect_right(ends, req.discovered_ms) - 1
         if k >= 0 and first[k] == i:
             # i ended at its own discovery; take the previous end instead.
             k -= 1
-        parent = first[k] if k >= 0 else None
-        parent_id = None if parent is None else _plan_request_id(parent)
-        offset = req.discovered_ms - (0.0 if parent is None else reqs[parent].end_ms)
-        planned.append(PlannedRequest(_plan_request_id(i), parent_id, offset, req.bytes))
-    return WaterfallPlan(tuple(planned))
+        if k >= 0:
+            parents.append(first[k])
+            offsets.append(req.discovered_ms - ends[k])
+        else:
+            parents.append(-1)
+            offsets.append(req.discovered_ms)
+    return parents, offsets
+
+
+def infer_plan(trace: NormalizedTrace) -> WaterfallPlan:
+    """Reconstruct the dependency plan a recorded waterfall implies.
+
+    Request i gets id _plan_request_id(i); its parent and discovery offset
+    follow the replay parent rule (see _parents).
+    """
+    reqs = trace.requests
+    parents, offsets = _parents(reqs, _finish_table(reqs))
+    return WaterfallPlan(
+        tuple(
+            PlannedRequest(_plan_request_id(i), None if parent < 0 else _plan_request_id(parent), offset, req.bytes)
+            for i, (parent, offset, req) in enumerate(zip(parents, offsets, reqs))
+        )
+    )
 
 
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
@@ -289,28 +322,23 @@ def throttler(trace: NormalizedTrace) -> Callable[[ThrottleProfile], NormalizedT
 def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
     """The trace's (requests, paints, visual samples) replayed on the
     profile's link. Reads only rtt_ms and downlink_kbps."""
-    simulated = simulate_waterfall(infer_plan(trace), profile)
-    # Plan ids are zero-padded indices, so the id-sorted output lines up
-    # with the trace's request order.
+    old = trace.requests
+    table = _finish_table(old)
+    parents, offsets = _parents(old, table)
+    starts, ends = waterfall_times(parents, offsets, [r.bytes for r in old], profile)
+    rtt = profile.rtt_ms
     new_requests = tuple(
-        NetworkRequest(
-            discovered_ms=sim.start_ms - profile.rtt_ms,
-            start_ms=sim.start_ms,
-            end_ms=sim.end_ms,
-            bytes=old.bytes,
-            origin=old.origin,
-        )
-        for old, sim in zip(trace.requests, simulated)
+        NetworkRequest(start - rtt, start, end, req.bytes, req.origin) for req, start, end in zip(old, starts, ends)
     )
     # A request's end bounds its start and discovery.
-    _check_finite([r.end_ms for r in new_requests])
+    _check_finite(ends)
 
     # Paints and visual samples move with the request the parent rule gives them.
-    ends, first = _finish_table(trace.requests)
-    deltas = [simulated[j].end_ms - trace.requests[j].end_ms for j in first]
+    finish_ends, first = table
+    deltas = [ends[j] - old[j].end_ms for j in first]
 
     def shifted(t_ms: float) -> float:
-        k = bisect.bisect_right(ends, t_ms) - 1
+        k = bisect.bisect_right(finish_ends, t_ms) - 1
         return t_ms + (deltas[k] if k >= 0 else 0.0)
 
     new_paints = tuple(PaintEvent(shifted(p.t_ms), p.kind, p.significance) for p in trace.paint_events)

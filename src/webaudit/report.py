@@ -316,11 +316,19 @@ def _emit_json(aggregates: Sequence[RegionAggregate], results: Sequence[AuditRes
 
 
 def aggregates_from_report_json(text: str) -> list[RegionAggregate]:
+    """The rows of an aggregates file or JSON report; a bad document is a
+    SchemaError at its JSON path."""
     try:
         document = json.loads(text)
-        return [aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(document["aggregates"])]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ParseError(f"not a JSON report: {exc}") from exc
+    if type(document) is not dict:
+        raise SchemaError("$", "must be an object")
+    if "aggregates" not in document:
+        raise SchemaError("$.aggregates", "missing field")
+    if type(document["aggregates"]) is not list:
+        raise SchemaError("$.aggregates", "must be an array")
+    return [aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(document["aggregates"])]
 
 
 def write_aggregates(aggregates: Sequence[RegionAggregate], path: str | Path) -> None:

@@ -24,6 +24,16 @@ def workspace(tmp_path):
     return write_demo_workspace(tmp_path)
 
 
+def set_row_field(field, value):
+    """An edit of an aggregates document that sets one field of its fourth row."""
+
+    def edit(document):
+        document["aggregates"][3][field] = value
+        return document
+
+    return edit
+
+
 def run_batch_cli(paths, tmp_path, extra=()) -> tuple[int, str]:
     out = tmp_path / "results.jsonl"
     rc = main(
@@ -336,24 +346,29 @@ class TestAggregateAndReportCommands:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "field, value",
+        "edit, where",
         [
-            ("mean_mobile", "x"),
-            ("mean_mobile", float("nan")),
-            ("n_failed", 1.7),
-            ("n_failed", True),
-            ("region", 5),
-            ("test_date", "2019/08/25"),
+            (set_row_field("mean_mobile", "x"), "$.aggregates[3].mean_mobile: "),
+            (set_row_field("mean_mobile", float("nan")), "$.aggregates[3].mean_mobile: "),
+            (set_row_field("n_failed", 1.7), "$.aggregates[3].n_failed: "),
+            (set_row_field("n_failed", True), "$.aggregates[3].n_failed: "),
+            (set_row_field("region", 5), "$.aggregates[3].region: "),
+            (set_row_field("test_date", "2019/08/25"), "$.aggregates[3].test_date: "),
+            (lambda document: [], "$: must be an object"),
+            (lambda document: {**document, "aggregates": 5}, "$.aggregates: must be an array"),
+            (lambda document: {}, "$.aggregates: missing field"),
         ],
-        ids=["string-mean", "nan-mean", "fractional-count", "bool-count", "number-region", "non-iso-date"],
+        ids=[
+            "string-mean", "nan-mean", "fractional-count", "bool-count", "number-region", "non-iso-date",
+            "array-document", "number-aggregates", "no-aggregates",
+        ],
     )
-    def test_bad_aggregates_field_names_the_row_and_field(self, workspace, tmp_path, capsys, field, value):
+    def test_bad_aggregates_field_names_the_row_and_field(self, workspace, tmp_path, capsys, edit, where):
         rc, results = run_batch_cli(workspace, tmp_path)
         assert rc == 0
         aggregates = tmp_path / "aggregates.json"
         assert main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
-        document = json.loads(aggregates.read_text("utf-8"))
-        document["aggregates"][3][field] = value
+        document = edit(json.loads(aggregates.read_text("utf-8")))
         aggregates.write_text(json.dumps(document), "utf-8")
         capsys.readouterr()
         for fmt in ("md", "csv", "json"):
@@ -361,7 +376,7 @@ class TestAggregateAndReportCommands:
                     "--out", str(tmp_path / f"report.{fmt}")]
             assert call_within(10, main, argv) == 2
             err = capsys.readouterr().err
-            assert f"$.aggregates[3].{field}: " in err
+            assert where in err
             assert "Traceback" not in err
 
 

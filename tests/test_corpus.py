@@ -36,6 +36,8 @@ from webaudit.config import OutlierBounds
 
 MEMBERS = ("Kota Bandung", "Kab. Bogor")
 REASON_MESSAGE = "$.failure_reason: must be null on an ok result and a non-empty string on a failed one"
+# The fields of a failed result line, over those of an ok one.
+FAILED = dict(status="failed", failure_reason="x", metrics=None, scores=None, performance_score=None, category=None)
 TEST_DATE = datetime.date(2019, 8, 25)
 _METRICS = MetricSet(800.0, 1500.0, 1460.0, 1100.0, 1100.0, 200.0)
 
@@ -270,7 +272,7 @@ class TestRunBatch:
         records, traces = self.setup_workspace(tmp_path, simple_trace)
         records.append(SiteRecord(3, "C", "kabupaten-kota", "Kota Bandung", "https://ok3.test", True))
         write_trace(simple_trace, traces / (trace_slug("https://ok3.test") + ".json"))
-        calls = {"load_trace": 0, "simulate_waterfall": 0}
+        calls = {"load_trace": 0, "waterfall_times": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -282,10 +284,10 @@ class TestRunBatch:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(webaudit.corpus, "load_trace")
-        counted(webaudit.netsim, "simulate_waterfall")
+        counted(webaudit.netsim, "waterfall_times")
         results = run_batch(records, ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         assert [r.status for r in results] == ["ok", "ok", "failed", "failed", "ok", "ok"]
-        assert calls == {"load_trace": 3, "simulate_waterfall": 2}
+        assert calls == {"load_trace": 3, "waterfall_times": 2}
 
     def test_task_overflow_fails_only_its_mode(self, tmp_path):
         trace = build_demo_trace(5)
@@ -380,6 +382,21 @@ class TestResultFiles:
         write_results(results, path)
         assert read_results(path) == results
 
+    def test_rewriting_a_batch_with_failed_lines_keeps_its_bytes(self, tmp_path, simple_trace):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        write_trace(simple_trace, traces / (trace_slug("https://ok.test") + ".json"))
+        records = [
+            SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://ok.test", True),
+            SiteRecord(2, "B", "provinsi", "Kab. Bogor", "https://gone.test", True),
+        ]
+        results = run_batch(records, ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
+        assert [r.status for r in results] == ["ok", "ok", "failed", "failed"]
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_results(results, first)
+        write_results(read_results(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_equal_results_produce_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         results = [ok_result(61.25), ok_result(38.5, no=2, mode="desktop")]
@@ -418,6 +435,11 @@ class TestResultFiles:
             (lambda d: d.update(status="failed", failure_reason=7), REASON_MESSAGE),
             (lambda d: d.update(status="failed", failure_reason=""), REASON_MESSAGE),
             (lambda d: d.update(status="failed", failure_reason=None), REASON_MESSAGE),
+            (lambda d: d.update(status="failed", failure_reason="x"), "$.metrics: must be null on a failed result"),
+            (lambda d: d.update(FAILED, scores={}), "$.scores: must be null on a failed result"),
+            (lambda d: d.update(FAILED, performance_score=50.0), "$.performance_score: must be null on a failed result"),
+            (lambda d: d.update(FAILED, category="poor"), "$.category: must be null on a failed result"),
+            (lambda d: d.update(FAILED, outlier_flag=True), "$.outlier_flag: must be false on a failed result"),
         ],
     )
     def test_bad_field_is_a_schema_error_at_its_path(self, edit, message):

@@ -1,5 +1,7 @@
 """Waterfall simulation, plan inference, and trace throttling."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -7,6 +9,7 @@ import pytest
 
 from oracles import parent_scan, share_rescan, shift_source_scan, waterfall_march
 from conftest import call_within, random_plan, random_profile
+from webaudit.config import load_calibration, resolve_throttle
 from webaudit.errors import CyclicPlan, ThrottleOverflow
 from webaudit.netsim import (
     PlannedRequest,
@@ -354,3 +357,69 @@ class TestShareRescanOracle:
             want = waterfall_march(p, profile)
             for sim in simulate_waterfall(p, profile):
                 assert abs(sim.end_ms - want[sim.id][1]) <= 1e-6, (i, sim)
+
+
+def burst_trace(rng: random.Random, n: int) -> NormalizedTrace:
+    """A recorded page of n requests discovered in bursts of up to 64 siblings.
+
+    A burst is discovered at once, at the end of a request already placed
+    plus a gap that is often zero; a fifth of the bursts start from
+    navigation. Transfer times come from a palette of four and starts from
+    two round trips, so siblings often end together. Zero-byte requests end
+    as they start. Paints and visual samples sit on and between request ends.
+    """
+    durations = (0.0, 137.3, rng.choice((250.0, 562.5)), rng.randint(1, 40000) * 0.1)
+    sizes = (0, 12500, 62500, rng.randint(1, 100000))
+    requests: list[NetworkRequest] = []
+    while len(requests) < n:
+        burst = min(rng.choice((1, 1, 2, 4, rng.randint(1, 64))), n - len(requests))
+        base = 0.0 if not requests or rng.random() < 0.2 else rng.choice(requests).end_ms
+        discovered = base + rng.choice((0.0, 0.0, float(rng.randint(0, 400)), rng.randint(0, 400) * 0.1))
+        for _ in range(burst):
+            nbytes = rng.choice(sizes)
+            start = discovered + rng.choice((0.0, 28.0))
+            end = start + (0.0 if nbytes == 0 else rng.choice(durations))
+            requests.append(NetworkRequest(discovered, start, end, nbytes, "https://a.test"))
+    times = sorted(rng.choice(requests).end_ms + rng.choice((0.0, 0.0, 5.5)) for _ in range(12))
+    return NormalizedTrace(
+        paint_events=tuple(PaintEvent(t, "contentful-paint") for t in times),
+        tasks=(MainThreadTask(10.0, 40.0), MainThreadTask(times[0] + 1.0, 120.0)),
+        requests=tuple(requests),
+        visual_progress=tuple(VisualSample(t, (k + 1) / len(times)) for k, t in enumerate(times)),
+    )
+
+
+class TestLargeReplay:
+    """The throttled replay of large, bursty pages."""
+
+    def test_replay_matches_the_rescan_and_the_plan_adapters(self):
+        calibration = load_calibration()
+        rng = random.Random(0x1A26E)
+        for i in range(6):
+            trace = burst_trace(rng, rng.randint(200, 1000))
+            profile = resolve_throttle("4g", calibration, calibration.mode(("mobile", "desktop")[i % 2]))
+            plan = infer_plan(trace)
+            out = apply_throttle(trace, profile).requests
+            want = share_rescan(plan, profile)
+            for planned, new in zip(plan.requests, out):
+                assert abs(new.start_ms - want[planned.id][0]) <= 1e-9, (i, planned)
+                assert abs(new.end_ms - want[planned.id][1]) <= 1e-9, (i, planned)
+            sims = simulate_waterfall(plan, profile)
+            assert out == tuple(
+                NetworkRequest(sim.start_ms - profile.rtt_ms, sim.start_ms, sim.end_ms, old.bytes, old.origin)
+                for old, sim in zip(trace.requests, sims)
+            ), i
+
+    # sha256 of the throttled trace document; any change in the order of
+    # the replay's float operations changes these.
+    PINNED = {
+        (0xD16E57, 300): "aff2f26eb41a1ec7f4eb6207be574c08f2be5f5f1a3236a5f54a3a69695d6340",
+        (0xD16E58, 700): "49db576bc23d8a77222cf0261fdc4295e4db4ae4e031e8676e32e6fdb7faad10",
+        (0xD16E59, 1000): "a1137aaaa7064c8fa219ece920ee5aa3e515d21e64a2abeb64bada39f6cf1c4f",
+    }
+
+    @pytest.mark.parametrize("seed,n", sorted(PINNED), ids=lambda v: str(v))
+    def test_throttled_documents_are_pinned(self, seed, n):
+        out = apply_throttle(burst_trace(random.Random(seed), n), FOUR_G)
+        text = json.dumps(out.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.PINNED[seed, n]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import REFERENCE_REGION_MEANS, parse_report_csv
 from webaudit.corpus import AuditResult, SiteRecord
-from webaudit.errors import ParseError, UnknownFormat
+from webaudit.errors import ParseError, SchemaError, UnknownFormat
 from webaudit.metrics import MetricSet
 from webaudit.report import (
     REPORT_COLUMNS,
@@ -235,6 +235,8 @@ class TestJsonReport:
 
     def test_not_a_report_rejected(self):
         with pytest.raises(ParseError):
+            aggregates_from_report_json("{broken")
+        with pytest.raises(SchemaError, match=r"^\$: must be an object$"):
             aggregates_from_report_json("[]")
 
 
