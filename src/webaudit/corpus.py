@@ -33,7 +33,7 @@ from .config import (
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from .metrics import METRIC_KEYS, MetricSet, compute_all
 from .netsim import throttler
-from .scoring import CATEGORIES, ScoreReport, score_metrics
+from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
 from .trace import NormalizedTrace, _date, _number
 
 log = logging.getLogger(__name__)
@@ -276,14 +276,15 @@ def result_from_dict(data: Any) -> AuditResult:
     report = None
     metrics = None
     if ok:
-        values = _metric_values(data, "metrics")
+        values = _metric_values(data, "metrics", math.inf)
         metrics = MetricSet(values["fcp"], values["fmp"], values["si"], values["tti"], values["fci"], values["max_fid"])
         score = data.get("performance_score")
-        if type(score) is not float or not math.isfinite(score):
-            score = _number(data, "performance_score", "$")
+        if type(score) is not float or not 0.0 <= score <= SCORE_MAX:
+            score = _number(data, "performance_score", "$", minimum=0.0, maximum=SCORE_MAX)
         if data.get("category") not in CATEGORIES:
             raise SchemaError("$.category", f"must be one of {', '.join(CATEGORIES)}")
-        report = ScoreReport(scores=_metric_values(data, "scores"), performance_score=score, category=data["category"])
+        scores = _metric_values(data, "scores", SCORE_MAX)
+        report = ScoreReport(scores=scores, performance_score=score, category=data["category"])
     else:
         # A failed audit has nothing to score; write_results writes these as null and false.
         for key in ("metrics", "scores", "performance_score", "category"):
@@ -334,18 +335,21 @@ def _site_from_dict(site: Any) -> SiteRecord:
     return SiteRecord(**site)
 
 
-def _metric_values(data: dict, key: str) -> dict[str, float]:
-    """``data[key]``: the six metric keys, each a finite number, as floats.
+def _metric_values(data: dict, key: str, maximum: float) -> dict[str, float]:
+    """``data[key]``: the six metric keys, each a finite number in
+    [0, maximum], as floats.
 
-    One guard passes six floats with a finite sum as they are: a NaN or
-    infinite term makes the sum NaN or infinite. A mapping that fails the
-    guard (an integer value, or a sum that overflows) is read field by
-    field, which names the bad field or accepts the mapping.
+    One guard passes six floats with a finite sum, the least >= 0 and the
+    greatest <= maximum, as they are: a NaN or infinite term makes the sum
+    NaN or infinite. A mapping that fails the guard (an integer value, a
+    sum that overflows, or a value out of range) is read field by field,
+    which names the bad field or accepts the mapping.
     """
     values = data.get(key)
     if (
         type(values) is dict and values.keys() == _METRIC_KEY_SET
         and {*map(type, values.values())} == {float} and math.isfinite(sum(values.values()))
+        and 0.0 <= min(values.values()) <= max(values.values()) <= maximum
     ):
         return values
     path = f"$.{key}"
@@ -354,7 +358,7 @@ def _metric_values(data: dict, key: str) -> dict[str, float]:
     unknown = sorted(values.keys() - _METRIC_KEY_SET)
     if unknown:
         raise SchemaError(f"{path}.{unknown[0]}", "unknown field")
-    return {name: _number(values, name, path) for name in METRIC_KEYS}
+    return {name: _number(values, name, path, minimum=0.0, maximum=maximum) for name in METRIC_KEYS}
 
 
 def write_results(results: Iterable[AuditResult], path: str | Path) -> None:

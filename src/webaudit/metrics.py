@@ -10,7 +10,6 @@ free of long tasks (and, for TTI, of heavy network activity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import IncompleteVisualProgress, NoContentfulPaint
@@ -100,11 +99,11 @@ def compute_speed_index(trace: NormalizedTrace) -> float:
     area = 0.0
     prev_t = 0.0
     prev_fraction = 0.0
-    for sample in trace.visual_progress:
-        area += (sample.t_ms - prev_t) * (1.0 - prev_fraction)
-        prev_t = sample.t_ms
-        prev_fraction = sample.fraction
-        if sample.fraction >= 1.0:
+    for t_ms, fraction in trace.visual_progress:
+        area += (t_ms - prev_t) * (1.0 - prev_fraction)
+        prev_t = t_ms
+        prev_fraction = fraction
+        if fraction >= 1.0:
             return area
     raise IncompleteVisualProgress("visual progress never reached 1.0")
 
@@ -118,25 +117,25 @@ def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow = DEFAULT
     or before w (at least fcp). Traces are treated as quiet past their end,
     so a window always exists.
     """
-    blockers = _long_task_intervals(trace.tasks, quiet.long_task_ms)
-    blockers += _overload_intervals(trace.requests, quiet.max_inflight_requests)
+    long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
+    blockers = long_tasks + _overload_intervals(trace.requests, quiet.max_inflight_requests)
     w = _earliest_quiet_start(blockers, fcp, quiet.window_ms)
-    return _last_long_task_end(trace.tasks, quiet.long_task_ms, w, fcp)
+    return _last_long_task_end(long_tasks, w, fcp)
 
 
 def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow = DEFAULT_QUIET_WINDOW) -> float:
     """First CPU idle: like TTI but ignoring network activity entirely."""
-    blockers = _long_task_intervals(trace.tasks, quiet.long_task_ms)
-    w = _earliest_quiet_start(blockers, fcp, quiet.window_ms)
-    return _last_long_task_end(trace.tasks, quiet.long_task_ms, w, fcp)
+    long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
+    w = _earliest_quiet_start(long_tasks, fcp, quiet.window_ms)
+    return _last_long_task_end(long_tasks, w, fcp)
 
 
 def compute_max_fid(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     """Longest task overlapping [fcp, tti]; 0.0 when no task overlaps."""
     best = 0.0
-    for task in trace.tasks:
-        if task.start_ms <= tti and task.end_ms >= fcp:
-            best = max(best, task.dur_ms)
+    for start, dur in trace.tasks:
+        if start <= tti and start + dur >= fcp:
+            best = max(best, dur)
     return best
 
 
@@ -152,7 +151,7 @@ def compute_all(trace: NormalizedTrace, quiet: QuietWindow = DEFAULT_QUIET_WINDO
 
 
 def _long_task_intervals(tasks: Sequence[MainThreadTask], long_task_ms: float) -> list[tuple[float, float]]:
-    return [(t.start_ms, t.end_ms) for t in tasks if t.dur_ms > long_task_ms]
+    return [(start, start + dur) for start, dur in tasks if dur > long_task_ms]
 
 
 def _overload_intervals(requests: Sequence[NetworkRequest], max_inflight: int) -> list[tuple[float, float]]:
@@ -162,18 +161,20 @@ def _overload_intervals(requests: Sequence[NetworkRequest], max_inflight: int) -
     merged so that a request ending exactly when another starts does not
     produce a spurious overload.
     """
-    events = []
+    # Net change in flight per time. A dict keeps the key it was first given,
+    # so each time is reported as its first event, as a stable sort would.
+    deltas: dict[float, int] = {}
     for r in requests:
-        if r.end_ms > r.start_ms:
-            events.append((r.start_ms, 1))
-            events.append((r.end_ms, -1))
-    events.sort(key=lambda e: e[0])
+        start, end = r.start_ms, r.end_ms
+        if end > start:
+            deltas[start] = deltas.get(start, 0) + 1
+            deltas[end] = deltas.get(end, 0) - 1
 
     out = []
     count = 0
     over_since = None
-    for t, grouped in groupby(events, key=lambda e: e[0]):
-        count += sum(delta for _, delta in grouped)
+    for t in sorted(deltas):
+        count += deltas[t]
         if count > max_inflight and over_since is None:
             over_since = t
         elif count <= max_inflight and over_since is not None:
@@ -195,9 +196,7 @@ def _earliest_quiet_start(blockers: Iterable[tuple[float, float]], origin: float
     return w
 
 
-def _last_long_task_end(
-    tasks: Sequence[MainThreadTask], long_task_ms: float, w: float, fcp: float
-) -> float:
-    ends = [t.end_ms for t in tasks if t.dur_ms > long_task_ms and t.end_ms <= w]
+def _last_long_task_end(long_tasks: Sequence[tuple[float, float]], w: float, fcp: float) -> float:
+    ends = [end for _, end in long_tasks if end <= w]
     # Clamped to fcp so the fcp <= fci <= tti ordering always holds.
     return max(ends + [fcp])

@@ -300,11 +300,11 @@ def throttler(trace: NormalizedTrace) -> Callable[[ThrottleProfile], NormalizedT
         requests, paints, visual = networks[link]
         scaled_tasks = []
         prev_old_end = prev_new_end = 0.0
-        for task in trace.tasks:
-            start = prev_new_end + (task.start_ms - prev_old_end)
-            dur = task.dur_ms * profile.cpu_multiplier
-            scaled_tasks.append(MainThreadTask(start_ms=start, dur_ms=dur))
-            prev_old_end = task.end_ms
+        for old_start, old_dur in trace.tasks:
+            start = prev_new_end + (old_start - prev_old_end)
+            dur = old_dur * profile.cpu_multiplier
+            scaled_tasks.append(MainThreadTask(start, dur))
+            prev_old_end = old_start + old_dur
             prev_new_end = start + dur
         # The last task's end bounds every task.
         _check_finite([prev_new_end])

@@ -23,7 +23,7 @@ from typing import Any, Sequence
 from .config import load_member_regions
 from .corpus import AuditResult, normalize_region
 from .errors import ParseError, SchemaError, UnknownFormat
-from .scoring import round_half_away
+from .scoring import SCORE_MAX, round_half_away
 from .trace import _date, _integer, _number
 
 # Device mode kinds feeding the two report columns. The recording modes
@@ -274,7 +274,7 @@ def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
     return RegionAggregate(
         region=data["region"],
         **{
-            key: _number(data, key, path, default=None)
+            key: _number(data, key, path, minimum=0.0, maximum=SCORE_MAX, default=None)
             for key in ("mean_mobile", "mean_web", "raw_mean_mobile", "raw_mean_web")
         },
         **{key: _integer(data, key, path, minimum=0) for key in ("n_ok_mobile", "n_ok_web", "n_failed")},

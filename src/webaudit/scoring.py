@@ -31,6 +31,14 @@ class ScoreCurve:
             )
 
 
+WEIGHT_SUM_TOLERANCE = 1e-9  # how far from 1 the weights may sum
+
+# The largest score the pipeline writes, so the largest it reads back: a
+# metric scores at most 100, and weights summing to 1 + WEIGHT_SUM_TOLERANCE
+# lift a weighted score by up to 100 times that margin, plus rounding.
+SCORE_MAX = 100.0 + 200 * WEIGHT_SUM_TOLERANCE
+
+
 @dataclass(frozen=True)
 class WeightTable:
     """Per-metric category weights; defaults are the shipped weighting."""
@@ -45,8 +53,10 @@ class WeightTable:
     # Each check is written so that NaN fails it.
     def __post_init__(self):
         weights = self.as_dict().values()
-        if not all(0 <= w < math.inf for w in weights) or not abs(math.fsum(weights) - 1) <= 1e-9:
-            raise ValueError(f"weights must be finite, >= 0 and sum to 1 within 1e-9, got {self.as_dict()!r}")
+        if not all(0 <= w < math.inf for w in weights) or not abs(math.fsum(weights) - 1) <= WEIGHT_SUM_TOLERANCE:
+            raise ValueError(
+                f"weights must be finite, >= 0 and sum to 1 within {WEIGHT_SUM_TOLERANCE:g}, got {self.as_dict()!r}"
+            )
 
     def as_dict(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in METRIC_KEYS}

@@ -10,15 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .errors import SchemaError
 
 PAINT_KINDS = ("first-paint", "contentful-paint", "fmp-candidate")
 
 
-@dataclass(frozen=True)
-class PaintEvent:
+class PaintEvent(NamedTuple):
     """A paint-timeline event; ``significance`` is set only for fmp-candidate."""
 
     t_ms: float
@@ -26,8 +25,7 @@ class PaintEvent:
     significance: float | None = None
 
 
-@dataclass(frozen=True)
-class MainThreadTask:
+class MainThreadTask(NamedTuple):
     """A main-thread task occupying [start_ms, start_ms + dur_ms)."""
 
     start_ms: float
@@ -38,8 +36,7 @@ class MainThreadTask:
         return self.start_ms + self.dur_ms
 
 
-@dataclass(frozen=True)
-class NetworkRequest:
+class NetworkRequest(NamedTuple):
     """A network fetch: discovered, then in flight over [start_ms, end_ms)."""
 
     discovered_ms: float
@@ -49,8 +46,7 @@ class NetworkRequest:
     origin: str
 
 
-@dataclass(frozen=True)
-class VisualSample:
+class VisualSample(NamedTuple):
     """Fraction of the final frame painted at time t_ms."""
 
     t_ms: float
@@ -200,18 +196,9 @@ class NormalizedTrace:
         return {
             "nav_start": self.nav_start,
             "paint_events": paints,
-            "tasks": [{"start_ms": t.start_ms, "dur_ms": t.dur_ms} for t in self.tasks],
-            "requests": [
-                {
-                    "discovered_ms": r.discovered_ms,
-                    "start_ms": r.start_ms,
-                    "end_ms": r.end_ms,
-                    "bytes": r.bytes,
-                    "origin": r.origin,
-                }
-                for r in self.requests
-            ],
-            "visual_progress": [{"t_ms": v.t_ms, "fraction": v.fraction} for v in self.visual_progress],
+            "tasks": [t._asdict() for t in self.tasks],
+            "requests": [r._asdict() for r in self.requests],
+            "visual_progress": [v._asdict() for v in self.visual_progress],
         }
 
 
@@ -231,8 +218,11 @@ _FLOAT_MAX = 1.7976931348623157e308  # the largest float
 _FLOAT_MAX_INT = int(_FLOAT_MAX)
 
 
-def _number(item: Any, key: str, path: str, minimum: float | None = None, default: Any = _REQUIRED) -> Any:
-    """Read a finite number at ``item[key]``, at least ``minimum`` if given.
+def _number(
+    item: Any, key: str, path: str, minimum: float | None = None, maximum: float | None = None, default: Any = _REQUIRED
+) -> Any:
+    """Read a finite number at ``item[key]``, within ``minimum`` and ``maximum``
+    where given.
 
     With a default, a missing or null value yields the default unchecked.
     Trace, calibration, throttle-profile, plan, results and aggregates
@@ -254,6 +244,8 @@ def _number(item: Any, key: str, path: str, minimum: float | None = None, defaul
         raise SchemaError(f"{path}.{key}", "must be finite")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{path}.{key}", f"must be >= {minimum:g}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(f"{path}.{key}", f"must be <= {maximum!r}")
     return value
 
 

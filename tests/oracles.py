@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 import mpmath
@@ -129,6 +130,33 @@ def max_fid_brute(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     """Longest task whose closed interval touches [fcp, tti]."""
     durations = [t.dur_ms for t in trace.tasks if t.start_ms <= tti and t.end_ms >= fcp]
     return float(max(durations, default=0.0))
+
+
+def overload_intervals_groupby(requests: Sequence[NetworkRequest], max_inflight: int) -> list[tuple[float, float]]:
+    """Intervals with more than max_inflight requests in flight, by sorting
+    +1/-1 events on time and merging each run of equal times with groupby.
+
+    Each interval bound is the time of the first event in its run, the
+    stable sort keeping request order among equal times.
+    """
+    events = []
+    for r in requests:
+        if r.end_ms > r.start_ms:
+            events.append((r.start_ms, 1))
+            events.append((r.end_ms, -1))
+    events.sort(key=lambda e: e[0])
+
+    out = []
+    count = 0
+    over_since = None
+    for t, grouped in groupby(events, key=lambda e: e[0]):
+        count += sum(delta for _, delta in grouped)
+        if count > max_inflight and over_since is None:
+            over_since = t
+        elif count <= max_inflight and over_since is not None:
+            out.append((over_since, t))
+            over_since = None
+    return out
 
 
 def parent_scan(requests: Sequence[NetworkRequest]) -> list[tuple[int | None, float]]:

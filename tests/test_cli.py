@@ -298,6 +298,10 @@ class TestAggregateAndReportCommands:
             ("failure_reason", 7, "failed"),
             ("failure_reason", "", "failed"),
             ("failure_reason", "slow", "ok"),
+            ("performance_score", 1e300, "ok"),
+            ("performance_score", -5.0, "ok"),
+            ("scores.fcp", 250.0, "ok"),
+            ("metrics.tti", -1.0, "ok"),
         ],
         ids=[
             "nan-score",
@@ -314,6 +318,10 @@ class TestAggregateAndReportCommands:
             "number-reason",
             "empty-reason",
             "reason-on-ok-line",
+            "huge-score",
+            "negative-score",
+            "metric-score-over-max",
+            "negative-metric",
         ],
     )
     def test_bad_result_field_names_the_line_and_field(self, workspace, tmp_path, capsys, field, value, line_status):
@@ -350,6 +358,8 @@ class TestAggregateAndReportCommands:
         [
             (set_row_field("mean_mobile", "x"), "$.aggregates[3].mean_mobile: "),
             (set_row_field("mean_mobile", float("nan")), "$.aggregates[3].mean_mobile: "),
+            (set_row_field("mean_mobile", 1e30), "$.aggregates[3].mean_mobile: must be <= "),
+            (set_row_field("raw_mean_web", -5.0), "$.aggregates[3].raw_mean_web: must be >= 0"),
             (set_row_field("n_failed", 1.7), "$.aggregates[3].n_failed: "),
             (set_row_field("n_failed", True), "$.aggregates[3].n_failed: "),
             (set_row_field("region", 5), "$.aggregates[3].region: "),
@@ -359,7 +369,7 @@ class TestAggregateAndReportCommands:
             (lambda document: {}, "$.aggregates: missing field"),
         ],
         ids=[
-            "string-mean", "nan-mean", "fractional-count", "bool-count", "number-region", "non-iso-date",
+            "string-mean", "nan-mean", "huge-mean", "negative-raw-mean", "fractional-count", "bool-count", "number-region", "non-iso-date",
             "array-document", "number-aggregates", "no-aggregates",
         ],
     )

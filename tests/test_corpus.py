@@ -30,8 +30,10 @@ from webaudit.corpus import (
 from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
-from webaudit.scoring import ScoreReport
+from webaudit.report import aggregate_regions, read_aggregates, write_aggregates
+from webaudit.scoring import SCORE_MAX, ScoreReport, WeightTable
 from webaudit.synth import build_demo_trace
+from webaudit.trace import NormalizedTrace, PaintEvent, VisualSample
 from webaudit.config import OutlierBounds
 
 MEMBERS = ("Kota Bandung", "Kab. Bogor")
@@ -291,7 +293,7 @@ class TestRunBatch:
 
     def test_task_overflow_fails_only_its_mode(self, tmp_path):
         trace = build_demo_trace(5)
-        last = dataclasses.replace(trace.tasks[-1], dur_ms=5e307)  # finite, but inf at 4x CPU
+        last = trace.tasks[-1]._replace(dur_ms=5e307)  # finite, but inf at 4x CPU
         records, traces = self.setup_workspace(tmp_path, dataclasses.replace(trace, tasks=trace.tasks[:-1] + (last,)))
         results = run_batch(records[:1], ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         desktop, mobile = results
@@ -419,6 +421,14 @@ class TestResultFiles:
             (lambda d: d["scores"].update(speed=1.0), "$.scores.speed: unknown field"),
             (lambda d: d["metrics"].update(fcp=True), "$.metrics.fcp: must be a number"),
             (lambda d: d["scores"].update(si=1e400), "$.scores.si: must be finite"),
+            (lambda d: d["scores"].update(fcp=250.0), "$.scores.fcp: must be <= 100.0000002"),
+            (lambda d: d["scores"].update(tti=-0.5), "$.scores.tti: must be >= 0"),
+            (lambda d: d["scores"].update(fmp=101), "$.scores.fmp: must be <= 100.0000002"),
+            (lambda d: d["metrics"].update(si=-1.0), "$.metrics.si: must be >= 0"),
+            (lambda d: d.update(performance_score=1e300), "$.performance_score: must be <= 100.0000002"),
+            (lambda d: d.update(performance_score=100.0000003), "$.performance_score: must be <= 100.0000002"),
+            (lambda d: d.update(performance_score=-5.0), "$.performance_score: must be >= 0"),
+            (lambda d: d.update(performance_score=float("nan")), "$.performance_score: must be finite"),
             (lambda d: d.update(scores=None), "$.scores: must be an object"),
             (lambda d: d.update(site=[]), "$.site: must be an object"),
             (lambda d: d["site"].pop("url"), "$.site.url: missing field"),
@@ -448,6 +458,39 @@ class TestResultFiles:
         with pytest.raises(SchemaError) as exc:
             result_from_dict(data)
         assert str(exc.value) == message
+
+    def test_values_at_the_ends_of_their_ranges_are_read(self):
+        data = result_to_dict(ok_result(50.0))
+        data["metrics"].update(fcp=0.0, tti=1e300)
+        data["scores"].update(fcp=0.0, si=SCORE_MAX)
+        data.update(performance_score=SCORE_MAX)
+        result = result_from_dict(data)
+        assert result.metrics.tti_ms == 1e300 and result.report.scores["si"] == SCORE_MAX
+        assert result.report.performance_score == SCORE_MAX
+
+    def test_scores_over_100_under_a_weight_tolerance_round_trip(self, tmp_path):
+        # Weights may sum to 1 + 1e-9, so a page scoring 100 on every metric
+        # gets a performance score just over 100; the readers must take it back.
+        calibration = dataclasses.replace(load_calibration(), weights=WeightTable(tti=0.333 + 0.999e-9))
+        instant = NormalizedTrace(
+            paint_events=(PaintEvent(0.0, "contentful-paint"),), visual_progress=(VisualSample(0.0, 1.0),)
+        )
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        write_trace(instant, traces / (trace_slug("https://fast.test") + ".json"))
+        records = [SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://fast.test", True)]
+        results = run_batch(
+            records, ("mobile", "desktop"), "4g", traces_dir=traces, calibration=calibration, test_date=TEST_DATE
+        )
+        assert all(100.0 < r.report.performance_score <= SCORE_MAX for r in results)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_results(results, first)
+        write_results(read_results(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        aggregates = aggregate_regions(read_results(first), MEMBERS)
+        write_aggregates(aggregates, tmp_path / "aggregates.json")
+        assert read_aggregates(tmp_path / "aggregates.json") == aggregates
+        assert aggregates[0].raw_mean_mobile > 100.0
 
     @pytest.mark.parametrize("line", ["[]", "7", "null"])
     def test_non_object_line_is_a_schema_error(self, tmp_path, line):

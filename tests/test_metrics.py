@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import max_fid_brute, quiet_window_scan, speed_index_riemann
+from oracles import max_fid_brute, overload_intervals_groupby, quiet_window_scan, speed_index_riemann
 from conftest import random_trace
 from webaudit.errors import IncompleteVisualProgress, NoContentfulPaint
 from webaudit.metrics import (
@@ -17,7 +17,9 @@ from webaudit.metrics import (
     compute_max_fid,
     compute_speed_index,
     compute_tti,
+    _overload_intervals,
 )
+from webaudit.netsim import ThrottleProfile, apply_throttle
 from webaudit.trace import (
     MainThreadTask,
     NetworkRequest,
@@ -186,6 +188,64 @@ class TestAgainstOracles:
             fcp = compute_fcp(t)
             tti = compute_tti(t, fcp)
             assert compute_max_fid(t, fcp, tti) == max_fid_brute(t, fcp, tti)
+
+
+def requests_over(*spans):
+    return [NetworkRequest(0.0, start, end, 1000, "https://x.test") for start, end in spans]
+
+
+class TestOverloadScan:
+    """The one-pass dict scan against the sort + groupby oracle: equal results
+    of the same types, so repr compares int against float and -0.0 against 0.0."""
+
+    @staticmethod
+    def agree(requests, max_inflight=2):
+        got = _overload_intervals(requests, max_inflight)
+        assert repr(got) == repr(overload_intervals_groupby(requests, max_inflight))
+        return got
+
+    def test_request_ending_as_another_starts_is_no_overload(self):
+        assert self.agree(requests_over((0.0, 100.0), (0.0, 100.0), (100.0, 200.0))) == []
+        assert self.agree(requests_over((0.0, 100.0), (100.0, 200.0)), max_inflight=1) == []
+
+    def test_zero_length_requests_are_never_in_flight(self):
+        assert self.agree(requests_over((50.0, 50.0), (50.0, 50.0), (50.0, 50.0))) == []
+        assert self.agree(requests_over((0.0, 100.0), (50.0, 50.0)), max_inflight=0) == [(0.0, 100.0)]
+
+    def test_several_requests_starting_at_one_instant(self):
+        got = self.agree(requests_over((10.0, 300.0), (10.0, 200.0), (10.0, 100.0), (10.0, 400.0)))
+        assert got == [(10.0, 200.0)]
+
+    def test_negative_zero_start_is_kept(self):
+        got = self.agree(requests_over((-0.0, 100.0), (0.0, 100.0), (0.0, 50.0)))
+        assert repr(got) == "[(-0.0, 50.0)]"
+        got = self.agree(requests_over((0.0, 100.0), (-0.0, 100.0), (0.0, 50.0)))
+        assert repr(got) == "[(0.0, 50.0)]"
+
+    def test_first_event_at_a_time_names_it(self):
+        # An int end and float starts at one instant: the earliest event names it.
+        ends_at_10 = NetworkRequest(0, 0, 10, 1, "https://x.test")
+        starts_at_10 = requests_over((10.0, 20.0), (10.0, 20.0))
+        assert repr(self.agree([ends_at_10] + starts_at_10, max_inflight=1)) == "[(10, 20.0)]"
+        assert repr(self.agree(starts_at_10 + [ends_at_10], max_inflight=1)) == "[(10.0, 20.0)]"
+
+    def test_matches_oracle_on_random_traces(self, rng):
+        profile = ThrottleProfile(rtt_ms=150.0, downlink_kbps=1600.0)
+        for _ in range(300):
+            trace = random_trace(rng)
+            for requests in (trace.requests, apply_throttle(trace, profile).requests):
+                for max_inflight in (0, 1, 2):
+                    self.agree(requests, max_inflight)
+
+    def test_matches_oracle_on_crowded_instants(self, rng):
+        # Few distinct times, so most events share one with others.
+        times = (-0.0, 0.0, 0, 5.0, 5, 10.0, 25.0)
+        for _ in range(300):
+            spans = []
+            for _ in range(rng.randint(0, 12)):
+                a, b = rng.choice(times), rng.choice(times)
+                spans.append((a, b) if a <= b else (b, a))
+            self.agree(requests_over(*spans), rng.randint(0, 3))
 
 
 class TestComputeAll:

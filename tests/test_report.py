@@ -21,7 +21,7 @@ from webaudit.report import (
     read_aggregates,
     write_aggregates,
 )
-from webaudit.scoring import ScoreReport
+from webaudit.scoring import SCORE_MAX, ScoreReport
 
 DATE = datetime.date(2019, 8, 25)
 METRICS = MetricSet(800.0, 1500.0, 1460.0, 1100.0, 1100.0, 200.0)
@@ -232,6 +232,30 @@ class TestJsonReport:
         aggregates = reference_aggregates()
         text = emit_report(aggregates, [], "json")
         assert aggregates_from_report_json(text) == aggregates
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mean_mobile", 1e30, "must be <= 100.0000002"),
+            ("mean_web", 100.01, "must be <= 100.0000002"),
+            ("raw_mean_mobile", -5.0, "must be >= 0"),
+            ("raw_mean_web", 250.0, "must be <= 100.0000002"),
+        ],
+    )
+    def test_mean_out_of_range_is_a_schema_error_at_its_path(self, field, value, message):
+        row = dict(aggregate_to_dict(reference_aggregates()[0]), **{field: value})
+        with pytest.raises(SchemaError) as exc:
+            aggregate_from_dict(row, "$.aggregates[0]")
+        assert str(exc.value) == f"$.aggregates[0].{field}: {message}"
+
+    def test_means_at_the_ends_of_their_range_or_null_are_read(self):
+        row = dict(
+            aggregate_to_dict(reference_aggregates()[0]),
+            mean_mobile=0.0, raw_mean_mobile=SCORE_MAX, mean_web=None, raw_mean_web=None,
+        )
+        aggregate = aggregate_from_dict(row)
+        assert (aggregate.mean_mobile, aggregate.raw_mean_mobile) == (0.0, SCORE_MAX)
+        assert aggregate.mean_web is aggregate.raw_mean_web is None
 
     def test_not_a_report_rejected(self):
         with pytest.raises(ParseError):

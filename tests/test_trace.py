@@ -1,6 +1,7 @@
 """Trace model: JSON round trips, schema rejection paths, clamping."""
 
 import copy
+import hashlib
 import json
 import random
 from collections import Counter
@@ -10,9 +11,12 @@ import pytest
 from conftest import random_trace
 from oracles import from_dict_fieldwise
 from webaudit.errors import SchemaError
+from webaudit.synth import build_demo_trace
 from webaudit.trace import (
     MainThreadTask,
+    NetworkRequest,
     NormalizedTrace,
+    PaintEvent,
     VisualSample,
     clamp_visual_progress,
 )
@@ -48,6 +52,65 @@ def test_round_trip_through_json():
 
 def test_task_end_is_start_plus_duration():
     assert MainThreadTask(100.0, 40.0).end_ms == 140.0
+
+
+class TestRecords:
+    """The four trace records are immutable named tuples."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert PaintEvent(300.0, "first-paint") == PaintEvent(t_ms=300.0, kind="first-paint", significance=None)
+        assert PaintEvent(1.0, "fmp-candidate", 7.5) == PaintEvent(kind="fmp-candidate", significance=7.5, t_ms=1.0)
+        assert MainThreadTask(100.0, 40.0) == MainThreadTask(dur_ms=40.0, start_ms=100.0)
+        assert NetworkRequest(0.0, 10.0, 700.0, 52000, "https://a.test") == NetworkRequest(
+            origin="https://a.test", bytes=52000, end_ms=700.0, start_ms=10.0, discovered_ms=0.0
+        )
+        assert VisualSample(800.0, 0.4) == VisualSample(fraction=0.4, t_ms=800.0)
+
+    def test_significance_defaults_to_none(self):
+        assert PaintEvent(300.0, "contentful-paint").significance is None
+
+    def test_fields_read_by_name_in_order(self):
+        request = NetworkRequest(0.0, 10.0, 700.0, 52000, "https://a.test")
+        assert (request.discovered_ms, request.start_ms, request.end_ms, request.bytes, request.origin) == tuple(request)
+        assert NetworkRequest._fields == ("discovered_ms", "start_ms", "end_ms", "bytes", "origin")
+        assert PaintEvent._fields == ("t_ms", "kind", "significance")
+        assert MainThreadTask._fields == ("start_ms", "dur_ms")
+        assert VisualSample._fields == ("t_ms", "fraction")
+        task = MainThreadTask(100.0, 40.0)
+        assert (task.start_ms, task.dur_ms, task.end_ms) == (100.0, 40.0, 140.0)
+        sample = VisualSample(800.0, 0.4)
+        assert (sample.t_ms, sample.fraction) == (800.0, 0.4)
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            (PaintEvent(300.0, "first-paint"), "t_ms"),
+            (MainThreadTask(100.0, 40.0), "dur_ms"),
+            (MainThreadTask(100.0, 40.0), "end_ms"),
+            (NetworkRequest(0.0, 10.0, 700.0, 52000, "https://a.test"), "bytes"),
+            (VisualSample(800.0, 0.4), "fraction"),
+        ],
+    )
+    def test_setting_a_field_raises(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+
+    def test_a_record_is_a_tuple_of_its_values(self):
+        assert VisualSample(800.0, 0.4) == (800.0, 0.4)
+        assert json.dumps(VisualSample(800.0, 0.4)) == "[800.0, 0.4]"
+
+    def test_replace_makes_a_new_record(self):
+        task = MainThreadTask(100.0, 40.0)
+        assert task._replace(dur_ms=60.0) == MainThreadTask(100.0, 60.0)
+        assert task == MainThreadTask(100.0, 40.0)
+
+    def test_demo_documents_keep_their_bytes(self):
+        # sha256 of json.dumps(to_dict()) of the twelve demo traces, one line
+        # each, as written when the records were frozen dataclasses.
+        text = "".join(json.dumps(build_demo_trace(i).to_dict()) + "\n" for i in range(12))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "c14eb4627e5fcabfefd0fd643722501395c3d9ace618c31586b1f68e5f25c553"
+        )
 
 
 def test_visual_regression_clamped_to_running_max():
