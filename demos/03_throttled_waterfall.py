@@ -8,23 +8,24 @@ score drops accordingly.
 """
 
 from webaudit import (
-    PlannedRequest,
     UNTHROTTLED,
-    WaterfallPlan,
     apply_throttle,
     audit_trace,
     load_calibration,
+    plan_from_dict,
     resolve_throttle,
-    simulate_waterfall,
+    waterfall_times,
 )
 from webaudit.synth import build_demo_trace
 
-plan = WaterfallPlan(
-    requests=(
-        PlannedRequest("doc", parent_id=None, discovery_offset_ms=0.0, bytes=52000),
-        PlannedRequest("css", parent_id="doc", discovery_offset_ms=5.0, bytes=18000),
-        PlannedRequest("img", parent_id="doc", discovery_offset_ms=40.0, bytes=120000),
-    )
+# A plan file's document: plan_from_dict numbers the requests in id order
+# and returns the arrays waterfall_times plays.
+ids, parents, offsets, sizes = plan_from_dict(
+    [
+        {"id": "doc", "bytes": 52000},
+        {"id": "css", "parent_id": "doc", "discovery_offset_ms": 5.0, "bytes": 18000},
+        {"id": "img", "parent_id": "doc", "discovery_offset_ms": 40.0, "bytes": 120000},
+    ]
 )
 
 calibration = load_calibration()
@@ -32,13 +33,13 @@ mobile = calibration.mode("mobile")
 four_g = resolve_throttle("4g", calibration, mobile)
 
 print("request   unthrottled              4g (rtt 150, 1638 kbps)")
-fast = {r.id: r for r in simulate_waterfall(plan, UNTHROTTLED)}
-slow = {r.id: r for r in simulate_waterfall(plan, four_g)}
+fast_starts, fast_ends = waterfall_times(parents, offsets, sizes, UNTHROTTLED)
+slow_starts, slow_ends = waterfall_times(parents, offsets, sizes, four_g)
 for rid in ("doc", "css", "img"):
-    f, s = fast[rid], slow[rid]
+    i = ids.index(rid)
     print(
-        f"  {rid:4s}   {f.start_ms:7.1f} -> {f.end_ms:8.1f}"
-        f"      {s.start_ms:7.1f} -> {s.end_ms:8.1f}"
+        f"  {rid:4s}   {fast_starts[i]:7.1f} -> {fast_ends[i]:8.1f}"
+        f"      {slow_starts[i]:7.1f} -> {slow_ends[i]:8.1f}"
     )
 # css and img overlap on the 4g link, so each sees half the capacity
 # while both are in flight

@@ -6,7 +6,8 @@ metric to a 0-100 score; a weight table combines them into the
 performance score; batches over a site corpus aggregate per region into
 ranked, reportable tables. A network/CPU throttle simulator rebuilds
 traces under slow conditions so stored recordings can be re-audited as if
-on a 4G connection.
+on a 4G connection. Its one request graph is index arrays: plan_from_dict
+reads a plan file into them and waterfall_times plays them over the link.
 
 The names below are the short API that the demos, the README example and
 `bench/` import; everything else is imported from its module
@@ -28,7 +29,7 @@ from .metrics import (
     compute_speed_index,
     compute_tti,
 )
-from .netsim import UNTHROTTLED, PlannedRequest, WaterfallPlan, apply_throttle, simulate_waterfall
+from .netsim import UNTHROTTLED, apply_throttle, plan_from_dict, waterfall_times
 from .report import aggregate_regions, emit_report, overall_average, rank_regions
 from .scoring import DEFAULT_WEIGHTS, ScoreCurve, aggregate, categorize, metric_score
 from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, PaintEvent, VisualSample

@@ -19,17 +19,16 @@ from .config import MODE_KINDS, load_calibration, load_member_regions, resolve_t
 from .corpus import audit_trace, ingest_corpus, membership_filter, read_results, run_batch, write_results
 from .errors import (
     AuditError,
+    CyclicPlan,
     IncompleteVisualProgress,
     NavigationTimeout,
     NoContentfulPaint,
     ParseError,
-    SchemaError,
 )
 from .metrics import METRIC_KEYS, MetricSet
-from .netsim import PlannedRequest, WaterfallPlan, apply_throttle, simulate_waterfall
+from .netsim import apply_throttle, plan_from_dict, waterfall_times
 from .report import aggregate_regions, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
-from .trace import _integer, _number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,43 +205,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_plan(path: str) -> WaterfallPlan:
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    items = data.get("requests") if isinstance(data, dict) else data
-    if not isinstance(items, list):
-        raise SchemaError("$", "plan must be a list of requests or {\"requests\": [...]}")
-    planned = []
-    for i, item in enumerate(items):
-        where = f"$.requests[{i}]"
-        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
-            raise SchemaError(where, "each request needs a string id")
-        offset = _number(item, "discovery_offset_ms", where, default=0.0)
-        nbytes = _integer(item, "bytes", where, minimum=0, default=0)
-        parent_id = item.get("parent_id")
-        if parent_id is not None and not isinstance(parent_id, str):
-            raise SchemaError(f"{where}.parent_id", "must be a string or null")
-        try:
-            planned.append(PlannedRequest(item["id"], parent_id, offset, nbytes))
-        except ValueError as exc:
-            raise SchemaError(where, str(exc)) from exc
-    try:
-        return WaterfallPlan(tuple(planned))
-    except ValueError as exc:
-        raise SchemaError("$.requests", str(exc)) from exc
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     calibration = load_calibration(args.calibration)
     profile = resolve_throttle(args.profile, calibration)
-    plan = _load_plan(args.plan)
+    try:
+        data = json.loads(Path(args.plan).read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{args.plan}: {exc}") from exc
+    ids, parents, offsets, sizes = plan_from_dict(data)
+    try:
+        starts, ends = waterfall_times(parents, offsets, sizes, profile)
+    except CyclicPlan as exc:
+        raise CyclicPlan(ids[exc.request]) from None
     downlink = "unlimited" if math.isinf(profile.downlink_kbps) else f"{profile.downlink_kbps:g} kbps"
     print(f"profile: rtt {profile.rtt_ms:g} ms, downlink {downlink}, cpu x{profile.cpu_multiplier:g}")
     print(f"{'id':<12} {'start_ms':>12} {'end_ms':>12}")
-    for sim in simulate_waterfall(plan, profile):
-        print(f"{sim.id:<12} {sim.start_ms:>12.3f} {sim.end_ms:>12.3f}")
+    for rid, start, end in zip(ids, starts, ends):
+        print(f"{rid:<12} {start:>12.3f} {end:>12.3f}")
     return 0
 
 

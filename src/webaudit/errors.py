@@ -22,7 +22,15 @@ class WeightMismatch(AuditError):
 
 
 class CyclicPlan(AuditError):
-    """A waterfall plan whose parent references form a cycle."""
+    """A request graph whose parent references form a cycle.
+
+    ``request`` names a request that never starts because a cycle lies on
+    its parent chain: its index, or its id in a plan file.
+    """
+
+    def __init__(self, request: int | str):
+        super().__init__(f"dependency cycle: request {request!r} never starts")
+        self.request = request
 
 
 class ThrottleOverflow(AuditError):

@@ -16,15 +16,17 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from .errors import CyclicPlan, ThrottleOverflow
+from .errors import CyclicPlan, SchemaError, ThrottleOverflow
 from .trace import (
     MainThreadTask,
     NetworkRequest,
     NormalizedTrace,
     PaintEvent,
     VisualSample,
+    _integer,
+    _number,
     clamp_visual_progress,
 )
 
@@ -59,80 +61,47 @@ class ThrottleProfile:
 UNTHROTTLED = ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, cpu_multiplier=1.0)
 
 
-@dataclass(frozen=True)
-class PlannedRequest:
-    """One request in a dependency plan.
+def plan_from_dict(data: Any) -> tuple[list[str], list[int], list[float], list[int]]:
+    """Read a plan document into waterfall_times' arrays: (ids, parents, offsets, sizes).
 
-    discovery_offset_ms counts from the parent's completion, or from
-    navigation start when there is no parent.
+    A plan is a list of requests, or {"requests": [...]}, each with a string
+    id and an optional parent_id (a string or null), discovery_offset_ms
+    (>= 0, counted from the parent's completion or from navigation start)
+    and bytes (an integer >= 0). Requests are numbered in id order, so
+    simultaneous events are taken in id order. A bad value is a SchemaError
+    at its JSON path, a duplicate id or an unknown parent one at
+    $.requests. Cycles are left to waterfall_times.
     """
-
-    id: str
-    parent_id: str | None
-    discovery_offset_ms: float
-    bytes: int
-
-    def __post_init__(self):
-        if self.bytes < 0:
-            raise ValueError(f"bytes must be >= 0, got {self.bytes!r}")
-        if not 0 <= self.discovery_offset_ms < math.inf:
-            raise ValueError(f"discovery_offset_ms must be finite and >= 0, got {self.discovery_offset_ms!r}")
-
-
-@dataclass(frozen=True)
-class WaterfallPlan:
-    """An acyclic forest of planned requests with unique ids."""
-
-    requests: tuple[PlannedRequest, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "requests", tuple(self.requests))
-        by_id: dict[str, PlannedRequest] = {}
-        for req in self.requests:
-            if req.id in by_id:
-                raise ValueError(f"duplicate request id {req.id!r}")
-            by_id[req.id] = req
-        for req in self.requests:
-            if req.parent_id is not None and req.parent_id not in by_id:
-                raise ValueError(f"request {req.id!r} references unknown parent {req.parent_id!r}")
-        # Each node has at most one parent, so a cycle shows up as a repeat
-        # on the walk up the parent chain.
-        state: dict[str, int] = {}  # 1 = on the current chain, 2 = cleared
-        for req in self.requests:
-            chain = []
-            node: str | None = req.id
-            while node is not None and state.get(node) != 2:
-                if state.get(node) == 1:
-                    raise CyclicPlan(f"dependency cycle through request {node!r}")
-                state[node] = 1
-                chain.append(node)
-                node = by_id[node].parent_id
-            for visited in chain:
-                state[visited] = 2
-
-
-@dataclass(frozen=True)
-class SimulatedRequest:
-    id: str
-    start_ms: float
-    end_ms: float
-
-
-def simulate_waterfall(plan: WaterfallPlan, profile: ThrottleProfile) -> list[SimulatedRequest]:
-    """Play a plan through the shared-downlink model (see waterfall_times).
-
-    The result is sorted by request id; requests are numbered in id order,
-    so simultaneous events are taken in id order.
-    """
-    requests = sorted(plan.requests, key=lambda r: r.id)
-    index = {r.id: i for i, r in enumerate(requests)}
-    starts, ends = waterfall_times(
-        [-1 if r.parent_id is None else index[r.parent_id] for r in requests],
-        [r.discovery_offset_ms for r in requests],
-        [r.bytes for r in requests],
-        profile,
+    items = data.get("requests") if isinstance(data, dict) else data
+    if not isinstance(items, list):
+        raise SchemaError("$", "plan must be a list of requests or {\"requests\": [...]}")
+    rows = []
+    for i, item in enumerate(items):
+        where = f"$.requests[{i}]"
+        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
+            raise SchemaError(where, "each request needs a string id")
+        offset = _number(item, "discovery_offset_ms", where, minimum=0.0, default=0.0)
+        nbytes = _integer(item, "bytes", where, minimum=0, default=0)
+        parent_id = item.get("parent_id")
+        if parent_id is not None and not isinstance(parent_id, str):
+            raise SchemaError(f"{where}.parent_id", "must be a string or null")
+        rows.append((item["id"], parent_id, offset, nbytes))
+    seen: set[str] = set()
+    for rid, _, _, _ in rows:
+        if rid in seen:
+            raise SchemaError("$.requests", f"duplicate request id {rid!r}")
+        seen.add(rid)
+    for rid, parent_id, _, _ in rows:
+        if parent_id is not None and parent_id not in seen:
+            raise SchemaError("$.requests", f"request {rid!r} references unknown parent {parent_id!r}")
+    rows.sort(key=lambda row: row[0])
+    index = {row[0]: i for i, row in enumerate(rows)}
+    return (
+        [rid for rid, _, _, _ in rows],
+        [-1 if parent_id is None else index[parent_id] for _, parent_id, _, _ in rows],
+        [offset for _, _, offset, _ in rows],
+        [nbytes for _, _, _, nbytes in rows],
     )
-    return [SimulatedRequest(r.id, start, end) for r, start, end in zip(requests, starts, ends)]
 
 
 def waterfall_times(
@@ -144,16 +113,17 @@ def waterfall_times(
     and is discovered offsets[i] ms after it; sizes[i] is its payload in
     bytes. It starts at max(parent end, 0) + offset + rtt_ms and finishes
     once its payload has passed through its time-varying share of the
-    downlink. The parents must form a forest. Simultaneous events are taken
-    in index order. Raises ThrottleOverflow if an event turn retires no
-    arrival or completion.
+    downlink. Simultaneous events are taken in index order. Raises
+    CyclicPlan if a request never starts, which happens exactly when the
+    parents do not form a forest, and ThrottleOverflow if an event turn
+    retires no arrival or completion.
     """
     n = len(parents)
     rtt = profile.rtt_ms
     capacity = profile.downlink_kbps
     # Unlimited pipe: every transfer is instantaneous once started.
     instant = math.isinf(capacity)
-    starts = [0.0] * n
+    starts = [math.nan] * n  # NaN until the request starts
     ends = [0.0] * n
     children: list[list[int]] = [[] for _ in range(n)]
     arrivals: list[tuple[float, int]] = []  # heap: (first-byte time, index)
@@ -173,6 +143,7 @@ def waterfall_times(
     tags: list[tuple[float, int]] = []  # heap: (virtual finish tag, index)
     virtual = 0.0
     now = 0.0
+    started = 0
     while arrivals or tags:
         in_flight = len(tags)
         t_complete = now + (tags[0][0] - virtual) * in_flight / capacity * 1000.0 if tags else math.inf
@@ -208,14 +179,14 @@ def waterfall_times(
             else:
                 heapq.heappush(tags, (virtual + kbits, i))
             retired += 1
+            started += 1
         if not retired:
             raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {in_flight} transfers in flight")
+    if started < n:
+        # Roots start, and a child starts once its parent ends, so a request
+        # that never started has a cycle on its parent chain.
+        raise CyclicPlan(next(i for i, start in enumerate(starts) if math.isnan(start)))
     return starts, ends
-
-
-def _plan_request_id(index: int) -> str:
-    # Zero-padded so lexicographic id order equals trace request order.
-    return f"{index:06d}"
 
 
 def _finish_table(requests: Sequence[NetworkRequest]) -> tuple[list[float], list[int]]:
@@ -260,20 +231,10 @@ def _parents(
     return parents, offsets
 
 
-def infer_plan(trace: NormalizedTrace) -> WaterfallPlan:
-    """Reconstruct the dependency plan a recorded waterfall implies.
-
-    Request i gets id _plan_request_id(i); its parent and discovery offset
-    follow the replay parent rule (see _parents).
-    """
-    reqs = trace.requests
-    parents, offsets = _parents(reqs, _finish_table(reqs))
-    return WaterfallPlan(
-        tuple(
-            PlannedRequest(_plan_request_id(i), None if parent < 0 else _plan_request_id(parent), offset, req.bytes)
-            for i, (parent, offset, req) in enumerate(zip(parents, offsets, reqs))
-        )
-    )
+def infer_plan(trace: NormalizedTrace) -> tuple[list[int], list[float]]:
+    """(parents, offsets) of the trace's requests by the replay parent rule
+    (see _parents), numbered as in the trace, for waterfall_times."""
+    return _parents(trace.requests, _finish_table(trace.requests))
 
 
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:

@@ -271,7 +271,7 @@ def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
             raise SchemaError(f"{path}.{key}", "missing field")
     if type(data["region"]) is not str:
         raise SchemaError(f"{path}.region", "must be a string")
-    return RegionAggregate(
+    aggregate = RegionAggregate(
         region=data["region"],
         **{
             key: _number(data, key, path, minimum=0.0, maximum=SCORE_MAX, default=None)
@@ -280,6 +280,17 @@ def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
         **{key: _integer(data, key, path, minimum=0) for key in ("n_ok_mobile", "n_ok_web", "n_failed")},
         test_date=_date(data, "test_date", path, default=None),
     )
+    # The row as aggregate_regions writes it: no ok audit, no means.
+    for column in ("mobile", "web"):
+        raw = getattr(aggregate, f"raw_mean_{column}")
+        no_ok = getattr(aggregate, f"n_ok_{column}") == 0
+        shown = None if raw is None else round_half_away(raw, 2)
+        if no_ok != (raw is None) or getattr(aggregate, f"mean_{column}") != shown:
+            raise SchemaError(
+                f"{path}.mean_{column}",
+                f"must be raw_mean_{column} rounded to 2 decimals, both null exactly when n_ok_{column} is 0",
+            )
+    return aggregate
 
 
 def _aggregates_document(aggregates: Sequence[RegionAggregate]) -> dict:

@@ -16,7 +16,7 @@ from datetime import date
 import pytest
 
 from webaudit.errors import ParseError
-from webaudit.netsim import PlannedRequest, ThrottleProfile, WaterfallPlan
+from webaudit.netsim import ThrottleProfile
 from webaudit.trace import (
     MainThreadTask,
     NetworkRequest,
@@ -103,21 +103,15 @@ def random_trace(rng: random.Random) -> NormalizedTrace:
     )
 
 
-def random_plan(rng: random.Random) -> WaterfallPlan:
-    """A dependency-valid plan of up to 5 requests; parents precede children."""
+def random_plan(rng: random.Random) -> tuple[list[int], list[float], list[int]]:
+    """(parents, offsets, sizes) of up to 5 requests; parents precede children."""
     n = rng.randint(1, 5)
-    requests = []
+    parents, offsets, sizes = [], [], []
     for i in range(n):
-        parent = None if i == 0 or rng.random() < 0.4 else requests[rng.randrange(i)].id
-        requests.append(
-            PlannedRequest(
-                id=f"r{i}",
-                parent_id=parent,
-                discovery_offset_ms=float(rng.randint(0, 800)),
-                bytes=rng.choice((0, rng.randint(1, 400000))),
-            )
-        )
-    return WaterfallPlan(tuple(requests))
+        parents.append(-1 if i == 0 or rng.random() < 0.4 else rng.randrange(i))
+        offsets.append(float(rng.randint(0, 800)))
+        sizes.append(rng.choice((0, rng.randint(1, 400000))))
+    return parents, offsets, sizes
 
 
 def random_profile(rng: random.Random) -> ThrottleProfile:

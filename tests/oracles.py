@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from webaudit.errors import SchemaError
-from webaudit.netsim import ThrottleProfile, WaterfallPlan
+from webaudit.netsim import ThrottleProfile
 from webaudit.trace import (
     PAINT_KINDS,
     MainThreadTask,
@@ -188,38 +188,41 @@ def shift_source_scan(requests: Sequence[NetworkRequest], t_ms: float) -> int | 
     return source
 
 
-def share_rescan(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, tuple[float, float]]:
+def share_rescan(
+    parents: Sequence[int], offsets: Sequence[float], sizes: Sequence[int], profile: ThrottleProfile
+) -> tuple[list[float], list[float]]:
     """Fair-share download simulation that tracks each flow's remainder.
 
+    Takes waterfall_times' arrays: request i waits on parents[i] (-1 for
+    none), is discovered offsets[i] ms after it and carries sizes[i] bytes.
     On every arrival or completion it drains all flows in flight by their
     equal share and retires those at or below 1e-9 kbit; a turn that lands
     on the next completion also retires every flow at or below the smallest
-    remainder. Float arithmetic, O(n) per event. Returns {id: (start_ms, end_ms)}.
+    remainder. Float arithmetic, O(n) per event. Returns (starts, ends).
     """
     rtt = profile.rtt_ms
     capacity = profile.downlink_kbps
-    by_id = {r.id: r for r in plan.requests}
-    children: dict[str | None, list[str]] = {}
-    for r in plan.requests:
-        children.setdefault(r.parent_id, []).append(r.id)
+    children: dict[int, list[int]] = {}
+    for i, parent in enumerate(parents):
+        children.setdefault(parent, []).append(i)
 
-    starts: dict[str, float] = {}
-    ends: dict[str, float] = {}
-    arrivals: list[tuple[float, str]] = []
+    starts: dict[int, float] = {}
+    ends: dict[int, float] = {}
+    arrivals: list[tuple[float, int]] = []
 
-    def schedule(rid: str, parent_end: float) -> None:
-        starts[rid] = max(parent_end, 0.0) + by_id[rid].discovery_offset_ms + rtt
-        heapq.heappush(arrivals, (starts[rid], rid))
+    def schedule(i: int, parent_end: float) -> None:
+        starts[i] = max(parent_end, 0.0) + offsets[i] + rtt
+        heapq.heappush(arrivals, (starts[i], i))
 
-    def finish(rid: str, end: float) -> None:
-        ends[rid] = end
-        for cid in children.get(rid, []):
-            schedule(cid, end)
+    def finish(i: int, end: float) -> None:
+        ends[i] = end
+        for child in children.get(i, []):
+            schedule(child, end)
 
-    for rid in children.get(None, []):
-        schedule(rid, 0.0)
+    for i in children.get(-1, []):
+        schedule(i, 0.0)
 
-    active: dict[str, float] = {}  # id -> kilobits remaining
+    active: dict[int, float] = {}  # index -> kilobits remaining
     now = 0.0
     while arrivals or active:
         t_complete = now + min(active.values()) * len(active) / capacity * 1000.0 if active else math.inf
@@ -227,53 +230,54 @@ def share_rescan(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, tup
         t_next = min(t_complete, t_arrival)
         if active and t_next > now:
             drained = capacity / len(active) * (t_next - now) / 1000.0
-            for rid in active:
-                active[rid] -= drained
+            for i in active:
+                active[i] -= drained
         now = t_next
         done_at = 1e-9
         if active and t_next == t_complete:
             done_at = max(done_at, min(active.values()))
-        for rid in sorted(r for r, left in active.items() if left <= done_at):
-            del active[rid]
-            finish(rid, now)
+        for i in sorted(i for i, left in active.items() if left <= done_at):
+            del active[i]
+            finish(i, now)
         while arrivals and arrivals[0][0] <= now:
-            _, rid = heapq.heappop(arrivals)
-            kbits = by_id[rid].bytes * 8.0 / 1000.0
+            _, i = heapq.heappop(arrivals)
+            kbits = sizes[i] * 8.0 / 1000.0
             if kbits <= 1e-9:
-                finish(rid, starts[rid])
+                finish(i, starts[i])
             else:
-                active[rid] = kbits
+                active[i] = kbits
 
-    return {rid: (starts[rid], ends[rid]) for rid in by_id}
+    return [starts[i] for i in range(len(parents))], [ends[i] for i in range(len(parents))]
 
 
-def waterfall_march(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, tuple[float, float]]:
+def waterfall_march(
+    parents: Sequence[int], offsets: Sequence[float], sizes: Sequence[int], profile: ThrottleProfile
+) -> tuple[list[float], list[float]]:
     """Time-marched fair-share download simulation in exact arithmetic.
 
-    Advances at most 1 ms at a time, but lands exactly on every arrival and
-    completion, so the Fraction bookkeeping never rounds. Returns
-    {id: (start_ms, end_ms)}.
+    Takes waterfall_times' arrays. Advances at most 1 ms at a time, but
+    lands exactly on every arrival and completion, so the Fraction
+    bookkeeping never rounds. Returns (starts, ends).
     """
     rtt = Fraction(profile.rtt_ms)
     capacity = profile.downlink_kbps  # may be inf
-    by_id = {r.id: r for r in plan.requests}
-    children: dict[str | None, list[str]] = {}
-    for r in plan.requests:
-        children.setdefault(r.parent_id, []).append(r.id)
+    children: dict[int, list[int]] = {}
+    for i, parent in enumerate(parents):
+        children.setdefault(parent, []).append(i)
 
-    arrivals: list[tuple[Fraction, str]] = []
-    for rid in children.get(None, []):
-        heapq.heappush(arrivals, (Fraction(by_id[rid].discovery_offset_ms) + rtt, rid))
+    arrivals: list[tuple[Fraction, int]] = []
+    for i in children.get(-1, []):
+        heapq.heappush(arrivals, (Fraction(offsets[i]) + rtt, i))
 
-    started: dict[str, Fraction] = {}
-    finished: dict[str, Fraction] = {}
-    remaining: dict[str, Fraction] = {}
+    started: dict[int, Fraction] = {}
+    finished: dict[int, Fraction] = {}
+    remaining: dict[int, Fraction] = {}
     now = Fraction(0)
 
-    def finish(rid: str, t: Fraction) -> None:
-        finished[rid] = t
-        for cid in children.get(rid, []):
-            heapq.heappush(arrivals, (t + Fraction(by_id[cid].discovery_offset_ms) + rtt, cid))
+    def finish(i: int, t: Fraction) -> None:
+        finished[i] = t
+        for child in children.get(i, []):
+            heapq.heappush(arrivals, (t + Fraction(offsets[child]) + rtt, child))
 
     while arrivals or remaining:
         candidates = [now + 1]
@@ -287,23 +291,23 @@ def waterfall_march(plan: WaterfallPlan, profile: ThrottleProfile) -> dict[str, 
 
         if remaining and not math.isinf(capacity) and step_to > now:
             drained = (Fraction(capacity) / len(remaining) / 1000) * (step_to - now)
-            for rid in remaining:
-                remaining[rid] -= drained
+            for i in remaining:
+                remaining[i] -= drained
         now = step_to
 
-        for rid in [rid for rid, rem in remaining.items() if rem <= 0]:
-            del remaining[rid]
-            finish(rid, now)
+        for i in [i for i, rem in remaining.items() if rem <= 0]:
+            del remaining[i]
+            finish(i, now)
         while arrivals and arrivals[0][0] <= now:
-            _, rid = heapq.heappop(arrivals)
-            started[rid] = now
-            kbits = Fraction(by_id[rid].bytes * 8, 1000)
+            _, i = heapq.heappop(arrivals)
+            started[i] = now
+            kbits = Fraction(sizes[i] * 8, 1000)
             if kbits == 0 or math.isinf(capacity):
-                finish(rid, now)
+                finish(i, now)
             else:
-                remaining[rid] = kbits
+                remaining[i] = kbits
 
-    return {rid: (float(started[rid]), float(finished[rid])) for rid in by_id}
+    return [float(started[i]) for i in range(len(parents))], [float(finished[i]) for i in range(len(parents))]
 
 
 def from_dict_fieldwise(data) -> NormalizedTrace:

@@ -24,11 +24,11 @@ def workspace(tmp_path):
     return write_demo_workspace(tmp_path)
 
 
-def set_row_field(field, value):
-    """An edit of an aggregates document that sets one field of its fourth row."""
+def set_row(**fields):
+    """An edit of an aggregates document that sets fields of its fourth row."""
 
     def edit(document):
-        document["aggregates"][3][field] = value
+        document["aggregates"][3].update(fields)
         return document
 
     return edit
@@ -356,20 +356,25 @@ class TestAggregateAndReportCommands:
     @pytest.mark.parametrize(
         "edit, where",
         [
-            (set_row_field("mean_mobile", "x"), "$.aggregates[3].mean_mobile: "),
-            (set_row_field("mean_mobile", float("nan")), "$.aggregates[3].mean_mobile: "),
-            (set_row_field("mean_mobile", 1e30), "$.aggregates[3].mean_mobile: must be <= "),
-            (set_row_field("raw_mean_web", -5.0), "$.aggregates[3].raw_mean_web: must be >= 0"),
-            (set_row_field("n_failed", 1.7), "$.aggregates[3].n_failed: "),
-            (set_row_field("n_failed", True), "$.aggregates[3].n_failed: "),
-            (set_row_field("region", 5), "$.aggregates[3].region: "),
-            (set_row_field("test_date", "2019/08/25"), "$.aggregates[3].test_date: "),
+            (set_row(mean_mobile="x"), "$.aggregates[3].mean_mobile: "),
+            (set_row(mean_mobile=float("nan")), "$.aggregates[3].mean_mobile: "),
+            (set_row(mean_mobile=1e30), "$.aggregates[3].mean_mobile: must be <= "),
+            (set_row(raw_mean_web=-5.0), "$.aggregates[3].raw_mean_web: must be >= 0"),
+            (set_row(n_failed=1.7), "$.aggregates[3].n_failed: "),
+            (set_row(n_failed=True), "$.aggregates[3].n_failed: "),
+            (set_row(region=5), "$.aggregates[3].region: "),
+            (set_row(test_date="2019/08/25"), "$.aggregates[3].test_date: "),
+            (set_row(mean_mobile=50.0, raw_mean_mobile=None, n_ok_mobile=0), "$.aggregates[3].mean_mobile: "),
+            (set_row(mean_web=61.23, raw_mean_web=70.0), "$.aggregates[3].mean_web: "),
+            (set_row(mean_web=None, raw_mean_web=None), "$.aggregates[3].mean_web: "),
+            (set_row(n_ok_mobile=0), "$.aggregates[3].mean_mobile: "),
             (lambda document: [], "$: must be an object"),
             (lambda document: {**document, "aggregates": 5}, "$.aggregates: must be an array"),
             (lambda document: {}, "$.aggregates: missing field"),
         ],
         ids=[
             "string-mean", "nan-mean", "huge-mean", "negative-raw-mean", "fractional-count", "bool-count", "number-region", "non-iso-date",
+            "mean-without-ok-audit", "mean-not-the-rounded-raw", "no-means-beside-ok-audits", "means-beside-no-ok-count",
             "array-document", "number-aggregates", "no-aggregates",
         ],
     )
@@ -420,15 +425,18 @@ class TestSimulateCommand:
     def test_cyclic_plan_is_a_config_error(self, tmp_path, capsys):
         plan = self.write_plan(
             tmp_path,
-            [{"id": "a", "parent_id": "b"}, {"id": "b", "parent_id": "a"}],
+            [{"id": "a", "parent_id": "b"}, {"id": "b", "parent_id": "a"}, {"id": "c"}],
         )
         assert main(["simulate", "--plan", plan]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dependency cycle: request 'a' never starts\n"
 
     def test_malformed_plan_rejected(self, tmp_path):
         plan = self.write_plan(tmp_path, {"requests": [{"bytes": 5}]})
         assert main(["simulate", "--plan", plan]) == 2
 
-    @pytest.mark.parametrize("offset", [float("nan"), "5"])
+    @pytest.mark.parametrize("offset", [float("nan"), "5", -1])
     def test_bad_offset_names_the_field(self, tmp_path, capsys, offset):
         plan = self.write_plan(tmp_path, {"requests": [{"id": "a", "discovery_offset_ms": offset}]})
         assert main(["simulate", "--plan", plan]) == 2

@@ -10,15 +10,14 @@ import pytest
 from oracles import parent_scan, share_rescan, shift_source_scan, waterfall_march
 from conftest import call_within, random_plan, random_profile
 from webaudit.config import load_calibration, resolve_throttle
-from webaudit.errors import CyclicPlan, ThrottleOverflow
+from webaudit.errors import CyclicPlan, SchemaError, ThrottleOverflow
 from webaudit.netsim import (
-    PlannedRequest,
     ThrottleProfile,
     UNTHROTTLED,
-    WaterfallPlan,
     apply_throttle,
     infer_plan,
-    simulate_waterfall,
+    plan_from_dict,
+    waterfall_times,
 )
 from webaudit.trace import (
     MainThreadTask,
@@ -31,8 +30,10 @@ from webaudit.trace import (
 FOUR_G = ThrottleProfile(rtt_ms=100.0, downlink_kbps=1000.0, cpu_multiplier=1.0)
 
 
-def plan(*reqs) -> WaterfallPlan:
-    return WaterfallPlan(tuple(PlannedRequest(*r) for r in reqs))
+def times(*reqs, profile=FOUR_G) -> list[tuple[float, float]]:
+    """(start, end) per request of (parent, offset, bytes) rows, by waterfall_times."""
+    parents, offsets, sizes = zip(*reqs)
+    return list(zip(*waterfall_times(parents, offsets, sizes, profile)))
 
 
 class TestProfiles:
@@ -55,85 +56,109 @@ class TestProfiles:
         assert not ThrottleProfile(0.0, math.inf, 4.0).is_identity
 
 
-class TestPlanValidation:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            plan(("a", None, 0.0, 10), ("a", None, 0.0, 10))
+class TestPlanFromDict:
+    def test_requests_numbered_in_id_order(self):
+        ids, parents, offsets, sizes = plan_from_dict(
+            [{"id": "z", "bytes": 1000}, {"id": "a", "parent_id": "z", "discovery_offset_ms": 5.0}]
+        )
+        assert (ids, parents, offsets, sizes) == (["a", "z"], [1, -1], [5.0, 0.0], [0, 1000])
 
-    def test_unknown_parent_rejected(self):
-        with pytest.raises(ValueError, match="unknown parent"):
-            plan(("a", "ghost", 0.0, 10))
+    def test_wrapped_and_empty_plans(self):
+        assert plan_from_dict({"requests": [{"id": "a"}]}) == (["a"], [-1], [0.0], [0])
+        assert plan_from_dict([]) == ([], [], [], [])
 
-    def test_cycle_rejected(self):
+    @pytest.mark.parametrize(
+        "requests, where, message",
+        [
+            ([{"id": "a"}, {"id": "a"}], "$.requests", "duplicate request id 'a'"),
+            ([{"id": "a", "parent_id": "ghost"}], "$.requests", "request 'a' references unknown parent 'ghost'"),
+            ([{"id": "a", "discovery_offset_ms": -1.0}], "$.requests[0].discovery_offset_ms", "must be >= 0"),
+            ([{"id": "a", "discovery_offset_ms": math.nan}], "$.requests[0].discovery_offset_ms", "must be finite"),
+            ([{"id": "a", "discovery_offset_ms": math.inf}], "$.requests[0].discovery_offset_ms", "must be finite"),
+            ([{"id": "a", "bytes": -10}], "$.requests[0].bytes", "must be >= 0"),
+            ([{"id": "a", "parent_id": 5}], "$.requests[0].parent_id", "must be a string or null"),
+            ([{"id": 5}], "$.requests[0]", "each request needs a string id"),
+        ],
+        ids=["duplicate-id", "unknown-parent", "negative-offset", "nan-offset", "inf-offset", "negative-bytes",
+             "number-parent", "number-id"],
+    )
+    def test_bad_plan_names_the_path(self, requests, where, message):
+        with pytest.raises(SchemaError) as excinfo:
+            plan_from_dict({"requests": requests})
+        assert excinfo.value.path == where
+        assert str(excinfo.value) == f"{where}: {message}"
+
+    def test_a_field_error_comes_before_a_duplicate(self):
+        with pytest.raises(SchemaError, match=r"^\$\.requests\[2\]\.bytes: "):
+            plan_from_dict([{"id": "a"}, {"id": "a"}, {"id": "b", "bytes": -1}])
+
+
+class TestCycles:
+    def test_the_kernel_rejects_a_cycle(self):
+        with pytest.raises(CyclicPlan) as excinfo:
+            waterfall_times([1, 0], [0.0, 0.0], [10, 10], FOUR_G)
+        assert excinfo.value.request == 0
+
+    def test_a_request_below_a_cycle_never_starts_either(self):
+        # 0 hangs off the cycle 1 <-> 2; 3 is a root and still runs
+        with pytest.raises(CyclicPlan) as excinfo:
+            waterfall_times([1, 2, 1, -1], [0.0] * 4, [10] * 4, UNTHROTTLED)
+        assert excinfo.value.request == 0
+
+    def test_a_plan_file_cycle_reaches_the_kernel(self):
+        ids, parents, offsets, sizes = plan_from_dict(
+            [{"id": "a", "parent_id": "b"}, {"id": "b", "parent_id": "a"}, {"id": "c"}]
+        )
+        with pytest.raises(CyclicPlan) as excinfo:
+            waterfall_times(parents, offsets, sizes, FOUR_G)
+        assert ids[excinfo.value.request] == "a"
+
+    def test_apply_throttle_rejects_a_cyclic_trace(self):
+        # Built by hand past the schema (the second request ends before it
+        # starts), so by the parent rule each request waits on the other.
+        trace = NormalizedTrace(requests=(NetworkRequest(10, 10, 20, 1000, "o"), NetworkRequest(25, 25, 8, 1000, "o")))
+        assert infer_plan(trace) == ([1, 0], [2, 5])
         with pytest.raises(CyclicPlan):
-            plan(("a", "b", 0.0, 10), ("b", "a", 0.0, 10))
-
-    def test_negative_fields_rejected(self):
-        with pytest.raises(ValueError):
-            PlannedRequest("a", None, -1.0, 10)
-        with pytest.raises(ValueError):
-            PlannedRequest("a", None, 0.0, -10)
-        for offset in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="discovery_offset_ms"):
-                PlannedRequest("a", None, offset, 10)
+            apply_throttle(trace, FOUR_G)
 
 
-class TestSimulateWaterfall:
+class TestWaterfallTimes:
     def test_single_request(self):
         # 500 kilobits through a 1000 kbps pipe after one 100 ms round trip
-        sims = simulate_waterfall(plan(("a", None, 0.0, 62500)), FOUR_G)
-        assert [(s.start_ms, s.end_ms) for s in sims] == [(100.0, 600.0)]
+        assert times((-1, 0.0, 62500)) == [(100.0, 600.0)]
 
     def test_two_simultaneous_requests_share_the_pipe(self):
-        sims = simulate_waterfall(
-            plan(("a", None, 0.0, 62500), ("b", None, 0.0, 62500)), FOUR_G
-        )
-        assert [(s.start_ms, s.end_ms) for s in sims] == [(100.0, 1100.0), (100.0, 1100.0)]
+        assert times((-1, 0.0, 62500), (-1, 0.0, 62500)) == [(100.0, 1100.0), (100.0, 1100.0)]
 
     def test_chained_request_waits_for_parent(self):
-        sims = simulate_waterfall(
-            plan(("a", None, 0.0, 62500), ("b", "a", 0.0, 25000)), FOUR_G
-        )
-        assert [(s.start_ms, s.end_ms) for s in sims] == [(100.0, 600.0), (700.0, 900.0)]
-
-    def test_results_sorted_by_id(self):
-        sims = simulate_waterfall(
-            plan(("z", None, 0.0, 1000), ("a", "z", 0.0, 1000)), FOUR_G
-        )
-        assert [s.id for s in sims] == ["a", "z"]
+        assert times((-1, 0.0, 62500), (0, 0.0, 25000)) == [(100.0, 600.0), (700.0, 900.0)]
 
     def test_zero_bytes_finish_instantly(self):
-        sims = simulate_waterfall(plan(("a", None, 40.0, 0)), FOUR_G)
-        assert [(s.start_ms, s.end_ms) for s in sims] == [(140.0, 140.0)]
+        assert times((-1, 40.0, 0)) == [(140.0, 140.0)]
 
     def test_infinite_downlink_transfers_instantly(self):
         profile = ThrottleProfile(50.0, math.inf, 1.0)
-        sims = simulate_waterfall(
-            plan(("a", None, 0.0, 10**9), ("b", "a", 10.0, 10**9)), profile
-        )
-        assert [(s.start_ms, s.end_ms) for s in sims] == [(50.0, 50.0), (110.0, 110.0)]
+        assert times((-1, 0.0, 10**9), (0, 10.0, 10**9), profile=profile) == [(50.0, 50.0), (110.0, 110.0)]
 
     def test_empty_plan(self):
-        assert simulate_waterfall(WaterfallPlan(()), FOUR_G) == []
+        assert waterfall_times([], [], [], FOUR_G) == ([], [])
 
     def test_late_arrival_slows_the_first_transfer(self):
         # b arrives at 600 when a still has 500 kbits left; they then share
-        sims = simulate_waterfall(
-            plan(("a", None, 0.0, 125000), ("b", None, 500.0, 62500)), FOUR_G
-        )
-        by_id = {s.id: s for s in sims}
-        assert by_id["a"].end_ms == pytest.approx(1600.0, abs=1e-6)
-        assert by_id["b"].end_ms == pytest.approx(1600.0, abs=1e-6)
+        (_, a_end), (_, b_end) = times((-1, 0.0, 125000), (-1, 500.0, 62500))
+        assert a_end == pytest.approx(1600.0, abs=1e-6)
+        assert b_end == pytest.approx(1600.0, abs=1e-6)
 
     def test_matches_exact_oracle_on_random_plans(self, rng):
         for _ in range(200):
             p = random_plan(rng)
             profile = random_profile(rng)
-            expected = waterfall_march(p, profile)
-            for sim in simulate_waterfall(p, profile):
-                want_start, want_end = expected[sim.id]
-                assert sim.start_ms == pytest.approx(want_start, abs=1e-3)
-                assert sim.end_ms == pytest.approx(want_end, abs=1e-3)
+            want_starts, want_ends = waterfall_march(*p, profile)
+            starts, ends = waterfall_times(*p, profile)
+            assert len(starts) == len(ends) == len(want_starts)
+            for start, end, want_start, want_end in zip(starts, ends, want_starts, want_ends):
+                assert start == pytest.approx(want_start, abs=1e-3)
+                assert end == pytest.approx(want_end, abs=1e-3)
 
     def test_a_turn_that_retires_nothing_raises(self):
         # Validation rejects a NaN downlink; forced in, it makes every event
@@ -141,7 +166,7 @@ class TestSimulateWaterfall:
         profile = ThrottleProfile(0.0, 1000.0)
         object.__setattr__(profile, "downlink_kbps", math.nan)
         with pytest.raises(ThrottleOverflow, match="stalled"):
-            call_within(10, simulate_waterfall, plan(("a", None, 0.0, 1000)), profile)
+            call_within(10, waterfall_times, [-1], [0.0], [1000], profile)
 
 
 class TestInferPlan:
@@ -153,9 +178,7 @@ class TestInferPlan:
                 NetworkRequest(300.0, 310.0, 450.0, 100, "https://a.test"),
             )
         )
-        p = infer_plan(trace)
-        assert [r.parent_id for r in p.requests] == [None, "000000", None]
-        assert [r.discovery_offset_ms for r in p.requests] == [0.0, 0.0, 300.0]
+        assert infer_plan(trace) == ([-1, 0, -1], [0.0, 0.0, 300.0])
 
     def test_tie_prefers_earliest_finisher(self):
         trace = NormalizedTrace(
@@ -165,7 +188,7 @@ class TestInferPlan:
                 NetworkRequest(500.0, 510.0, 700.0, 100, "https://a.test"),
             )
         )
-        assert infer_plan(trace).requests[2].parent_id == "000000"
+        assert infer_plan(trace)[0][2] == 0
 
     def test_simultaneous_zero_length_twins_stay_acyclic(self):
         # the naive rule would make these two adopt each other
@@ -175,16 +198,17 @@ class TestInferPlan:
                 NetworkRequest(100.0, 100.0, 100.0, 0, "https://a.test"),
             )
         )
-        p = infer_plan(trace)
-        assert [r.parent_id for r in p.requests] == [None, "000000"]
+        assert infer_plan(trace)[0] == [-1, 0]
 
-    def test_ids_follow_trace_order(self, rng):
+    def test_indices_follow_trace_order(self, rng):
         from conftest import random_trace
 
         trace = random_trace(rng)
-        p = infer_plan(trace)
-        assert [r.id for r in p.requests] == sorted(r.id for r in p.requests)
-        assert [r.bytes for r in p.requests] == [r.bytes for r in trace.requests]
+        reqs = trace.requests
+        parents, offsets = infer_plan(trace)
+        assert len(parents) == len(offsets) == len(reqs)
+        for req, parent, offset in zip(reqs, parents, offsets):
+            assert offset == req.discovered_ms - (0.0 if parent < 0 else reqs[parent].end_ms)
 
 
 class TestApplyThrottle:
@@ -261,10 +285,8 @@ class TestParentRuleOracle:
         rng = random.Random(0x9A7E)
         for _ in range(self.SETS):
             requests = tied_requests(rng)
-            plan = infer_plan(NormalizedTrace(requests=tuple(requests)))
-            got = [
-                (None if r.parent_id is None else int(r.parent_id), r.discovery_offset_ms) for r in plan.requests
-            ]
+            parents, offsets = infer_plan(NormalizedTrace(requests=tuple(requests)))
+            got = [(None if parent < 0 else parent, offset) for parent, offset in zip(parents, offsets)]
             assert got == parent_scan(requests), requests
 
     def test_paints_and_samples_shift_with_the_scanned_request(self):
@@ -287,8 +309,9 @@ class TestParentRuleOracle:
             assert [s.t_ms for s in out.visual_progress] == sorted(want), requests
 
 
-def burst_plan(rng: random.Random) -> WaterfallPlan:
-    """Up to ~200 requests, discovered in bursts of up to 64 siblings.
+def burst_plan(rng: random.Random) -> tuple[list[int], list[float], list[int]]:
+    """(parents, offsets, sizes) of up to ~200 requests, discovered in bursts
+    of up to 64 siblings.
 
     Sizes come from a palette of four per plan: 0 bytes, two whole numbers
     of kilobits and one odd size, so many flows share a finish tag and
@@ -300,17 +323,23 @@ def burst_plan(rng: random.Random) -> WaterfallPlan:
     palette = [0, rng.choice((125, 12500, 62500)), rng.choice((125, 12500, 62500)) * rng.randint(2, 9)]
     palette.append(rng.randint(1, 100000))
     target = rng.randint(1, 200)
-    requests: list[PlannedRequest] = []
+    parents: list[int] = []
+    offsets: list[float] = []
+    sizes: list[int] = []
     if rng.random() < 0.25:
-        requests.append(PlannedRequest("r000", None, 0.0, 25_000_000))
-    lone_opening = bool(requests)
-    while len(requests) < target:
-        burst = min(rng.choice((1, 1, 2, 4, rng.randint(1, 64))), target - len(requests))
-        parent = None if not requests or (not lone_opening and rng.random() < 0.2) else rng.choice(requests).id
+        parents.append(-1)
+        offsets.append(0.0)
+        sizes.append(25_000_000)
+    lone_opening = bool(parents)
+    while len(parents) < target:
+        burst = min(rng.choice((1, 1, 2, 4, rng.randint(1, 64))), target - len(parents))
+        parent = -1 if not parents or (not lone_opening and rng.random() < 0.2) else rng.randrange(len(parents))
         offset = rng.choice((0.0, 0.0, float(rng.randint(0, 400)), rng.randint(0, 400) * 0.1))
         for _ in range(burst):
-            requests.append(PlannedRequest(f"r{len(requests):03d}", parent, offset, rng.choice(palette)))
-    return WaterfallPlan(tuple(requests))
+            parents.append(parent)
+            offsets.append(offset)
+            sizes.append(rng.choice(palette))
+    return parents, offsets, sizes
 
 
 class TestShareRescanOracle:
@@ -326,10 +355,11 @@ class TestShareRescanOracle:
                 rtt_ms=rng.choice((0.0, 0.0, 40.0, 150.0, 562.5)),
                 downlink_kbps=rng.choice((1000.0, 1000.0, 1638.4, 9000.0, 1500.0)),
             )
-            want = share_rescan(p, profile)
-            for sim in simulate_waterfall(p, profile):
-                assert abs(sim.start_ms - want[sim.id][0]) <= 1e-9, (i, sim)
-                assert abs(sim.end_ms - want[sim.id][1]) <= 1e-9, (i, sim)
+            want_starts, want_ends = share_rescan(*p, profile)
+            starts, ends = waterfall_times(*p, profile)
+            for j, (start, end) in enumerate(zip(starts, ends)):
+                assert abs(start - want_starts[j]) <= 1e-9, (i, j, start)
+                assert abs(end - want_ends[j]) <= 1e-9, (i, j, end)
 
     def test_a_far_clock_still_retires_every_flow(self):
         # Past 1e7 ms, now + a flow's drain time can round back to now, and
@@ -338,25 +368,26 @@ class TestShareRescanOracle:
         for i in range(200):
             p = burst_plan(rng)
             profile = ThrottleProfile(rtt_ms=rng.choice((1e7, 3e7)), downlink_kbps=rng.choice((750.0, 1000.0, 1638.0)))
-            want = share_rescan(p, profile)
-            for sim in simulate_waterfall(p, profile):
-                assert sim.end_ms == pytest.approx(want[sim.id][1], rel=1e-15, abs=0), (i, sim)
+            _, want_ends = share_rescan(*p, profile)
+            _, ends = waterfall_times(*p, profile)
+            for j, end in enumerate(ends):
+                assert end == pytest.approx(want_ends[j], rel=1e-15, abs=0), (i, j, end)
 
     def test_wide_bursts_match_the_exact_march(self):
         rng = random.Random(0x3A9C)
         for i in range(8):
             n = rng.randint(30, 64)
             palette = (0, 12500, 12500, rng.randint(1, 40000))
-            requests = []
+            parents, offsets, sizes = [], [], []
             for k in range(n):
-                parent = None if k < n // 2 or rng.random() < 0.3 else f"r{rng.randrange(k):02d}"
-                offset = rng.choice((0.0, 0.0, 5.0, rng.randint(0, 40) * 0.7))
-                requests.append(PlannedRequest(f"r{k:02d}", parent, offset, rng.choice(palette)))
-            p = WaterfallPlan(tuple(requests))
+                parents.append(-1 if k < n // 2 or rng.random() < 0.3 else rng.randrange(k))
+                offsets.append(rng.choice((0.0, 0.0, 5.0, rng.randint(0, 40) * 0.7)))
+                sizes.append(rng.choice(palette))
             profile = ThrottleProfile(rtt_ms=rng.choice((0.0, 28.0)), downlink_kbps=rng.choice((20000.0, 16384.0)))
-            want = waterfall_march(p, profile)
-            for sim in simulate_waterfall(p, profile):
-                assert abs(sim.end_ms - want[sim.id][1]) <= 1e-6, (i, sim)
+            _, want_ends = waterfall_march(parents, offsets, sizes, profile)
+            _, ends = waterfall_times(parents, offsets, sizes, profile)
+            for j, end in enumerate(ends):
+                assert abs(end - want_ends[j]) <= 1e-6, (i, j, end)
 
 
 def burst_trace(rng: random.Random, n: int) -> NormalizedTrace:
@@ -392,22 +423,23 @@ def burst_trace(rng: random.Random, n: int) -> NormalizedTrace:
 class TestLargeReplay:
     """The throttled replay of large, bursty pages."""
 
-    def test_replay_matches_the_rescan_and_the_plan_adapters(self):
+    def test_replay_matches_the_rescan_and_the_kernel(self):
         calibration = load_calibration()
         rng = random.Random(0x1A26E)
         for i in range(6):
             trace = burst_trace(rng, rng.randint(200, 1000))
             profile = resolve_throttle("4g", calibration, calibration.mode(("mobile", "desktop")[i % 2]))
-            plan = infer_plan(trace)
+            parents, offsets = infer_plan(trace)
+            sizes = [req.bytes for req in trace.requests]
             out = apply_throttle(trace, profile).requests
-            want = share_rescan(plan, profile)
-            for planned, new in zip(plan.requests, out):
-                assert abs(new.start_ms - want[planned.id][0]) <= 1e-9, (i, planned)
-                assert abs(new.end_ms - want[planned.id][1]) <= 1e-9, (i, planned)
-            sims = simulate_waterfall(plan, profile)
+            want_starts, want_ends = share_rescan(parents, offsets, sizes, profile)
+            for j, new in enumerate(out):
+                assert abs(new.start_ms - want_starts[j]) <= 1e-9, (i, j, new)
+                assert abs(new.end_ms - want_ends[j]) <= 1e-9, (i, j, new)
+            starts, ends = waterfall_times(parents, offsets, sizes, profile)
             assert out == tuple(
-                NetworkRequest(sim.start_ms - profile.rtt_ms, sim.start_ms, sim.end_ms, old.bytes, old.origin)
-                for old, sim in zip(trace.requests, sims)
+                NetworkRequest(start - profile.rtt_ms, start, end, old.bytes, old.origin)
+                for old, start, end in zip(trace.requests, starts, ends)
             ), i
 
     # sha256 of the throttled trace document; any change in the order of

@@ -114,7 +114,9 @@ class TestOverallAverage:
 
     def test_missing_means_are_skipped(self):
         aggregates = reference_aggregates()
-        aggregates[0] = aggregate_from_dict(dict(aggregate_to_dict(aggregates[0]), mean_mobile=None))
+        aggregates[0] = aggregate_from_dict(
+            dict(aggregate_to_dict(aggregates[0]), mean_mobile=None, raw_mean_mobile=None, n_ok_mobile=0)
+        )
         assert overall_average(aggregates)["mobile"] is not None
         assert overall_average([])["mobile"] is None
 
@@ -251,11 +253,13 @@ class TestJsonReport:
     def test_means_at_the_ends_of_their_range_or_null_are_read(self):
         row = dict(
             aggregate_to_dict(reference_aggregates()[0]),
-            mean_mobile=0.0, raw_mean_mobile=SCORE_MAX, mean_web=None, raw_mean_web=None,
+            mean_mobile=100.0, raw_mean_mobile=SCORE_MAX, mean_web=None, raw_mean_web=None, n_ok_web=0,
         )
         aggregate = aggregate_from_dict(row)
-        assert (aggregate.mean_mobile, aggregate.raw_mean_mobile) == (0.0, SCORE_MAX)
+        assert (aggregate.mean_mobile, aggregate.raw_mean_mobile) == (100.0, SCORE_MAX)
         assert aggregate.mean_web is aggregate.raw_mean_web is None
+        low = aggregate_from_dict(dict(row, mean_mobile=0.0, raw_mean_mobile=0.0))
+        assert (low.mean_mobile, low.raw_mean_mobile) == (0.0, 0.0)
 
     def test_not_a_report_rejected(self):
         with pytest.raises(ParseError):
