@@ -18,7 +18,10 @@ from webaudit import (
     compute_max_fid,
     compute_speed_index,
     compute_tti,
+    load_calibration,
 )
+
+quiet = load_calibration().quiet_window  # the interactivity rule the pipeline uses
 
 trace = NormalizedTrace(
     nav_start=0.0,
@@ -53,10 +56,10 @@ si = compute_speed_index(trace)
 print(f"speed index             {si:8.1f} ms   area above the visual-progress steps")
 # by hand: 800*1.0 + 700*0.6 + 1200*0.2 = 800 + 420 + 240 = 1460
 
-tti = compute_tti(trace, fcp)
+tti = compute_tti(trace, fcp, quiet)
 print(f"time to interactive     {tti:8.1f} ms   end of the last long task before the quiet window")
 
-fci = compute_fci(trace, fcp)
+fci = compute_fci(trace, fcp, quiet)
 print(f"first cpu idle          {fci:8.1f} ms   same scan, network pressure ignored")
 
 fid = compute_max_fid(trace, fcp, tti)
@@ -64,4 +67,4 @@ print(f"max potential fid       {fid:8.1f} ms   longest task overlapping [fcp, t
 
 print()
 print("compute_all bundles the same numbers:")
-print(" ", compute_all(trace).as_dict())
+print(" ", compute_all(trace, quiet).as_dict())

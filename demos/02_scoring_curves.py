@@ -7,7 +7,6 @@ weighted mean, and the result lands in a category band.
 """
 
 from webaudit import (
-    DEFAULT_WEIGHTS,
     METRIC_KEYS,
     ScoreCurve,
     aggregate,
@@ -15,6 +14,10 @@ from webaudit import (
     load_calibration,
     metric_score,
 )
+
+# the shipped weights, bands and per-mode curves
+calibration = load_calibration()
+weights, bands = calibration.weights, calibration.bands
 
 curve = ScoreCurve(median_ms=4000.0, podr_ms=1700.0)
 print(f"curve: median {curve.median_ms:.0f} ms -> 50, podr {curve.podr_ms:.0f} ms -> 90")
@@ -28,25 +31,24 @@ assert round(metric_score(4000.0, curve)) == 50
 assert round(metric_score(1700.0, curve)) == 90
 
 print()
-print("default weights:", DEFAULT_WEIGHTS.as_dict())
+print("default weights:", weights.as_dict())
 print()
 
 uniform = {key: 80.0 for key in METRIC_KEYS}
-print(f"all six scores at 80      -> aggregate {aggregate(uniform):.1f}")
+print(f"all six scores at 80      -> aggregate {aggregate(uniform, weights):.1f}")
 
 lone = {key: 0.0 for key in METRIC_KEYS}
 lone["tti"] = 100.0
-print(f"only tti at 100           -> aggregate {aggregate(lone):.1f}  (its weight x 100)")
+print(f"only tti at 100           -> aggregate {aggregate(lone, weights):.1f}  (its weight x 100)")
 
 fid_low = dict(uniform, max_fid=0.0)
-print(f"max_fid dropped to 0      -> aggregate {aggregate(fid_low):.1f}  (zero weight, no effect)")
+print(f"max_fid dropped to 0      -> aggregate {aggregate(fid_low, weights):.1f}  (zero weight, no effect)")
 
 print()
 for score in (92.0, 60.0, 38.7):
-    print(f"score {score:5.1f} is categorized {categorize(score)!r}")
+    print(f"score {score:5.1f} is categorized {categorize(score, bands)!r}")
 
 # the shipped per-mode curves differ: mobile tolerates slower loads
-calibration = load_calibration()
 for kind in ("mobile", "desktop"):
     tti_curve = calibration.curves_for(kind)["tti"]
     score = metric_score(5000.0, tti_curve)

@@ -4,7 +4,9 @@ The pipeline: a trace (paint events, main-thread tasks, network requests,
 visual progress) yields six load metrics; log-normal curves map each
 metric to a 0-100 score; a weight table combines them into the
 performance score; batches over a site corpus aggregate per region into
-ranked, reportable tables. A network/CPU throttle simulator rebuilds
+ranked, reportable tables. The curves, the weights and every other
+calibrated number are written down only in data/calibration.json, which
+load_calibration() reads. A network/CPU throttle simulator rebuilds
 traces under slow conditions so stored recordings can be re-audited as if
 on a 4G connection. Its one request graph is index arrays: plan_from_dict
 reads a plan file into them and waterfall_times plays them over the link.
@@ -31,7 +33,7 @@ from .metrics import (
 )
 from .netsim import UNTHROTTLED, apply_throttle, plan_from_dict, waterfall_times
 from .report import aggregate_regions, emit_report, overall_average, rank_regions
-from .scoring import DEFAULT_WEIGHTS, ScoreCurve, aggregate, categorize, metric_score
+from .scoring import ScoreCurve, aggregate, categorize, metric_score
 from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, PaintEvent, VisualSample
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ import json
 import logging
 import math
 import sys
-from datetime import date
 from pathlib import Path
 
 from .collector import load_trace, write_trace
@@ -25,10 +24,11 @@ from .errors import (
     NoContentfulPaint,
     ParseError,
 )
-from .metrics import METRIC_KEYS, MetricSet
+from .metrics import MetricSet
 from .netsim import apply_throttle, plan_from_dict, waterfall_times
 from .report import aggregate_regions, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
+from .trace import iso_date
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,10 +105,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _print_scores(metrics: MetricSet, report: ScoreReport) -> None:
-    values = metrics.as_dict()
     print(f"{'metric':<8} {'value_ms':>12} {'score':>7}")
-    for key in METRIC_KEYS:
-        print(f"{key:<8} {values[key]:>12.1f} {report.scores[key]:>7.1f}")
+    for key, value in metrics.as_dict().items():
+        print(f"{key:<8} {value:>12.1f} {report.scores[key]:>7.1f}")
     shown = int(round_half_away(report.performance_score, 0))
     print(f"performance score: {shown} ({report.category})")
 
@@ -159,9 +158,11 @@ def _parse_modes(text: str) -> list[str]:
     kinds = [part.strip() for part in text.split(",") if part.strip()]
     if not kinds:
         raise ValueError("--modes must name at least one device mode")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in MODE_KINDS:
             raise ValueError(f"unknown mode {kind!r} (expected {', '.join(MODE_KINDS)})")
+        if kind in kinds[:i]:
+            raise ValueError(f"--modes names {kind!r} twice")
     return kinds
 
 
@@ -170,7 +171,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
     calibration = load_calibration(args.calibration)
     modes = _parse_modes(args.modes)
-    test_date = date.fromisoformat(args.test_date) if args.test_date else None
+    test_date = None if args.test_date is None else iso_date(args.test_date, "--test-date")
     members = load_member_regions(args.members)
     records = membership_filter(ingest_corpus(args.corpus, members), members)
     results = run_batch(

@@ -10,6 +10,7 @@ calibration's `modes` section is the only place one is built.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,8 +56,8 @@ class DeviceMode:
 class OutlierBounds:
     """Scores at or beyond these bounds get flagged for manual validation."""
 
-    upper: float = 95.0
-    lower: float = 5.0
+    upper: float
+    lower: float
 
     def __post_init__(self):
         if not 0 <= self.lower < self.upper <= 100:
@@ -131,8 +132,10 @@ def load_calibration(path: str | Path | None = None) -> Calibration:
 
 
 def calibration_from_dict(data: Any) -> Calibration:
+    """A Calibration from a document; an optional value it leaves out is read from the packaged one."""
     if not isinstance(data, dict):
         raise SchemaError("$", "calibration document must be an object")
+    packaged = functools.cache(lambda: json.loads(default_calibration_text()))
 
     modes = {}
     for kind, item in _object(data, "modes", "$").items():
@@ -170,16 +173,19 @@ def calibration_from_dict(data: Any) -> Calibration:
     if unknown:
         raise SchemaError("$.weights", f"unknown metric keys: {', '.join(unknown)}")
     weight_values = {key: _number(weight_data, key, "$.weights") for key in weight_data}
+    if len(weight_values) < len(METRIC_KEYS):
+        weight_values = {key: _number(packaged()["weights"], key, "$.weights") for key in METRIC_KEYS} | weight_values
     weights = _checked("$.weights", lambda: WeightTable(**weight_values))
 
-    bands = _optional_section(data, "category_bands", CategoryBands, good_min=_number, average_min=_number)
-    outliers = _optional_section(data, "outlier_bounds", OutlierBounds, upper=_number, lower=_number)
+    section = functools.partial(_optional_section, data, packaged)
+    bands = section("category_bands", CategoryBands, good_min=_number, average_min=_number)
+    outliers = section("outlier_bounds", OutlierBounds, upper=_number, lower=_number)
     throttles = {
         name: _throttle_spec(item, f"$.throttle_profiles.{name}")
         for name, item in _object(data, "throttle_profiles", "$").items()
     }
-    quiet = _optional_section(
-        data, "quiet_window", QuietWindow, long_task_ms=_number, window_ms=_number, max_inflight_requests=_integer
+    quiet = section(
+        "quiet_window", QuietWindow, long_task_ms=_number, window_ms=_number, max_inflight_requests=_integer
     )
 
     return Calibration(
@@ -193,16 +199,18 @@ def calibration_from_dict(data: Any) -> Calibration:
     )
 
 
-def _optional_section(data: dict, key: str, cls: type, **readers: Callable[[Any, str, str], Any]) -> Any:
+def _optional_section(data: dict, packaged: Callable[[], dict], key: str, cls: type, **readers: Callable) -> Any:
     """``cls`` built from the section ``data[key]``, each field read by its reader.
 
-    An absent section, or a field that is absent or null, keeps cls's default.
+    An absent section, or a field absent or null in it, is read from ``packaged()[key]``.
     """
     path = f"$.{key}"
     section = data.get(key, {})
     if not isinstance(section, dict):
         raise SchemaError(path, "missing field")
-    values = {name: read(section, name, path) for name, read in readers.items() if section.get(name) is not None}
+    values = {}
+    for name, read in readers.items():
+        values[name] = read(section if section.get(name) is not None else packaged()[key], name, path)
     return _checked(path, lambda: cls(**values))
 
 

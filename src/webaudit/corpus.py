@@ -277,7 +277,7 @@ def result_from_dict(data: Any) -> AuditResult:
     metrics = None
     if ok:
         values = _metric_values(data, "metrics", math.inf)
-        metrics = MetricSet(values["fcp"], values["fmp"], values["si"], values["tti"], values["fci"], values["max_fid"])
+        metrics = MetricSet(**values)
         score = data.get("performance_score")
         if type(score) is not float or not 0.0 <= score <= SCORE_MAX:
             score = _number(data, "performance_score", "$", minimum=0.0, maximum=SCORE_MAX)

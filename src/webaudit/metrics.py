@@ -10,7 +10,7 @@ free of long tasks (and, for TTI, of heavy network activity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IncompleteVisualProgress, NoContentfulPaint
 from .trace import MainThreadTask, NetworkRequest, NormalizedTrace
@@ -25,9 +25,9 @@ class QuietWindow:
     are in flight.
     """
 
-    long_task_ms: float = 50.0
-    window_ms: float = 5000.0
-    max_inflight_requests: int = 2
+    long_task_ms: float
+    window_ms: float
+    max_inflight_requests: int
 
     def __post_init__(self):
         if self.long_task_ms < 0:
@@ -38,32 +38,21 @@ class QuietWindow:
             raise ValueError(f"max_inflight_requests must be >= 0, got {self.max_inflight_requests!r}")
 
 
-DEFAULT_QUIET_WINDOW = QuietWindow()
+class MetricSet(NamedTuple):
+    """The six metric values of one audit, in milliseconds, named by their scoring keys."""
 
-METRIC_KEYS = ("fcp", "fmp", "si", "tti", "fci", "max_fid")
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    """The six metric values, in milliseconds, for one audit."""
-
-    fcp_ms: float
-    fmp_ms: float
-    speed_index_ms: float
-    tti_ms: float
-    fci_ms: float
-    max_fid_ms: float
+    fcp: float
+    fmp: float
+    si: float
+    tti: float
+    fci: float
+    max_fid: float
 
     def as_dict(self) -> dict[str, float]:
-        """Values keyed by the short metric keys used for scoring."""
-        return {
-            "fcp": self.fcp_ms,
-            "fmp": self.fmp_ms,
-            "si": self.speed_index_ms,
-            "tti": self.tti_ms,
-            "fci": self.fci_ms,
-            "max_fid": self.max_fid_ms,
-        }
+        return self._asdict()
+
+
+METRIC_KEYS = MetricSet._fields
 
 
 def compute_fcp(trace: NormalizedTrace) -> float:
@@ -108,7 +97,7 @@ def compute_speed_index(trace: NormalizedTrace) -> float:
     raise IncompleteVisualProgress("visual progress never reached 1.0")
 
 
-def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow = DEFAULT_QUIET_WINDOW) -> float:
+def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
     """Time to interactive under the quiet-window rule.
 
     Finds the earliest window start w >= fcp whose [w, w + window_ms) holds
@@ -123,7 +112,7 @@ def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow = DEFAULT
     return _last_long_task_end(long_tasks, w, fcp)
 
 
-def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow = DEFAULT_QUIET_WINDOW) -> float:
+def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
     """First CPU idle: like TTI but ignoring network activity entirely."""
     long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
     w = _earliest_quiet_start(long_tasks, fcp, quiet.window_ms)
@@ -139,8 +128,12 @@ def compute_max_fid(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     return best
 
 
-def compute_all(trace: NormalizedTrace, quiet: QuietWindow = DEFAULT_QUIET_WINDOW) -> MetricSet:
-    """All six metrics in dependency order."""
+def compute_all(trace: NormalizedTrace, quiet: QuietWindow | None = None) -> MetricSet:
+    """All six metrics in dependency order; ``quiet`` defaults to the packaged calibration's."""
+    if quiet is None:
+        from .config import load_calibration  # config imports this module
+
+        quiet = load_calibration().quiet_window
     fcp = compute_fcp(trace)
     fmp = compute_fmp(trace, fcp)
     speed_index = compute_speed_index(trace)

@@ -41,14 +41,14 @@ SCORE_MAX = 100.0 + 200 * WEIGHT_SUM_TOLERANCE
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Per-metric category weights; defaults are the shipped weighting."""
+    """Per-metric category weights."""
 
-    fcp: float = 0.200
-    fmp: float = 0.067
-    si: float = 0.267
-    tti: float = 0.333
-    fci: float = 0.133
-    max_fid: float = 0.000
+    fcp: float
+    fmp: float
+    si: float
+    tti: float
+    fci: float
+    max_fid: float
 
     # Each check is written so that NaN fails it.
     def __post_init__(self):
@@ -62,24 +62,18 @@ class WeightTable:
         return {key: getattr(self, key) for key in METRIC_KEYS}
 
 
-DEFAULT_WEIGHTS = WeightTable()
-
-
 @dataclass(frozen=True)
 class CategoryBands:
     """Score thresholds for the good / average / poor bands (inclusive)."""
 
-    good_min: float = 90.0
-    average_min: float = 50.0
+    good_min: float
+    average_min: float
 
     def __post_init__(self):
         if not 0 <= self.average_min < self.good_min <= 100:
             raise ValueError(
                 f"need 0 <= average_min < good_min <= 100, got {self.average_min!r}/{self.good_min!r}"
             )
-
-
-DEFAULT_BANDS = CategoryBands()
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ def metric_score(value: float, curve: ScoreCurve) -> float:
     return 100.0 * (1.0 - normal_cdf(z))
 
 
-def aggregate(scores: Mapping[str, float], weights: WeightTable = DEFAULT_WEIGHTS) -> float:
+def aggregate(scores: Mapping[str, float], weights: WeightTable) -> float:
     """Weighted arithmetic mean of the six metric scores, unrounded.
 
     Runs in decimal arithmetic so the weights act at their exact decimal
@@ -138,7 +132,7 @@ def aggregate(scores: Mapping[str, float], weights: WeightTable = DEFAULT_WEIGHT
 CATEGORIES = ("good", "average", "poor")  # what categorize returns, best first
 
 
-def categorize(performance_score: float, bands: CategoryBands = DEFAULT_BANDS) -> str:
+def categorize(performance_score: float, bands: CategoryBands) -> str:
     """Band a 0-100 performance score into good / average / poor."""
     if performance_score >= bands.good_min:
         return "good"
@@ -148,14 +142,10 @@ def categorize(performance_score: float, bands: CategoryBands = DEFAULT_BANDS) -
 
 
 def score_metrics(
-    metrics: MetricSet,
-    curves: Mapping[str, ScoreCurve],
-    weights: WeightTable = DEFAULT_WEIGHTS,
-    bands: CategoryBands = DEFAULT_BANDS,
+    metrics: MetricSet, curves: Mapping[str, ScoreCurve], weights: WeightTable, bands: CategoryBands
 ) -> ScoreReport:
     """Score a metric set against one device mode's curves."""
-    values = metrics.as_dict()
-    scores = {key: metric_score(values[key], curves[key]) for key in METRIC_KEYS}
+    scores = {key: metric_score(value, curves[key]) for key, value in zip(METRIC_KEYS, metrics)}
     performance = aggregate(scores, weights)
     return ScoreReport(scores=scores, performance_score=performance, category=categorize(performance, bands))
 

@@ -272,13 +272,18 @@ def _date(item: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
         return default
     if key not in item:
         raise SchemaError(f"{path}.{key}", "missing field")
+    return iso_date(item[key], f"{path}.{key}")
+
+
+def iso_date(text: Any, path: str) -> date:
+    """The date a canonical YYYY-MM-DD string names; anything else is a SchemaError at path."""
     try:
-        value = date.fromisoformat(item[key])
-        if value.isoformat() == item[key]:  # Python 3.11 also parses forms such as 20190825
+        value = date.fromisoformat(text)
+        if value.isoformat() == text:  # Python 3.11 also parses forms such as 20190825
             return value
     except (TypeError, ValueError):
         pass
-    raise SchemaError(f"{path}.{key}", "must be an ISO date string (YYYY-MM-DD)")
+    raise SchemaError(path, "must be an ISO date string (YYYY-MM-DD)")
 
 
 def _array(data: dict, key: str, path: str) -> Sequence[Any]:

@@ -15,6 +15,7 @@ from datetime import date
 
 import pytest
 
+from webaudit.config import Calibration, load_calibration
 from webaudit.errors import ParseError
 from webaudit.netsim import ThrottleProfile
 from webaudit.trace import (
@@ -168,6 +169,12 @@ REFERENCE_REGION_MEANS = (
     ("Kota Cirebon", 29.62, 64.46),
     ("Kab. Cirebon", 1.40, 1.81),
 )
+
+
+@pytest.fixture(scope="session")
+def calibration() -> Calibration:
+    """The packaged calibration: the quiet window, weights and bands the pipeline uses."""
+    return load_calibration()
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import conftest
 from conftest import REFERENCE_REGION_MEANS, random_plan, random_profile, random_trace
 from oracles import max_fid_brute, quiet_window_scan, speed_index_riemann, waterfall_march
 from webaudit.cli import main
-from webaudit.config import load_member_regions
+from webaudit.config import load_calibration, load_member_regions
 from webaudit.corpus import ingest_corpus, membership_filter
 from webaudit.metrics import (
     compute_fcp,
@@ -28,7 +28,7 @@ from webaudit.metrics import (
 )
 from webaudit.netsim import UNTHROTTLED, apply_throttle, waterfall_times
 from webaudit.report import RegionAggregate, overall_average, rank_regions
-from webaudit.scoring import DEFAULT_WEIGHTS, METRIC_KEYS, ScoreCurve, aggregate, metric_score
+from webaudit.scoring import METRIC_KEYS, ScoreCurve, aggregate, metric_score
 from webaudit.synth import build_corpus_rows, write_corpus_csv, write_demo_workspace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -54,7 +54,9 @@ def bits(x: float) -> bytes:
 
 def test_criterion_1_weight_table():
     with criterion(1, budget_s=1.0):
-        assert DEFAULT_WEIGHTS.as_dict() == {
+        # the table the pipeline scores with
+        weights = load_calibration().weights
+        assert weights.as_dict() == {
             "fcp": 0.2,
             "fmp": 0.067,
             "si": 0.267,
@@ -62,14 +64,14 @@ def test_criterion_1_weight_table():
             "fci": 0.133,
             "max_fid": 0.0,
         }
-        assert abs(math.fsum(DEFAULT_WEIGHTS.as_dict().values()) - 1.0) <= 1e-9
+        assert abs(math.fsum(weights.as_dict().values()) - 1.0) <= 1e-9
 
         rng = random.Random(1)
         for _ in range(100):
             scores = {key: rng.uniform(0.0, 100.0) for key in METRIC_KEYS}
-            baseline = aggregate(scores)
+            baseline = aggregate(scores, weights)
             for fid_score in (0.0, 33.3, 100.0, rng.uniform(0.0, 100.0)):
-                assert bits(aggregate(dict(scores, max_fid=fid_score))) == bits(baseline)
+                assert bits(aggregate(dict(scores, max_fid=fid_score), weights)) == bits(baseline)
 
 
 def test_criterion_2_curve_control_points():
@@ -95,24 +97,26 @@ def test_criterion_2_curve_control_points():
 
 def test_criterion_3_aggregate_identities():
     with criterion(3):
-        assert aggregate({key: 100.0 for key in METRIC_KEYS}) == 100.0
-        assert aggregate({key: 0.0 for key in METRIC_KEYS}) == 0.0
+        weights = load_calibration().weights
+        assert aggregate({key: 100.0 for key in METRIC_KEYS}, weights) == 100.0
+        assert aggregate({key: 0.0 for key in METRIC_KEYS}, weights) == 0.0
         expected = {"fcp": 20.0, "fmp": 6.7, "si": 26.7, "tti": 33.3, "fci": 13.3, "max_fid": 0.0}
         for key, want in expected.items():
             scores = {k: 0.0 for k in METRIC_KEYS}
             scores[key] = 100.0
-            assert aggregate(scores) == want
+            assert aggregate(scores, weights) == want
 
 
 def test_criterion_4_trace_metric_oracles():
     with criterion(4, budget_s=30.0):
+        quiet = load_calibration().quiet_window
         rng = random.Random(4)
         for _ in range(1000):
             trace = random_trace(rng)
             fcp = compute_fcp(trace)
-            tti = compute_tti(trace, fcp)
+            tti = compute_tti(trace, fcp, quiet)
             assert tti == quiet_window_scan(trace, fcp, consider_network=True)
-            assert compute_fci(trace, fcp) == quiet_window_scan(trace, fcp, consider_network=False)
+            assert compute_fci(trace, fcp, quiet) == quiet_window_scan(trace, fcp, consider_network=False)
             assert abs(compute_speed_index(trace) - speed_index_riemann(trace)) <= 0.5
             assert compute_max_fid(trace, fcp, tti) == max_fid_brute(trace, fcp, tti)
 

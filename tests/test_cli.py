@@ -226,6 +226,20 @@ class TestBatchCommand:
         assert "--parallel must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("modes", ["mobile,mobile", "desktop,mobile,desktop", "mobile, mobile"])
+    def test_a_mode_named_twice_is_a_usage_error(self, workspace, tmp_path, capsys, modes):
+        rc, out = run_batch_cli(workspace, tmp_path, ["--modes", modes])
+        assert rc == 2
+        assert "twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("test_date", ["20190825", "2019-W34-7", "2019-8-25", "2019-08-25T00:00", ""])
+    def test_a_test_date_other_than_yyyy_mm_dd_is_a_usage_error(self, workspace, tmp_path, capsys, test_date):
+        rc, out = run_batch_cli(workspace, tmp_path, ["--test-date", test_date])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --test-date: must be an ISO date string (YYYY-MM-DD)\n"
+        assert not out.exists()
+
     def test_bad_corpus_is_a_config_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n", "utf-8")

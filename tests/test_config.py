@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from webaudit import config
 from webaudit.config import (
     Calibration,
     DeviceMode,
@@ -172,6 +173,54 @@ class TestCalibrationSchema:
         doc["quiet_window"] = {"window_ms": None, "max_inflight_requests": 3}
         quiet = calibration_from_dict(doc).quiet_window
         assert (quiet.long_task_ms, quiet.window_ms, quiet.max_inflight_requests) == (50.0, 5000.0, 3)
+
+    @pytest.mark.parametrize(
+        "leave_out",
+        [
+            lambda d: d.pop("quiet_window"),
+            lambda d: d["quiet_window"].pop("window_ms"),
+            lambda d: d["quiet_window"].update(window_ms=None),
+        ],
+        ids=["section", "field", "null_field"],
+    )
+    def test_a_quiet_window_value_left_out_comes_from_the_packaged_document(self, monkeypatch, leave_out):
+        doc = self.base()
+        leave_out(doc)
+        packaged = self.base()
+        packaged["quiet_window"]["window_ms"] = 1000
+        monkeypatch.setattr(config, "default_calibration_text", lambda: json.dumps(packaged))
+        assert calibration_from_dict(doc).quiet_window.window_ms == 1000.0
+
+    def test_weights_bands_and_bounds_left_out_come_from_the_packaged_document(self, monkeypatch):
+        doc = self.base()
+        del doc["weights"]["fcp"], doc["weights"]["si"], doc["category_bands"], doc["outlier_bounds"]["lower"]
+        packaged = self.base()
+        packaged["weights"].update(fcp=0.267, si=0.2)
+        packaged["category_bands"]["good_min"] = 80
+        packaged["outlier_bounds"]["lower"] = 10
+        monkeypatch.setattr(config, "default_calibration_text", lambda: json.dumps(packaged))
+        loaded = calibration_from_dict(doc)
+        assert (loaded.weights.fcp, loaded.weights.si, loaded.weights.tti) == (0.267, 0.2, 0.333)
+        assert (loaded.bands.good_min, loaded.bands.average_min) == (80.0, 50.0)
+        assert (loaded.outliers.upper, loaded.outliers.lower) == (95.0, 10.0)
+
+    def test_the_packaged_text_is_read_at_most_once(self, monkeypatch):
+        text = default_calibration_text()
+        reads = []
+        monkeypatch.setattr(config, "default_calibration_text", lambda: reads.append(text) or text)
+        calibration_from_dict(json.loads(text))
+        assert reads == []  # a complete document never needs it
+        doc = json.loads(text)
+        del doc["weights"]["fcp"], doc["category_bands"], doc["outlier_bounds"], doc["quiet_window"]
+        assert calibration_from_dict(doc) == calibration_from_dict(json.loads(text))
+        assert len(reads) == 1
+
+    def test_a_null_weight_is_still_an_error(self):
+        doc = self.base()
+        doc["weights"]["fcp"] = None
+        with pytest.raises(SchemaError) as exc:
+            calibration_from_dict(doc)
+        assert str(exc.value) == "$.weights.fcp: must be a number"
 
     def test_mobile_cpu_may_not_undercut_desktop(self):
         doc = self.base()

@@ -31,7 +31,7 @@ from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError, Sche
 from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
 from webaudit.report import aggregate_regions, read_aggregates, write_aggregates
-from webaudit.scoring import SCORE_MAX, ScoreReport, WeightTable
+from webaudit.scoring import SCORE_MAX, ScoreReport
 from webaudit.synth import build_demo_trace
 from webaudit.trace import NormalizedTrace, PaintEvent, VisualSample
 from webaudit.config import OutlierBounds
@@ -165,8 +165,8 @@ class TestAuditTrace:
 
 
 class TestFlagOutliers:
-    def test_extremes_flagged_midrange_not(self):
-        bounds = OutlierBounds()
+    def test_extremes_flagged_midrange_not(self, calibration):
+        bounds = calibration.outliers
         assert bounds.flags(97.0)
         assert bounds.flags(3.0)
         assert not bounds.flags(50.0)
@@ -411,7 +411,7 @@ class TestResultFiles:
         data["metrics"]["fcp"] = 800
         data["scores"]["fcp"] = 90
         result = result_from_dict(data)
-        assert type(result.metrics.fcp_ms) is float and result.metrics.fcp_ms == 800.0
+        assert type(result.metrics.fcp) is float and result.metrics.fcp == 800.0
         assert type(result.report.scores["fcp"]) is float and result.report.scores["fcp"] == 90.0
 
     @pytest.mark.parametrize(
@@ -465,13 +465,14 @@ class TestResultFiles:
         data["scores"].update(fcp=0.0, si=SCORE_MAX)
         data.update(performance_score=SCORE_MAX)
         result = result_from_dict(data)
-        assert result.metrics.tti_ms == 1e300 and result.report.scores["si"] == SCORE_MAX
+        assert result.metrics.tti == 1e300 and result.report.scores["si"] == SCORE_MAX
         assert result.report.performance_score == SCORE_MAX
 
-    def test_scores_over_100_under_a_weight_tolerance_round_trip(self, tmp_path):
+    def test_scores_over_100_under_a_weight_tolerance_round_trip(self, tmp_path, calibration):
         # Weights may sum to 1 + 1e-9, so a page scoring 100 on every metric
         # gets a performance score just over 100; the readers must take it back.
-        calibration = dataclasses.replace(load_calibration(), weights=WeightTable(tti=0.333 + 0.999e-9))
+        weights = dataclasses.replace(calibration.weights, tti=0.333 + 0.999e-9)
+        calibration = dataclasses.replace(calibration, weights=weights)
         instant = NormalizedTrace(
             paint_events=(PaintEvent(0.0, "contentful-paint"),), visual_progress=(VisualSample(0.0, 1.0),)
         )

@@ -1,15 +1,17 @@
 """Metric computations against hand-worked values and brute-force oracles."""
 
+import dataclasses
+import json
 import random
 
 import pytest
 
 from oracles import max_fid_brute, overload_intervals_groupby, quiet_window_scan, speed_index_riemann
 from conftest import random_trace
+from webaudit import config
 from webaudit.errors import IncompleteVisualProgress, NoContentfulPaint
 from webaudit.metrics import (
     MetricSet,
-    QuietWindow,
     compute_all,
     compute_fci,
     compute_fcp,
@@ -106,6 +108,11 @@ class TestSpeedIndex:
             assert compute_speed_index(t) == pytest.approx(speed_index_riemann(t), abs=0.5)
 
 
+@pytest.fixture
+def quiet(calibration):
+    return calibration.quiet_window
+
+
 def quiet_trace(tasks=(), requests=()):
     return NormalizedTrace(
         paint_events=(PaintEvent(500.0, "contentful-paint"),),
@@ -117,44 +124,44 @@ def quiet_trace(tasks=(), requests=()):
 
 
 class TestTti:
-    def test_no_activity_means_fcp(self):
-        assert compute_tti(quiet_trace(), 500.0) == 500.0
+    def test_no_activity_means_fcp(self, quiet):
+        assert compute_tti(quiet_trace(), 500.0, quiet) == 500.0
 
-    def test_single_long_task_sets_tti_at_its_end(self):
+    def test_single_long_task_sets_tti_at_its_end(self, quiet):
         t = quiet_trace(tasks=[(1000.0, 200.0)])
-        assert compute_tti(t, 500.0) == 1200.0
+        assert compute_tti(t, 500.0, quiet) == 1200.0
 
-    def test_network_overload_delays_window_but_not_result_without_tasks(self):
+    def test_network_overload_delays_window_but_not_result_without_tasks(self, quiet):
         t = quiet_trace(requests=[(0.0, 10000.0)] * 3)
-        assert compute_tti(t, 500.0) == 500.0
+        assert compute_tti(t, 500.0, quiet) == 500.0
 
-    def test_exactly_fifty_ms_task_is_not_long(self):
+    def test_exactly_fifty_ms_task_is_not_long(self, quiet):
         t = quiet_trace(tasks=[(1000.0, 50.0)])
-        assert compute_tti(t, 500.0) == 500.0
+        assert compute_tti(t, 500.0, quiet) == 500.0
 
-    def test_overload_then_long_task_pushes_past_both(self):
+    def test_overload_then_long_task_pushes_past_both(self, quiet):
         t = quiet_trace(tasks=[(11000.0, 100.0)], requests=[(0.0, 10000.0)] * 3)
-        assert compute_tti(t, 500.0) == 11100.0
+        assert compute_tti(t, 500.0, quiet) == 11100.0
 
-    def test_two_inflight_requests_are_fine(self):
+    def test_two_inflight_requests_are_fine(self, quiet):
         t = quiet_trace(requests=[(0.0, 10000.0)] * 2, tasks=[(600.0, 60.0)])
-        assert compute_tti(t, 500.0) == 660.0
+        assert compute_tti(t, 500.0, quiet) == 660.0
 
-    def test_window_width_is_configurable(self):
+    def test_window_width_is_configurable(self, quiet):
         t = quiet_trace(tasks=[(600.0, 100.0), (1500.0, 100.0)])
-        # default window spans both tasks; a 300 ms window fits between them
-        assert compute_tti(t, 500.0) == 1600.0
-        assert compute_tti(t, 500.0, QuietWindow(window_ms=300.0)) == 700.0
+        # the packaged window spans both tasks; a 300 ms window fits between them
+        assert compute_tti(t, 500.0, quiet) == 1600.0
+        assert compute_tti(t, 500.0, dataclasses.replace(quiet, window_ms=300.0)) == 700.0
 
 
 class TestFci:
-    def test_ignores_network_entirely(self):
+    def test_ignores_network_entirely(self, quiet):
         t = quiet_trace(tasks=[(1000.0, 200.0)], requests=[(0.0, 10000.0)] * 3)
-        assert compute_fci(t, 500.0) == 1200.0
-        assert compute_fci(t, 500.0) <= compute_tti(t, 500.0)
+        assert compute_fci(t, 500.0, quiet) == 1200.0
+        assert compute_fci(t, 500.0, quiet) <= compute_tti(t, 500.0, quiet)
 
-    def test_no_tasks_means_fcp(self):
-        assert compute_fci(quiet_trace(), 500.0) == 500.0
+    def test_no_tasks_means_fcp(self, quiet):
+        assert compute_fci(quiet_trace(), 500.0, quiet) == 500.0
 
 
 class TestMaxFid:
@@ -175,18 +182,18 @@ class TestMaxFid:
 class TestAgainstOracles:
     """Randomized agreement with the brute-force window scan and Riemann sum."""
 
-    def test_interactivity_metrics_match_window_scan(self, rng):
+    def test_interactivity_metrics_match_window_scan(self, quiet, rng):
         for _ in range(300):
             t = random_trace(rng)
             fcp = compute_fcp(t)
-            assert compute_tti(t, fcp) == quiet_window_scan(t, fcp, consider_network=True)
-            assert compute_fci(t, fcp) == quiet_window_scan(t, fcp, consider_network=False)
+            assert compute_tti(t, fcp, quiet) == quiet_window_scan(t, fcp, consider_network=True)
+            assert compute_fci(t, fcp, quiet) == quiet_window_scan(t, fcp, consider_network=False)
 
-    def test_max_fid_matches_brute_force(self, rng):
+    def test_max_fid_matches_brute_force(self, quiet, rng):
         for _ in range(300):
             t = random_trace(rng)
             fcp = compute_fcp(t)
-            tti = compute_tti(t, fcp)
+            tti = compute_tti(t, fcp, quiet)
             assert compute_max_fid(t, fcp, tti) == max_fid_brute(t, fcp, tti)
 
 
@@ -249,14 +256,29 @@ class TestOverloadScan:
 
 
 class TestComputeAll:
-    def test_simple_trace_end_to_end(self, simple_trace):
-        m = compute_all(simple_trace)
+    def test_simple_trace_end_to_end(self, simple_trace, quiet):
+        m = compute_all(simple_trace, quiet)
         assert m == MetricSet(800.0, 1500.0, 1460.0, 1100.0, 1100.0, 200.0)
+        assert m.as_dict() == dict(fcp=800.0, fmp=1500.0, si=1460.0, tti=1100.0, fci=1100.0, max_fid=200.0)
 
-    def test_ordering_invariants_hold_on_random_traces(self, rng):
+    def test_ordering_invariants_hold_on_random_traces(self, quiet, rng):
         for _ in range(200):
-            m = compute_all(random_trace(rng))
-            assert m.fcp_ms <= m.fci_ms <= m.tti_ms
-            assert m.fcp_ms <= m.fmp_ms
-            assert m.speed_index_ms >= 0.0
-            assert m.max_fid_ms >= 0.0
+            m = compute_all(random_trace(rng), quiet)
+            assert m.fcp <= m.fci <= m.tti
+            assert m.fcp <= m.fmp
+            assert m.si >= 0.0
+            assert m.max_fid >= 0.0
+
+    def test_without_a_quiet_window_the_packaged_one_applies(self, monkeypatch, quiet):
+        trace = NormalizedTrace(
+            paint_events=(PaintEvent(500.0, "contentful-paint"),),
+            tasks=(MainThreadTask(600.0, 100.0), MainThreadTask(1500.0, 100.0)),
+            visual_progress=(VisualSample(500.0, 1.0),),
+        )
+        assert compute_all(trace) == compute_all(trace, quiet)
+        assert compute_all(trace).tti == 1600.0
+        document = json.loads(config.default_calibration_text())
+        document["quiet_window"]["window_ms"] = 300
+        monkeypatch.setattr(config, "default_calibration_text", lambda: json.dumps(document))
+        assert compute_all(trace).tti == 700.0
+        assert compute_all(trace) == compute_all(trace, dataclasses.replace(quiet, window_ms=300.0))

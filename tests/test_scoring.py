@@ -1,5 +1,6 @@
 """Scoring curves, weights, aggregation, and category bands."""
 
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,6 @@ from webaudit.errors import InvalidCurve, WeightMismatch
 from webaudit.scoring import (
     _Z_90,
     CategoryBands,
-    DEFAULT_WEIGHTS,
     METRIC_KEYS,
     ScoreCurve,
     WeightTable,
@@ -81,11 +81,13 @@ class TestMetricScore:
 
 
 class TestWeights:
-    def test_defaults_sum_to_one(self):
-        assert math.fsum(DEFAULT_WEIGHTS.as_dict().values()) == pytest.approx(1.0, abs=1e-9)
+    """The packaged calibration's weights: the table the pipeline scores with."""
 
-    def test_exact_default_values(self):
-        assert DEFAULT_WEIGHTS.as_dict() == {
+    def test_defaults_sum_to_one(self, calibration):
+        assert math.fsum(calibration.weights.as_dict().values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_exact_default_values(self, calibration):
+        assert calibration.weights.as_dict() == {
             "fcp": 0.2,
             "fmp": 0.067,
             "si": 0.267,
@@ -95,44 +97,44 @@ class TestWeights:
         }
 
     @pytest.mark.parametrize("fcp", [-0.5, 1.2, 0.2 + 2e-9, math.inf, math.nan])
-    def test_rejects_a_bad_weight_or_sum(self, fcp):
+    def test_rejects_a_bad_weight_or_sum(self, calibration, fcp):
         with pytest.raises(ValueError, match="weights must be"):
-            WeightTable(fcp=fcp)
+            dataclasses.replace(calibration.weights, fcp=fcp)
 
 
 class TestAggregate:
     def full(self, value: float) -> dict[str, float]:
         return {key: value for key in METRIC_KEYS}
 
-    def test_all_hundreds_give_hundred(self):
-        assert aggregate(self.full(100.0)) == 100.0
+    def test_all_hundreds_give_hundred(self, calibration):
+        assert aggregate(self.full(100.0), calibration.weights) == 100.0
 
-    def test_all_zeros_give_zero(self):
-        assert aggregate(self.full(0.0)) == 0.0
+    def test_all_zeros_give_zero(self, calibration):
+        assert aggregate(self.full(0.0), calibration.weights) == 0.0
 
-    def test_uniform_scores_pass_through(self):
+    def test_uniform_scores_pass_through(self, calibration):
         for s in (12.5, 33.3, 87.1):
-            assert aggregate(self.full(s)) == pytest.approx(s, abs=1e-12)
+            assert aggregate(self.full(s), calibration.weights) == pytest.approx(s, abs=1e-12)
 
-    def test_single_metric_hundred_reproduces_each_weight_exactly(self):
+    def test_single_metric_hundred_reproduces_each_weight_exactly(self, calibration):
         expected = {"fcp": 20.0, "fmp": 6.7, "si": 26.7, "tti": 33.3, "fci": 13.3, "max_fid": 0.0}
         for key, want in expected.items():
             scores = self.full(0.0)
             scores[key] = 100.0
-            assert aggregate(scores) == want
+            assert aggregate(scores, calibration.weights) == want
 
-    def test_fid_score_cannot_move_the_aggregate(self, rng):
+    def test_fid_score_cannot_move_the_aggregate(self, calibration, rng):
         for _ in range(20):
             scores = {key: rng.uniform(0.0, 100.0) for key in METRIC_KEYS}
             low = dict(scores, max_fid=0.0)
             high = dict(scores, max_fid=100.0)
-            assert aggregate(low) == aggregate(high)
+            assert aggregate(low, calibration.weights) == aggregate(high, calibration.weights)
 
-    def test_missing_metric_rejected(self):
+    def test_missing_metric_rejected(self, calibration):
         scores = self.full(50.0)
         del scores["tti"]
         with pytest.raises(WeightMismatch):
-            aggregate(scores)
+            aggregate(scores, calibration.weights)
 
     def test_custom_weights(self):
         weights = WeightTable(fcp=1.0, fmp=0.0, si=0.0, tti=0.0, fci=0.0, max_fid=0.0)
@@ -140,13 +142,14 @@ class TestAggregate:
 
 
 class TestCategorize:
-    def test_band_edges(self):
-        assert categorize(89.9999) == "average"
-        assert categorize(90.0) == "good"
-        assert categorize(50.0) == "average"
-        assert categorize(49.9999) == "poor"
-        assert categorize(0.0) == "poor"
-        assert categorize(100.0) == "good"
+    def test_band_edges(self, calibration):
+        bands = calibration.bands
+        assert categorize(89.9999, bands) == "average"
+        assert categorize(90.0, bands) == "good"
+        assert categorize(50.0, bands) == "average"
+        assert categorize(49.9999, bands) == "poor"
+        assert categorize(0.0, bands) == "poor"
+        assert categorize(100.0, bands) == "good"
 
     def test_custom_bands(self):
         bands = CategoryBands(good_min=80.0, average_min=30.0)
@@ -155,16 +158,14 @@ class TestCategorize:
 
 
 class TestScoreMetrics:
-    def test_report_fields_are_consistent(self, simple_trace, rng):
-        from webaudit.config import load_calibration
+    def test_report_fields_are_consistent(self, simple_trace, calibration):
         from webaudit.metrics import compute_all
 
-        calibration = load_calibration()
-        metrics = compute_all(simple_trace)
-        report = score_metrics(metrics, calibration.curves_for("mobile"), calibration.weights)
+        metrics = compute_all(simple_trace, calibration.quiet_window)
+        report = score_metrics(metrics, calibration.curves_for("mobile"), calibration.weights, calibration.bands)
         assert set(report.scores) == set(METRIC_KEYS)
         assert report.performance_score == aggregate(report.scores, calibration.weights)
-        assert report.category == categorize(report.performance_score)
+        assert report.category == categorize(report.performance_score, calibration.bands)
         assert all(0.0 <= s <= 100.0 for s in report.scores.values())
 
 

@@ -49,13 +49,13 @@ class TestBuildCorpusRows:
 
 
 class TestDemoTraces:
-    def test_every_index_yields_a_valid_trace(self):
+    def test_every_index_yields_a_valid_trace(self, calibration):
         for index in range(12):
             trace = build_demo_trace(index)
             assert NormalizedTrace.from_dict(trace.to_dict()) == trace
-            metrics = compute_all(trace)
-            assert metrics.fcp_ms > 0
-            assert metrics.speed_index_ms > 0
+            metrics = compute_all(trace, calibration.quiet_window)
+            assert metrics.fcp > 0
+            assert metrics.si > 0
 
     def test_integer_millisecond_times(self):
         trace = build_demo_trace(7)
