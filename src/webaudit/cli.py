@@ -199,7 +199,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     aggregates = read_aggregates(args.aggregates)
-    results = read_results(args.results)
+    # The csv report is the region table alone: it renders from the
+    # aggregates and never opens --results.
+    results = () if args.format == "csv" else read_results(args.results)
     document = emit_report(aggregates, results, args.format, decimal_comma=args.decimal_comma)
     Path(args.out).write_text(document, "utf-8")
     print(f"{args.format} report -> {args.out}")

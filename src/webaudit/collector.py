@@ -14,12 +14,14 @@ from .trace import NormalizedTrace
 
 
 def load_trace(path: str | Path) -> NormalizedTrace:
-    """Read and validate a stored trace file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    """Read and validate a stored trace file; a file that is not UTF-8 JSON
+    is a ParseError naming it."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return NormalizedTrace.from_dict(data)
 
 

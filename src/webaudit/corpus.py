@@ -371,12 +371,19 @@ def write_results(results: Iterable[AuditResult], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[AuditResult]:
+    """Read a results file; a bad line, or one that is not UTF-8, is a
+    ParseError naming the file and the line."""
     results = []
-    with open(path, "r", encoding="utf-8") as handle:
+    # A byte that is not UTF-8 reads as a lone surrogate, so the error below
+    # can name its line; write_results writes ASCII, so no line it wrote
+    # takes that check.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 results.append(result_from_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, SchemaError) as exc:
                 raise ParseError(f"{path}, line {number}: {exc}") from exc

@@ -348,4 +348,9 @@ def write_aggregates(aggregates: Sequence[RegionAggregate], path: str | Path) ->
 
 
 def read_aggregates(path: str | Path) -> list[RegionAggregate]:
-    return aggregates_from_report_json(Path(path).read_text("utf-8"))
+    """Read an aggregates file; one that is not UTF-8 is a ParseError naming it."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return aggregates_from_report_json(text)

@@ -1,5 +1,6 @@
 """The command-line surface, run in-process through cli.main."""
 
+import csv
 import json
 import os
 import subprocess
@@ -14,14 +15,26 @@ from conftest import call_within, parse_report_csv
 from webaudit.cli import main
 from webaudit.collector import write_trace
 from webaudit.config import default_calibration_text, load_calibration, resolve_throttle
+from webaudit.corpus import trace_slug
 from webaudit.netsim import apply_throttle
 from webaudit.report import aggregates_from_report_json
 from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+NOT_UTF8 = b"\xff\xfe"
+
+
 @pytest.fixture
 def workspace(tmp_path):
     return write_demo_workspace(tmp_path)
+
+
+def demo_trace(paths, row: int) -> Path:
+    """The stored trace of the corpus's row-th site."""
+    with open(paths["corpus"], encoding="utf-8", newline="") as handle:
+        url = list(csv.DictReader(handle))[row - 1]["url"]
+    return paths["traces"] / (trace_slug(url) + ".json")
 
 
 def set_row(**fields):
@@ -75,6 +88,17 @@ class TestScoreCommand:
         rc = main(["score", "--trace", str(tmp_path / "absent.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "audit"])
+    def test_a_trace_that_is_not_utf8_exits_two_naming_it(self, tmp_path, simple_trace, capsys, command):
+        trace_file = tmp_path / "t.json"
+        write_trace(simple_trace, trace_file)
+        trace_file.write_bytes(NOT_UTF8 + trace_file.read_bytes())
+        argv = ["score", "--trace", str(trace_file)] if command == "score" else ["audit", "x", "--trace-in", str(trace_file)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace_file}: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
 
 
 class TestAuditCommand:
@@ -199,6 +223,17 @@ class TestBatchCommand:
         assert out.exists()  # results still written; failures are data
         assert "2 failed" in capsys.readouterr().out
 
+    def test_a_trace_that_is_not_utf8_fails_only_its_site(self, workspace, tmp_path, capsys):
+        bad = demo_trace(workspace, 3)
+        bad.write_bytes(NOT_UTF8 + bad.read_bytes())
+        rc, out = run_batch_cli(workspace, tmp_path)
+        assert rc == 1
+        lines = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+        failed = [line for line in lines if line["status"] == "failed"]
+        assert len(lines) == 24 and [line["site"]["no"] for line in failed] == [3, 3]
+        assert all(line["failure_reason"].startswith(f"ParseError: {bad}: 'utf-8' codec") for line in failed)
+        assert "24 audits (12 sites x 2 modes), 2 failed" in capsys.readouterr().out
+
     def test_unknown_mode_is_a_usage_error(self, workspace, tmp_path, capsys):
         rc = main(
             [
@@ -274,6 +309,24 @@ class TestAggregateAndReportCommands:
         rows = parse_report_csv(text)
         assert len(rows) == 12
         assert all(row["mean_mobile"] is not None for row in rows)
+
+    def test_csv_report_matches_the_golden_file(self, workspace, tmp_path):
+        assert self.pipeline(workspace, tmp_path, "csv") == (FIXTURES / "golden_report.csv").read_text("utf-8")
+
+    @pytest.mark.parametrize("results", ["corrupt", "missing", "not-utf8"])
+    def test_csv_report_never_reads_the_results_file(self, workspace, tmp_path, capsys, results):
+        good = self.pipeline(workspace, tmp_path, "csv")
+        path = tmp_path / "other.jsonl"
+        if results == "corrupt":
+            path.write_text("{broken\n", "utf-8")
+        elif results == "not-utf8":
+            path.write_bytes(NOT_UTF8 + b"\n")
+        argv = ["report", "--aggregates", str(tmp_path / "aggregates.json"), "--results", str(path),
+                "--format", "csv", "--out", str(tmp_path / "again.csv")]  # fmt: skip
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert (tmp_path / "again.csv").read_text("utf-8") == good
+        assert capsys.readouterr().err == ""
 
     def test_md_report_has_the_table_and_total(self, workspace, tmp_path):
         text = self.pipeline(workspace, tmp_path, "md", extra=("--decimal-comma",))
@@ -359,12 +412,44 @@ class TestAggregateAndReportCommands:
         capsys.readouterr()
         for argv in (
             ["aggregate", "--results", str(results), "--out", str(tmp_path / "again.json")],
-            ["report", "--aggregates", str(aggregates), "--results", str(results), "--format", "md",
-             "--out", str(tmp_path / "report.md")],
+            *(["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt,
+               "--out", str(tmp_path / f"report.{fmt}")] for fmt in ("md", "json")),
         ):
             assert call_within(10, main, argv) == 2
             err = capsys.readouterr().err
             assert f"line {number}: $.{field}: " in err
+            assert "Traceback" not in err
+
+    def test_a_results_file_that_is_not_utf8_names_its_line(self, workspace, tmp_path, capsys):
+        rc, results = run_batch_cli(workspace, tmp_path)
+        aggregates = tmp_path / "aggregates.json"
+        assert rc == 0 and main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+        lines = results.read_bytes().splitlines(keepends=True)
+        lines[6] = lines[6].replace(b'"status":"ok"', b'"status":"ok' + NOT_UTF8 + b'"')
+        results.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        for argv in (
+            ["aggregate", "--results", str(results), "--out", str(tmp_path / "again.json")],
+            *(["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt,
+               "--out", str(tmp_path / f"report.{fmt}")] for fmt in ("md", "json")),
+        ):
+            assert call_within(10, main, argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {results}, line 7: 'utf-8' codec can't decode byte 0xff")
+            assert "Traceback" not in err
+
+    def test_an_aggregates_file_that_is_not_utf8_names_it(self, workspace, tmp_path, capsys):
+        rc, results = run_batch_cli(workspace, tmp_path)
+        aggregates = tmp_path / "aggregates.json"
+        assert rc == 0 and main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+        aggregates.write_bytes(aggregates.read_bytes().replace(b"Kota Bandung", b"Kota Bandung" + NOT_UTF8))
+        capsys.readouterr()
+        for fmt in ("md", "csv", "json"):
+            argv = ["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt,
+                    "--out", str(tmp_path / f"report.{fmt}")]
+            assert call_within(10, main, argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {aggregates}: 'utf-8' codec can't decode byte 0xff")
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Trace file IO (webaudit.collector), and performance-entry conversion and
 capture plumbing (webaudit.capture)."""
 
+import json
+import re
 import socket
 
 import pytest
@@ -39,6 +41,22 @@ class TestTraceFiles:
         p.write_text("{nope", "utf-8")
         with pytest.raises(ParseError):
             load_trace(p)
+
+    @pytest.mark.parametrize("prefix", [b"\xff\xfe", b"\xef\xbb\xbf"], ids=["not-utf8", "byte-order-mark"])
+    def test_a_file_that_is_not_utf8_json_names_its_path(self, tmp_path, simple_trace, prefix):
+        p = tmp_path / "trace.json"
+        write_trace(simple_trace, p)
+        p.write_bytes(prefix + p.read_bytes())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: "):
+            load_trace(p)
+
+    def test_crlf_line_ends_and_utf8_text_are_read(self, tmp_path, simple_trace):
+        p = tmp_path / "trace.json"
+        write_trace(simple_trace, p)
+        document = json.loads(p.read_text("utf-8"))
+        document["requests"][0]["origin"] = "https://é.test"
+        p.write_bytes(json.dumps(document, ensure_ascii=False, indent=2).replace("\n", "\r\n").encode("utf-8"))
+        assert load_trace(p).requests[0].origin == "https://é.test"
 
     def test_schema_violation_surfaces(self, tmp_path):
         p = tmp_path / "trace.json"

@@ -5,6 +5,7 @@ import datetime
 import json
 import logging
 import random
+import re
 
 import pytest
 
@@ -507,3 +508,21 @@ class TestResultFiles:
             handle.write("{broken\n")
         with pytest.raises(ParseError, match="line 2"):
             read_results(path)
+
+    def test_a_line_that_is_not_utf8_reports_its_number(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        write_results([ok_result(50.0, no=n) for n in (1, 2, 3)], path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b"Diskominfo", b"Diskominfo \xff\xfe")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}, line 2: 'utf-8' codec can't decode byte 0xff"):
+            read_results(path)
+
+    def test_utf8_text_and_crlf_line_ends_are_read(self, tmp_path):
+        results = [ok_result(50.0, region="Kota Bandung \u00e9"), ok_result(38.5, no=2)]
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(
+            b"".join(json.dumps(result_to_dict(r), ensure_ascii=False).encode("utf-8") + b"\r\n" for r in results)
+        )
+        assert read_results(path) == results
+

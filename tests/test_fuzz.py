@@ -1,9 +1,9 @@
 """Seeded mutation fuzzing of the documents the command line reads.
 
 Each case mutates one document (the packaged calibration, a throttle
-profile file, or cells of a corpus CSV), runs it through ``cli.main`` and
-requires one of the documented exit codes, 0, 1 or 2, with no exception
-escaping and no hang. The mutations come from ``random.Random`` with fixed
+profile file, cells of a corpus CSV, a results line or an aggregates row),
+runs it through ``cli.main`` and requires one of the documented exit
+codes, 0, 1 or 2, with no exception escaping and no hang. The mutations come from ``random.Random`` with fixed
 seeds, so a failure names a reproducible case.
 """
 
@@ -88,6 +88,11 @@ def files(tmp_path_factory) -> dict[str, Path]:
     paths["plan"].write_text(json.dumps(PLAN), "utf-8")
     paths["doc"] = root / "mutated.json"
     paths["out"] = root / "results.jsonl"
+    # A results file with failed lines, and its aggregates.
+    failing = write_demo_workspace(root / "failing", include_failure=True)
+    paths["results"], paths["aggregates"] = root / "batch.jsonl", root / "batch_aggregates.json"
+    assert main(batch_argv({**failing, "out": paths["results"]})) == 1
+    assert main(["aggregate", "--results", str(paths["results"]), "--out", str(paths["aggregates"])]) == 0
     return paths
 
 
@@ -156,3 +161,48 @@ def test_mutated_corpus_cells(files, capsys, tmp_path):
         codes.append(run(argv, f"corpus {i}: {done}"))
         capsys.readouterr()
     assert {0, 2} <= set(codes)
+
+
+def report_argvs(aggregates: Path, results: Path, out: Path, formats=("md", "csv", "json")) -> list[list[str]]:
+    return [
+        ["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt, "--out", str(out)]
+        for fmt in formats
+    ]
+
+
+def test_mutated_result_lines(files, capsys, tmp_path):
+    rng = random.Random(0x7E5)
+    lines = files["results"].read_text("utf-8").splitlines()
+    results, out = tmp_path / "results.jsonl", tmp_path / "out"
+    codes = []
+    for i in range(80):
+        mutated = list(lines)
+        number = rng.randrange(len(mutated))
+        document, done = mutate(json.loads(mutated[number]), rng)
+        mutated[number] = dump(document)
+        results.write_text("\n".join(mutated) + "\n", "utf-8")
+        case = f"results {i}, line {number + 1}: {done}"
+        codes.append(run(["aggregate", "--results", str(results), "--out", str(out)], case))
+        # The csv report never opens --results, so only md and json read the line.
+        codes += [run(argv, case) for argv in report_argvs(files["aggregates"], results, out, ("md", "json"))]
+        capsys.readouterr()
+    assert {0, 2} <= set(codes)
+
+
+def test_mutated_aggregates_rows(files, capsys):
+    rng = random.Random(0xA66)
+    document = json.loads(files["aggregates"].read_text("utf-8"))
+    argvs = report_argvs(files["doc"], files["results"], files["doc"].with_suffix(".out"))
+    files["doc"].write_text(dump(document), "utf-8")
+    assert {run(argv, "the document as written") for argv in argvs} == {0}
+    codes = []
+    for i in range(100):
+        mutated = copy.deepcopy(document)
+        row = rng.randrange(len(mutated["aggregates"]))
+        mutated["aggregates"][row], done = mutate(mutated["aggregates"][row], rng)
+        files["doc"].write_text(dump(mutated), "utf-8")
+        codes += [run(argv, f"aggregates {i}, row {row}: {done}") for argv in argvs]
+        capsys.readouterr()
+    # The reader holds each row to what aggregate writes, so nearly every
+    # mutation is refused.
+    assert 2 in codes

@@ -1,6 +1,7 @@
 """Region aggregation, ranking, and the three report formats."""
 
 import datetime
+import re
 
 import pytest
 
@@ -274,6 +275,13 @@ class TestAggregateFiles:
         aggregates = reference_aggregates()
         write_aggregates(aggregates, path)
         assert read_aggregates(path) == aggregates
+
+    def test_a_file_that_is_not_utf8_names_its_path(self, tmp_path):
+        path = tmp_path / "aggregates.json"
+        write_aggregates(reference_aggregates(), path)
+        path.write_bytes(path.read_bytes().replace(b"Kab. Bogor", b"Kab. Bogor \xff", 1))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+            read_aggregates(path)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(UnknownFormat):
