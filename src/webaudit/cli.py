@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .collector import load_trace, write_trace
-from .config import MODE_KINDS, load_calibration, load_member_regions, resolve_throttle
+from .config import MODE_KINDS, load_calibration, load_member_regions, read_text, resolve_throttle
 from .corpus import audit_trace, ingest_corpus, membership_filter, read_results, run_batch, write_results
 from .errors import (
     AuditError,
@@ -212,7 +212,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     calibration = load_calibration(args.calibration)
     profile = resolve_throttle(args.profile, calibration)
     try:
-        data = json.loads(Path(args.plan).read_text("utf-8"))
+        data = json.loads(read_text(args.plan))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.plan}: {exc}") from exc
     ids, parents, offsets, sizes = plan_from_dict(data)

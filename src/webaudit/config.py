@@ -10,13 +10,14 @@ calibration's `modes` section is the only place one is built.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, TextIO
 
 from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
@@ -112,6 +113,23 @@ class Calibration:
         return self.curves[kind]
 
 
+@contextlib.contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """open() for reading UTF-8 text; a byte that is not UTF-8 is a
+    ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 text file, read through open_text."""
+    with open_text(path) as handle:
+        return handle.read()
+
+
 def default_calibration_text() -> str:
     return resources.files("webaudit").joinpath("data/calibration.json").read_text("utf-8")
 
@@ -122,7 +140,7 @@ def load_calibration(path: str | Path | None = None) -> Calibration:
         text = default_calibration_text()
         source = "<packaged calibration>"
     else:
-        text = Path(path).read_text("utf-8")
+        text = read_text(path)
         source = str(path)
     try:
         data = json.loads(text)
@@ -223,7 +241,7 @@ def resolve_throttle(spec: str, calibration: Calibration, mode: DeviceMode | Non
         known = ", ".join(sorted(calibration.throttles))
         raise SchemaError("$.throttle_profiles", f"unknown throttle {spec!r} (profiles: {known}; or pass a file)")
     try:
-        data = json.loads(path.read_text("utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return _throttle_spec(data, "$").resolve(mode)
@@ -251,7 +269,7 @@ def load_member_regions(path: str | Path | None = None) -> tuple[str, ...]:
     if path is None:
         text = resources.files("webaudit").joinpath("data/member_regions.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        text = read_text(path)
     regions = []
     for line in text.splitlines():
         name = line.strip()

@@ -28,6 +28,7 @@ from .config import (
     DeviceMode,
     load_calibration,
     load_member_regions,
+    open_text,
     resolve_throttle,
 )
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
@@ -95,7 +96,7 @@ def ingest_corpus(path: str | Path, member_regions: Sequence[str] | None = None)
 
     records: list[SiteRecord] = []
     seen_urls: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -259,9 +260,15 @@ def result_to_dict(result: AuditResult) -> dict:
 
 
 def result_from_dict(data: Any) -> AuditResult:
-    """Read one result line back; a bad value is a SchemaError at its JSON path."""
+    """Read one result line back; a bad value, an unknown key or a missing one
+    is a SchemaError at its JSON path, so a line read back writes the same bytes."""
     if type(data) is not dict:
         raise SchemaError("$", "result line must be an object")
+    complete = data.keys() == _RESULT_FIELD_SET
+    if not complete:
+        unknown = sorted(data.keys() - _RESULT_FIELD_SET)
+        if unknown:
+            raise SchemaError(f"$.{unknown[0]}", "unknown field")
     site = _site_from_dict(data.get("site"))
     if data.get("mode") not in MODE_KINDS:
         raise SchemaError("$.mode", f"must be one of {', '.join(MODE_KINDS)}")
@@ -292,18 +299,29 @@ def result_from_dict(data: Any) -> AuditResult:
                 raise SchemaError(f"$.{key}", "must be null on a failed result")
         if data["outlier_flag"]:
             raise SchemaError("$.outlier_flag", "must be false on a failed result")
+    test_date = _date(data, "test_date", "$")
+    if not complete:
+        # Each check above passed, so a field that is absent is one they read as null.
+        missing = next(key for key in _RESULT_FIELDS if key not in data)
+        raise SchemaError(f"$.{missing}", "missing field")
     return AuditResult(
         site=site,
         mode=data["mode"],
         status=status,
         metrics=metrics,
         report=report,
-        test_date=_date(data, "test_date", "$"),
+        test_date=test_date,
         outlier_flag=data["outlier_flag"],
         failure_reason=reason,
     )
 
 
+# The keys of a result line, in result_to_dict's order.
+_RESULT_FIELDS = (
+    "site", "mode", "status", "failure_reason", "metrics", "scores", "performance_score", "category", "test_date",
+    "outlier_flag",
+)  # fmt: skip
+_RESULT_FIELD_SET = frozenset(_RESULT_FIELDS)
 _SITE_FIELDS = {"no": int, "institution": str, "tier": str, "region": str, "url": str, "smart_city_member": bool}
 _JSON_TYPE_NAMES = {int: "integer", str: "string", bool: "bool"}
 _METRIC_KEY_SET = frozenset(METRIC_KEYS)

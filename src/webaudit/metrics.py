@@ -106,15 +106,23 @@ def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float
     or before w (at least fcp). Traces are treated as quiet past their end,
     so a window always exists.
     """
-    long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
-    blockers = long_tasks + _overload_intervals(trace.requests, quiet.max_inflight_requests)
-    w = _earliest_quiet_start(blockers, fcp, quiet.window_ms)
-    return _last_long_task_end(long_tasks, w, fcp)
+    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), trace.requests, fcp, quiet)
 
 
 def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
     """First CPU idle: like TTI but ignoring network activity entirely."""
-    long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
+    return _fci(_long_task_intervals(trace.tasks, quiet.long_task_ms), fcp, quiet)
+
+
+def _tti(
+    long_tasks: list[tuple[float, float]], requests: Sequence[NetworkRequest], fcp: float, quiet: QuietWindow
+) -> float:
+    blockers = long_tasks + _overload_intervals(requests, quiet.max_inflight_requests)
+    w = _earliest_quiet_start(blockers, fcp, quiet.window_ms)
+    return _last_long_task_end(long_tasks, w, fcp)
+
+
+def _fci(long_tasks: list[tuple[float, float]], fcp: float, quiet: QuietWindow) -> float:
     w = _earliest_quiet_start(long_tasks, fcp, quiet.window_ms)
     return _last_long_task_end(long_tasks, w, fcp)
 
@@ -137,8 +145,10 @@ def compute_all(trace: NormalizedTrace, quiet: QuietWindow | None = None) -> Met
     fcp = compute_fcp(trace)
     fmp = compute_fmp(trace, fcp)
     speed_index = compute_speed_index(trace)
-    tti = compute_tti(trace, fcp, quiet)
-    fci = compute_fci(trace, fcp, quiet)
+    # TTI and FCI share the long tasks.
+    long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
+    tti = _tti(long_tasks, trace.requests, fcp, quiet)
+    fci = _fci(long_tasks, fcp, quiet)
     max_fid = compute_max_fid(trace, fcp, tti)
     return MetricSet(fcp, fmp, speed_index, tti, fci, max_fid)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -29,6 +30,8 @@ from .trace import (
     _number,
     clamp_visual_progress,
 )
+
+_T_MS = operator.itemgetter(0)  # a paint's or visual sample's time
 
 # A transfer counts as finished once the virtual clock is this close to its
 # finish tag; soaks up float drift from summing the clock's advances.
@@ -123,15 +126,18 @@ def waterfall_times(
     capacity = profile.downlink_kbps
     # Unlimited pipe: every transfer is instantaneous once started.
     instant = math.isinf(capacity)
+    push, pop = heapq.heappush, heapq.heappop
     starts = [math.nan] * n  # NaN until the request starts
     ends = [0.0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
+    children: list[list[int] | None] = [None] * n  # a list only where there are children
     arrivals: list[tuple[float, int]] = []  # heap: (first-byte time, index)
     for i, parent in enumerate(parents):
         if parent < 0:
             start = 0.0 + offsets[i] + rtt  # as if after a parent that ended at 0
             starts[i] = start
             arrivals.append((start, i))
+        elif children[parent] is None:
+            children[parent] = [i]
         else:
             children[parent].append(i)
     heapq.heapify(arrivals)
@@ -139,49 +145,60 @@ def waterfall_times(
     # GPS virtual time: every flow in flight has received the same `virtual`
     # kilobits since the busy period began, so a flow finishes once `virtual`
     # reaches its tag, V(arrival) + size. Only the smallest tag matters, and
-    # a heap keeps it.
+    # a heap keeps it. A turn advances the clock to the next completion, or
+    # to the next arrival when that comes strictly sooner, then retires every
+    # flow within _COMPLETION_EPS_KBITS of done and every arrival due.
     tags: list[tuple[float, int]] = []  # heap: (virtual finish tag, index)
     virtual = 0.0
     now = 0.0
     started = 0
     while arrivals or tags:
         in_flight = len(tags)
-        t_complete = now + (tags[0][0] - virtual) * in_flight / capacity * 1000.0 if tags else math.inf
-        t_arrival = arrivals[0][0] if arrivals else math.inf
-        t_next = min(t_complete, t_arrival)
-        if tags and t_next > now:
-            virtual += capacity / in_flight * (t_next - now) / 1000.0
-        now = t_next
-        done_at = virtual + _COMPLETION_EPS_KBITS
-        if tags and t_next == t_complete:
-            # now + the smallest tag's drain time may round to now.
-            done_at = max(done_at, tags[0][0])
-        retired = 0
-        while tags and tags[0][0] <= done_at:
-            i = heapq.heappop(tags)[1]
-            ends[i] = now
-            for child in children[i]:
-                start = max(now, 0.0) + offsets[child] + rtt
-                starts[child] = start
-                heapq.heappush(arrivals, (start, child))
-            retired += 1
-        if not tags:
-            virtual = 0.0  # a new busy period starts from zero
+        if tags:
+            top = tags[0][0]
+            t_complete = now + (top - virtual) * in_flight / capacity * 1000.0
+            if arrivals and arrivals[0][0] < t_complete:
+                t_next = arrivals[0][0]
+                completing = False
+            else:
+                t_next = t_complete
+                completing = t_complete == t_complete  # a NaN clock completes nothing
+            if t_next > now:
+                virtual += capacity / in_flight * (t_next - now) / 1000.0
+            now = t_next
+            done_at = virtual + _COMPLETION_EPS_KBITS
+            if completing and top > done_at:
+                # now + the smallest tag's drain time may round to now.
+                done_at = top
+            base = 0.0 if now < 0.0 else now  # children start from here
+            while tags and tags[0][0] <= done_at:
+                i = pop(tags)[1]
+                ends[i] = now
+                if children[i] is not None:
+                    for child in children[i]:
+                        start = base + offsets[child] + rtt
+                        starts[child] = start
+                        push(arrivals, (start, child))
+            if not tags:
+                virtual = 0.0  # a new busy period starts from zero
+        else:
+            now = arrivals[0][0]  # the busy period is over, so virtual is 0
+        if len(tags) == in_flight and not (arrivals and arrivals[0][0] <= now):
+            raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {in_flight} transfers in flight")
         while arrivals and arrivals[0][0] <= now:
-            start, i = heapq.heappop(arrivals)
+            start, i = pop(arrivals)
             kbits = sizes[i] * 8.0 / 1000.0
             if instant or kbits <= _COMPLETION_EPS_KBITS:
                 ends[i] = start
-                for child in children[i]:
-                    child_start = max(start, 0.0) + offsets[child] + rtt
-                    starts[child] = child_start
-                    heapq.heappush(arrivals, (child_start, child))
+                if children[i] is not None:
+                    base = 0.0 if start < 0.0 else start
+                    for child in children[i]:
+                        child_start = base + offsets[child] + rtt
+                        starts[child] = child_start
+                        push(arrivals, (child_start, child))
             else:
-                heapq.heappush(tags, (virtual + kbits, i))
-            retired += 1
+                push(tags, (virtual + kbits, i))
             started += 1
-        if not retired:
-            raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {in_flight} transfers in flight")
     if started < n:
         # Roots start, and a child starts once its parent ends, so a request
         # that never started has a cycle on its parent chain.
@@ -260,10 +277,11 @@ def throttler(trace: NormalizedTrace) -> Callable[[ThrottleProfile], NormalizedT
             networks[link] = _replay_network(trace, profile)
         requests, paints, visual = networks[link]
         scaled_tasks = []
+        cpu = profile.cpu_multiplier
         prev_old_end = prev_new_end = 0.0
         for old_start, old_dur in trace.tasks:
             start = prev_new_end + (old_start - prev_old_end)
-            dur = old_dur * profile.cpu_multiplier
+            dur = old_dur * cpu
             scaled_tasks.append(MainThreadTask(start, dur))
             prev_old_end = old_start + old_dur
             prev_new_end = start + dur
@@ -289,21 +307,22 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
     starts, ends = waterfall_times(parents, offsets, [r.bytes for r in old], profile)
     rtt = profile.rtt_ms
     new_requests = tuple(
-        NetworkRequest(start - rtt, start, end, req.bytes, req.origin) for req, start, end in zip(old, starts, ends)
+        [NetworkRequest(start - rtt, start, end, req.bytes, req.origin) for req, start, end in zip(old, starts, ends)]
     )
     # A request's end bounds its start and discovery.
     _check_finite(ends)
 
-    # Paints and visual samples move with the request the parent rule gives them.
+    # Paints and visual samples move with the request the parent rule gives
+    # them: an event after k of the distinct finish times moves by deltas[k],
+    # and one before them all by 0.0.
     finish_ends, first = table
-    deltas = [ends[j] - old[j].end_ms for j in first]
-
-    def shifted(t_ms: float) -> float:
-        k = bisect.bisect_right(finish_ends, t_ms) - 1
-        return t_ms + (deltas[k] if k >= 0 else 0.0)
-
-    new_paints = tuple(PaintEvent(shifted(p.t_ms), p.kind, p.significance) for p in trace.paint_events)
-    moved = sorted((VisualSample(shifted(s.t_ms), s.fraction) for s in trace.visual_progress), key=lambda s: s.t_ms)
+    deltas = [0.0] + [ends[j] - old[j].end_ms for j in first]
+    after = bisect.bisect_right
+    new_paints = tuple(
+        [PaintEvent(t + deltas[after(finish_ends, t)], kind, sig) for t, kind, sig in trace.paint_events]
+    )
+    moved = [VisualSample(t + deltas[after(finish_ends, t)], fraction) for t, fraction in trace.visual_progress]
+    moved.sort(key=_T_MS)
     return new_requests, new_paints, clamp_visual_progress(moved)
 
 

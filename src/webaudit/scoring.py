@@ -9,7 +9,7 @@ the performance score as a weighted arithmetic mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping
 
@@ -17,18 +17,34 @@ from .errors import InvalidCurve, WeightMismatch
 from .metrics import METRIC_KEYS, MetricSet
 
 
+# z with normal_cdf(z) = 0.9; fixes the curve spread so the podr scores 90.
+# Bisecting normal_cdf gives these bits; NormalDist().inv_cdf(0.9) is 2 ulp
+# higher, which would move the report's unrounded means.
+_Z_90 = 1.2815515655446004
+
+
 @dataclass(frozen=True)
 class ScoreCurve:
-    """Control points of one metric's scoring curve, in milliseconds."""
+    """Control points of one metric's scoring curve, in milliseconds.
+
+    ``mu`` and ``sigma``, the curve's log-normal parameters, are fixed
+    once here rather than on every score.
+    """
 
     median_ms: float
     podr_ms: float
+    mu: float = field(init=False, repr=False, compare=False)
+    sigma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.podr_ms < self.median_ms:
             raise InvalidCurve(
                 f"need 0 < podr_ms < median_ms, got podr={self.podr_ms!r} median={self.median_ms!r}"
             )
+        mu = math.log(self.median_ms)
+        object.__setattr__(self, "mu", mu)
+        # The spread that puts the podr on 90.
+        object.__setattr__(self, "sigma", (mu - math.log(self.podr_ms)) / _Z_90)
 
 
 WEIGHT_SUM_TOLERANCE = 1e-9  # how far from 1 the weights may sum
@@ -41,7 +57,11 @@ SCORE_MAX = 100.0 + 200 * WEIGHT_SUM_TOLERANCE
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Per-metric category weights."""
+    """Per-metric category weights.
+
+    ``decimals`` holds each weight's exact decimal value, in METRIC_KEYS
+    order, fixed once here for aggregate.
+    """
 
     fcp: float
     fmp: float
@@ -49,6 +69,7 @@ class WeightTable:
     tti: float
     fci: float
     max_fid: float
+    decimals: tuple[Decimal, ...] = field(init=False, repr=False, compare=False)
 
     # Each check is written so that NaN fails it.
     def __post_init__(self):
@@ -57,6 +78,7 @@ class WeightTable:
             raise ValueError(
                 f"weights must be finite, >= 0 and sum to 1 within {WEIGHT_SUM_TOLERANCE:g}, got {self.as_dict()!r}"
             )
+        object.__setattr__(self, "decimals", tuple(Decimal(repr(w)) for w in weights))
 
     def as_dict(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in METRIC_KEYS}
@@ -85,15 +107,12 @@ class ScoreReport:
     category: str
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def normal_cdf(z: float) -> float:
     """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-# z with normal_cdf(z) = 0.9; fixes the curve spread so the podr scores 90.
-# Bisecting normal_cdf gives these bits; NormalDist().inv_cdf(0.9) is 2 ulp
-# higher, which would move the report's unrounded means.
-_Z_90 = 1.2815515655446004
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def metric_score(value: float, curve: ScoreCurve) -> float:
@@ -106,10 +125,11 @@ def metric_score(value: float, curve: ScoreCurve) -> float:
         raise ValueError(f"metric value must be >= 0, got {value!r}")
     if value == 0:
         return 100.0
-    mu = math.log(curve.median_ms)
-    sigma = (mu - math.log(curve.podr_ms)) / _Z_90
-    z = (math.log(value) - mu) / sigma
+    z = (math.log(value) - curve.mu) / curve.sigma
     return 100.0 * (1.0 - normal_cdf(z))
+
+
+_KEY_SET = frozenset(METRIC_KEYS)
 
 
 def aggregate(scores: Mapping[str, float], weights: WeightTable) -> float:
@@ -120,12 +140,12 @@ def aggregate(scores: Mapping[str, float], weights: WeightTable) -> float:
     binary-float product 26.700000000000003. Scores carrying zero weight
     cannot perturb the result. Raises WeightMismatch if a score is missing.
     """
-    missing = [key for key in METRIC_KEYS if key not in scores]
-    if missing:
+    if not scores.keys() >= _KEY_SET:
+        missing = [key for key in METRIC_KEYS if key not in scores]
         raise WeightMismatch(f"missing metric scores: {', '.join(missing)}")
     total = Decimal(0)
-    for key in METRIC_KEYS:
-        total += Decimal(repr(getattr(weights, key))) * Decimal(repr(float(scores[key])))
+    for key, weight in zip(METRIC_KEYS, weights.decimals):
+        total += weight * Decimal(repr(float(scores[key])))
     return float(total)
 
 

@@ -206,9 +206,11 @@ def clamp_visual_progress(samples: Iterable[VisualSample]) -> tuple[VisualSample
     """Clamp fraction regressions (reflows) to the running maximum."""
     out = []
     running = 0.0
-    for s in samples:
-        running = max(running, s.fraction)
-        out.append(s if s.fraction == running else VisualSample(s.t_ms, running))
+    for sample in samples:
+        t_ms, fraction = sample
+        if fraction > running:
+            running = fraction
+        out.append(sample if fraction == running else VisualSample(t_ms, running))
     return tuple(out)
 
 

@@ -4,12 +4,18 @@ Each oracle recomputes a quantity by brute force or exact arithmetic,
 sharing no code with the package. Slow and simple on purpose. The one
 exception is from_dict_fieldwise, which checks the guard in front of the
 trace field readers and so calls those readers.
+
+A second kind pins bits rather than values: the scoring formulas and the
+GPS kernel as first written, with every float and decimal operation in the
+order the package must keep (metric_score_per_call, aggregate_per_call,
+waterfall_times_minmax).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
@@ -17,7 +23,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from webaudit.errors import SchemaError
+from webaudit.errors import CyclicPlan, SchemaError, ThrottleOverflow
 from webaudit.netsim import ThrottleProfile
 from webaudit.trace import (
     PAINT_KINDS,
@@ -54,6 +60,27 @@ def metric_score_oracle(value_ms: float, median_ms: float, podr_ms: float) -> fl
     z = (mpmath.log(value_ms) - mu) / sigma
     phi = 0.5 * (1 + mpmath.erf(z / mpmath.sqrt(2)))
     return float(100 * (1 - phi))
+
+
+def metric_score_per_call(value_ms: float, median_ms: float, podr_ms: float) -> float:
+    """metric_score with the curve's mu and sigma derived on every call."""
+    if value_ms < 0:
+        raise ValueError(f"metric value must be >= 0, got {value_ms!r}")
+    if value_ms == 0:
+        return 100.0
+    mu = math.log(median_ms)
+    sigma = (mu - math.log(podr_ms)) / 1.2815515655446004
+    z = (math.log(value_ms) - mu) / sigma
+    return 100.0 * (1.0 - 0.5 * math.erfc(-z / math.sqrt(2.0)))
+
+
+def aggregate_per_call(scores: dict[str, float], weights: dict[str, float]) -> float:
+    """aggregate with each weight's decimal value read on every call;
+    weights maps the metric keys, in scoring order, to their weights."""
+    total = Decimal(0)
+    for key, weight in weights.items():
+        total += Decimal(repr(weight)) * Decimal(repr(float(scores[key])))
+    return float(total)
 
 
 def speed_index_riemann(trace: NormalizedTrace) -> float:
@@ -248,6 +275,76 @@ def share_rescan(
                 active[i] = kbits
 
     return [starts[i] for i in range(len(parents))], [ends[i] for i in range(len(parents))]
+
+
+def waterfall_times_minmax(
+    parents: Sequence[int], offsets: Sequence[float], sizes: Sequence[int], profile: ThrottleProfile
+) -> tuple[list[float], list[float]]:
+    """waterfall_times as first written: each turn takes min() of the next
+    completion and arrival and max() for done_at and child starts, and
+    counts what it retires. Same arguments, results and exceptions."""
+    eps = 1e-9
+    n = len(parents)
+    rtt = profile.rtt_ms
+    capacity = profile.downlink_kbps
+    instant = math.isinf(capacity)
+    starts = [math.nan] * n
+    ends = [0.0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    arrivals: list[tuple[float, int]] = []
+    for i, parent in enumerate(parents):
+        if parent < 0:
+            start = 0.0 + offsets[i] + rtt
+            starts[i] = start
+            arrivals.append((start, i))
+        else:
+            children[parent].append(i)
+    heapq.heapify(arrivals)
+
+    tags: list[tuple[float, int]] = []
+    virtual = 0.0
+    now = 0.0
+    started = 0
+    while arrivals or tags:
+        in_flight = len(tags)
+        t_complete = now + (tags[0][0] - virtual) * in_flight / capacity * 1000.0 if tags else math.inf
+        t_arrival = arrivals[0][0] if arrivals else math.inf
+        t_next = min(t_complete, t_arrival)
+        if tags and t_next > now:
+            virtual += capacity / in_flight * (t_next - now) / 1000.0
+        now = t_next
+        done_at = virtual + eps
+        if tags and t_next == t_complete:
+            done_at = max(done_at, tags[0][0])
+        retired = 0
+        while tags and tags[0][0] <= done_at:
+            i = heapq.heappop(tags)[1]
+            ends[i] = now
+            for child in children[i]:
+                start = max(now, 0.0) + offsets[child] + rtt
+                starts[child] = start
+                heapq.heappush(arrivals, (start, child))
+            retired += 1
+        if not tags:
+            virtual = 0.0
+        while arrivals and arrivals[0][0] <= now:
+            start, i = heapq.heappop(arrivals)
+            kbits = sizes[i] * 8.0 / 1000.0
+            if instant or kbits <= eps:
+                ends[i] = start
+                for child in children[i]:
+                    child_start = max(start, 0.0) + offsets[child] + rtt
+                    starts[child] = child_start
+                    heapq.heappush(arrivals, (child_start, child))
+            else:
+                heapq.heappush(tags, (virtual + kbits, i))
+            retired += 1
+            started += 1
+        if not retired:
+            raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {in_flight} transfers in flight")
+    if started < n:
+        raise CyclicPlan(next(i for i, start in enumerate(starts) if math.isnan(start)))
+    return starts, ends
 
 
 def waterfall_march(

@@ -101,6 +101,48 @@ class TestScoreCommand:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["calibration", "profile", "plan", "corpus", "members"])
+def test_an_input_file_that_is_not_utf8_exits_two_naming_it(workspace, tmp_path, simple_trace, capsys, kind):
+    trace_file, plan, profile = tmp_path / "t.json", tmp_path / "plan.json", tmp_path / "profile.json"
+    write_trace(simple_trace, trace_file)
+    plan.write_text(json.dumps([{"id": "doc", "bytes": 1000}]), "utf-8")
+    profile.write_text(json.dumps({"rtt_ms": 40, "downlink_kbps": 1000}), "utf-8")
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(default_calibration_text(), "utf-8")
+    bad = {"calibration": calibration, "profile": profile, "plan": plan, **workspace}[kind]
+    bad.write_bytes(NOT_UTF8 + bad.read_bytes())
+    argv = {
+        "calibration": ["simulate", "--plan", str(plan), "--calibration", str(calibration)],
+        "profile": ["audit", "x", "--trace-in", str(trace_file), "--throttle", str(profile)],
+        "plan": ["simulate", "--plan", str(plan)],
+    }.get(kind)
+    if argv is None:
+        rc, out = run_batch_cli(workspace, tmp_path)
+        assert not out.exists()
+    else:
+        rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
+class TestPinnedOutput:
+    """stdout of score and simulate against fixtures written before the
+    scoring constants and the GPS event loop were rewritten; CI diffs the
+    installed package's console script against the same files."""
+
+    def test_score_prints_the_fixture(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_trace(build_demo_trace(11), "demo.json")
+        assert [main(["score", "--trace", "demo.json", "--mode", mode]) for mode in ("mobile", "desktop")] == [0, 0]
+        assert capsys.readouterr().out == (FIXTURES / "score_demo11.txt").read_text("utf-8")
+
+    def test_simulate_prints_the_fixture(self, capsys):
+        assert main(["simulate", "--plan", str(FIXTURES / "plan.json")]) == 0
+        assert capsys.readouterr().out == (FIXTURES / "simulate_plan.txt").read_text("utf-8")
+
+
 class TestAuditCommand:
     def test_replays_a_stored_trace(self, tmp_path, simple_trace, capsys):
         trace_file = tmp_path / "t.json"

@@ -451,6 +451,13 @@ class TestResultFiles:
             (lambda d: d.update(FAILED, performance_score=50.0), "$.performance_score: must be null on a failed result"),
             (lambda d: d.update(FAILED, category="poor"), "$.category: must be null on a failed result"),
             (lambda d: d.update(FAILED, outlier_flag=True), "$.outlier_flag: must be false on a failed result"),
+            (lambda d: d.update(nickname="x"), "$.nickname: unknown field"),
+            (lambda d: d.update(FAILED, extra=None), "$.extra: unknown field"),
+            (lambda d: d.pop("failure_reason"), "$.failure_reason: missing field"),
+            (lambda d: (d.update(FAILED), d.pop("metrics")), "$.metrics: missing field"),
+            (lambda d: (d.update(FAILED), d.pop("category"), d.pop("scores")), "$.scores: missing field"),
+            (lambda d: (d.pop("failure_reason"), d.pop("test_date")), "$.test_date: missing field"),
+            (lambda d: (d.update(bonus=1), d.pop("failure_reason")), "$.bonus: unknown field"),
         ],
     )
     def test_bad_field_is_a_schema_error_at_its_path(self, edit, message):

@@ -1,10 +1,11 @@
 """Seeded mutation fuzzing of the documents the command line reads.
 
 Each case mutates one document (the packaged calibration, a throttle
-profile file, cells of a corpus CSV, a results line or an aggregates row),
-runs it through ``cli.main`` and requires one of the documented exit
-codes, 0, 1 or 2, with no exception escaping and no hang. The mutations come from ``random.Random`` with fixed
-seeds, so a failure names a reproducible case.
+profile file, cells of a corpus CSV, a results line, an aggregates row, a
+stored trace or a request plan), runs it through ``cli.main`` and requires
+one of the documented exit codes, 0, 1 or 2, with no exception escaping
+and no hang. The mutations come from ``random.Random`` with fixed seeds,
+so a failure names a reproducible case.
 """
 
 from __future__ import annotations
@@ -33,6 +34,25 @@ DELETE = object()
 
 PLAN = [{"id": "doc", "bytes": 62500}, {"id": "img", "parent_id": "doc", "bytes": 25000}]
 PROFILE = {"rtt_ms": 150, "downlink_kbps": 1638, "cpu_multiplier": 4}
+# A plan with a chain, siblings discovered together, a zero-byte request and
+# a second root. Its ids join the value pool, and half the cases first move
+# one parent_id onto another request, which often closes a cycle.
+CHAIN_PLAN = {
+    "requests": [
+        {"id": "doc", "parent_id": None, "bytes": 62500},
+        {"id": "css", "parent_id": "doc", "discovery_offset_ms": 5, "bytes": 12500},
+        {"id": "js", "parent_id": "doc", "discovery_offset_ms": 5, "bytes": 30000},
+        {"id": "img", "parent_id": "css", "bytes": 0},
+        {"id": "font", "parent_id": "js", "discovery_offset_ms": 12.5, "bytes": 8000},
+        {"id": "late", "parent_id": None, "discovery_offset_ms": 300, "bytes": 4000},
+    ]
+}
+PLAN_IDS = tuple(request["id"] for request in CHAIN_PLAN["requests"])
+# Times a trace's schema accepts, from sub-millisecond to near the float
+# limit, so that more mutated traces reach the replay and the metrics.
+TRACE_POOL = POOL + (0.5, 250.0, 1e6, 1e300)
+# Throttle profile files at the edges of what validation lets through.
+EDGE_PROFILES = ({"rtt_ms": 0, "downlink_kbps": 1e-300}, {"rtt_ms": 1e308, "downlink_kbps": 1e308})
 
 
 def _slots(node, path=()):
@@ -43,9 +63,9 @@ def _slots(node, path=()):
         yield from _slots(child, path + (key,))
 
 
-def mutate(document, rng: random.Random) -> tuple[object, list[str]]:
-    """A copy of document with one to three values replaced or deleted, and
-    what was done, for the failure message."""
+def mutate(document, rng: random.Random, pool: tuple = POOL) -> tuple[object, list[str]]:
+    """A copy of document with one to three values replaced by a value from
+    pool or deleted, and what was done, for the failure message."""
     document = copy.deepcopy(document)
     done = []
     for _ in range(rng.randint(1, 3)):
@@ -56,7 +76,7 @@ def mutate(document, rng: random.Random) -> tuple[object, list[str]]:
         parent = document
         for key in path[:-1]:
             parent = parent[key]
-        value = DELETE if rng.random() < 0.2 else rng.choice(POOL)
+        value = DELETE if rng.random() < 0.2 else rng.choice(pool)
         if value is DELETE:
             del parent[path[-1]]
         else:
@@ -206,3 +226,42 @@ def test_mutated_aggregates_rows(files, capsys):
     # The reader holds each row to what aggregate writes, so nearly every
     # mutation is refused.
     assert 2 in codes
+
+
+def test_mutated_traces(files, capsys):
+    rng = random.Random(0x7ACE)
+    document = json.loads(files["trace"].read_text("utf-8"))
+    codes = []
+    for i in range(60):
+        mutated, done = mutate(document, rng, TRACE_POOL)
+        files["doc"].write_text(dump(mutated), "utf-8")
+        case = f"trace {i}: {done}"
+        trace = str(files["doc"])
+        codes.append(run(["score", "--trace", trace], case))
+        codes.append(run(["audit", "x", "--trace-in", trace, "--throttle", rng.choice(("4g", "none"))], case))
+        capsys.readouterr()
+    assert {0, 2} <= set(codes)
+
+
+def test_mutated_plans(files, capsys, tmp_path):
+    rng = random.Random(0x91A)
+    edges = []
+    for k, profile in enumerate(EDGE_PROFILES):
+        edges.append(tmp_path / f"edge{k}.json")
+        edges[-1].write_text(json.dumps(profile), "utf-8")
+    codes, errors = [], []
+    for i in range(150):
+        document, done = copy.deepcopy(CHAIN_PLAN), []
+        if rng.random() < 0.5:
+            moved = rng.choice(document["requests"])
+            moved["parent_id"] = rng.choice(PLAN_IDS)
+            done.append(f"{moved['id']} waits on {moved['parent_id']}")
+        document, mutated = mutate(document, rng, POOL + PLAN_IDS)
+        done += mutated
+        files["doc"].write_text(dump(document), "utf-8")
+        profile = str(rng.choice(("4g", "none", *edges)))
+        argv = ["simulate", "--plan", str(files["doc"]), "--profile", profile]
+        codes.append(run(argv, f"plan {i} ({profile}): {done}"))
+        errors.append(capsys.readouterr().err)
+    assert {0, 2} <= set(codes)
+    assert any("dependency cycle" in err for err in errors)

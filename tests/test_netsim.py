@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oracles import parent_scan, share_rescan, shift_source_scan, waterfall_march
+from oracles import parent_scan, share_rescan, shift_source_scan, waterfall_march, waterfall_times_minmax
 from conftest import call_within, random_plan, random_profile
 from webaudit.config import load_calibration, resolve_throttle
 from webaudit.errors import CyclicPlan, SchemaError, ThrottleOverflow
@@ -388,6 +388,69 @@ class TestShareRescanOracle:
             _, ends = waterfall_times(parents, offsets, sizes, profile)
             for j, end in enumerate(ends):
                 assert abs(end - want_ends[j]) <= 1e-6, (i, j, end)
+
+
+def chain_plan(rng: random.Random) -> tuple[list[int], list[float], list[int]]:
+    """(parents, offsets, sizes) of a chain up to 300 deep, with a few
+    side branches; a tenth of the plans get a cycle somewhere."""
+    n = rng.randint(2, 300)
+    parents = [-1] + [i - 1 if rng.random() < 0.9 else rng.randrange(i) for i in range(1, n)]
+    if rng.random() < 0.1:
+        k = rng.randrange(n)
+        parents[k] = rng.randrange(k, n)  # k waits on itself or on one below it
+    offsets = [rng.choice((0.0, 0.0, 3.5, float(rng.randint(0, 90)))) for _ in range(n)]
+    sizes = [rng.choice((0, 125, 12500, rng.randint(1, 90000))) for _ in range(n)]
+    return parents, offsets, sizes
+
+
+def kernel_case(rng: random.Random) -> tuple[list[int], list[float], list[int], ThrottleProfile]:
+    """A plan and a profile: small random plans, bursts of up to 64 siblings
+    with tied finish tags, deep chains and cycles, under links with a zero
+    round trip, an unlimited downlink, a far clock, values near the float
+    limit, or a NaN downlink forced past validation."""
+    parents, offsets, sizes = rng.choice((random_plan, burst_plan, chain_plan))(rng)
+    link = rng.choice(("plain", "plain", "zero-rtt", "unlimited", "far", "huge", "nan"))
+    rtt = {"zero-rtt": 0.0, "far": rng.choice((1e7, 3e7)), "huge": 1e308}.get(link, float(rng.randint(0, 400)))
+    downlink = {"unlimited": math.inf, "huge": 1e-300}.get(link, rng.choice((750.0, 1000.0, 1638.4, 20000.0)))
+    if link == "huge":
+        sizes = [rng.choice((size, 2**70)) for size in sizes]
+    profile = ThrottleProfile(rtt, downlink)
+    if link == "nan":
+        object.__setattr__(profile, "downlink_kbps", math.nan)
+    return parents, offsets, sizes, profile
+
+
+def kernel_outcome(kernel, parents, offsets, sizes, profile):
+    """The kernel's (starts, ends) as float.hex strings, which tell -0.0 from
+    0.0 and match NaN with NaN, or the class and text of what it raised."""
+    try:
+        starts, ends = call_within(10, kernel, parents, offsets, sizes, profile)
+    except (CyclicPlan, ThrottleOverflow) as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in starts], [x.hex() for x in ends]
+
+
+class TestMinMaxKernelOracle:
+    """The kernel's event loop against the min/max loop it replaced, bit for bit."""
+
+    def test_outcomes_match_bit_for_bit(self):
+        rng = random.Random(0xB17)
+        raised = set()
+        for i in range(1500):
+            case = kernel_case(rng)
+            want = kernel_outcome(waterfall_times_minmax, *case)
+            assert kernel_outcome(waterfall_times, *case) == want, (i, case)
+            if isinstance(want[0], type):
+                raised.add(want[0])
+        assert raised == {CyclicPlan, ThrottleOverflow}
+
+    def test_large_replays_match_bit_for_bit(self):
+        rng = random.Random(0xB18)
+        for i in range(4):
+            trace = burst_trace(rng, rng.randint(200, 1000))
+            parents, offsets = infer_plan(trace)
+            case = (parents, offsets, [req.bytes for req in trace.requests], FOUR_G)
+            assert kernel_outcome(waterfall_times, *case) == kernel_outcome(waterfall_times_minmax, *case), i
 
 
 def burst_trace(rng: random.Random, n: int) -> NormalizedTrace:

@@ -3,11 +3,19 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
-from oracles import metric_score_oracle, normal_cdf_oracle, z90_oracle
+from oracles import (
+    aggregate_per_call,
+    metric_score_oracle,
+    metric_score_per_call,
+    normal_cdf_oracle,
+    z90_oracle,
+)
 from webaudit.errors import InvalidCurve, WeightMismatch
+from webaudit.metrics import MetricSet
 from webaudit.scoring import (
     _Z_90,
     CategoryBands,
@@ -167,6 +175,74 @@ class TestScoreMetrics:
         assert report.performance_score == aggregate(report.scores, calibration.weights)
         assert report.category == categorize(report.performance_score, calibration.bands)
         assert all(0.0 <= s <= 100.0 for s in report.scores.values())
+
+
+def random_weights(rng) -> WeightTable:
+    """A valid table: six draws, some zero, divided by their sum."""
+    draws = [rng.choice((0.0, rng.random(), round(rng.random(), 3))) for _ in METRIC_KEYS]
+    draws[rng.randrange(len(draws))] += 1.0  # never all zero
+    total = sum(draws)
+    return WeightTable(*(draw / total for draw in draws))
+
+
+def metric_values(rng) -> list[float]:
+    ranges = ((0.0, 1.0), (1.0, 60000.0), (1e5, 1e12))
+    return [rng.choice((0.0, rng.uniform(*rng.choice(ranges)))) for _ in METRIC_KEYS]
+
+
+class TestFixedConstants:
+    """Curve and weight constants fixed once give the bits the per-call
+    formulas give."""
+
+    def test_packaged_curves_score_as_the_per_call_formula(self, calibration, rng):
+        for kind, curves in calibration.curves.items():
+            for key, curve in curves.items():
+                for value in [0.0, curve.podr_ms, curve.median_ms, *(rng.uniform(0.0, 60000.0) for _ in range(200))]:
+                    want = metric_score_per_call(value, curve.median_ms, curve.podr_ms)
+                    assert metric_score(value, curve).hex() == want.hex(), (kind, key, value)
+
+    def test_random_curves_score_as_the_per_call_formula(self, rng):
+        for _ in range(300):
+            podr = rng.choice((rng.uniform(1e-3, 10.0), rng.uniform(10.0, 8000.0)))
+            median = podr * rng.choice((1.0 + 1e-9, rng.uniform(1.0001, 50.0)))
+            curve = ScoreCurve(median_ms=median, podr_ms=podr)
+            for value in metric_values(rng):
+                assert metric_score(value, curve).hex() == metric_score_per_call(value, median, podr).hex()
+
+    def test_aggregate_matches_the_per_call_formula(self, calibration, rng):
+        for i in range(500):
+            weights = calibration.weights if i % 5 == 0 else random_weights(rng)
+            scores = {key: rng.choice((0.0, 100.0, rng.uniform(0.0, 100.0))) for key in METRIC_KEYS}
+            want = aggregate_per_call(scores, weights.as_dict())
+            assert aggregate(scores, weights).hex() == want.hex(), (weights, scores)
+
+    def test_score_metrics_matches_the_per_call_formulas(self, calibration, rng):
+        for i in range(300):
+            kind = ("mobile", "desktop")[i % 2]
+            curves = calibration.curves_for(kind)
+            weights = calibration.weights if i % 3 == 0 else random_weights(rng)
+            metrics = MetricSet(*metric_values(rng))
+            report = score_metrics(metrics, curves, weights, calibration.bands)
+            want = {
+                key: metric_score_per_call(value, curves[key].median_ms, curves[key].podr_ms)
+                for key, value in zip(METRIC_KEYS, metrics)
+            }
+            assert {key: score.hex() for key, score in report.scores.items()} == {k: v.hex() for k, v in want.items()}
+            assert report.performance_score.hex() == aggregate_per_call(want, weights.as_dict()).hex()
+
+    def test_replace_recomputes_the_fixed_constants(self, calibration):
+        curve = dataclasses.replace(ScoreCurve(median_ms=4000.0, podr_ms=2000.0), median_ms=8000.0)
+        assert (curve.mu, curve.sigma) == (math.log(8000.0), (math.log(8000.0) - math.log(2000.0)) / _Z_90)
+        assert metric_score(8000.0, curve) == metric_score_per_call(8000.0, 8000.0, 2000.0)
+        weights = dataclasses.replace(calibration.weights, fcp=0.0, max_fid=0.2)
+        assert weights.decimals == tuple(Decimal(repr(w)) for w in weights.as_dict().values())
+        assert aggregate({key: 100.0 for key in METRIC_KEYS}, weights) == 100.0
+        assert aggregate(dict.fromkeys(METRIC_KEYS, 0.0) | {"max_fid": 100.0}, weights) == 20.0
+
+    def test_fixed_constants_stay_out_of_equality_and_repr(self, calibration):
+        assert ScoreCurve(4000.0, 2000.0) == ScoreCurve(4000.0, 2000.0)
+        assert repr(ScoreCurve(4000.0, 2000.0)) == "ScoreCurve(median_ms=4000.0, podr_ms=2000.0)"
+        assert "decimals" not in repr(calibration.weights)
 
 
 class TestRounding:
