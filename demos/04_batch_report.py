@@ -12,7 +12,7 @@ from datetime import date
 from pathlib import Path
 
 from webaudit import (
-    aggregate_regions,
+    build_aggregates,
     emit_report,
     ingest_corpus,
     load_member_regions,
@@ -42,20 +42,20 @@ with tempfile.TemporaryDirectory(prefix="webaudit-demo-") as tmp:
     print(f"{len(results)} audits, {len(failed)} failed")
     print()
 
-    aggregates = aggregate_regions(results)
-    overall = overall_average(aggregates)
+    aggregates = build_aggregates(results)
+    overall = overall_average(aggregates.rows)
     print("region means (mobile / web):")
-    for row in aggregates:
+    for row in aggregates.rows:
         print(f"  {row.region:20s} {row.mean_mobile:6.2f} / {row.mean_web:6.2f}")
     print(f"  {'overall':20s} {overall['mobile']:6.1f} / {overall['web']:6.1f}")
     print()
 
-    ranked = rank_regions(aggregates, "mobile")
+    ranked = rank_regions(aggregates.rows, "mobile")
     print(f"best mobile region : {ranked[0].region} ({ranked[0].mean_mobile:.2f})")
     print(f"worst mobile region: {ranked[-1].region} ({ranked[-1].mean_mobile:.2f})")
     print()
 
-    report = emit_report(aggregates, results, "md", decimal_comma=True)
+    report = emit_report(aggregates, "md", decimal_comma=True)
     out = workspace / "report.md"
     out.write_text(report, "utf-8")
     print(f"markdown report written to {out} (removed on exit); first lines:")

@@ -32,7 +32,7 @@ from .metrics import (
     compute_tti,
 )
 from .netsim import UNTHROTTLED, apply_throttle, plan_from_dict, waterfall_times
-from .report import aggregate_regions, emit_report, overall_average, rank_regions
+from .report import aggregate_regions, build_aggregates, emit_report, overall_average, rank_regions
 from .scoring import ScoreCurve, aggregate, categorize, metric_score
 from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, PaintEvent, VisualSample
 

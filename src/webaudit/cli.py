@@ -26,7 +26,7 @@ from .errors import (
 )
 from .metrics import MetricSet
 from .netsim import apply_throttle, plan_from_dict, waterfall_times
-from .report import aggregate_regions, emit_report, read_aggregates, write_aggregates
+from .report import build_aggregates, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
 from .trace import iso_date
 
@@ -67,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     aggregate.add_argument("--out", required=True, metavar="FILE")
     aggregate.add_argument("--members", metavar="FILE")
 
-    report = sub.add_parser("report", help="render a report from aggregates and results")
+    report = sub.add_parser("report", help="render a report from the aggregates alone")
     report.add_argument("--aggregates", required=True, metavar="FILE")
-    report.add_argument("--results", required=True, metavar="FILE")
+    report.add_argument("--results", metavar="FILE", help="accepted and never read")
     report.add_argument("--format", required=True, choices=("csv", "md", "json"))
     report.add_argument("--out", required=True, metavar="FILE")
     report.add_argument("--decimal-comma", action="store_true", help="localize md numbers with comma decimals")
@@ -191,18 +191,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     results = read_results(args.results)
     members = load_member_regions(args.members) if args.members else None
-    aggregates = aggregate_regions(results, members)
+    aggregates = build_aggregates(results, members)
     write_aggregates(aggregates, args.out)
-    print(f"{len(aggregates)} regions -> {args.out}")
+    print(f"{len(aggregates.rows)} regions -> {args.out}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    aggregates = read_aggregates(args.aggregates)
-    # The csv report is the region table alone: it renders from the
-    # aggregates and never opens --results.
-    results = () if args.format == "csv" else read_results(args.results)
-    document = emit_report(aggregates, results, args.format, decimal_comma=args.decimal_comma)
+    document = emit_report(read_aggregates(args.aggregates), args.format, decimal_comma=args.decimal_comma)
     Path(args.out).write_text(document, "utf-8")
     print(f"{args.format} report -> {args.out}")
     return 0

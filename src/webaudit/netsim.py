@@ -119,7 +119,7 @@ def waterfall_times(
     downlink. Simultaneous events are taken in index order. Raises
     CyclicPlan if a request never starts, which happens exactly when the
     parents do not form a forest, and ThrottleOverflow if an event turn
-    retires no arrival or completion.
+    retires no arrival or completion or an end is not finite.
     """
     n = len(parents)
     rtt = profile.rtt_ms
@@ -203,6 +203,8 @@ def waterfall_times(
         # Roots start, and a child starts once its parent ends, so a request
         # that never started has a cycle on its parent chain.
         raise CyclicPlan(next(i for i, start in enumerate(starts) if math.isnan(start)))
+    # A request's end bounds its start and discovery.
+    _check_finite(ends)
     return starts, ends
 
 
@@ -309,8 +311,6 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
     new_requests = tuple(
         [NetworkRequest(start - rtt, start, end, req.bytes, req.origin) for req, start, end in zip(old, starts, ends)]
     )
-    # A request's end bounds its start and discovery.
-    _check_finite(ends)
 
     # Paints and visual samples move with the request the parent rule gives
     # them: an event after k of the distinct finish times moves by deltas[k],

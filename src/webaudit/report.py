@@ -3,10 +3,12 @@
 Results roll up per region: the arithmetic mean of unrounded performance
 scores per device mode over ok audits, rounded to 2 decimals for display.
 The overall row is the unweighted mean of the region means at 1 decimal,
-so every region counts once regardless of how many sites it has. Reports
-render as markdown (full layout: region table, chart data, manual
-validation list, failure section), CSV (region table only), or JSON
-(lossless round trip of the aggregates).
+so every region counts once regardless of how many sites it has. The
+aggregates (the rows, the outliers to check by hand and the failed
+audits) are everything a report shows, so every format renders from them
+alone: markdown (full layout: region table, chart data, manual
+validation list, failure section), CSV (region table only), or JSON (the
+aggregates document itself).
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
-from .config import load_member_regions
+from .config import MODE_KINDS, load_member_regions
 from .corpus import AuditResult, normalize_region
 from .errors import ParseError, SchemaError, UnknownFormat
 from .scoring import SCORE_MAX, round_half_away
@@ -54,6 +57,46 @@ class RegionAggregate:
     n_ok_web: int
     n_failed: int
     test_date: date | None
+
+
+class Outlier(NamedTuple):
+    """An ok audit whose score is near a bound, to be checked by hand."""
+
+    region: str
+    url: str
+    mode: str
+    performance_score: float
+
+
+class Failure(NamedTuple):
+    """A failed audit and why it failed."""
+
+    region: str
+    url: str
+    mode: str
+    reason: str
+
+
+class Aggregates(NamedTuple):
+    """What every report renders: the region rows, then the outliers and the
+    failures in results order."""
+
+    rows: list[RegionAggregate]
+    outliers: list[Outlier]
+    failures: list[Failure]
+
+
+def build_aggregates(results: Sequence[AuditResult], member_regions: Sequence[str] | None = None) -> Aggregates:
+    """The rows of aggregate_regions, with the flagged ok audits and the failed ones."""
+    return Aggregates(
+        aggregate_regions(results, member_regions),
+        [
+            Outlier(r.site.region, r.site.url, r.mode, r.report.performance_score)
+            for r in results
+            if r.status == "ok" and r.outlier_flag
+        ],
+        [Failure(r.site.region, r.site.url, r.mode, r.failure_reason) for r in results if r.status == "failed"],
+    )
 
 
 def aggregate_regions(
@@ -136,20 +179,14 @@ def rank_regions(aggregates: Sequence[RegionAggregate], mode: str) -> list[Regio
     )
 
 
-def emit_report(
-    aggregates: Sequence[RegionAggregate],
-    results: Sequence[AuditResult],
-    format: str,
-    *,
-    decimal_comma: bool = False,
-) -> str:
+def emit_report(aggregates: Aggregates, format: str, *, decimal_comma: bool = False) -> str:
     """Render the report in the chosen format; raises UnknownFormat."""
     if format == "csv":
-        return _emit_csv(aggregates)
+        return _emit_csv(aggregates.rows)
     if format == "md":
-        return _emit_md(aggregates, results, decimal_comma)
+        return _emit_md(aggregates, decimal_comma)
     if format == "json":
-        return _emit_json(aggregates, results)
+        return _to_json(aggregates)
     raise UnknownFormat(f"format must be csv, md or json, got {format!r}")
 
 
@@ -177,13 +214,14 @@ def _emit_csv(aggregates: Sequence[RegionAggregate]) -> str:
     return buffer.getvalue()
 
 
-def _emit_md(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResult], comma: bool) -> str:
+def _emit_md(aggregates: Aggregates, comma: bool) -> str:
+    rows = aggregates.rows
     lines = ["# Laporan Audit Performa Web", ""]
 
     lines += ["## Hasil per Daerah", ""]
     lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
     lines.append("| ---: | --- | ---: | ---: | --- |")
-    for number, aggregate in enumerate(aggregates, start=1):
+    for number, aggregate in enumerate(rows, start=1):
         lines.append(
             "| {} | {} | {} | {} | {} |".format(
                 number,
@@ -193,8 +231,8 @@ def _emit_md(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResul
                 aggregate.test_date.isoformat() if aggregate.test_date else "-",
             )
         )
-    if aggregates:
-        overall = overall_average(aggregates)
+    if rows:
+        overall = overall_average(rows)
         lines.append(
             "|  | {} | {} | {} |  |".format(
                 TOTAL_ROW_LABEL,
@@ -213,7 +251,7 @@ def _emit_md(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResul
         "| Daerah | Mobile | Web |",
         "| --- | ---: | ---: |",
     ]
-    for aggregate in aggregates:
+    for aggregate in rows:
         lines.append(
             "| {} | {} | {} |".format(
                 aggregate.region,
@@ -224,33 +262,27 @@ def _emit_md(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResul
     lines.append("")
 
     lines += ["## Validasi Manual", "", "Hasil dengan skor mendekati batas 0 atau 100:", ""]
-    outliers = [r for r in results if r.status == "ok" and r.outlier_flag]
-    if outliers:
-        for result in outliers:
-            lines.append(
-                "- {} ({}) skor {}: {}".format(
-                    result.site.region,
-                    result.mode,
-                    _fmt(result.report.performance_score, 2, "-", comma),
-                    result.site.url,
-                )
-            )
+    if aggregates.outliers:
+        for region, url, mode, score in aggregates.outliers:
+            lines.append("- {} ({}) skor {}: {}".format(region, mode, _fmt(score, 2, "-", comma), url))
     else:
         lines.append("Tidak ada.")
     lines.append("")
 
-    failures = [r for r in results if r.status == "failed"]
+    failures = aggregates.failures
+    # Each audit is an ok mobile, an ok desktop or a failed one.
+    audits = sum(a.n_ok_mobile + a.n_ok_web + a.n_failed for a in rows)
     lines += ["## Kegagalan", ""]
-    lines.append(f"Audit gagal: {len(failures)} dari {len(results)}.")
+    lines.append(f"Audit gagal: {len(failures)} dari {audits}.")
     lines.append("")
-    per_region = [(a.region, a.n_failed) for a in aggregates if a.n_failed]
+    per_region = [(a.region, a.n_failed) for a in rows if a.n_failed]
     if per_region:
         lines += ["| Daerah | Gagal |", "| --- | ---: |"]
         lines += [f"| {region} | {count} |" for region, count in per_region]
         lines.append("")
     if failures:
-        for result in failures:
-            lines.append(f"- {result.site.url} ({result.mode}): {result.failure_reason}")
+        for _, url, mode, reason in failures:
+            lines.append(f"- {url} ({mode}): {reason}")
     else:
         lines.append("Tidak ada.")
     lines.append("")
@@ -293,64 +325,115 @@ def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
     return aggregate
 
 
-def _aggregates_document(aggregates: Sequence[RegionAggregate]) -> dict:
-    """The aggregates file; the JSON report extends it."""
+def _document(aggregates: Aggregates) -> dict:
+    """The aggregates file, which is also the JSON report."""
+    rows = aggregates.rows
     return {
-        "aggregates": [aggregate_to_dict(a) for a in aggregates],
-        "overall_average": overall_average(aggregates) if aggregates else {"mobile": None, "web": None},
+        "aggregates": [aggregate_to_dict(a) for a in rows],
+        "overall_average": overall_average(rows) if rows else {"mobile": None, "web": None},
+        "outliers": [o._asdict() for o in aggregates.outliers],
+        "failures": {"total": len(aggregates.failures), "items": [f._asdict() for f in aggregates.failures]},
     }
 
 
-def _emit_json(aggregates: Sequence[RegionAggregate], results: Sequence[AuditResult]) -> str:
-    document = {
-        **_aggregates_document(aggregates),
-        "outliers": [
-            {
-                "region": r.site.region,
-                "url": r.site.url,
-                "mode": r.mode,
-                "performance_score": r.report.performance_score,
-            }
-            for r in results
-            if r.status == "ok" and r.outlier_flag
-        ],
-        "failures": {
-            "total": sum(1 for r in results if r.status == "failed"),
-            "items": [
-                {"region": r.site.region, "url": r.site.url, "mode": r.mode, "reason": r.failure_reason}
-                for r in results
-                if r.status == "failed"
-            ],
-        },
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+def _to_json(aggregates: Aggregates) -> str:
+    """The aggregates file and the JSON report: the same aggregates, the same bytes."""
+    return json.dumps(_document(aggregates), indent=2, sort_keys=True) + "\n"
 
 
-def aggregates_from_report_json(text: str) -> list[RegionAggregate]:
-    """The rows of an aggregates file or JSON report; a bad document is a
-    SchemaError at its JSON path."""
+def aggregates_from_json(text: str) -> Aggregates:
+    """Read an aggregates document; a bad one is a SchemaError at its JSON path.
+
+    Besides each row (aggregate_from_dict), every outlier and failure field
+    must have its type, failures.total must count the items, each row's
+    n_failed must count the items of its region, and there can be no more
+    outliers than ok audits.
+    """
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"not a JSON report: {exc}") from exc
+        raise ParseError(f"not an aggregates document: {exc}") from exc
     if type(document) is not dict:
         raise SchemaError("$", "must be an object")
-    if "aggregates" not in document:
-        raise SchemaError("$.aggregates", "missing field")
-    if type(document["aggregates"]) is not list:
-        raise SchemaError("$.aggregates", "must be an array")
-    return [aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(document["aggregates"])]
+    rows = [
+        aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(_list(document, "aggregates", "$"))
+    ]
+    outliers = [
+        Outlier(
+            *_entry(item, f"$.outliers[{i}]"),
+            _number(item, "performance_score", f"$.outliers[{i}]", minimum=0.0, maximum=SCORE_MAX),
+        )
+        for i, item in enumerate(_list(document, "outliers", "$"))
+    ]
+    if "failures" not in document:
+        raise SchemaError("$.failures", "missing field")
+    failures_doc = document["failures"]
+    if type(failures_doc) is not dict:
+        raise SchemaError("$.failures", "must be an object")
+    total = _integer(failures_doc, "total", "$.failures", minimum=0)
+    failures = [
+        Failure(*_entry(item, f"$.failures.items[{i}]"), _reason(item, f"$.failures.items[{i}]"))
+        for i, item in enumerate(_list(failures_doc, "items", "$.failures"))
+    ]
+    if total != len(failures):
+        raise SchemaError("$.failures.total", f"must be the number of items, {len(failures)}")
+
+    per_region = Counter(normalize_region(failure.region) for failure in failures)
+    for i, row in enumerate(rows):
+        count = per_region.pop(normalize_region(row.region), 0)
+        if row.n_failed != count:
+            raise SchemaError(
+                f"$.aggregates[{i}].n_failed", f"must be the number of failure items in its region, {count}"
+            )
+    if per_region:
+        first = next(i for i, failure in enumerate(failures) if normalize_region(failure.region) in per_region)
+        raise SchemaError(f"$.failures.items[{first}].region", "must be the region of an aggregates row")
+    ok = sum(row.n_ok_mobile + row.n_ok_web for row in rows)
+    if len(outliers) > ok:
+        raise SchemaError("$.outliers", f"must hold no more entries than ok audits, {ok}")
+    return Aggregates(rows, outliers, failures)
 
 
-def write_aggregates(aggregates: Sequence[RegionAggregate], path: str | Path) -> None:
+def _list(document: dict, key: str, path: str) -> list:
+    if key not in document:
+        raise SchemaError(f"{path}.{key}", "missing field")
+    if type(document[key]) is not list:
+        raise SchemaError(f"{path}.{key}", "must be an array")
+    return document[key]
+
+
+def _entry(item: Any, path: str) -> tuple[str, str, str]:
+    """(region, url, mode) of an outlier or failure entry."""
+    if type(item) is not dict:
+        raise SchemaError(path, "must be an object")
+    for key in ("region", "url"):
+        if key not in item:
+            raise SchemaError(f"{path}.{key}", "missing field")
+        if type(item[key]) is not str:
+            raise SchemaError(f"{path}.{key}", "must be a string")
+    if item.get("mode") not in MODE_KINDS:
+        raise SchemaError(f"{path}.mode", f"must be one of {', '.join(MODE_KINDS)}")
+    return item["region"], item["url"], item["mode"]
+
+
+def _reason(item: dict, path: str) -> str:
+    if "reason" not in item:
+        raise SchemaError(f"{path}.reason", "missing field")
+    reason = item["reason"]
+    if type(reason) is not str or not reason:
+        raise SchemaError(f"{path}.reason", "must be a non-empty string")
+    return reason
+
+
+def write_aggregates(aggregates: Aggregates, path: str | Path) -> None:
     """Write the aggregates file the report step consumes."""
-    Path(path).write_text(json.dumps(_aggregates_document(aggregates), indent=2, sort_keys=True) + "\n", "utf-8")
+    Path(path).write_text(_to_json(aggregates), "utf-8")
 
 
-def read_aggregates(path: str | Path) -> list[RegionAggregate]:
+def read_aggregates(path: str | Path) -> Aggregates:
     """Read an aggregates file; one that is not UTF-8 is a ParseError naming it."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return aggregates_from_report_json(text)
+    return aggregates_from_json(text)

@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 
 from webaudit.errors import CyclicPlan, SchemaError, ThrottleOverflow
-from webaudit.netsim import ThrottleProfile
+from webaudit.netsim import ThrottleProfile, _check_finite
 from webaudit.trace import (
     PAINT_KINDS,
     MainThreadTask,
@@ -344,6 +344,7 @@ def waterfall_times_minmax(
             raise ThrottleOverflow(f"downlink simulation stalled at {now!r} ms with {in_flight} transfers in flight")
     if started < n:
         raise CyclicPlan(next(i for i, start in enumerate(starts) if math.isnan(start)))
+    _check_finite(ends)
     return starts, ends
 
 

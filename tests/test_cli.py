@@ -17,7 +17,7 @@ from webaudit.collector import write_trace
 from webaudit.config import default_calibration_text, load_calibration, resolve_throttle
 from webaudit.corpus import trace_slug
 from webaudit.netsim import apply_throttle
-from webaudit.report import aggregates_from_report_json
+from webaudit.report import aggregates_from_json
 from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
 
 
@@ -28,6 +28,12 @@ NOT_UTF8 = b"\xff\xfe"
 @pytest.fixture
 def workspace(tmp_path):
     return write_demo_workspace(tmp_path)
+
+
+@pytest.fixture
+def failing_workspace(tmp_path):
+    """The demo workspace with one more site, in Kota Bandung, that never paints."""
+    return write_demo_workspace(tmp_path, include_failure=True)
 
 
 def demo_trace(paths, row: int) -> Path:
@@ -42,6 +48,40 @@ def set_row(**fields):
 
     def edit(document):
         document["aggregates"][3].update(fields)
+        return document
+
+    return edit
+
+
+def set_entry(key: str, index: int, **fields):
+    """An edit of an aggregates document that sets fields of an outlier or a failure item."""
+
+    def edit(document):
+        entries = document["outliers"] if key == "outliers" else document["failures"]["items"]
+        entries[index].update(fields)
+        return document
+
+    return edit
+
+
+def set_failures(**fields):
+    """An edit of an aggregates document that sets fields of its failures."""
+
+    def edit(document):
+        document["failures"].update(fields)
+        return document
+
+    return edit
+
+
+def add_failure(**fields):
+    """An edit of an aggregates document that counts one more failure item:
+    its first, with fields set."""
+
+    def edit(document):
+        failures = document["failures"]
+        failures["items"].append(dict(failures["items"][0], **fields))
+        failures["total"] += 1
         return document
 
     return edit
@@ -326,12 +366,18 @@ class TestBatchCommand:
         assert rc == 2
 
 
+def run_aggregate_cli(paths, tmp_path) -> tuple[Path, Path]:
+    """(results, aggregates) of a batch and aggregate run over the workspace."""
+    rc, results = run_batch_cli(paths, tmp_path)
+    assert rc in (0, 1)  # 1 when the workspace has a site that never paints
+    aggregates = tmp_path / "aggregates.json"
+    assert main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+    return results, aggregates
+
+
 class TestAggregateAndReportCommands:
     def pipeline(self, workspace, tmp_path, fmt: str, extra=()) -> str:
-        rc, results = run_batch_cli(workspace, tmp_path)
-        assert rc == 0
-        aggregates = tmp_path / "aggregates.json"
-        assert main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+        results, aggregates = run_aggregate_cli(workspace, tmp_path)
         report = tmp_path / f"report.{fmt}"
         rc = main(
             [
@@ -356,19 +402,33 @@ class TestAggregateAndReportCommands:
         assert self.pipeline(workspace, tmp_path, "csv") == (FIXTURES / "golden_report.csv").read_text("utf-8")
 
     @pytest.mark.parametrize("results", ["corrupt", "missing", "not-utf8"])
-    def test_csv_report_never_reads_the_results_file(self, workspace, tmp_path, capsys, results):
-        good = self.pipeline(workspace, tmp_path, "csv")
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_no_report_reads_the_results_file(self, failing_workspace, tmp_path, capsys, fmt, results):
+        good = self.pipeline(failing_workspace, tmp_path, fmt)
         path = tmp_path / "other.jsonl"
         if results == "corrupt":
             path.write_text("{broken\n", "utf-8")
         elif results == "not-utf8":
             path.write_bytes(NOT_UTF8 + b"\n")
         argv = ["report", "--aggregates", str(tmp_path / "aggregates.json"), "--results", str(path),
-                "--format", "csv", "--out", str(tmp_path / "again.csv")]  # fmt: skip
+                "--format", fmt, "--out", str(tmp_path / f"again.{fmt}")]  # fmt: skip
         capsys.readouterr()
         assert main(argv) == 0
-        assert (tmp_path / "again.csv").read_text("utf-8") == good
+        assert (tmp_path / f"again.{fmt}").read_text("utf-8") == good
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_reports_need_no_results_option(self, failing_workspace, tmp_path, fmt):
+        good = self.pipeline(failing_workspace, tmp_path, fmt)
+        argv = ["report", "--aggregates", str(tmp_path / "aggregates.json"), "--format", fmt,
+                "--out", str(tmp_path / f"again.{fmt}")]  # fmt: skip
+        assert main(argv) == 0
+        assert (tmp_path / f"again.{fmt}").read_text("utf-8") == good
+
+    def test_json_report_is_the_aggregates_file(self, failing_workspace, tmp_path):
+        text = self.pipeline(failing_workspace, tmp_path, "json")
+        assert text.encode("utf-8") == (tmp_path / "aggregates.json").read_bytes()
+        assert json.loads(text)["failures"]["total"] == 2
 
     def test_md_report_has_the_table_and_total(self, workspace, tmp_path):
         text = self.pipeline(workspace, tmp_path, "md", extra=("--decimal-comma",))
@@ -378,7 +438,7 @@ class TestAggregateAndReportCommands:
 
     def test_json_report_round_trips_aggregates(self, workspace, tmp_path):
         text = self.pipeline(workspace, tmp_path, "json")
-        assert len(aggregates_from_report_json(text)) == 12
+        assert len(aggregates_from_json(text).rows) == 12
 
     def test_unknown_format_rejected_by_the_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -436,8 +496,6 @@ class TestAggregateAndReportCommands:
     def test_bad_result_field_names_the_line_and_field(self, workspace, tmp_path, capsys, field, value, line_status):
         rc, results = run_batch_cli(workspace, tmp_path)
         assert rc == 0
-        aggregates = tmp_path / "aggregates.json"
-        assert main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
         lines = results.read_text("utf-8").splitlines()
         number = max(n for n, line in enumerate(lines, start=1) if json.loads(line)["status"] == "ok")
         row = json.loads(lines[number - 1])
@@ -452,33 +510,25 @@ class TestAggregateAndReportCommands:
         lines[number - 1] = json.dumps(row)
         results.write_text("\n".join(lines) + "\n", "utf-8")
         capsys.readouterr()
-        for argv in (
-            ["aggregate", "--results", str(results), "--out", str(tmp_path / "again.json")],
-            *(["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt,
-               "--out", str(tmp_path / f"report.{fmt}")] for fmt in ("md", "json")),
-        ):
-            assert call_within(10, main, argv) == 2
-            err = capsys.readouterr().err
-            assert f"line {number}: $.{field}: " in err
-            assert "Traceback" not in err
+        # aggregate is the only command that reads result lines.
+        argv = ["aggregate", "--results", str(results), "--out", str(tmp_path / "aggregates.json")]
+        assert call_within(10, main, argv) == 2
+        err = capsys.readouterr().err
+        assert f"line {number}: $.{field}: " in err
+        assert "Traceback" not in err
 
     def test_a_results_file_that_is_not_utf8_names_its_line(self, workspace, tmp_path, capsys):
         rc, results = run_batch_cli(workspace, tmp_path)
-        aggregates = tmp_path / "aggregates.json"
-        assert rc == 0 and main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+        assert rc == 0
         lines = results.read_bytes().splitlines(keepends=True)
         lines[6] = lines[6].replace(b'"status":"ok"', b'"status":"ok' + NOT_UTF8 + b'"')
         results.write_bytes(b"".join(lines))
         capsys.readouterr()
-        for argv in (
-            ["aggregate", "--results", str(results), "--out", str(tmp_path / "again.json")],
-            *(["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt,
-               "--out", str(tmp_path / f"report.{fmt}")] for fmt in ("md", "json")),
-        ):
-            assert call_within(10, main, argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {results}, line 7: 'utf-8' codec can't decode byte 0xff")
-            assert "Traceback" not in err
+        argv = ["aggregate", "--results", str(results), "--out", str(tmp_path / "aggregates.json")]
+        assert call_within(10, main, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}, line 7: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
 
     def test_an_aggregates_file_that_is_not_utf8_names_it(self, workspace, tmp_path, capsys):
         rc, results = run_batch_cli(workspace, tmp_path)
@@ -512,18 +562,33 @@ class TestAggregateAndReportCommands:
             (lambda document: [], "$: must be an object"),
             (lambda document: {**document, "aggregates": 5}, "$.aggregates: must be an array"),
             (lambda document: {}, "$.aggregates: missing field"),
+            (set_entry("outliers", 2, performance_score=250.0), "$.outliers[2].performance_score: must be <= "),
+            (set_entry("outliers", 2, performance_score="99"), "$.outliers[2].performance_score: must be a number"),
+            (set_entry("outliers", 2, mode="tablet"), "$.outliers[2].mode: must be one of mobile, desktop"),
+            (set_entry("outliers", 2, url=None), "$.outliers[2].url: must be a string"),
+            (set_entry("failures", 1, reason=""), "$.failures.items[1].reason: must be a non-empty string"),
+            (set_entry("failures", 1, region=7), "$.failures.items[1].region: must be a string"),
+            (set_failures(total=3), "$.failures.total: must be the number of items, 2"),
+            (set_failures(total=True), "$.failures.total: must be a number"),
+            (set_entry("failures", 0, region="Kota Bogor"), "$.aggregates[4].n_failed: must be the number of failure items"),
+            (add_failure(region="Nowhere"), "$.failures.items[2].region: must be the region of an aggregates row"),
+            (lambda document: {**document, "outliers": document["outliers"] * 4}, "$.outliers: must hold no more entries"),
+            (
+                lambda document: {key: document[key] for key in ("aggregates", "overall_average")},
+                "$.outliers: missing field",
+            ),
         ],
         ids=[
             "string-mean", "nan-mean", "huge-mean", "negative-raw-mean", "fractional-count", "bool-count", "number-region", "non-iso-date",
             "mean-without-ok-audit", "mean-not-the-rounded-raw", "no-means-beside-ok-audits", "means-beside-no-ok-count",
             "array-document", "number-aggregates", "no-aggregates",
+            "outlier-score-over-max", "string-outlier-score", "unknown-outlier-mode", "null-outlier-url", "empty-failure-reason",
+            "number-failure-region", "total-not-the-item-count", "bool-total", "failure-counted-in-another-row",
+            "failure-in-no-row", "more-outliers-than-ok-audits", "old-format-without-outliers",
         ],
     )
-    def test_bad_aggregates_field_names_the_row_and_field(self, workspace, tmp_path, capsys, edit, where):
-        rc, results = run_batch_cli(workspace, tmp_path)
-        assert rc == 0
-        aggregates = tmp_path / "aggregates.json"
-        assert main(["aggregate", "--results", str(results), "--out", str(aggregates)]) == 0
+    def test_bad_aggregates_field_names_the_row_and_field(self, failing_workspace, tmp_path, capsys, edit, where):
+        results, aggregates = run_aggregate_cli(failing_workspace, tmp_path)
         document = edit(json.loads(aggregates.read_text("utf-8")))
         aggregates.write_text(json.dumps(document), "utf-8")
         capsys.readouterr()
@@ -572,6 +637,18 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: dependency cycle: request 'a' never starts\n"
+
+    def test_plan_too_extreme_to_simulate_is_a_config_error(self, tmp_path, capsys):
+        plan = self.write_plan(
+            tmp_path,
+            [{"id": "a", "bytes": 1000}, {"id": "b", "parent_id": "a", "discovery_offset_ms": 1e308, "bytes": 1000}],
+        )
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"rtt_ms": 1e308, "downlink_kbps": 1000}), "utf-8")
+        assert main(["simulate", "--plan", plan, "--profile", str(profile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: throttle too extreme to simulate: a replayed time reached inf\n"
 
     def test_malformed_plan_rejected(self, tmp_path):
         plan = self.write_plan(tmp_path, {"requests": [{"bytes": 5}]})

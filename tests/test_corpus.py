@@ -31,7 +31,7 @@ from webaudit.corpus import (
 from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
-from webaudit.report import aggregate_regions, read_aggregates, write_aggregates
+from webaudit.report import build_aggregates, read_aggregates, write_aggregates
 from webaudit.scoring import SCORE_MAX, ScoreReport
 from webaudit.synth import build_demo_trace
 from webaudit.trace import NormalizedTrace, PaintEvent, VisualSample
@@ -496,10 +496,10 @@ class TestResultFiles:
         write_results(results, first)
         write_results(read_results(first), second)
         assert second.read_bytes() == first.read_bytes()
-        aggregates = aggregate_regions(read_results(first), MEMBERS)
+        aggregates = build_aggregates(read_results(first), MEMBERS)
         write_aggregates(aggregates, tmp_path / "aggregates.json")
         assert read_aggregates(tmp_path / "aggregates.json") == aggregates
-        assert aggregates[0].raw_mean_mobile > 100.0
+        assert aggregates.rows[0].raw_mean_mobile > 100.0
 
     @pytest.mark.parametrize("line", ["[]", "7", "null"])
     def test_non_object_line_is_a_schema_error(self, tmp_path, line):

@@ -1,11 +1,12 @@
 """Seeded mutation fuzzing of the documents the command line reads.
 
 Each case mutates one document (the packaged calibration, a throttle
-profile file, cells of a corpus CSV, a results line, an aggregates row, a
-stored trace or a request plan), runs it through ``cli.main`` and requires
-one of the documented exit codes, 0, 1 or 2, with no exception escaping
-and no hang. The mutations come from ``random.Random`` with fixed seeds,
-so a failure names a reproducible case.
+profile file, cells of a corpus CSV, a results line, an aggregates row,
+outlier or failure entry, a stored trace or a request plan), runs it
+through ``cli.main`` and requires one of the documented exit codes, 0, 1
+or 2, with no exception escaping and no hang. The mutations come from
+``random.Random`` with fixed seeds, so a failure names a reproducible
+case.
 """
 
 from __future__ import annotations
@@ -183,10 +184,10 @@ def test_mutated_corpus_cells(files, capsys, tmp_path):
     assert {0, 2} <= set(codes)
 
 
-def report_argvs(aggregates: Path, results: Path, out: Path, formats=("md", "csv", "json")) -> list[list[str]]:
+def report_argvs(aggregates: Path, results: Path, out: Path) -> list[list[str]]:
     return [
         ["report", "--aggregates", str(aggregates), "--results", str(results), "--format", fmt, "--out", str(out)]
-        for fmt in formats
+        for fmt in ("md", "csv", "json")
     ]
 
 
@@ -201,10 +202,8 @@ def test_mutated_result_lines(files, capsys, tmp_path):
         document, done = mutate(json.loads(mutated[number]), rng)
         mutated[number] = dump(document)
         results.write_text("\n".join(mutated) + "\n", "utf-8")
-        case = f"results {i}, line {number + 1}: {done}"
-        codes.append(run(["aggregate", "--results", str(results), "--out", str(out)], case))
-        # The csv report never opens --results, so only md and json read the line.
-        codes += [run(argv, case) for argv in report_argvs(files["aggregates"], results, out, ("md", "json"))]
+        # No report opens --results, so aggregate is the only reader of the line.
+        codes.append(run(["aggregate", "--results", str(results), "--out", str(out)], f"results {i}, line {number + 1}: {done}"))
         capsys.readouterr()
     assert {0, 2} <= set(codes)
 
@@ -216,15 +215,20 @@ def test_mutated_aggregates_rows(files, capsys):
     files["doc"].write_text(dump(document), "utf-8")
     assert {run(argv, "the document as written") for argv in argvs} == {0}
     codes = []
-    for i in range(100):
+    for i in range(150):
         mutated = copy.deepcopy(document)
-        row = rng.randrange(len(mutated["aggregates"]))
-        mutated["aggregates"][row], done = mutate(mutated["aggregates"][row], rng)
+        # A row, an outlier entry or a failure item, in turn.
+        name, entries = [
+            ("aggregates", mutated["aggregates"]), ("outliers", mutated["outliers"]),
+            ("failures.items", mutated["failures"]["items"]),
+        ][i % 3]  # fmt: skip
+        k = rng.randrange(len(entries))
+        entries[k], done = mutate(entries[k], rng)
         files["doc"].write_text(dump(mutated), "utf-8")
-        codes += [run(argv, f"aggregates {i}, row {row}: {done}") for argv in argvs]
+        codes += [run(argv, f"aggregates {i}, {name}[{k}]: {done}") for argv in argvs]
         capsys.readouterr()
-    # The reader holds each row to what aggregate writes, so nearly every
-    # mutation is refused.
+    # The reader holds each row, outlier and failure to what aggregate
+    # writes, so nearly every mutation is refused.
     assert 2 in codes
 
 

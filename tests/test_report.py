@@ -11,11 +11,13 @@ from webaudit.errors import ParseError, SchemaError, UnknownFormat
 from webaudit.metrics import MetricSet
 from webaudit.report import (
     REPORT_COLUMNS,
+    Aggregates,
     RegionAggregate,
     aggregate_from_dict,
     aggregate_regions,
     aggregate_to_dict,
-    aggregates_from_report_json,
+    aggregates_from_json,
+    build_aggregates,
     emit_report,
     overall_average,
     rank_regions,
@@ -58,6 +60,10 @@ def reference_aggregates() -> list[RegionAggregate]:
         )
         for region, mobile, web in REFERENCE_REGION_MEANS
     ]
+
+
+def rows_only(rows: list[RegionAggregate]) -> Aggregates:
+    return Aggregates(rows, [], [])
 
 
 class TestAggregateRegions:
@@ -155,7 +161,7 @@ class TestRankRegions:
 class TestCsvReport:
     def test_round_trip_projection(self):
         aggregates = reference_aggregates()
-        text = emit_report(aggregates, [], "csv")
+        text = emit_report(rows_only(aggregates), "csv")
         rows = parse_report_csv(text)
         assert [r["region"] for r in rows] == [a.region for a in aggregates]
         assert rows[5]["mean_mobile"] == 84.61
@@ -163,7 +169,7 @@ class TestCsvReport:
 
     def test_missing_means_become_empty_cells(self):
         row = RegionAggregate("NurWeb", None, 12.34, None, 12.34, 0, 1, 2, None)
-        text = emit_report([row], [], "csv")
+        text = emit_report(rows_only([row]), "csv")
         parsed = parse_report_csv(text)[0]
         assert parsed["mean_mobile"] is None
         assert parsed["test_date"] is None
@@ -182,8 +188,7 @@ class TestMdReport:
             result("Kota Bandung", "desktop", 55.0, no=1),
             result("Kab. Cirebon", "mobile", None, no=2),
         ]
-        aggregates = aggregate_regions(results, MEMBERS)
-        return emit_report(aggregates, results, "md", **kwargs)
+        return emit_report(build_aggregates(results, MEMBERS), "md", **kwargs)
 
     def test_layout_and_total_row(self):
         text = self.render()
@@ -207,12 +212,11 @@ class TestMdReport:
         assert "98.20" not in text
 
     def test_no_results_sections_say_so(self):
-        aggregates = aggregate_regions([result("Kota Bandung", "mobile", 50.0)], MEMBERS)
-        text = emit_report(aggregates, [result("Kota Bandung", "mobile", 50.0)], "md")
+        text = emit_report(build_aggregates([result("Kota Bandung", "mobile", 50.0)], MEMBERS), "md")
         assert text.count("Tidak ada.") == 2
 
     def test_total_row_uses_one_decimal(self):
-        text = emit_report(reference_aggregates(), [], "md")
+        text = emit_report(rows_only(reference_aggregates()), "md")
         assert "| Rata-rata total | 38.7 | 63.6 |" in text
 
 
@@ -222,19 +226,23 @@ class TestJsonReport:
             result("Kota Bandung", "mobile", 98.2, flagged=True),
             result("Kab. Cirebon", "desktop", None, no=2),
         ]
-        aggregates = aggregate_regions(results, MEMBERS)
         import json
 
-        doc = json.loads(emit_report(aggregates, results, "json"))
+        doc = json.loads(emit_report(build_aggregates(results, MEMBERS), "json"))
         assert doc["overall_average"]["mobile"] == 98.2
         assert doc["outliers"][0]["url"] == "https://1.test"
         assert doc["failures"]["total"] == 1
         assert doc["failures"]["items"][0]["reason"].startswith("NoContentfulPaint")
 
     def test_aggregates_can_be_read_back(self):
-        aggregates = reference_aggregates()
-        text = emit_report(aggregates, [], "json")
-        assert aggregates_from_report_json(text) == aggregates
+        results = [
+            result("Kota Bandung", "mobile", 98.2, flagged=True),
+            result("Kab. Cirebon", "desktop", None, no=2),
+        ]
+        aggregates = build_aggregates(results, MEMBERS)
+        text = emit_report(aggregates, "json")
+        assert aggregates_from_json(text) == aggregates
+        assert emit_report(aggregates_from_json(text), "json") == text
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -264,25 +272,25 @@ class TestJsonReport:
 
     def test_not_a_report_rejected(self):
         with pytest.raises(ParseError):
-            aggregates_from_report_json("{broken")
+            aggregates_from_json("{broken")
         with pytest.raises(SchemaError, match=r"^\$: must be an object$"):
-            aggregates_from_report_json("[]")
+            aggregates_from_json("[]")
 
 
 class TestAggregateFiles:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "aggregates.json"
-        aggregates = reference_aggregates()
+        aggregates = rows_only(reference_aggregates())
         write_aggregates(aggregates, path)
         assert read_aggregates(path) == aggregates
 
     def test_a_file_that_is_not_utf8_names_its_path(self, tmp_path):
         path = tmp_path / "aggregates.json"
-        write_aggregates(reference_aggregates(), path)
+        write_aggregates(rows_only(reference_aggregates()), path)
         path.write_bytes(path.read_bytes().replace(b"Kab. Bogor", b"Kab. Bogor \xff", 1))
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
             read_aggregates(path)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(UnknownFormat):
-            emit_report([], [], "pdf")
+            emit_report(rows_only([]), "pdf")
