@@ -24,7 +24,6 @@ from webaudit import (
 quiet = load_calibration().quiet_window  # the interactivity rule the pipeline uses
 
 trace = NormalizedTrace(
-    nav_start=0.0,
     paint_events=(
         PaintEvent(300.0, "first-paint"),
         PaintEvent(800.0, "contentful-paint"),

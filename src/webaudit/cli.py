@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .collector import load_trace, write_trace
 from .config import MODE_KINDS, load_calibration, load_member_regions, read_text, resolve_throttle
-from .corpus import audit_trace, ingest_corpus, membership_filter, read_results, run_batch, write_results
+from .corpus import audit_trace, ingest_corpus, read_results, run_batch, write_results
 from .errors import (
     AuditError,
     CyclicPlan,
@@ -172,8 +172,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     calibration = load_calibration(args.calibration)
     modes = _parse_modes(args.modes)
     test_date = None if args.test_date is None else iso_date(args.test_date, "--test-date")
-    members = load_member_regions(args.members)
-    records = membership_filter(ingest_corpus(args.corpus, members), members)
+    records = ingest_corpus(args.corpus, load_member_regions(args.members))
     results = run_batch(
         records,
         modes,

@@ -23,7 +23,7 @@ from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
-from .trace import _integer, _number
+from .trace import _integer, _known_keys, _number, _object
 
 MODE_KINDS = ("mobile", "desktop")
 
@@ -155,41 +155,35 @@ def calibration_from_dict(data: Any) -> Calibration:
         raise SchemaError("$", "calibration document must be an object")
     packaged = functools.cache(lambda: json.loads(default_calibration_text()))
 
+    modes_data = _object(data, "modes", "$")
+    _known_keys(modes_data, MODE_KINDS, "$.modes")
     modes = {}
-    for kind, item in _object(data, "modes", "$").items():
+    for kind in MODE_KINDS:
         path = f"$.modes.{kind}"
-        if kind not in MODE_KINDS:
-            raise SchemaError(path, f"unknown mode kind (expected one of {', '.join(MODE_KINDS)})")
+        item = _object(modes_data, kind, "$.modes")
         viewport = _object(item, "viewport", path)
         width = _integer(viewport, "width_px", f"{path}.viewport")
         height = _integer(viewport, "height_px", f"{path}.viewport")
         cpu = _number(item, "cpu_multiplier", path)
         modes[kind] = _checked(path, lambda: DeviceMode(kind, Viewport(width, height), cpu))
-    for kind in MODE_KINDS:
-        if kind not in modes:
-            raise SchemaError("$.modes", f"missing device mode {kind!r}")
     if modes["mobile"].cpu_multiplier < modes["desktop"].cpu_multiplier:
         raise SchemaError("$.modes", "mobile cpu_multiplier must be >= desktop cpu_multiplier")
 
+    curves_data = _object(data, "curves", "$")
+    _known_keys(curves_data, MODE_KINDS, "$.curves")
     curves: dict[str, dict[str, ScoreCurve]] = {}
-    for kind, table in _object(data, "curves", "$").items():
+    for kind in MODE_KINDS:
         path = f"$.curves.{kind}"
-        if kind not in MODE_KINDS:
-            raise SchemaError(path, "curves must be keyed by mode kind")
+        table = _object(curves_data, kind, "$.curves")
         curves[kind] = {}
         for key in METRIC_KEYS:
             item = _object(table, key, path)
             median = _number(item, "median_ms", f"{path}.{key}")
             podr = _number(item, "podr_ms", f"{path}.{key}")
             curves[kind][key] = _checked(f"{path}.{key}", lambda: ScoreCurve(median_ms=median, podr_ms=podr))
-    for kind in MODE_KINDS:
-        if kind not in curves:
-            raise SchemaError("$.curves", f"missing curves for mode {kind!r}")
 
     weight_data = _object(data, "weights", "$")
-    unknown = sorted(set(weight_data) - set(METRIC_KEYS))
-    if unknown:
-        raise SchemaError("$.weights", f"unknown metric keys: {', '.join(unknown)}")
+    _known_keys(weight_data, METRIC_KEYS, "$.weights")
     weight_values = {key: _number(weight_data, key, "$.weights") for key in weight_data}
     if len(weight_values) < len(METRIC_KEYS):
         weight_values = {key: _number(packaged()["weights"], key, "$.weights") for key in METRIC_KEYS} | weight_values
@@ -220,12 +214,10 @@ def calibration_from_dict(data: Any) -> Calibration:
 def _optional_section(data: dict, packaged: Callable[[], dict], key: str, cls: type, **readers: Callable) -> Any:
     """``cls`` built from the section ``data[key]``, each field read by its reader.
 
-    An absent section, or a field absent or null in it, is read from ``packaged()[key]``.
+    An absent or null section, or a field absent or null in it, is read from ``packaged()[key]``.
     """
     path = f"$.{key}"
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise SchemaError(path, "missing field")
+    section = _object(data, key, "$", default={})
     values = {}
     for name, read in readers.items():
         values[name] = read(section if section.get(name) is not None else packaged()[key], name, path)
@@ -284,9 +276,3 @@ def _checked(path: str, build: Callable[[], Any]) -> Any:
         return build()
     except (ValueError, InvalidCurve) as exc:
         raise SchemaError(path, str(exc)) from exc
-
-
-def _object(data: Any, key: str, path: str) -> dict:
-    if not isinstance(data, dict) or not isinstance(data.get(key), dict):
-        raise SchemaError(f"{path}.{key}", "must be an object")
-    return data[key]

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -27,7 +27,6 @@ from .config import (
     Calibration,
     DeviceMode,
     load_calibration,
-    load_member_regions,
     open_text,
     resolve_throttle,
 )
@@ -35,7 +34,7 @@ from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from .metrics import METRIC_KEYS, MetricSet, compute_all
 from .netsim import throttler
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
-from .trace import NormalizedTrace, _date, _number
+from .trace import NormalizedTrace, _date, _field, _integer, _known_keys, _number, _object, _string
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +50,6 @@ class SiteRecord:
     tier: str
     region: str
     url: str
-    smart_city_member: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,16 +82,13 @@ def normalize_region(name: str) -> str:
 
 
 def ingest_corpus(path: str | Path, member_regions: Sequence[str] | None = None) -> list[SiteRecord]:
-    """Parse the corpus CSV and mark each record's program membership.
+    """Parse the corpus CSV: every row, or with member_regions only the rows
+    that membership_filter keeps.
 
     The file must carry the header no,institution,tier,region,url. Rows
     failing validation raise CsvError with the offending line and column;
     a URL seen twice raises DuplicateUrl with the second line.
     """
-    if member_regions is None:
-        member_regions = load_member_regions()
-    members = {normalize_region(name) for name in member_regions}
-
     records: list[SiteRecord] = []
     seen_urls: dict[str, int] = {}
     with open_text(path, newline="") as handle:
@@ -126,17 +121,8 @@ def ingest_corpus(path: str | Path, member_regions: Sequence[str] | None = None)
             if url in seen_urls:
                 raise DuplicateUrl(line, url)
             seen_urls[url] = line
-            records.append(
-                SiteRecord(
-                    no=no,
-                    institution=institution,
-                    tier=tier,
-                    region=region,
-                    url=url,
-                    smart_city_member=normalize_region(region) in members,
-                )
-            )
-    return records
+            records.append(SiteRecord(no, institution, tier, region, url))
+    return records if member_regions is None else membership_filter(records, member_regions)
 
 
 def membership_filter(records: Iterable[SiteRecord], member_regions: Sequence[str]) -> list[SiteRecord]:
@@ -146,11 +132,7 @@ def membership_filter(records: Iterable[SiteRecord], member_regions: Sequence[st
     Order-preserving and idempotent.
     """
     members = {normalize_region(name) for name in member_regions}
-    return [
-        record if record.smart_city_member else replace(record, smart_city_member=True)
-        for record in records
-        if normalize_region(record.region) in members
-    ]
+    return [record for record in records if normalize_region(record.region) in members]
 
 
 def audit_trace(trace: NormalizedTrace, mode: DeviceMode, calibration: Calibration) -> tuple[MetricSet, ScoreReport]:
@@ -266,17 +248,13 @@ def result_from_dict(data: Any) -> AuditResult:
         raise SchemaError("$", "result line must be an object")
     complete = data.keys() == _RESULT_FIELD_SET
     if not complete:
-        unknown = sorted(data.keys() - _RESULT_FIELD_SET)
-        if unknown:
-            raise SchemaError(f"$.{unknown[0]}", "unknown field")
-    site = _site_from_dict(data.get("site"))
-    if data.get("mode") not in MODE_KINDS:
-        raise SchemaError("$.mode", f"must be one of {', '.join(MODE_KINDS)}")
+        _known_keys(data, _RESULT_FIELD_SET, "$")
+    site = _site_from_dict(data)
+    mode = _string(data, "mode", "$", choices=MODE_KINDS)
     if type(data.get("outlier_flag")) is not bool:
         raise SchemaError("$.outlier_flag", "must be true or false")
-    status, reason = data.get("status"), data.get("failure_reason")
-    if status not in ("ok", "failed"):
-        raise SchemaError("$.status", "must be one of ok, failed")
+    status = _string(data, "status", "$", choices=("ok", "failed"))
+    reason = data.get("failure_reason")
     ok = status == "ok"
     if (reason is not None) if ok else (type(reason) is not str or not reason):
         raise SchemaError("$.failure_reason", "must be null on an ok result and a non-empty string on a failed one")
@@ -288,10 +266,9 @@ def result_from_dict(data: Any) -> AuditResult:
         score = data.get("performance_score")
         if type(score) is not float or not 0.0 <= score <= SCORE_MAX:
             score = _number(data, "performance_score", "$", minimum=0.0, maximum=SCORE_MAX)
-        if data.get("category") not in CATEGORIES:
-            raise SchemaError("$.category", f"must be one of {', '.join(CATEGORIES)}")
+        category = _string(data, "category", "$", choices=CATEGORIES)
         scores = _metric_values(data, "scores", SCORE_MAX)
-        report = ScoreReport(scores=scores, performance_score=score, category=data["category"])
+        report = ScoreReport(scores=scores, performance_score=score, category=category)
     else:
         # A failed audit has nothing to score; write_results writes these as null and false.
         for key in ("metrics", "scores", "performance_score", "category"):
@@ -302,11 +279,11 @@ def result_from_dict(data: Any) -> AuditResult:
     test_date = _date(data, "test_date", "$")
     if not complete:
         # Each check above passed, so a field that is absent is one they read as null.
-        missing = next(key for key in _RESULT_FIELDS if key not in data)
-        raise SchemaError(f"$.{missing}", "missing field")
+        for key in _RESULT_FIELDS:
+            _field(data, key, "$")
     return AuditResult(
         site=site,
-        mode=data["mode"],
+        mode=mode,
         status=status,
         metrics=metrics,
         report=report,
@@ -322,35 +299,27 @@ _RESULT_FIELDS = (
     "outlier_flag",
 )  # fmt: skip
 _RESULT_FIELD_SET = frozenset(_RESULT_FIELDS)
-_SITE_FIELDS = {"no": int, "institution": str, "tier": str, "region": str, "url": str, "smart_city_member": bool}
-_JSON_TYPE_NAMES = {int: "integer", str: "string", bool: "bool"}
+_SITE_FIELD_SET = frozenset(("no", "institution", "tier", "region", "url"))
 _METRIC_KEY_SET = frozenset(METRIC_KEYS)
 
 
-def _site_from_dict(site: Any) -> SiteRecord:
-    """The `site` object of a result line: the six SiteRecord fields, each of
-    its exact JSON type (a bool is not an integer).
+def _site_from_dict(data: dict) -> SiteRecord:
+    """The `site` object of a result line: the five SiteRecord fields, an
+    integer (a bool is not one) and four strings.
 
     One guard passes a well-formed object; only one that fails it is read
     field by field, which names the bad field.
     """
+    site = data.get("site")
     if (
-        type(site) is dict and site.keys() == _SITE_FIELDS.keys()
-        and type(site["no"]) is int and type(site["smart_city_member"]) is bool
+        type(site) is dict and site.keys() == _SITE_FIELD_SET and type(site["no"]) is int
         and type(site["institution"]) is type(site["tier"]) is type(site["region"]) is type(site["url"]) is str
     ):
         return SiteRecord(**site)
-    if type(site) is not dict:
-        raise SchemaError("$.site", "must be an object")
-    unknown = sorted(site.keys() - _SITE_FIELDS.keys())
-    if unknown:
-        raise SchemaError(f"$.site.{unknown[0]}", "unknown field")
-    for key, kind in _SITE_FIELDS.items():
-        if key not in site:
-            raise SchemaError(f"$.site.{key}", "missing field")
-        if type(site[key]) is not kind:
-            raise SchemaError(f"$.site.{key}", f"must be a JSON {_JSON_TYPE_NAMES[kind]}")
-    return SiteRecord(**site)
+    site = _object(data, "site", "$")
+    _known_keys(site, _SITE_FIELD_SET, "$.site")
+    no = _integer(site, "no", "$.site")
+    return SiteRecord(no, *(_string(site, key, "$.site") for key in ("institution", "tier", "region", "url")))
 
 
 def _metric_values(data: dict, key: str, maximum: float) -> dict[str, float]:
@@ -371,11 +340,8 @@ def _metric_values(data: dict, key: str, maximum: float) -> dict[str, float]:
     ):
         return values
     path = f"$.{key}"
-    if not isinstance(values, dict):
-        raise SchemaError(path, "must be an object")
-    unknown = sorted(values.keys() - _METRIC_KEY_SET)
-    if unknown:
-        raise SchemaError(f"{path}.{unknown[0]}", "unknown field")
+    values = _object(data, key, "$")
+    _known_keys(values, _METRIC_KEY_SET, path)
     return {name: _number(values, name, path, minimum=0.0, maximum=maximum) for name in METRIC_KEYS}
 
 

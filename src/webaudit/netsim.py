@@ -28,6 +28,7 @@ from .trace import (
     VisualSample,
     _integer,
     _number,
+    _string,
     clamp_visual_progress,
 )
 
@@ -81,14 +82,10 @@ def plan_from_dict(data: Any) -> tuple[list[str], list[int], list[float], list[i
     rows = []
     for i, item in enumerate(items):
         where = f"$.requests[{i}]"
-        if not isinstance(item, dict) or not isinstance(item.get("id"), str):
-            raise SchemaError(where, "each request needs a string id")
+        rid = _string(item, "id", where)
         offset = _number(item, "discovery_offset_ms", where, minimum=0.0, default=0.0)
         nbytes = _integer(item, "bytes", where, minimum=0, default=0)
-        parent_id = item.get("parent_id")
-        if parent_id is not None and not isinstance(parent_id, str):
-            raise SchemaError(f"{where}.parent_id", "must be a string or null")
-        rows.append((item["id"], parent_id, offset, nbytes))
+        rows.append((rid, _string(item, "parent_id", where, default=None), offset, nbytes))
     seen: set[str] = set()
     for rid, _, _, _ in rows:
         if rid in seen:
@@ -290,7 +287,6 @@ def throttler(trace: NormalizedTrace) -> Callable[[ThrottleProfile], NormalizedT
         # The last task's end bounds every task.
         _check_finite([prev_new_end])
         return NormalizedTrace(
-            nav_start=trace.nav_start,
             paint_events=paints,
             tasks=tuple(scaled_tasks),
             requests=requests,
@@ -328,4 +324,5 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
 
 def _check_finite(times: list[float]) -> None:
     if not all(map(math.isfinite, times)):
-        raise ThrottleOverflow(f"throttle too extreme to simulate: a replayed time reached {max(times)!r}")
+        # Replay and simulate both check here; a trace's or a plan's own times can overflow too.
+        raise ThrottleOverflow(f"throttle or input times too extreme to simulate: a time reached {max(times)!r}")

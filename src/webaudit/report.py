@@ -27,7 +27,7 @@ from .config import MODE_KINDS, load_member_regions
 from .corpus import AuditResult, normalize_region
 from .errors import ParseError, SchemaError, UnknownFormat
 from .scoring import SCORE_MAX, round_half_away
-from .trace import _date, _integer, _number
+from .trace import _array, _date, _field, _integer, _number, _object, _string
 
 # Device mode kinds feeding the two report columns. The recording modes
 # are called mobile and desktop; reports label the desktop column "Web".
@@ -296,15 +296,10 @@ def aggregate_to_dict(aggregate: RegionAggregate) -> dict:
 
 def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
     """Read one aggregates row; a bad value is a SchemaError at its JSON path."""
-    if not isinstance(data, dict):
-        raise SchemaError(path, "must be an object")
     for key in RegionAggregate.__dataclass_fields__:
-        if key not in data:
-            raise SchemaError(f"{path}.{key}", "missing field")
-    if type(data["region"]) is not str:
-        raise SchemaError(f"{path}.region", "must be a string")
+        _field(data, key, path)  # present, even where null is allowed
     aggregate = RegionAggregate(
-        region=data["region"],
+        region=_string(data, "region", path),
         **{
             key: _number(data, key, path, minimum=0.0, maximum=SCORE_MAX, default=None)
             for key in ("mean_mobile", "mean_web", "raw_mean_mobile", "raw_mean_web")
@@ -356,25 +351,21 @@ def aggregates_from_json(text: str) -> Aggregates:
     if type(document) is not dict:
         raise SchemaError("$", "must be an object")
     rows = [
-        aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(_list(document, "aggregates", "$"))
+        aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(_array(document, "aggregates", "$"))
     ]
     outliers = [
         Outlier(
             *_entry(item, f"$.outliers[{i}]"),
             _number(item, "performance_score", f"$.outliers[{i}]", minimum=0.0, maximum=SCORE_MAX),
         )
-        for i, item in enumerate(_list(document, "outliers", "$"))
+        for i, item in enumerate(_array(document, "outliers", "$"))
     ]
-    if "failures" not in document:
-        raise SchemaError("$.failures", "missing field")
-    failures_doc = document["failures"]
-    if type(failures_doc) is not dict:
-        raise SchemaError("$.failures", "must be an object")
+    failures_doc = _object(document, "failures", "$")
     total = _integer(failures_doc, "total", "$.failures", minimum=0)
-    failures = [
-        Failure(*_entry(item, f"$.failures.items[{i}]"), _reason(item, f"$.failures.items[{i}]"))
-        for i, item in enumerate(_list(failures_doc, "items", "$.failures"))
-    ]
+    failures = []
+    for i, item in enumerate(_array(failures_doc, "items", "$.failures")):
+        path = f"$.failures.items[{i}]"
+        failures.append(Failure(*_entry(item, path), _string(item, "reason", path, nonempty=True)))
     if total != len(failures):
         raise SchemaError("$.failures.total", f"must be the number of items, {len(failures)}")
 
@@ -394,35 +385,10 @@ def aggregates_from_json(text: str) -> Aggregates:
     return Aggregates(rows, outliers, failures)
 
 
-def _list(document: dict, key: str, path: str) -> list:
-    if key not in document:
-        raise SchemaError(f"{path}.{key}", "missing field")
-    if type(document[key]) is not list:
-        raise SchemaError(f"{path}.{key}", "must be an array")
-    return document[key]
-
-
 def _entry(item: Any, path: str) -> tuple[str, str, str]:
-    """(region, url, mode) of an outlier or failure entry."""
-    if type(item) is not dict:
-        raise SchemaError(path, "must be an object")
-    for key in ("region", "url"):
-        if key not in item:
-            raise SchemaError(f"{path}.{key}", "missing field")
-        if type(item[key]) is not str:
-            raise SchemaError(f"{path}.{key}", "must be a string")
-    if item.get("mode") not in MODE_KINDS:
-        raise SchemaError(f"{path}.mode", f"must be one of {', '.join(MODE_KINDS)}")
-    return item["region"], item["url"], item["mode"]
-
-
-def _reason(item: dict, path: str) -> str:
-    if "reason" not in item:
-        raise SchemaError(f"{path}.reason", "missing field")
-    reason = item["reason"]
-    if type(reason) is not str or not reason:
-        raise SchemaError(f"{path}.reason", "must be a non-empty string")
-    return reason
+    """(region, url, mode) of an outlier or failure entry; an entry that is
+    not an object is a SchemaError at path."""
+    return _string(item, "region", path), _string(item, "url", path), _string(item, "mode", path, choices=MODE_KINDS)
 
 
 def write_aggregates(aggregates: Aggregates, path: str | Path) -> None:

@@ -181,7 +181,6 @@ def build_demo_trace(index: int) -> NormalizedTrace:
     )
 
     return NormalizedTrace(
-        nav_start=0.0,
         paint_events=paints,
         tasks=tuple(tasks),
         requests=requests,
@@ -192,7 +191,6 @@ def build_demo_trace(index: int) -> NormalizedTrace:
 def build_no_paint_trace() -> NormalizedTrace:
     """A load that fetches but never paints anything contentful."""
     return NormalizedTrace(
-        nav_start=0.0,
         paint_events=(),
         tasks=(MainThreadTask(300.0, 80.0),),
         requests=(NetworkRequest(0, 10, 450, 52000, "https://origin.example.go.id"),),

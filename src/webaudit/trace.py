@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import SchemaError
 
@@ -55,7 +55,8 @@ class VisualSample(NamedTuple):
 
 @dataclass(frozen=True)
 class NormalizedTrace:
-    nav_start: float = 0.0
+    """A trace; navigation start is 0 by definition, so it is not stored."""
+
     paint_events: tuple[PaintEvent, ...] = ()
     tasks: tuple[MainThreadTask, ...] = ()
     requests: tuple[NetworkRequest, ...] = ()
@@ -72,8 +73,7 @@ class NormalizedTrace:
         if not isinstance(data, dict):
             raise SchemaError("$", "trace document must be an object")
 
-        nav_start = _number(data, "nav_start", "$")
-        if nav_start != 0:
+        if _number(data, "nav_start", "$") != 0:
             raise SchemaError("$.nav_start", "must be 0 (all times are relative to it)")
 
         # One guard per item: exact types, and chained comparisons that NaN,
@@ -81,7 +81,7 @@ class NormalizedTrace:
         # field readers below it, which read an item that fails it or lacks a
         # key, and name the bad field or accept the item.
         paints = []
-        for i, item in enumerate(_array(data, "paint_events", "$.paint_events")):
+        for i, item in enumerate(_array(data, "paint_events", "$")):
             try:
                 t, kind = item["t_ms"], item["kind"]
                 if type(t) in _REAL and 0.0 <= t <= _FLOAT_MAX:
@@ -96,15 +96,13 @@ class NormalizedTrace:
                 pass
             path = f"$.paint_events[{i}]"
             t = _number(item, "t_ms", path, minimum=0.0)
-            kind = item.get("kind")
-            if kind not in PAINT_KINDS:
-                raise SchemaError(f"{path}.kind", f"must be one of {', '.join(PAINT_KINDS)}")
+            kind = _string(item, "kind", path, choices=PAINT_KINDS)
             significance = _number(item, "significance", path, minimum=0.0) if kind == "fmp-candidate" else None
             paints.append(PaintEvent(t, kind, significance))
 
         tasks = []
         prev_end = 0.0
-        for i, item in enumerate(_array(data, "tasks", "$.tasks")):
+        for i, item in enumerate(_array(data, "tasks", "$")):
             try:
                 start, dur = item["start_ms"], item["dur_ms"]
                 if (
@@ -128,7 +126,7 @@ class NormalizedTrace:
             tasks.append(MainThreadTask(start, dur))
 
         requests = []
-        for i, item in enumerate(_array(data, "requests", "$.requests")):
+        for i, item in enumerate(_array(data, "requests", "$")):
             try:
                 discovered, start, end = item["discovered_ms"], item["start_ms"], item["end_ms"]
                 nbytes, origin = item["bytes"], item["origin"]
@@ -148,14 +146,12 @@ class NormalizedTrace:
             if not discovered <= start <= end:
                 raise SchemaError(path, "must satisfy discovered_ms <= start_ms <= end_ms")
             nbytes = _integer(item, "bytes", path, minimum=0)
-            origin = item.get("origin")
-            if not isinstance(origin, str):
-                raise SchemaError(f"{path}.origin", "must be a string")
+            origin = _string(item, "origin", path)
             requests.append(NetworkRequest(discovered, start, end, nbytes, origin))
 
         samples = []
         prev_t = 0.0
-        for i, item in enumerate(_array(data, "visual_progress", "$.visual_progress")):
+        for i, item in enumerate(_array(data, "visual_progress", "$")):
             try:
                 t, fraction = item["t_ms"], item["fraction"]
                 if (
@@ -178,7 +174,6 @@ class NormalizedTrace:
             samples.append(VisualSample(t, fraction))
 
         return cls(
-            nav_start=nav_start,
             paint_events=tuple(paints),
             tasks=tuple(tasks),
             requests=tuple(requests),
@@ -194,7 +189,7 @@ class NormalizedTrace:
                 item["significance"] = p.significance
             paints.append(item)
         return {
-            "nav_start": self.nav_start,
+            "nav_start": 0.0,
             "paint_events": paints,
             "tasks": [t._asdict() for t in self.tasks],
             "requests": [r._asdict() for r in self.requests],
@@ -219,23 +214,34 @@ _REAL = (int, float)  # exact JSON number types: a bool is neither
 _FLOAT_MAX = 1.7976931348623157e308  # the largest float
 _FLOAT_MAX_INT = int(_FLOAT_MAX)
 
+# The field readers. Trace, calibration, throttle-profile, plan, results and
+# aggregates documents read every keyed field through these, so each bad
+# value is a SchemaError at the field's JSON path, worded one way.
+
+
+def _field(item: Any, key: str, path: str, default: Any = _REQUIRED) -> Any:
+    """``item[key]``, by the rule every reader below shares: an item that is
+    not an object is a SchemaError at ``path``, a key it lacks one at
+    ``path.key``. With a default, a missing or null value is the default,
+    which the reader returns unchecked."""
+    if not isinstance(item, dict):
+        raise SchemaError(path, "must be an object")
+    value = item.get(key, default)
+    if value is None and default is not _REQUIRED:
+        return default
+    if value is _REQUIRED:
+        raise SchemaError(f"{path}.{key}", "missing field")
+    return value
+
 
 def _number(
     item: Any, key: str, path: str, minimum: float | None = None, maximum: float | None = None, default: Any = _REQUIRED
 ) -> Any:
     """Read a finite number at ``item[key]``, within ``minimum`` and ``maximum``
-    where given.
-
-    With a default, a missing or null value yields the default unchecked.
-    Trace, calibration, throttle-profile, plan, results and aggregates
-    documents read their numbers through here, so each bad value is a
-    SchemaError with the field's JSON path.
-    """
-    if default is not _REQUIRED and isinstance(item, dict) and item.get(key) is None:
-        return default
-    if not isinstance(item, dict) or key not in item:
-        raise SchemaError(f"{path}.{key}" if isinstance(item, dict) else path, "missing field")
-    value = item[key]
+    where given."""
+    value = _field(item, key, path, default)
+    if value is default:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}.{key}", "must be a number")
     try:
@@ -254,11 +260,11 @@ def _number(
 def _integer(item: Any, key: str, path: str, minimum: int | None = None, default: Any = _REQUIRED) -> Any:
     """Read a JSON integer at ``item[key]``, as _number reads a number; a bool
     or a float is not one."""
-    if default is not _REQUIRED and isinstance(item, dict) and item.get(key) is None:
-        return default
-    value = item.get(key) if isinstance(item, dict) else None
+    value = _field(item, key, path, default)
+    if value is default:
+        return value
     if type(value) is not int:  # excludes bool, a subclass of int
-        _number(item, key, path)  # names a missing field or a non-number
+        _number(item, key, path)  # names a non-number
         raise SchemaError(f"{path}.{key}", "must be an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{path}.{key}", f"must be >= {minimum}")
@@ -267,14 +273,32 @@ def _integer(item: Any, key: str, path: str, minimum: int | None = None, default
     return value
 
 
-def _date(item: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
-    """Read an ISO date string (YYYY-MM-DD) at ``item[key]`` of an object, as
-    _number reads a number."""
-    if default is not _REQUIRED and item.get(key) is None:
-        return default
-    if key not in item:
-        raise SchemaError(f"{path}.{key}", "missing field")
-    return iso_date(item[key], f"{path}.{key}")
+def _string(
+    item: Any,
+    key: str,
+    path: str,
+    choices: Sequence[str] | None = None,
+    nonempty: bool = False,
+    default: Any = _REQUIRED,
+) -> Any:
+    """Read a string at ``item[key]``, as _number reads a number: one of
+    ``choices`` where given, and not empty where ``nonempty`` is set."""
+    value = _field(item, key, path, default)
+    if value is default:
+        return value
+    if choices is not None:
+        if value not in choices:
+            raise SchemaError(f"{path}.{key}", f"must be one of {', '.join(choices)}")
+    elif type(value) is not str or (nonempty and not value):
+        raise SchemaError(f"{path}.{key}", "must be a non-empty string" if nonempty else "must be a string")
+    return value
+
+
+def _date(item: Any, key: str, path: str, default: Any = _REQUIRED) -> Any:
+    """Read an ISO date string (YYYY-MM-DD) at ``item[key]``, as _number reads
+    a number."""
+    value = _field(item, key, path, default)
+    return value if value is default else iso_date(value, f"{path}.{key}")
 
 
 def iso_date(text: Any, path: str) -> date:
@@ -288,10 +312,24 @@ def iso_date(text: Any, path: str) -> date:
     raise SchemaError(path, "must be an ISO date string (YYYY-MM-DD)")
 
 
-def _array(data: dict, key: str, path: str) -> Sequence[Any]:
-    if key not in data:
-        raise SchemaError(path, "missing field")
-    value = data[key]
-    if not isinstance(value, list):
-        raise SchemaError(path, "must be an array")
+def _array(item: Any, key: str, path: str) -> list:
+    """Read a JSON array at ``item[key]``, as _number reads a number."""
+    value = _field(item, key, path)
+    if type(value) is not list:
+        raise SchemaError(f"{path}.{key}", "must be an array")
     return value
+
+
+def _object(item: Any, key: str, path: str, default: Any = _REQUIRED) -> Any:
+    """Read a JSON object at ``item[key]``, as _number reads a number."""
+    value = _field(item, key, path, default)
+    if type(value) is not dict and value is not default:
+        raise SchemaError(f"{path}.{key}", "must be an object")
+    return value
+
+
+def _known_keys(item: dict, keys: Collection[str], path: str) -> None:
+    """A SchemaError at the first key of ``item``, in sorted order, that ``keys`` lacks."""
+    unknown = sorted(item.keys() - keys)
+    if unknown:
+        raise SchemaError(f"{path}.{unknown[0]}", "unknown field")

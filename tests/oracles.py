@@ -35,6 +35,7 @@ from webaudit.trace import (
     _array,
     _integer,
     _number,
+    _string,
     clamp_visual_progress,
 )
 
@@ -418,17 +419,14 @@ def from_dict_fieldwise(data) -> NormalizedTrace:
     if not isinstance(data, dict):
         raise SchemaError("$", "trace document must be an object")
 
-    nav_start = _number(data, "nav_start", "$")
-    if nav_start != 0:
+    if _number(data, "nav_start", "$") != 0:
         raise SchemaError("$.nav_start", "must be 0 (all times are relative to it)")
 
     paints = []
-    for i, item in enumerate(_array(data, "paint_events", "$.paint_events")):
+    for i, item in enumerate(_array(data, "paint_events", "$")):
         path = f"$.paint_events[{i}]"
         t = _number(item, "t_ms", path, minimum=0.0)
-        kind = item.get("kind")
-        if kind not in PAINT_KINDS:
-            raise SchemaError(f"{path}.kind", f"must be one of {', '.join(PAINT_KINDS)}")
+        kind = _string(item, "kind", path, choices=PAINT_KINDS)
         significance = None
         if kind == "fmp-candidate":
             significance = _number(item, "significance", path, minimum=0.0)
@@ -436,7 +434,7 @@ def from_dict_fieldwise(data) -> NormalizedTrace:
 
     tasks = []
     prev_end = None
-    for i, item in enumerate(_array(data, "tasks", "$.tasks")):
+    for i, item in enumerate(_array(data, "tasks", "$")):
         path = f"$.tasks[{i}]"
         start = _number(item, "start_ms", path, minimum=0.0)
         dur = _number(item, "dur_ms", path)
@@ -448,7 +446,7 @@ def from_dict_fieldwise(data) -> NormalizedTrace:
         tasks.append(MainThreadTask(start, dur))
 
     requests = []
-    for i, item in enumerate(_array(data, "requests", "$.requests")):
+    for i, item in enumerate(_array(data, "requests", "$")):
         path = f"$.requests[{i}]"
         discovered = _number(item, "discovered_ms", path, minimum=0.0)
         start = _number(item, "start_ms", path, minimum=0.0)
@@ -456,14 +454,12 @@ def from_dict_fieldwise(data) -> NormalizedTrace:
         if not discovered <= start <= end:
             raise SchemaError(path, "must satisfy discovered_ms <= start_ms <= end_ms")
         nbytes = _integer(item, "bytes", path, minimum=0)
-        origin = item.get("origin")
-        if not isinstance(origin, str):
-            raise SchemaError(f"{path}.origin", "must be a string")
+        origin = _string(item, "origin", path)
         requests.append(NetworkRequest(discovered, start, end, nbytes, origin))
 
     samples = []
     prev_t = None
-    for i, item in enumerate(_array(data, "visual_progress", "$.visual_progress")):
+    for i, item in enumerate(_array(data, "visual_progress", "$")):
         path = f"$.visual_progress[{i}]"
         t = _number(item, "t_ms", path, minimum=0.0)
         fraction = _number(item, "fraction", path)
@@ -475,7 +471,6 @@ def from_dict_fieldwise(data) -> NormalizedTrace:
         samples.append(VisualSample(t, fraction))
 
     return NormalizedTrace(
-        nav_start=nav_start,
         paint_events=tuple(paints),
         tasks=tuple(tasks),
         requests=tuple(requests),

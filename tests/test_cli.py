@@ -182,6 +182,12 @@ class TestPinnedOutput:
         assert main(["simulate", "--plan", str(FIXTURES / "plan.json")]) == 0
         assert capsys.readouterr().out == (FIXTURES / "simulate_plan.txt").read_text("utf-8")
 
+    def test_batch_writes_the_golden_results(self, workspace, tmp_path):
+        # The arguments of acceptance criterion 7 (--parallel has no effect).
+        rc, results = run_batch_cli(workspace, tmp_path, ("--parallel", "1"))
+        assert rc == 0
+        assert results.read_bytes() == (FIXTURES / "golden_results.jsonl").read_bytes()
+
 
 class TestAuditCommand:
     def test_replays_a_stored_trace(self, tmp_path, simple_trace, capsys):
@@ -648,7 +654,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--plan", plan, "--profile", str(profile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: throttle too extreme to simulate: a replayed time reached inf\n"
+        assert captured.err == "error: throttle or input times too extreme to simulate: a time reached inf\n"
 
     def test_malformed_plan_rejected(self, tmp_path):
         plan = self.write_plan(tmp_path, {"requests": [{"bytes": 5}]})
@@ -709,6 +715,57 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"error: $.{'.'.join(section)}.{key}: must be " in err
         assert "Traceback" not in err
+
+
+class TestOneWordingPerRule:
+    """Every document the command line reads names a bad field and a missing
+    one the same way. No field of a throttle profile is required, so it has
+    no missing-field case."""
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("trace", lambda d: d["requests"][0].update(origin=3), "$.requests[0].origin: must be a string"),
+            ("trace", lambda d: d["paint_events"][0].pop("kind"), "$.paint_events[0].kind: missing field"),
+            ("calibration", lambda d: d.update(outlier_bounds=7), "$.outlier_bounds: must be an object"),
+            ("calibration", lambda d: d.pop("weights"), "$.weights: missing field"),
+            ("profile", lambda d: d.update(rtt_ms="fast"), "$.rtt_ms: must be a number"),
+            ("plan", lambda d: d["requests"][1].update(parent_id=5), "$.requests[1].parent_id: must be a string"),
+            ("plan", lambda d: d["requests"][1].pop("id"), "$.requests[1].id: missing field"),
+            ("results", lambda d: d["site"].update(url=5), "$.site.url: must be a string"),
+            ("results", lambda d: d.pop("mode"), "$.mode: missing field"),
+            ("aggregates", lambda d: d.update(failures=[]), "$.failures: must be an object"),
+            ("aggregates", lambda d: d["aggregates"][0].pop("region"), "$.aggregates[0].region: missing field"),
+        ],
+    )
+    def test_a_bad_or_missing_field_exits_two_at_its_path(self, workspace, tmp_path, capsys, kind, edit, message):
+        plan = str(FIXTURES / "plan.json")
+        path = tmp_path / f"{kind}.json"
+        after = ""  # the lines after the edited one, in a results file
+        if kind == "trace":
+            document, argv = build_demo_trace(11).to_dict(), ["score", "--trace", str(path)]
+        elif kind == "calibration":
+            document = json.loads(default_calibration_text())
+            argv = ["simulate", "--plan", plan, "--calibration", str(path)]
+        elif kind == "profile":
+            document, argv = {"rtt_ms": 150, "downlink_kbps": 1638}, ["simulate", "--plan", plan, "--profile", str(path)]
+        elif kind == "plan":
+            document, argv = json.loads(Path(plan).read_text("utf-8")), ["simulate", "--plan", str(path)]
+        elif kind == "results":
+            _, results = run_batch_cli(workspace, tmp_path)
+            first, after = results.read_text("utf-8").split("\n", 1)
+            document, after = json.loads(first), "\n" + after
+            argv = ["aggregate", "--results", str(path), "--out", str(tmp_path / "aggregates.json")]
+            message = f"{path}, line 1: {message}"
+        else:
+            _, aggregates = run_aggregate_cli(workspace, tmp_path)
+            document = json.loads(aggregates.read_text("utf-8"))
+            argv = ["report", "--aggregates", str(path), "--format", "csv", "--out", str(tmp_path / "report.csv")]
+        edit(document)
+        path.write_text(json.dumps(document) + after, "utf-8")
+        capsys.readouterr()
+        assert call_within(10, main, argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_package_and_cli_import_no_network_modules():

@@ -130,9 +130,15 @@ class TestCalibrationSchema:
             (lambda d: d["throttle_profiles"]["4g"].update(cpu_multiplier=0.5), "4g"),
             (lambda d: d["quiet_window"].update(max_inflight_requests="two"), "max_inflight_requests"),
             (lambda d: d["quiet_window"].update(window_ms=0), "window_ms"),
-            (lambda d: d.update(category_bands=[1]), "$.category_bands: missing field"),
-            (lambda d: d.update(outlier_bounds=7), "$.outlier_bounds: missing field"),
-            (lambda d: d.update(quiet_window="quiet"), "$.quiet_window: missing field"),
+            (lambda d: d.update(category_bands=[1]), "$.category_bands: must be an object"),
+            (lambda d: d.update(outlier_bounds=7), "$.outlier_bounds: must be an object"),
+            (lambda d: d.update(quiet_window="quiet"), "$.quiet_window: must be an object"),
+            (lambda d: d["modes"].pop("desktop"), "$.modes.desktop: missing field"),
+            (lambda d: d["modes"].update(mobile=5), "$.modes.mobile: must be an object"),
+            (lambda d: d["curves"].update(tablet={}), "$.curves.tablet: unknown field"),
+            (lambda d: d["curves"].pop("mobile"), "$.curves.mobile: missing field"),
+            (lambda d: d["weights"].update(speed=0.1), "$.weights.speed: unknown field"),
+            (lambda d: d.pop("throttle_profiles"), "$.throttle_profiles: missing field"),
         ],
     )
     def test_rejections_carry_a_path(self, mutate, path_part):

@@ -52,7 +52,7 @@ def write_corpus(tmp_path, rows: list[str]):
 
 
 def ok_result(score: float, no: int = 1, mode: str = "mobile", region: str = "Kota Bandung") -> AuditResult:
-    site = SiteRecord(no, "Diskominfo", "kabupaten-kota", region, f"https://s{no}.test", True)
+    site = SiteRecord(no, "Diskominfo", "kabupaten-kota", region, f"https://s{no}.test")
     return AuditResult(
         site=site,
         mode=mode,
@@ -71,7 +71,7 @@ class TestNormalizeRegion:
 
 
 class TestIngestCorpus:
-    def test_happy_path_marks_membership(self, tmp_path):
+    def test_happy_path_keeps_the_member_rows(self, tmp_path):
         path = write_corpus(
             tmp_path,
             [
@@ -79,10 +79,10 @@ class TestIngestCorpus:
                 "2,Sekretariat,provinsi,Kab. Garut,https://garut.go.id",
             ],
         )
-        records = ingest_corpus(path, MEMBERS)
-        assert [r.smart_city_member for r in records] == [True, False]
+        records = ingest_corpus(path)
         assert records[0].no == 1
         assert records[1].tier == "provinsi"
+        assert ingest_corpus(path, MEMBERS) == membership_filter(records, MEMBERS) == records[:1]
 
     def test_header_must_match(self, tmp_path):
         path = tmp_path / "corpus.csv"
@@ -139,21 +139,20 @@ class TestIngestCorpus:
         path = write_corpus(tmp_path, ["", "1,A,provinsi,Kota Bandung,https://a.test", ""])
         assert len(ingest_corpus(path, MEMBERS)) == 1
 
-    def test_default_member_list_is_the_packaged_one(self, tmp_path):
-        path = write_corpus(tmp_path, ["1,A,provinsi,Web SKPD Provinsi,https://a.test"])
-        assert ingest_corpus(path)[0].smart_city_member
+    def test_no_member_list_keeps_every_row(self, tmp_path):
+        path = write_corpus(tmp_path, ["1,A,provinsi,Nowhere,https://a.test"])
+        assert [r.region for r in ingest_corpus(path)] == ["Nowhere"]
 
 
 class TestMembershipFilter:
-    def test_keeps_members_in_order_and_sets_the_flag(self):
+    def test_keeps_members_in_order(self):
         records = [
-            SiteRecord(1, "A", "provinsi", "Kab. Garut", "https://a.test", False),
-            SiteRecord(2, "B", "kabupaten-kota", "KOTA BANDUNG", "https://b.test", False),
-            SiteRecord(3, "C", "kabupaten-kota", "Kab. Bogor", "https://c.test", True),
+            SiteRecord(1, "A", "provinsi", "Kab. Garut", "https://a.test"),
+            SiteRecord(2, "B", "kabupaten-kota", "KOTA BANDUNG", "https://b.test"),
+            SiteRecord(3, "C", "kabupaten-kota", "Kab. Bogor", "https://c.test"),
         ]
         kept = membership_filter(records, MEMBERS)
         assert [r.no for r in kept] == [2, 3]
-        assert all(r.smart_city_member for r in kept)
         assert membership_filter(kept, MEMBERS) == kept
 
 
@@ -182,7 +181,7 @@ class TestAuditResultInvariants:
     def test_ok_requires_report_and_metrics(self):
         with pytest.raises(ValueError):
             AuditResult(
-                site=SiteRecord(1, "A", "provinsi", "X", "https://a.test", False),
+                site=SiteRecord(1, "A", "provinsi", "X", "https://a.test"),
                 mode="mobile",
                 status="ok",
                 metrics=None,
@@ -194,7 +193,7 @@ class TestAuditResultInvariants:
     def test_failed_requires_reason_and_no_payload(self):
         with pytest.raises(ValueError):
             AuditResult(
-                site=SiteRecord(1, "A", "provinsi", "X", "https://a.test", False),
+                site=SiteRecord(1, "A", "provinsi", "X", "https://a.test"),
                 mode="mobile",
                 status="failed",
                 metrics=_METRICS,
@@ -207,7 +206,7 @@ class TestAuditResultInvariants:
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError):
             AuditResult(
-                site=SiteRecord(1, "A", "provinsi", "X", "https://a.test", False),
+                site=SiteRecord(1, "A", "provinsi", "X", "https://a.test"),
                 mode="mobile",
                 status="pending",
                 metrics=None,
@@ -238,8 +237,8 @@ class TestRunBatch:
         traces = tmp_path / "traces"
         traces.mkdir()
         records = [
-            SiteRecord(1, "A", "kabupaten-kota", "Kota Bandung", "https://ok.test", True),
-            SiteRecord(2, "B", "kabupaten-kota", "Kab. Bogor", "https://missing.test", True),
+            SiteRecord(1, "A", "kabupaten-kota", "Kota Bandung", "https://ok.test"),
+            SiteRecord(2, "B", "kabupaten-kota", "Kab. Bogor", "https://missing.test"),
         ]
         write_trace(simple_trace, traces / (trace_slug("https://ok.test") + ".json"))
         return records, traces
@@ -273,7 +272,7 @@ class TestRunBatch:
 
     def test_one_load_and_one_network_replay_per_site(self, tmp_path, simple_trace, monkeypatch):
         records, traces = self.setup_workspace(tmp_path, simple_trace)
-        records.append(SiteRecord(3, "C", "kabupaten-kota", "Kota Bandung", "https://ok3.test", True))
+        records.append(SiteRecord(3, "C", "kabupaten-kota", "Kota Bandung", "https://ok3.test"))
         write_trace(simple_trace, traces / (trace_slug("https://ok3.test") + ".json"))
         calls = {"load_trace": 0, "waterfall_times": 0}
 
@@ -298,7 +297,7 @@ class TestRunBatch:
         records, traces = self.setup_workspace(tmp_path, dataclasses.replace(trace, tasks=trace.tasks[:-1] + (last,)))
         results = run_batch(records[:1], ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         desktop, mobile = results
-        assert mobile.failure_reason == "ThrottleOverflow: throttle too extreme to simulate: a replayed time reached inf"
+        assert mobile.failure_reason == "ThrottleOverflow: throttle or input times too extreme to simulate: a time reached inf"
         assert desktop.status == "ok"
         assert desktop.report.performance_score == 53.242505369267796
 
@@ -347,10 +346,10 @@ class TestBatchMatchesSingleAudits:
         traces.mkdir()
         records = []
         for no in range(1, 51):
-            record = SiteRecord(no, "A", "kecamatan", "Kota Bandung", f"https://s{no}.test", True)
+            record = SiteRecord(no, "A", "kecamatan", "Kota Bandung", f"https://s{no}.test")
             write_trace(random_trace(rng), traces / (trace_slug(record.url) + ".json"))
             records.append(record)
-        records.append(SiteRecord(51, "B", "kecamatan", "Kab. Bogor", "https://missing.test", True))
+        records.append(SiteRecord(51, "B", "kecamatan", "Kab. Bogor", "https://missing.test"))
 
         results = run_batch(records, ("mobile", "desktop"), throttle, traces_dir=traces, test_date=TEST_DATE)
         expected = [
@@ -364,14 +363,14 @@ class TestBatchMatchesSingleAudits:
 
 class TestResultFiles:
     def test_round_trip_ok_and_failed(self, tmp_path, simple_trace):
-        records = [SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://ok.test", True)]
+        records = [SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://ok.test")]
         traces = tmp_path / "traces"
         traces.mkdir()
         write_trace(simple_trace, traces / (trace_slug("https://ok.test") + ".json"))
         results = run_batch(records, ("mobile",), "4g", traces_dir=traces, test_date=TEST_DATE)
         results.append(
             AuditResult(
-                site=SiteRecord(2, "B", "provinsi", "Kab. Bogor", "https://gone.test", True),
+                site=SiteRecord(2, "B", "provinsi", "Kab. Bogor", "https://gone.test"),
                 mode="mobile",
                 status="failed",
                 metrics=None,
@@ -390,8 +389,8 @@ class TestResultFiles:
         traces.mkdir()
         write_trace(simple_trace, traces / (trace_slug("https://ok.test") + ".json"))
         records = [
-            SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://ok.test", True),
-            SiteRecord(2, "B", "provinsi", "Kab. Bogor", "https://gone.test", True),
+            SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://ok.test"),
+            SiteRecord(2, "B", "provinsi", "Kab. Bogor", "https://gone.test"),
         ]
         results = run_batch(records, ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         assert [r.status for r in results] == ["ok", "ok", "failed", "failed"]
@@ -433,11 +432,17 @@ class TestResultFiles:
             (lambda d: d.update(scores=None), "$.scores: must be an object"),
             (lambda d: d.update(site=[]), "$.site: must be an object"),
             (lambda d: d["site"].pop("url"), "$.site.url: missing field"),
-            (lambda d: d["site"].update(smart_city_member=1), "$.site.smart_city_member: must be a JSON bool"),
-            (lambda d: d["site"].update(no=True), "$.site.no: must be a JSON integer"),
+            (lambda d: d["site"].update(smart_city_member=True), "$.site.smart_city_member: unknown field"),
+            (lambda d: d["site"].update(no=1.5), "$.site.no: must be an integer"),
+            (lambda d: d["site"].update(no=True), "$.site.no: must be a number"),
+            (lambda d: d["site"].update(tier=None), "$.site.tier: must be a string"),
+            (lambda d: d.pop("site"), "$.site: missing field"),
+            (lambda d: d.pop("mode"), "$.mode: missing field"),
+            (lambda d: d.pop("category"), "$.category: missing field"),
+            (lambda d: d.pop("metrics"), "$.metrics: missing field"),
             (lambda d: d.update(category=None), "$.category: must be one of good, average, poor"),
             (lambda d: d.update(status="done"), "$.status: must be one of ok, failed"),
-            (lambda d: d.pop("status"), "$.status: must be one of ok, failed"),
+            (lambda d: d.pop("status"), "$.status: missing field"),
             (lambda d: d.update(test_date=20190825), "$.test_date: must be an ISO date string (YYYY-MM-DD)"),
             (lambda d: d.update(test_date="25/08/2019"), "$.test_date: must be an ISO date string (YYYY-MM-DD)"),
             (lambda d: d.update(test_date="20190825"), "$.test_date: must be an ISO date string (YYYY-MM-DD)"),
@@ -487,7 +492,7 @@ class TestResultFiles:
         traces = tmp_path / "traces"
         traces.mkdir()
         write_trace(instant, traces / (trace_slug("https://fast.test") + ".json"))
-        records = [SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://fast.test", True)]
+        records = [SiteRecord(1, "A", "provinsi", "Kota Bandung", "https://fast.test")]
         results = run_batch(
             records, ("mobile", "desktop"), "4g", traces_dir=traces, calibration=calibration, test_date=TEST_DATE
         )

@@ -76,11 +76,13 @@ class TestPlanFromDict:
             ([{"id": "a", "discovery_offset_ms": math.nan}], "$.requests[0].discovery_offset_ms", "must be finite"),
             ([{"id": "a", "discovery_offset_ms": math.inf}], "$.requests[0].discovery_offset_ms", "must be finite"),
             ([{"id": "a", "bytes": -10}], "$.requests[0].bytes", "must be >= 0"),
-            ([{"id": "a", "parent_id": 5}], "$.requests[0].parent_id", "must be a string or null"),
-            ([{"id": 5}], "$.requests[0]", "each request needs a string id"),
+            ([{"id": "a", "parent_id": 5}], "$.requests[0].parent_id", "must be a string"),
+            ([{"id": 5}], "$.requests[0].id", "must be a string"),
+            ([{"bytes": 5}], "$.requests[0].id", "missing field"),
+            ([5], "$.requests[0]", "must be an object"),
         ],
         ids=["duplicate-id", "unknown-parent", "negative-offset", "nan-offset", "inf-offset", "negative-bytes",
-             "number-parent", "number-id"],
+             "number-parent", "number-id", "missing-id", "number-request"],
     )
     def test_bad_plan_names_the_path(self, requests, where, message):
         with pytest.raises(SchemaError) as excinfo:

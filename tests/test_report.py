@@ -32,7 +32,7 @@ MEMBERS = ("Web SKPD Provinsi", "Kota Bandung", "Kab. Cirebon")
 
 
 def result(region: str, mode: str, score: float | None, no: int = 1, flagged: bool = False) -> AuditResult:
-    site = SiteRecord(no, "Diskominfo", "kabupaten-kota", region, f"https://{no}.test", True)
+    site = SiteRecord(no, "Diskominfo", "kabupaten-kota", region, f"https://{no}.test")
     if score is None:
         return AuditResult(
             site=site, mode=mode, status="failed", metrics=None, report=None,

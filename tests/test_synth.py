@@ -38,7 +38,7 @@ class TestBuildCorpusRows:
         write_corpus_csv(build_corpus_rows(60, 25), path)
         records = ingest_corpus(path)
         assert len(records) == 60
-        assert sum(1 for r in records if r.smart_city_member) == 25
+        assert len(membership_filter(records, load_member_regions())) == 25
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):

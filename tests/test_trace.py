@@ -18,6 +18,13 @@ from webaudit.trace import (
     NormalizedTrace,
     PaintEvent,
     VisualSample,
+    _array,
+    _date,
+    _integer,
+    _known_keys,
+    _number,
+    _object,
+    _string,
     clamp_visual_progress,
 )
 
@@ -165,6 +172,59 @@ def test_counts_are_integers_and_numbers_fit_a_float(mutate, path_part):
     with pytest.raises(SchemaError) as exc:
         NormalizedTrace.from_dict(doc)
     assert path_part in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "read, item, message",
+    [
+        (lambda item: _string(item, "k", "$.x"), {}, "$.x.k: missing field"),
+        (lambda item: _string(item, "k", "$.x"), [1], "$.x: must be an object"),
+        (lambda item: _string(item, "k", "$.x"), {"k": 3}, "$.x.k: must be a string"),
+        (lambda item: _string(item, "k", "$.x"), {"k": None}, "$.x.k: must be a string"),
+        (lambda item: _string(item, "k", "$.x", choices=("a", "b")), {"k": "c"}, "$.x.k: must be one of a, b"),
+        (lambda item: _string(item, "k", "$.x", choices=("a", "b")), {"k": ["a"]}, "$.x.k: must be one of a, b"),
+        (lambda item: _string(item, "k", "$.x", choices=("a", "b")), {}, "$.x.k: missing field"),
+        (lambda item: _string(item, "k", "$.x", nonempty=True), {"k": ""}, "$.x.k: must be a non-empty string"),
+        (lambda item: _string(item, "k", "$.x", nonempty=True), {"k": 3}, "$.x.k: must be a non-empty string"),
+        (lambda item: _object(item, "k", "$.x"), {"k": []}, "$.x.k: must be an object"),
+        (lambda item: _object(item, "k", "$.x"), {}, "$.x.k: missing field"),
+        (lambda item: _object(item, "k", "$.x", default={}), "k", "$.x: must be an object"),
+        (lambda item: _array(item, "k", "$.x"), {"k": {}}, "$.x.k: must be an array"),
+        (lambda item: _array(item, "k", "$.x"), {}, "$.x.k: missing field"),
+        (lambda item: _number(item, "k", "$.x"), 5, "$.x: must be an object"),
+        (lambda item: _number(item, "k", "$.x", default=0.0), None, "$.x: must be an object"),
+        (lambda item: _integer(item, "k", "$.x"), {"k": 1.5}, "$.x.k: must be an integer"),
+        (lambda item: _integer(item, "k", "$.x"), {}, "$.x.k: missing field"),
+        (lambda item: _date(item, "k", "$.x"), [], "$.x: must be an object"),
+        (lambda item: _known_keys(item, {"a"}, "$.x"), {"a": 1, "c": 2, "b": 3}, "$.x.b: unknown field"),
+    ],
+)
+def test_field_readers_word_each_rule_one_way(read, item, message):
+    with pytest.raises(SchemaError) as exc:
+        read(item)
+    assert str(exc.value) == message
+
+
+def test_field_readers_return_the_value_or_the_default():
+    assert _string({"k": "a"}, "k", "$", choices=("a", "b")) == "a"
+    assert _string({"k": ""}, "k", "$") == ""
+    assert _string({"k": None}, "k", "$", default="d") == "d"
+    assert _string({}, "k", "$", default=None) is None
+    assert _object({"k": None}, "k", "$", default={}) == {}
+    assert _object({"k": {"a": 1}}, "k", "$") == {"a": 1}
+    assert _array({"k": [1]}, "k", "$") == [1]
+    assert _number({}, "k", "$", default=2.5) == 2.5
+    assert _known_keys({"a": 1}, {"a", "b"}, "$") is None
+
+
+def test_an_item_that_is_not_an_object_is_named():
+    doc = valid_doc()
+    doc["tasks"].append(5)
+    message = f"$.tasks[{len(doc['tasks']) - 1}]: must be an object"
+    for read in (NormalizedTrace.from_dict, from_dict_fieldwise):
+        with pytest.raises(SchemaError) as exc:
+            read(doc)
+        assert str(exc.value) == message
 
 
 def test_non_object_document_rejected():
