@@ -17,25 +17,24 @@ import struct
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 from urllib.parse import urlsplit
 
 from .config import DeviceMode
 from .errors import ConversionError, NavigationTimeout, SchemaError, Unreachable
-from .trace import NormalizedTrace
+from .trace import NormalizedTrace, _checked_record
 
 # Environment variable naming the browser debugging endpoint (host:port).
 ENDPOINT_ENV = "AUDIT_BROWSER_ENDPOINT"
 
 
-@dataclass(frozen=True)
-class CaptureRequest:
+@_checked_record
+class CaptureRequest(NamedTuple):
     url: str
     mode: DeviceMode
     timeout_ms: float = 60000.0
 
-    def __post_init__(self):
+    def _check(self):
         parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.netloc:
             raise ValueError(f"url must be absolute http/https, got {self.url!r}")

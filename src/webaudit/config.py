@@ -14,53 +14,52 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, TextIO
 
 from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
-from .trace import _integer, _known_keys, _number, _object
+from .trace import _checked_record, _integer, _known_keys, _number, _object
 
 MODE_KINDS = ("mobile", "desktop")
+_DATA = Path(__file__).with_name("data")  # read by path: importlib.resources imports inspect on Python 3.12
 
 
-@dataclass(frozen=True)
-class Viewport:
+@_checked_record
+class Viewport(NamedTuple):
     width_px: int
     height_px: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.width_px <= 0 or self.height_px <= 0:
             raise ValueError(f"viewport dimensions must be > 0, got {self.width_px}x{self.height_px}")
 
 
-@dataclass(frozen=True)
-class DeviceMode:
+@_checked_record
+class DeviceMode(NamedTuple):
     """One measurement condition: an emulated device class."""
 
     kind: str
     viewport: Viewport
     cpu_multiplier: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in MODE_KINDS:
             raise ValueError(f"kind must be one of {', '.join(MODE_KINDS)}, got {self.kind!r}")
         if self.cpu_multiplier < 1:
             raise ValueError(f"cpu_multiplier must be >= 1, got {self.cpu_multiplier!r}")
 
 
-@dataclass(frozen=True)
-class OutlierBounds:
+@_checked_record
+class OutlierBounds(NamedTuple):
     """Scores at or beyond these bounds get flagged for manual validation."""
 
     upper: float
     lower: float
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.lower < self.upper <= 100:
             raise ValueError(f"need 0 <= lower < upper <= 100, got {self.lower!r}/{self.upper!r}")
 
@@ -69,17 +68,16 @@ class OutlierBounds:
         return score >= self.upper or score <= self.lower
 
 
-@dataclass(frozen=True)
-class ThrottleSpec:
+class ThrottleSpec(NamedTuple):
     """A throttle profile as configured.
 
     cpu_multiplier None defers to the device mode it is resolved against;
-    a downlink of None means unlimited.
+    a downlink of None means unlimited. A field left out or null takes its default.
     """
 
-    rtt_ms: float
-    downlink_kbps: float | None
-    cpu_multiplier: float | None
+    rtt_ms: float = 0.0
+    downlink_kbps: float | None = None
+    cpu_multiplier: float | None = None
 
     def resolve(self, mode: DeviceMode | None = None) -> ThrottleProfile:
         cpu = self.cpu_multiplier
@@ -92,8 +90,7 @@ class ThrottleSpec:
         )
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     modes: Mapping[str, DeviceMode]
     curves: Mapping[str, Mapping[str, ScoreCurve]]
     weights: WeightTable
@@ -131,7 +128,7 @@ def read_text(path: str | Path) -> str:
 
 
 def default_calibration_text() -> str:
-    return resources.files("webaudit").joinpath("data/calibration.json").read_text("utf-8")
+    return (_DATA / "calibration.json").read_text("utf-8")
 
 
 def load_calibration(path: str | Path | None = None) -> Calibration:
@@ -247,11 +244,8 @@ def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
     """
     if not isinstance(item, dict):
         raise SchemaError(path, "throttle profile must be an object")
-    spec = ThrottleSpec(
-        rtt_ms=_number(item, "rtt_ms", path, default=0.0),
-        downlink_kbps=_number(item, "downlink_kbps", path, default=None),
-        cpu_multiplier=_number(item, "cpu_multiplier", path, default=None),
-    )
+    defaults = ThrottleSpec._field_defaults
+    spec = ThrottleSpec(**{key: _number(item, key, path, default=value) for key, value in defaults.items()})
     _checked(path, spec.resolve)
     return spec
 
@@ -259,7 +253,7 @@ def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
 def load_member_regions(path: str | Path | None = None) -> tuple[str, ...]:
     """Region names, one per line; blank lines and # comments are skipped."""
     if path is None:
-        text = resources.files("webaudit").joinpath("data/member_regions.txt").read_text("utf-8")
+        text = (_DATA / "member_regions.txt").read_text("utf-8")
     else:
         text = read_text(path)
     regions = []

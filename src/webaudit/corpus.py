@@ -16,10 +16,9 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .collector import load_trace
 from .config import (
@@ -34,7 +33,7 @@ from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from .metrics import METRIC_KEYS, MetricSet, compute_all
 from .netsim import throttler
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
-from .trace import NormalizedTrace, _date, _field, _integer, _known_keys, _number, _object, _string
+from .trace import NormalizedTrace, _checked_record, _date, _field, _integer, _known_keys, _number, _object, _string
 
 log = logging.getLogger(__name__)
 
@@ -43,8 +42,7 @@ TIERS = ("provinsi", "kabupaten-kota", "kecamatan", "desa")
 _CSV_HEADER = ("no", "institution", "tier", "region", "url")
 
 
-@dataclass(frozen=True)
-class SiteRecord:
+class SiteRecord(NamedTuple):
     no: int
     institution: str
     tier: str
@@ -52,8 +50,8 @@ class SiteRecord:
     url: str
 
 
-@dataclass(frozen=True)
-class AuditResult:
+@_checked_record
+class AuditResult(NamedTuple):
     """Outcome of auditing one site in one device mode."""
 
     site: SiteRecord
@@ -65,7 +63,7 @@ class AuditResult:
     outlier_flag: bool
     failure_reason: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.status == "ok":
             if self.report is None or self.metrics is None or self.failure_reason is not None:
                 raise ValueError("ok results carry metrics and a report, and no failure reason")
@@ -228,7 +226,7 @@ def run_batch(
 def result_to_dict(result: AuditResult) -> dict:
     ok = result.status == "ok"
     return {
-        "site": dict(vars(result.site)),
+        "site": result.site._asdict(),
         "mode": result.mode,
         "status": result.status,
         "failure_reason": result.failure_reason,
@@ -251,12 +249,13 @@ def result_from_dict(data: Any) -> AuditResult:
         _known_keys(data, _RESULT_FIELD_SET, "$")
     site = _site_from_dict(data)
     mode = _string(data, "mode", "$", choices=MODE_KINDS)
-    if type(data.get("outlier_flag")) is not bool:
+    if type(_field(data, "outlier_flag", "$")) is not bool:
         raise SchemaError("$.outlier_flag", "must be true or false")
     status = _string(data, "status", "$", choices=("ok", "failed"))
     reason = data.get("failure_reason")
     ok = status == "ok"
     if (reason is not None) if ok else (type(reason) is not str or not reason):
+        _field(data, "failure_reason", "$")  # names a missing one
         raise SchemaError("$.failure_reason", "must be null on an ok result and a non-empty string on a failed one")
     report = None
     metrics = None
@@ -299,13 +298,13 @@ _RESULT_FIELDS = (
     "outlier_flag",
 )  # fmt: skip
 _RESULT_FIELD_SET = frozenset(_RESULT_FIELDS)
-_SITE_FIELD_SET = frozenset(("no", "institution", "tier", "region", "url"))
+_SITE_FIELD_SET = frozenset(SiteRecord._fields)
 _METRIC_KEY_SET = frozenset(METRIC_KEYS)
 
 
 def _site_from_dict(data: dict) -> SiteRecord:
     """The `site` object of a result line: the five SiteRecord fields, an
-    integer (a bool is not one) and four strings.
+    integer of any size, as in ingest_corpus (a bool is not one), and four strings.
 
     One guard passes a well-formed object; only one that fails it is read
     field by field, which names the bad field.
@@ -318,7 +317,7 @@ def _site_from_dict(data: dict) -> SiteRecord:
         return SiteRecord(**site)
     site = _object(data, "site", "$")
     _known_keys(site, _SITE_FIELD_SET, "$.site")
-    no = _integer(site, "no", "$.site")
+    no = site["no"] if type(site.get("no")) is int else _integer(site, "no", "$.site")
     return SiteRecord(no, *(_string(site, key, "$.site") for key in ("institution", "tier", "region", "url")))
 
 

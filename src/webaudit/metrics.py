@@ -9,15 +9,14 @@ free of long tasks (and, for TTI, of heavy network activity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IncompleteVisualProgress, NoContentfulPaint
-from .trace import MainThreadTask, NetworkRequest, NormalizedTrace
+from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, _checked_record
 
 
-@dataclass(frozen=True)
-class QuietWindow:
+@_checked_record
+class QuietWindow(NamedTuple):
     """Quiet-window parameters for the interactivity metrics.
 
     A task is "long" when its duration strictly exceeds ``long_task_ms``.
@@ -29,7 +28,7 @@ class QuietWindow:
     window_ms: float
     max_inflight_requests: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.long_task_ms < 0:
             raise ValueError(f"long_task_ms must be >= 0, got {self.long_task_ms!r}")
         if self.window_ms <= 0:

@@ -16,8 +16,7 @@ import bisect
 import heapq
 import math
 import operator
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import CyclicPlan, SchemaError, ThrottleOverflow
 from .trace import (
@@ -26,6 +25,7 @@ from .trace import (
     NormalizedTrace,
     PaintEvent,
     VisualSample,
+    _checked_record,
     _integer,
     _number,
     _string,
@@ -39,8 +39,8 @@ _T_MS = operator.itemgetter(0)  # a paint's or visual sample's time
 _COMPLETION_EPS_KBITS = 1e-9
 
 
-@dataclass(frozen=True)
-class ThrottleProfile:
+@_checked_record
+class ThrottleProfile(NamedTuple):
     """Fully resolved throttling parameters (no deferred fields)."""
 
     rtt_ms: float
@@ -48,7 +48,7 @@ class ThrottleProfile:
     cpu_multiplier: float = 1.0
 
     # Each check is written so that NaN fails it.
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.rtt_ms < math.inf:
             raise ValueError(f"rtt_ms must be finite and >= 0, got {self.rtt_ms!r}")
         if not self.downlink_kbps > 0:

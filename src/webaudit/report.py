@@ -18,7 +18,6 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
@@ -40,8 +39,7 @@ TOTAL_ROW_LABEL = "Rata-rata total"
 RANK_MODES = ("mobile", "web", "combined-mean")
 
 
-@dataclass(frozen=True)
-class RegionAggregate:
+class RegionAggregate(NamedTuple):
     """One report row: a region's mean scores and audit counts.
 
     mean_* carry the displayed 2-decimal rounding; raw_mean_* keep full
@@ -291,12 +289,12 @@ def _emit_md(aggregates: Aggregates, comma: bool) -> str:
 
 
 def aggregate_to_dict(aggregate: RegionAggregate) -> dict:
-    return {**vars(aggregate), "test_date": aggregate.test_date.isoformat() if aggregate.test_date else None}
+    return {**aggregate._asdict(), "test_date": aggregate.test_date.isoformat() if aggregate.test_date else None}
 
 
 def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
     """Read one aggregates row; a bad value is a SchemaError at its JSON path."""
-    for key in RegionAggregate.__dataclass_fields__:
+    for key in RegionAggregate._fields:
         _field(data, key, path)  # present, even where null is allowed
     aggregate = RegionAggregate(
         region=_string(data, "region", path),

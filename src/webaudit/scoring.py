@@ -9,12 +9,12 @@ the performance score as a weighted arithmetic mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidCurve, WeightMismatch
 from .metrics import METRIC_KEYS, MetricSet
+from .trace import _checked_record
 
 
 # z with normal_cdf(z) = 0.9; fixes the curve spread so the podr scores 90.
@@ -23,28 +23,27 @@ from .metrics import METRIC_KEYS, MetricSet
 _Z_90 = 1.2815515655446004
 
 
-@dataclass(frozen=True)
-class ScoreCurve:
+@_checked_record
+class ScoreCurve(NamedTuple):
     """Control points of one metric's scoring curve, in milliseconds.
 
-    ``mu`` and ``sigma``, the curve's log-normal parameters, are fixed
-    once here rather than on every score.
+    ``mu`` and ``sigma``, the curve's log-normal parameters, are fixed once
+    here rather than on every score; a value passed for either is replaced.
     """
 
     median_ms: float
     podr_ms: float
-    mu: float = field(init=False, repr=False, compare=False)
-    sigma: float = field(init=False, repr=False, compare=False)
+    mu: float = math.nan
+    sigma: float = math.nan
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 < self.podr_ms < self.median_ms:
             raise InvalidCurve(
                 f"need 0 < podr_ms < median_ms, got podr={self.podr_ms!r} median={self.median_ms!r}"
             )
         mu = math.log(self.median_ms)
-        object.__setattr__(self, "mu", mu)
         # The spread that puts the podr on 90.
-        object.__setattr__(self, "sigma", (mu - math.log(self.podr_ms)) / _Z_90)
+        return self.median_ms, self.podr_ms, mu, (mu - math.log(self.podr_ms)) / _Z_90
 
 
 WEIGHT_SUM_TOLERANCE = 1e-9  # how far from 1 the weights may sum
@@ -55,12 +54,12 @@ WEIGHT_SUM_TOLERANCE = 1e-9  # how far from 1 the weights may sum
 SCORE_MAX = 100.0 + 200 * WEIGHT_SUM_TOLERANCE
 
 
-@dataclass(frozen=True)
-class WeightTable:
+@_checked_record
+class WeightTable(NamedTuple):
     """Per-metric category weights.
 
     ``decimals`` holds each weight's exact decimal value, in METRIC_KEYS
-    order, fixed once here for aggregate.
+    order, fixed once here for aggregate; a value passed for it is replaced.
     """
 
     fcp: float
@@ -69,37 +68,36 @@ class WeightTable:
     tti: float
     fci: float
     max_fid: float
-    decimals: tuple[Decimal, ...] = field(init=False, repr=False, compare=False)
+    decimals: tuple[Decimal, ...] = ()
 
     # Each check is written so that NaN fails it.
-    def __post_init__(self):
+    def _check(self):
         weights = self.as_dict().values()
         if not all(0 <= w < math.inf for w in weights) or not abs(math.fsum(weights) - 1) <= WEIGHT_SUM_TOLERANCE:
             raise ValueError(
                 f"weights must be finite, >= 0 and sum to 1 within {WEIGHT_SUM_TOLERANCE:g}, got {self.as_dict()!r}"
             )
-        object.__setattr__(self, "decimals", tuple(Decimal(repr(w)) for w in weights))
+        return (*weights, tuple(Decimal(repr(w)) for w in weights))
 
     def as_dict(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in METRIC_KEYS}
 
 
-@dataclass(frozen=True)
-class CategoryBands:
+@_checked_record
+class CategoryBands(NamedTuple):
     """Score thresholds for the good / average / poor bands (inclusive)."""
 
     good_min: float
     average_min: float
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.average_min < self.good_min <= 100:
             raise ValueError(
                 f"need 0 <= average_min < good_min <= 100, got {self.average_min!r}/{self.good_min!r}"
             )
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Per-metric scores plus the weighted performance score for one audit."""
 
     scores: Mapping[str, float]

@@ -8,7 +8,6 @@ navigation start (which is defined to be 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date
 from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
@@ -53,8 +52,7 @@ class VisualSample(NamedTuple):
     fraction: float
 
 
-@dataclass(frozen=True)
-class NormalizedTrace:
+class NormalizedTrace(NamedTuple):
     """A trace; navigation start is 0 by definition, so it is not stored."""
 
     paint_events: tuple[PaintEvent, ...] = ()
@@ -207,6 +205,21 @@ def clamp_visual_progress(samples: Iterable[VisualSample]) -> tuple[VisualSample
             running = fraction
         out.append(sample if fraction == running else VisualSample(t_ms, running))
     return tuple(out)
+
+
+def _checked_record(fields: type) -> type:
+    """The named tuple ``fields``, subclassed so that every record is built
+    through ``_check`` (by the constructor, ``_make``, ``_replace``, copy and
+    pickle). ``_check`` raises on a bad field and returns None, or the values
+    to build the record from where some fields derive from the others."""
+
+    def __new__(cls, *args, **kwargs):
+        record = fields.__new__(cls, *args, **kwargs)
+        values = record._check()
+        return record if values is None else tuple.__new__(cls, values)
+
+    namespace = {"__doc__": fields.__doc__, "__module__": fields.__module__, "__slots__": (), "__new__": __new__}
+    return type(fields.__name__, (fields,), {**namespace, "_make": classmethod(lambda cls, values: cls(*values))})
 
 
 _REQUIRED = object()

@@ -733,6 +733,7 @@ class TestOneWordingPerRule:
             ("plan", lambda d: d["requests"][1].update(parent_id=5), "$.requests[1].parent_id: must be a string"),
             ("plan", lambda d: d["requests"][1].pop("id"), "$.requests[1].id: missing field"),
             ("results", lambda d: d["site"].update(url=5), "$.site.url: must be a string"),
+            ("results", lambda d: d["site"].update(no=2**1100, url=5), "$.site.url: must be a string"),
             ("results", lambda d: d.pop("mode"), "$.mode: missing field"),
             ("aggregates", lambda d: d.update(failures=[]), "$.failures: must be an object"),
             ("aggregates", lambda d: d["aggregates"][0].pop("region"), "$.aggregates[0].region: missing field"),
@@ -768,17 +769,34 @@ class TestOneWordingPerRule:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_package_and_cli_import_no_network_modules():
-    # Only a live audit needs capture's HTTP and socket client.
+def run_fresh(code: str) -> str:
+    """The output of ``code`` in a fresh interpreter that imports the webaudit these tests import."""
     src = str(Path(webaudit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_package_and_cli_import_no_network_modules():
+    # Only a live audit needs capture's HTTP and socket client.
     code = (
         "import sys, webaudit, webaudit.cli; "
         "print(' '.join(m for m in ('urllib.request', 'http.client', 'ssl', 'socket') if m in sys.modules))"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    assert run_fresh(code).split() == []
+
+
+def test_package_and_cli_start_without_dataclasses_or_inspect():
+    # Every webaudit process imports the package first; these two (inspect
+    # brings ast, dis and tokenize) would cost about a third of its set-up.
+    # Compared with the bare interpreter's modules, which differ between
+    # Python versions.
+    code = (
+        "import sys; bare = set(sys.modules); import webaudit, webaudit.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules and m not in bare))"
+    )
+    assert run_fresh(code).split() == []
 
 
 class TestParserBasics:

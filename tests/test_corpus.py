@@ -1,6 +1,5 @@
 """Corpus ingestion, membership, batch running, and result files."""
 
-import dataclasses
 import datetime
 import json
 import logging
@@ -294,7 +293,7 @@ class TestRunBatch:
     def test_task_overflow_fails_only_its_mode(self, tmp_path):
         trace = build_demo_trace(5)
         last = trace.tasks[-1]._replace(dur_ms=5e307)  # finite, but inf at 4x CPU
-        records, traces = self.setup_workspace(tmp_path, dataclasses.replace(trace, tasks=trace.tasks[:-1] + (last,)))
+        records, traces = self.setup_workspace(tmp_path, trace._replace(tasks=trace.tasks[:-1] + (last,)))
         results = run_batch(records[:1], ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         desktop, mobile = results
         assert mobile.failure_reason == "ThrottleOverflow: throttle or input times too extreme to simulate: a time reached inf"
@@ -459,6 +458,9 @@ class TestResultFiles:
             (lambda d: d.update(nickname="x"), "$.nickname: unknown field"),
             (lambda d: d.update(FAILED, extra=None), "$.extra: unknown field"),
             (lambda d: d.pop("failure_reason"), "$.failure_reason: missing field"),
+            (lambda d: (d.update(FAILED), d.pop("failure_reason")), "$.failure_reason: missing field"),
+            (lambda d: d.pop("outlier_flag"), "$.outlier_flag: missing field"),
+            (lambda d: d.update(outlier_flag=None), "$.outlier_flag: must be true or false"),
             (lambda d: (d.update(FAILED), d.pop("metrics")), "$.metrics: missing field"),
             (lambda d: (d.update(FAILED), d.pop("category"), d.pop("scores")), "$.scores: missing field"),
             (lambda d: (d.pop("failure_reason"), d.pop("test_date")), "$.test_date: missing field"),
@@ -484,8 +486,8 @@ class TestResultFiles:
     def test_scores_over_100_under_a_weight_tolerance_round_trip(self, tmp_path, calibration):
         # Weights may sum to 1 + 1e-9, so a page scoring 100 on every metric
         # gets a performance score just over 100; the readers must take it back.
-        weights = dataclasses.replace(calibration.weights, tti=0.333 + 0.999e-9)
-        calibration = dataclasses.replace(calibration, weights=weights)
+        weights = calibration.weights._replace(tti=0.333 + 0.999e-9)
+        calibration = calibration._replace(weights=weights)
         instant = NormalizedTrace(
             paint_events=(PaintEvent(0.0, "contentful-paint"),), visual_progress=(VisualSample(0.0, 1.0),)
         )

@@ -1,6 +1,5 @@
 """Metric computations against hand-worked values and brute-force oracles."""
 
-import dataclasses
 import json
 import random
 
@@ -151,7 +150,7 @@ class TestTti:
         t = quiet_trace(tasks=[(600.0, 100.0), (1500.0, 100.0)])
         # the packaged window spans both tasks; a 300 ms window fits between them
         assert compute_tti(t, 500.0, quiet) == 1600.0
-        assert compute_tti(t, 500.0, dataclasses.replace(quiet, window_ms=300.0)) == 700.0
+        assert compute_tti(t, 500.0, quiet._replace(window_ms=300.0)) == 700.0
 
 
 class TestFci:
@@ -281,4 +280,4 @@ class TestComputeAll:
         document["quiet_window"]["window_ms"] = 300
         monkeypatch.setattr(config, "default_calibration_text", lambda: json.dumps(document))
         assert compute_all(trace).tti == 700.0
-        assert compute_all(trace) == compute_all(trace, dataclasses.replace(quiet, window_ms=300.0))
+        assert compute_all(trace) == compute_all(trace, quiet._replace(window_ms=300.0))

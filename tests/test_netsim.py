@@ -165,8 +165,7 @@ class TestWaterfallTimes:
     def test_a_turn_that_retires_nothing_raises(self):
         # Validation rejects a NaN downlink; forced in, it makes every event
         # time NaN, so no turn can retire a transfer.
-        profile = ThrottleProfile(0.0, 1000.0)
-        object.__setattr__(profile, "downlink_kbps", math.nan)
+        profile = tuple.__new__(ThrottleProfile, (0.0, math.nan, 1.0))
         with pytest.raises(ThrottleOverflow, match="stalled"):
             call_within(10, waterfall_times, [-1], [0.0], [1000], profile)
 
@@ -418,7 +417,7 @@ def kernel_case(rng: random.Random) -> tuple[list[int], list[float], list[int], 
         sizes = [rng.choice((size, 2**70)) for size in sizes]
     profile = ThrottleProfile(rtt, downlink)
     if link == "nan":
-        object.__setattr__(profile, "downlink_kbps", math.nan)
+        profile = tuple.__new__(ThrottleProfile, (rtt, math.nan, 1.0))
     return parents, offsets, sizes, profile
 
 

@@ -1,6 +1,5 @@
 """Scoring curves, weights, aggregation, and category bands."""
 
-import dataclasses
 import math
 import random
 from decimal import Decimal
@@ -107,7 +106,7 @@ class TestWeights:
     @pytest.mark.parametrize("fcp", [-0.5, 1.2, 0.2 + 2e-9, math.inf, math.nan])
     def test_rejects_a_bad_weight_or_sum(self, calibration, fcp):
         with pytest.raises(ValueError, match="weights must be"):
-            dataclasses.replace(calibration.weights, fcp=fcp)
+            calibration.weights._replace(fcp=fcp)
 
 
 class TestAggregate:
@@ -231,18 +230,20 @@ class TestFixedConstants:
             assert report.performance_score.hex() == aggregate_per_call(want, weights.as_dict()).hex()
 
     def test_replace_recomputes_the_fixed_constants(self, calibration):
-        curve = dataclasses.replace(ScoreCurve(median_ms=4000.0, podr_ms=2000.0), median_ms=8000.0)
+        curve = ScoreCurve(median_ms=4000.0, podr_ms=2000.0)._replace(median_ms=8000.0)
         assert (curve.mu, curve.sigma) == (math.log(8000.0), (math.log(8000.0) - math.log(2000.0)) / _Z_90)
         assert metric_score(8000.0, curve) == metric_score_per_call(8000.0, 8000.0, 2000.0)
-        weights = dataclasses.replace(calibration.weights, fcp=0.0, max_fid=0.2)
+        weights = calibration.weights._replace(fcp=0.0, max_fid=0.2)
         assert weights.decimals == tuple(Decimal(repr(w)) for w in weights.as_dict().values())
         assert aggregate({key: 100.0 for key in METRIC_KEYS}, weights) == 100.0
         assert aggregate(dict.fromkeys(METRIC_KEYS, 0.0) | {"max_fid": 100.0}, weights) == 20.0
 
-    def test_fixed_constants_stay_out_of_equality_and_repr(self, calibration):
-        assert ScoreCurve(4000.0, 2000.0) == ScoreCurve(4000.0, 2000.0)
-        assert repr(ScoreCurve(4000.0, 2000.0)) == "ScoreCurve(median_ms=4000.0, podr_ms=2000.0)"
-        assert "decimals" not in repr(calibration.weights)
+    def test_fixed_constants_are_fields_that_follow_from_the_others(self, calibration):
+        curve = ScoreCurve(4000.0, 2000.0)
+        assert curve == ScoreCurve(4000.0, 2000.0, mu=0.0, sigma=0.0) == (4000.0, 2000.0, curve.mu, curve.sigma)
+        assert repr(curve) == f"ScoreCurve(median_ms=4000.0, podr_ms=2000.0, mu={curve.mu!r}, sigma={curve.sigma!r})"
+        assert calibration.weights._replace(decimals=()) == calibration.weights
+        assert repr(calibration.weights).endswith(f"decimals={calibration.weights.decimals!r})")
 
 
 class TestRounding:

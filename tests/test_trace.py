@@ -3,14 +3,23 @@
 import copy
 import hashlib
 import json
+import math
+import pickle
 import random
 from collections import Counter
+from datetime import date
 
 import pytest
 
 from conftest import random_trace
 from oracles import from_dict_fieldwise
-from webaudit.errors import SchemaError
+from webaudit.capture import CaptureRequest
+from webaudit.config import DeviceMode, OutlierBounds, Viewport
+from webaudit.corpus import AuditResult, SiteRecord
+from webaudit.errors import InvalidCurve, SchemaError
+from webaudit.metrics import QuietWindow
+from webaudit.netsim import ThrottleProfile
+from webaudit.scoring import CategoryBands, ScoreCurve, WeightTable
 from webaudit.synth import build_demo_trace
 from webaudit.trace import (
     MainThreadTask,
@@ -118,6 +127,50 @@ class TestRecords:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
             "c14eb4627e5fcabfefd0fd643722501395c3d9ace618c31586b1f68e5f25c553"
         )
+
+
+MOBILE = DeviceMode("mobile", Viewport(360, 640), 4.0)
+FAILED = AuditResult(
+    SiteRecord(1, "A", "provinsi", "Kab. Garut", "https://a.test"),
+    "mobile", "failed", None, None, date(2019, 8, 25), False, "Unreachable: refused",
+)  # fmt: skip
+
+# A valid record of each type whose constructor checks its fields, and a
+# change that the check rejects.
+CHECKED = [
+    (Viewport(360, 640), {"height_px": 0}),
+    (MOBILE, {"kind": "tablet"}),
+    (MOBILE, {"cpu_multiplier": 0.5}),
+    (OutlierBounds(99.0, 1.0), {"lower": 99.0}),
+    (QuietWindow(50.0, 5000.0, 2), {"max_inflight_requests": -1}),
+    (ScoreCurve(4000.0, 2000.0), {"podr_ms": 4000.0}),
+    (WeightTable(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), {"fcp": math.nan}),
+    (CategoryBands(90.0, 50.0), {"average_min": 90.0}),
+    (ThrottleProfile(150.0, 1638.4), {"downlink_kbps": math.nan}),
+    (CaptureRequest("https://a.test/", MOBILE), {"url": "ftp://a.test/"}),
+    (FAILED, {"failure_reason": None}),
+    (FAILED, {"status": "skipped"}),
+]
+CHECKED_IDS = [f"{type(record).__name__}.{next(iter(changes))}" for record, changes in CHECKED]
+
+
+class TestCheckedRecords:
+    """Every way of building a checked record runs its constructor's checks."""
+
+    @pytest.mark.parametrize("record,changes", CHECKED, ids=CHECKED_IDS)
+    def test_replace_rejects_what_the_constructor_rejects(self, record, changes):
+        with pytest.raises((ValueError, InvalidCurve)) as built:
+            type(record)(**(record._asdict() | changes))
+        with pytest.raises(type(built.value)) as replaced:
+            record._replace(**changes)
+        assert str(replaced.value) == str(built.value)
+        with pytest.raises(type(built.value)):
+            type(record)._make((record._asdict() | changes).values())
+
+    @pytest.mark.parametrize("record", [record for record, _ in CHECKED], ids=CHECKED_IDS)
+    def test_a_valid_record_survives_replace_copy_and_pickle(self, record):
+        restored = pickle.loads(pickle.dumps(record))
+        assert type(restored) is type(record) and restored == record == copy.copy(record) == record._replace()
 
 
 def test_visual_regression_clamped_to_running_max():
