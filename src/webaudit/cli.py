@@ -7,8 +7,6 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -22,13 +20,12 @@ from .errors import (
     IncompleteVisualProgress,
     NavigationTimeout,
     NoContentfulPaint,
-    ParseError,
 )
 from .metrics import MetricSet
 from .netsim import apply_throttle, plan_from_dict, waterfall_times
 from .report import build_aggregates, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
-from .trace import iso_date
+from .trace import _parse_json, iso_date
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = {
@@ -182,8 +178,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         test_date=test_date,
     )
     write_results(results, args.out)
-    failed = sum(1 for r in results if r.status == "failed")
-    print(f"{len(results)} audits ({len(records)} sites x {len(modes)} modes), {failed} failed -> {args.out}")
+    failed = [result for result in results if result.status == "failed"]
+    for result in failed:
+        print(f"audit failed: {result.site.url} [{result.mode}] {result.failure_reason}", file=sys.stderr)
+    print(f"{len(results)} audits ({len(records)} sites x {len(modes)} modes), {len(failed)} failed -> {args.out}")
     return 1 if failed else 0
 
 
@@ -197,6 +195,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if args.decimal_comma and args.format != "md":
+        raise ValueError("--decimal-comma applies only to --format md")
     document = emit_report(read_aggregates(args.aggregates), args.format, decimal_comma=args.decimal_comma)
     Path(args.out).write_text(document, "utf-8")
     print(f"{args.format} report -> {args.out}")
@@ -206,11 +206,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     calibration = load_calibration(args.calibration)
     profile = resolve_throttle(args.profile, calibration)
-    try:
-        data = json.loads(read_text(args.plan))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.plan}: {exc}") from exc
-    ids, parents, offsets, sizes = plan_from_dict(data)
+    ids, parents, offsets, sizes = plan_from_dict(_parse_json(read_text(args.plan), args.plan))
     try:
         starts, ends = waterfall_times(parents, offsets, sizes, profile)
     except CyclicPlan as exc:

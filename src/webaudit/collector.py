@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ParseError
-from .trace import NormalizedTrace
+from .trace import NormalizedTrace, _parse_json
 
 
 def load_trace(path: str | Path) -> NormalizedTrace:
@@ -18,11 +17,7 @@ def load_trace(path: str | Path) -> NormalizedTrace:
     is a ParseError naming it."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return NormalizedTrace.from_dict(data)
+    return NormalizedTrace.from_dict(_parse_json(raw, path))
 
 
 def write_trace(trace: NormalizedTrace, path: str | Path) -> None:

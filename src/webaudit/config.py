@@ -21,7 +21,7 @@ from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
-from .trace import _checked_record, _integer, _known_keys, _number, _object
+from .trace import _checked_record, _integer, _known_keys, _number, _object, _parse_json
 
 MODE_KINDS = ("mobile", "desktop")
 _DATA = Path(__file__).with_name("data")  # read by path: importlib.resources imports inspect on Python 3.12
@@ -139,11 +139,7 @@ def load_calibration(path: str | Path | None = None) -> Calibration:
     else:
         text = read_text(path)
         source = str(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-    return calibration_from_dict(data)
+    return calibration_from_dict(_parse_json(text, source))
 
 
 def calibration_from_dict(data: Any) -> Calibration:
@@ -229,11 +225,7 @@ def resolve_throttle(spec: str, calibration: Calibration, mode: DeviceMode | Non
     if not path.exists():
         known = ", ".join(sorted(calibration.throttles))
         raise SchemaError("$.throttle_profiles", f"unknown throttle {spec!r} (profiles: {known}; or pass a file)")
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return _throttle_spec(data, "$").resolve(mode)
+    return _throttle_spec(_parse_json(read_text(path), path), "$").resolve(mode)
 
 
 def _throttle_spec(item: Any, path: str) -> ThrottleSpec:

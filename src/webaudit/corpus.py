@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import logging
 import math
 import re
 from datetime import date
@@ -33,9 +32,18 @@ from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
 from .metrics import METRIC_KEYS, MetricSet, compute_all
 from .netsim import throttler
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
-from .trace import NormalizedTrace, _checked_record, _date, _field, _integer, _known_keys, _number, _object, _string
-
-log = logging.getLogger(__name__)
+from .trace import (
+    NormalizedTrace,
+    _checked_record,
+    _date,
+    _field,
+    _integer,
+    _known_keys,
+    _number,
+    _object,
+    _parse_json,
+    _string,
+)
 
 TIERS = ("provinsi", "kabupaten-kota", "kecamatan", "desa")
 
@@ -182,7 +190,6 @@ def run_batch(
     ) -> None:
         """Record an ok result from metrics and report, or a failed one from exc."""
         ok = exc is None
-        reason = None if ok else f"{type(exc).__name__}: {exc}"
         results.append(
             AuditResult(
                 site=site,
@@ -192,16 +199,8 @@ def run_batch(
                 report=report,
                 test_date=test_date,
                 outlier_flag=ok and calibration.outliers.flags(report.performance_score),
-                failure_reason=reason,
+                failure_reason=None if ok else f"{type(exc).__name__}: {exc}",
             )
-        )
-        log.info(
-            "audit %d/%d %s [%s] %s",
-            len(results),
-            len(records) * len(modes),
-            site.url,
-            kind,
-            "ok" if ok else f"failed: {reason}",
         )
 
     for site in records:
@@ -367,7 +366,7 @@ def read_results(path: str | Path) -> list[AuditResult]:
             try:
                 if not line.isascii():
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                results.append(result_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, SchemaError) as exc:
+                results.append(result_from_dict(_parse_json(line, path, number)))
+            except (KeyError, TypeError, ValueError, SchemaError) as exc:
                 raise ParseError(f"{path}, line {number}: {exc}") from exc
     return results

@@ -24,9 +24,9 @@ from typing import Any, NamedTuple, Sequence
 
 from .config import MODE_KINDS, load_member_regions
 from .corpus import AuditResult, normalize_region
-from .errors import ParseError, SchemaError, UnknownFormat
+from .errors import SchemaError, UnknownFormat
 from .scoring import SCORE_MAX, round_half_away
-from .trace import _array, _date, _field, _integer, _number, _object, _string
+from .trace import _array, _date, _field, _integer, _number, _object, _parse_json, _string
 
 # Device mode kinds feeding the two report columns. The recording modes
 # are called mobile and desktop; reports label the desktop column "Web".
@@ -334,18 +334,17 @@ def _to_json(aggregates: Aggregates) -> str:
     return json.dumps(_document(aggregates), indent=2, sort_keys=True) + "\n"
 
 
-def aggregates_from_json(text: str) -> Aggregates:
-    """Read an aggregates document; a bad one is a SchemaError at its JSON path.
+def aggregates_from_json(text: str | bytes, source: str | Path = "aggregates document") -> Aggregates:
+    """Read an aggregates document, a str or UTF-8 bytes; one that does not
+    parse is a ParseError naming ``source``, and a bad one a SchemaError at
+    its JSON path.
 
     Besides each row (aggregate_from_dict), every outlier and failure field
     must have its type, failures.total must count the items, each row's
     n_failed must count the items of its region, and there can be no more
     outliers than ok audits.
     """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not an aggregates document: {exc}") from exc
+    document = _parse_json(text, source)
     if type(document) is not dict:
         raise SchemaError("$", "must be an object")
     rows = [
@@ -395,9 +394,5 @@ def write_aggregates(aggregates: Aggregates, path: str | Path) -> None:
 
 
 def read_aggregates(path: str | Path) -> Aggregates:
-    """Read an aggregates file; one that is not UTF-8 is a ParseError naming it."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return aggregates_from_json(text)
+    """Read an aggregates file; one that is not UTF-8 JSON is a ParseError naming it."""
+    return aggregates_from_json(Path(path).read_bytes(), path)

@@ -7,11 +7,12 @@ navigation start (which is defined to be 0).
 
 from __future__ import annotations
 
+import json
 import math
 from datetime import date
 from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
-from .errors import SchemaError
+from .errors import ParseError, SchemaError
 
 PAINT_KINDS = ("first-paint", "contentful-paint", "fmp-candidate")
 
@@ -220,6 +221,17 @@ def _checked_record(fields: type) -> type:
 
     namespace = {"__doc__": fields.__doc__, "__module__": fields.__module__, "__slots__": (), "__new__": __new__}
     return type(fields.__name__, (fields,), {**namespace, "_make": classmethod(lambda cls, values: cls(*values))})
+
+
+def _parse_json(text: str | bytes, source: Any, line: int | None = None) -> Any:
+    """The JSON document in ``text``, a str or UTF-8 bytes. One that is not
+    UTF-8 or not JSON, or that nests deeper than the decoder can recurse, is
+    a ParseError naming ``source``, and ``line`` where given."""
+    try:
+        return json.loads(text.decode("utf-8") if type(text) is bytes else text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and UnicodeDecodeError
+        where = source if line is None else f"{source}, line {line}"
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 _REQUIRED = object()

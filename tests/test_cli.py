@@ -23,6 +23,7 @@ from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_wo
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NOT_UTF8 = b"\xff\xfe"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder can recurse
 
 
 @pytest.fixture
@@ -322,6 +323,49 @@ class TestBatchCommand:
         assert all(line["failure_reason"].startswith(f"ParseError: {bad}: 'utf-8' codec") for line in failed)
         assert "24 audits (12 sites x 2 modes), 2 failed" in capsys.readouterr().out
 
+    def test_each_failed_audit_is_one_stderr_line_in_results_order(self, failing_workspace, tmp_path, capsys):
+        rc, out = run_batch_cli(failing_workspace, tmp_path)
+        assert rc == 1
+        lines = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+        failed = [line for line in lines if line["status"] == "failed"]
+        assert [line["mode"] for line in failed] == ["desktop", "mobile"]
+        expected = "".join(f"audit failed: {f['site']['url']} [{f['mode']}] {f['failure_reason']}\n" for f in failed)
+        assert capsys.readouterr().err == expected
+
+    def test_an_all_ok_batch_prints_nothing_to_stderr(self, workspace, tmp_path):
+        # In a process of its own, as the command runs, so that no test
+        # harness handler stands in for what the command would print.
+        argv = ["batch", "--corpus", str(workspace["corpus"]), "--members", str(workspace["members"]),
+                "--traces", str(workspace["traces"]), "--test-date", "2019-08-25", "--out", str(tmp_path / "r.jsonl")]  # fmt: skip
+        done = run_fresh_process(["-m", "webaudit", *argv])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"24 audits (12 sites x 2 modes), 0 failed -> {tmp_path / 'r.jsonl'}\n"
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (DEEP_JSON, "maximum recursion depth exceeded"),
+            pytest.param(
+                '{"requests": [{"bytes": ' + "1" * 5000 + "}]}",
+                "Exceeds the limit",
+                marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"),
+            ),
+        ],
+        ids=["nested-too-deep", "number-too-long"],
+    )
+    def test_a_trace_the_decoder_refuses_fails_only_its_site(self, workspace, tmp_path, capsys, content, reason):
+        bad = demo_trace(workspace, 3)
+        bad.write_text(content, "utf-8")
+        rc, out = run_batch_cli(workspace, tmp_path)
+        assert rc == 1
+        lines = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+        failed = [line for line in lines if line["status"] == "failed"]
+        assert len(lines) == 24 and [line["site"]["no"] for line in failed] == [3, 3]
+        assert all(line["failure_reason"].startswith(f"ParseError: {bad}: {reason}") for line in failed)
+        captured = capsys.readouterr()
+        assert "24 audits (12 sites x 2 modes), 2 failed" in captured.out
+        assert len(captured.err.splitlines()) == 2 and "Traceback" not in captured.err
+
     def test_unknown_mode_is_a_usage_error(self, workspace, tmp_path, capsys):
         rc = main(
             [
@@ -441,6 +485,16 @@ class TestAggregateAndReportCommands:
         assert "| No | Daerah | Rata-rata Skor Mobile | Rata-rata Skor Web | Tanggal Uji |" in text
         assert "| Rata-rata total |" in text
         assert "," in text.split("Rata-rata total |")[1].split("|")[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_decimal_comma_outside_markdown_is_a_usage_error(self, workspace, tmp_path, capsys, fmt):
+        _, aggregates = run_aggregate_cli(workspace, tmp_path)
+        report = tmp_path / f"report.{fmt}"
+        capsys.readouterr()
+        argv = ["report", "--aggregates", str(aggregates), "--format", fmt, "--out", str(report), "--decimal-comma"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --decimal-comma applies only to --format md\n"
+        assert not report.exists()
 
     def test_json_report_round_trips_aggregates(self, workspace, tmp_path):
         text = self.pipeline(workspace, tmp_path, "json")
@@ -769,11 +823,42 @@ class TestOneWordingPerRule:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def run_fresh(code: str) -> str:
-    """The output of ``code`` in a fresh interpreter that imports the webaudit these tests import."""
+@pytest.mark.parametrize("kind", ["trace", "calibration", "profile", "plan", "results", "aggregates"])
+def test_a_document_nested_too_deep_exits_two_naming_it(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.json"
+    plan = str(FIXTURES / "plan.json")
+    where = str(path)
+    if kind == "results":
+        first = (FIXTURES / "golden_results.jsonl").read_text("utf-8").splitlines(keepends=True)[0]
+        path.write_text(first + DEEP_JSON + "\n", "utf-8")
+        where = f"{path}, line 2"
+    else:
+        path.write_text(DEEP_JSON, "utf-8")
+    argv = {
+        "trace": ["score", "--trace", str(path)],
+        "calibration": ["simulate", "--plan", plan, "--calibration", str(path)],
+        "profile": ["simulate", "--plan", plan, "--profile", str(path)],
+        "plan": ["simulate", "--plan", str(path)],
+        "results": ["aggregate", "--results", str(path), "--out", str(tmp_path / "aggregates.json")],
+        "aggregates": ["report", "--aggregates", str(path), "--format", "csv", "--out", str(tmp_path / "report.csv")],
+    }[kind]
+    assert call_within(10, main, argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where}: maximum recursion depth exceeded")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def run_fresh_process(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing the webaudit these tests import."""
     src = str(Path(webaudit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_fresh(code: str) -> str:
+    """The output of ``code`` in a fresh interpreter that imports the webaudit these tests import."""
+    done = run_fresh_process(["-c", code])
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -787,14 +872,16 @@ def test_package_and_cli_import_no_network_modules():
     assert run_fresh(code).split() == []
 
 
-def test_package_and_cli_start_without_dataclasses_or_inspect():
-    # Every webaudit process imports the package first; these two (inspect
-    # brings ast, dis and tokenize) would cost about a third of its set-up.
-    # Compared with the bare interpreter's modules, which differ between
-    # Python versions.
+def test_package_and_cli_start_without_heavy_stdlib_modules():
+    # Every webaudit process imports the package first. dataclasses and
+    # inspect (which brings ast, dis and tokenize) would cost about a third
+    # of its set-up; logging brings traceback, linecache and tokenize, and
+    # nothing in the package logs. Compared with the bare interpreter's
+    # modules, which differ between Python versions.
+    heavy = ("dataclasses", "inspect", "logging", "traceback", "tokenize")
     code = (
         "import sys; bare = set(sys.modules); import webaudit, webaudit.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules and m not in bare))"
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules and m not in bare))"
     )
     assert run_fresh(code).split() == []
 

@@ -255,19 +255,14 @@ class TestRunBatch:
         assert results[2].failure_reason == results[3].failure_reason
         assert results[0].metrics is not None
 
-    def test_progress_logged_per_completed_audit(self, tmp_path, simple_trace, caplog):
+    def test_emits_no_log_record(self, tmp_path, simple_trace, caplog):
+        # Failures are data: callers read failure_reason, and the CLI prints
+        # the failed results after the batch.
         records, traces = self.setup_workspace(tmp_path, simple_trace)
-        with caplog.at_level(logging.INFO, logger="webaudit.corpus"):
+        with caplog.at_level(logging.DEBUG, logger="webaudit"):
             results = run_batch(records, ("mobile", "desktop"), "none", traces_dir=traces, test_date=TEST_DATE)
-        progress = [m for m in caplog.messages if m.startswith("audit ")]
-        reason = results[-1].failure_reason
-        assert reason.startswith("FileNotFoundError: ")
-        assert progress == [
-            "audit 1/4 https://ok.test [mobile] ok",
-            "audit 2/4 https://ok.test [desktop] ok",
-            f"audit 3/4 https://missing.test [mobile] failed: {reason}",
-            f"audit 4/4 https://missing.test [desktop] failed: {reason}",
-        ]
+        assert [r.status for r in results] == ["ok", "ok", "failed", "failed"]
+        assert caplog.records == []
 
     def test_one_load_and_one_network_replay_per_site(self, tmp_path, simple_trace, monkeypatch):
         records, traces = self.setup_workspace(tmp_path, simple_trace)
