@@ -21,8 +21,8 @@ from typing import Any, NamedTuple
 from urllib.parse import urlsplit
 
 from .config import DeviceMode
-from .errors import ConversionError, NavigationTimeout, SchemaError, Unreachable
-from .trace import NormalizedTrace, _checked_record
+from .errors import ConversionError, NavigationTimeout, ParseError, SchemaError, Unreachable
+from .trace import NormalizedTrace, _checked_record, _parse_json
 
 # Environment variable naming the browser debugging endpoint (host:port).
 ENDPOINT_ENV = "AUDIT_BROWSER_ENDPOINT"
@@ -53,14 +53,14 @@ def trace_from_performance_entries(payload: Any) -> NormalizedTrace:
         raise ConversionError("performance entry payload must be an object")
 
     paints = []
-    for entry in payload.get("paint", []):
+    for entry in _entries(payload, "paint"):
         name = entry.get("name")
         t = float(entry.get("startTime", 0.0))
         if name == "first-paint":
             paints.append({"t_ms": t, "kind": "first-paint"})
         elif name == "first-contentful-paint":
             paints.append({"t_ms": t, "kind": "contentful-paint"})
-    for entry in payload.get("elements", []):
+    for entry in _entries(payload, "elements"):
         t = 0.0
         for key in ("renderTime", "loadTime", "startTime"):
             t = float(entry.get(key) or 0.0)
@@ -70,7 +70,7 @@ def trace_from_performance_entries(payload: Any) -> NormalizedTrace:
             paints.append({"t_ms": t, "kind": "fmp-candidate", "significance": float(entry.get("size") or 0.0)})
 
     tasks = []
-    for entry in sorted(payload.get("longtasks", []), key=lambda e: float(e.get("startTime", 0.0))):
+    for entry in sorted(_entries(payload, "longtasks"), key=lambda e: float(e.get("startTime", 0.0))):
         start = float(entry.get("startTime", 0.0))
         dur = float(entry.get("duration", 0.0))
         if tasks and start < tasks[-1]["start_ms"] + tasks[-1]["dur_ms"]:
@@ -85,7 +85,7 @@ def trace_from_performance_entries(payload: Any) -> NormalizedTrace:
             tasks.append({"start_ms": start, "dur_ms": dur})
 
     requests = []
-    for entry in payload.get("resources", []):
+    for entry in _entries(payload, "resources"):
         end = float(entry.get("responseEnd") or 0.0)
         if end <= 0:
             continue  # still in flight or failed; carries no interval
@@ -135,6 +135,14 @@ def trace_from_performance_entries(payload: Any) -> NormalizedTrace:
         return NormalizedTrace.from_dict(document)
     except SchemaError as exc:
         raise ConversionError(f"converted entries violate the trace schema: {exc}") from exc
+
+
+def _entries(payload: dict, key: str) -> list:
+    """The entry objects listed at ``payload[key]``; none where it is absent."""
+    entries = payload.get(key, [])
+    if type(entries) is not list or not all(type(entry) is dict for entry in entries):
+        raise ConversionError(f"performance entry payload: {key} must be a list of objects")
+    return entries
 
 
 def capture_live(req: CaptureRequest, endpoint: str | None = None) -> NormalizedTrace:
@@ -228,9 +236,9 @@ def _open_target(endpoint: str, deadline: float) -> str:
         request = urllib.request.Request(f"{base}/json/new?about:blank", method=method)
         try:
             with urllib.request.urlopen(request, timeout=_remaining(deadline)) as response:
-                target = json.loads(response.read().decode("utf-8"))
+                target = _json_object(response.read(), f"{endpoint} returned a malformed target", Unreachable)
             url = target.get("webSocketDebuggerUrl")
-            if not url:
+            if type(url) is not str or not url:
                 raise Unreachable(f"{endpoint} returned a target without a debugger socket")
             return url
         except urllib.error.HTTPError:
@@ -251,23 +259,37 @@ def _rpc(ws: "_WebSocket", method: str, params: dict, deadline: float) -> dict:
     while True:
         if time.monotonic() >= deadline:
             raise NavigationTimeout(f"browser did not answer {method} in time")
-        message = json.loads(ws.recv_text(_remaining(deadline)))
+        message = _json_object(ws.recv_text(_remaining(deadline)), f"{method} returned a malformed reply")
         if message.get("id") != call_id:
             continue  # unsolicited event traffic
         if "error" in message:
             raise ConversionError(f"{method} failed: {message['error']}")
-        return message.get("result", {})
+        result = message.get("result", {})
+        if type(result) is not dict:
+            raise ConversionError(f"{method} returned a malformed reply: result is not a JSON object")
+        return result
 
 
 def _evaluate(ws: "_WebSocket", expression: str, deadline: float) -> dict:
     result = _rpc(ws, "Runtime.evaluate", {"expression": expression, "returnByValue": True}, deadline)
-    value = result.get("result", {}).get("value")
+    remote = result.get("result", {})
+    value = remote.get("value") if type(remote) is dict else None
     if not isinstance(value, str):
         raise ConversionError(f"page evaluation returned no value: {result!r}")
+    return _json_object(value, "page evaluation returned malformed data")
+
+
+def _json_object(text: str | bytes, what: str, error: type = ConversionError) -> dict:
+    """The JSON object a browser sent as ``text``. A reply that is not JSON,
+    nests deeper than the decoder can recurse, or is not an object raises
+    ``error`` with a message that begins with ``what``."""
     try:
-        return json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ConversionError(f"page evaluation returned malformed data: {exc}") from exc
+        value = _parse_json(text, what)
+    except ParseError as exc:
+        raise error(str(exc)) from exc
+    if type(value) is not dict:
+        raise error(f"{what}: not a JSON object")
+    return value
 
 
 def _encode_frame(opcode: int, payload: bytes, mask: bool = True) -> bytes:

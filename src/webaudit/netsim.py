@@ -30,6 +30,7 @@ from .trace import (
     _number,
     _string,
     clamp_visual_progress,
+    records,
 )
 
 _T_MS = operator.itemgetter(0)  # a paint's or visual sample's time
@@ -281,14 +282,14 @@ def throttler(trace: NormalizedTrace) -> Callable[[ThrottleProfile], NormalizedT
         for old_start, old_dur in trace.tasks:
             start = prev_new_end + (old_start - prev_old_end)
             dur = old_dur * cpu
-            scaled_tasks.append(MainThreadTask(start, dur))
+            scaled_tasks.append((start, dur))
             prev_old_end = old_start + old_dur
             prev_new_end = start + dur
         # The last task's end bounds every task.
         _check_finite([prev_new_end])
         return NormalizedTrace(
             paint_events=paints,
-            tasks=tuple(scaled_tasks),
+            tasks=records(MainThreadTask, scaled_tasks),
             requests=requests,
             visual_progress=visual,
         )
@@ -302,10 +303,11 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
     old = trace.requests
     table = _finish_table(old)
     parents, offsets = _parents(old, table)
-    starts, ends = waterfall_times(parents, offsets, [r.bytes for r in old], profile)
+    sizes = [r.bytes for r in old]
+    starts, ends = waterfall_times(parents, offsets, sizes, profile)
     rtt = profile.rtt_ms
-    new_requests = tuple(
-        [NetworkRequest(start - rtt, start, end, req.bytes, req.origin) for req, start, end in zip(old, starts, ends)]
+    new_requests = records(
+        NetworkRequest, zip([start - rtt for start in starts], starts, ends, sizes, [r.origin for r in old])
     )
 
     # Paints and visual samples move with the request the parent rule gives
@@ -314,12 +316,12 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
     finish_ends, first = table
     deltas = [0.0] + [ends[j] - old[j].end_ms for j in first]
     after = bisect.bisect_right
-    new_paints = tuple(
-        [PaintEvent(t + deltas[after(finish_ends, t)], kind, sig) for t, kind, sig in trace.paint_events]
+    new_paints = records(
+        PaintEvent, [(t + deltas[after(finish_ends, t)], kind, sig) for t, kind, sig in trace.paint_events]
     )
-    moved = [VisualSample(t + deltas[after(finish_ends, t)], fraction) for t, fraction in trace.visual_progress]
+    moved = [(t + deltas[after(finish_ends, t)], fraction) for t, fraction in trace.visual_progress]
     moved.sort(key=_T_MS)
-    return new_requests, new_paints, clamp_visual_progress(moved)
+    return new_requests, new_paints, clamp_visual_progress(records(VisualSample, moved))
 
 
 def _check_finite(times: list[float]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from datetime import date
+from itertools import repeat
 from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, SchemaError
@@ -85,11 +86,11 @@ class NormalizedTrace(NamedTuple):
                 t, kind = item["t_ms"], item["kind"]
                 if type(t) in _REAL and 0.0 <= t <= _FLOAT_MAX:
                     if kind == "first-paint" or kind == "contentful-paint":
-                        paints.append(PaintEvent(float(t), kind))
+                        paints.append((float(t), kind, None))
                         continue
                     s = item["significance"]
                     if kind == "fmp-candidate" and type(s) in _REAL and 0.0 <= s <= _FLOAT_MAX:
-                        paints.append(PaintEvent(float(t), kind, float(s)))
+                        paints.append((float(t), kind, float(s)))
                         continue
             except (KeyError, TypeError):
                 pass
@@ -97,7 +98,7 @@ class NormalizedTrace(NamedTuple):
             t = _number(item, "t_ms", path, minimum=0.0)
             kind = _string(item, "kind", path, choices=PAINT_KINDS)
             significance = _number(item, "significance", path, minimum=0.0) if kind == "fmp-candidate" else None
-            paints.append(PaintEvent(t, kind, significance))
+            paints.append((t, kind, significance))
 
         tasks = []
         prev_end = 0.0
@@ -110,7 +111,7 @@ class NormalizedTrace(NamedTuple):
                 ):
                     start, dur = float(start), float(dur)
                     prev_end = start + dur
-                    tasks.append(MainThreadTask(start, dur))
+                    tasks.append((start, dur))
                     continue
             except (KeyError, TypeError):
                 pass
@@ -122,7 +123,7 @@ class NormalizedTrace(NamedTuple):
             if start < prev_end:
                 raise SchemaError(path, "tasks must be sorted by start_ms and non-overlapping")
             prev_end = start + dur
-            tasks.append(MainThreadTask(start, dur))
+            tasks.append((start, dur))
 
         requests = []
         for i, item in enumerate(_array(data, "requests", "$")):
@@ -134,7 +135,7 @@ class NormalizedTrace(NamedTuple):
                     and 0.0 <= discovered <= start <= end <= _FLOAT_MAX
                     and type(nbytes) is int and 0 <= nbytes <= _FLOAT_MAX_INT and type(origin) is str
                 ):
-                    requests.append(NetworkRequest(float(discovered), float(start), float(end), nbytes, origin))
+                    requests.append((float(discovered), float(start), float(end), nbytes, origin))
                     continue
             except (KeyError, TypeError):
                 pass
@@ -146,7 +147,7 @@ class NormalizedTrace(NamedTuple):
                 raise SchemaError(path, "must satisfy discovered_ms <= start_ms <= end_ms")
             nbytes = _integer(item, "bytes", path, minimum=0)
             origin = _string(item, "origin", path)
-            requests.append(NetworkRequest(discovered, start, end, nbytes, origin))
+            requests.append((discovered, start, end, nbytes, origin))
 
         samples = []
         prev_t = 0.0
@@ -158,7 +159,7 @@ class NormalizedTrace(NamedTuple):
                     and prev_t <= t <= _FLOAT_MAX and 0.0 <= fraction <= 1.0
                 ):
                     prev_t = float(t)
-                    samples.append(VisualSample(prev_t, float(fraction)))
+                    samples.append((prev_t, float(fraction)))
                     continue
             except (KeyError, TypeError):
                 pass
@@ -170,13 +171,13 @@ class NormalizedTrace(NamedTuple):
             if t < prev_t:
                 raise SchemaError(f"{path}.t_ms", "visual_progress must be sorted by t_ms")
             prev_t = t
-            samples.append(VisualSample(t, fraction))
+            samples.append((t, fraction))
 
         return cls(
-            paint_events=tuple(paints),
-            tasks=tuple(tasks),
-            requests=tuple(requests),
-            visual_progress=clamp_visual_progress(samples),
+            paint_events=records(PaintEvent, paints),
+            tasks=records(MainThreadTask, tasks),
+            requests=records(NetworkRequest, requests),
+            visual_progress=clamp_visual_progress(records(VisualSample, samples)),
         )
 
     def to_dict(self) -> dict:
@@ -206,6 +207,19 @@ def clamp_visual_progress(samples: Iterable[VisualSample]) -> tuple[VisualSample
             running = fraction
         out.append(sample if fraction == running else VisualSample(t_ms, running))
     return tuple(out)
+
+
+def records(cls: type, rows: Iterable[tuple]) -> tuple:
+    """The records of ``cls`` whose values are ``rows``, each row a full tuple
+    of field values, built without a Python call per record. Equal to
+    ``tuple(cls(*row) for row in rows)`` for a record whose constructor
+    checks nothing; a _checked_record class is a TypeError."""
+    # A NamedTuple cannot override __new__, so only a subclass of one, as each
+    # _checked_record class is, can check its fields. (hasattr(cls, "_check")
+    # would cost ~0.5 us a call: a miss builds an AttributeError.)
+    if cls.__base__ is not tuple:
+        raise TypeError(f"{cls.__name__} checks its fields; build it with its constructor")
+    return tuple(map(tuple.__new__, repeat(cls), rows))
 
 
 def _checked_record(fields: type) -> type:

@@ -1,9 +1,12 @@
 """Trace file IO (webaudit.collector), and performance-entry conversion and
 capture plumbing (webaudit.capture)."""
 
+import io
 import json
 import re
 import socket
+import time
+import urllib.request
 
 import pytest
 
@@ -11,9 +14,13 @@ from webaudit.capture import (
     CaptureRequest,
     _decode_frame,
     _encode_frame,
+    _evaluate,
+    _open_target,
+    _rpc,
     capture_live,
     trace_from_performance_entries,
 )
+from webaudit.cli import main
 from webaudit.collector import load_trace, write_trace
 from webaudit.config import DeviceMode, Viewport
 from webaudit.errors import ConversionError, ParseError, SchemaError, Unreachable
@@ -142,6 +149,13 @@ class TestPerformanceEntryConversion:
         with pytest.raises(ConversionError):
             trace_from_performance_entries([1, 2])
 
+    @pytest.mark.parametrize("entries", [[1], 5, None], ids=["not-objects", "not-a-list", "null"])
+    def test_an_entry_list_that_is_not_a_list_of_objects_is_rejected(self, entries):
+        payload = self.payload()
+        payload["resources"] = entries
+        with pytest.raises(ConversionError, match="resources must be a list of objects"):
+            trace_from_performance_entries(payload)
+
 
 class TestFrameCodec:
     @pytest.mark.parametrize("size", [0, 5, 125, 126, 400, 65535, 65536])
@@ -190,6 +204,78 @@ class TestCaptureLive:
         monkeypatch.setenv("AUDIT_BROWSER_ENDPOINT", f"127.0.0.1:{port}")
         with pytest.raises(Unreachable):
             capture_live(capture_request())
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nests deeper than the JSON decoder can recurse
+
+
+class StandInSocket:
+    """A debugger socket that answers every call with ``reply(call_id)``."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.call_id = None
+
+    def send_text(self, payload: str) -> None:
+        self.call_id = json.loads(payload)["id"]
+
+    def recv_text(self, timeout_s: float) -> str:
+        return self.reply(self.call_id)
+
+
+def evaluated(value):
+    """A reply whose page evaluation returned ``value``."""
+    return lambda call_id: json.dumps({"id": call_id, "result": {"result": {"value": value}}})
+
+
+class TestBrowserReplies:
+    """A browser reply that is not the JSON object the code reads is a
+    ConversionError, or Unreachable from the target endpoint (both
+    AuditErrors, which the CLI maps to exit 2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            lambda call_id: DEEP,
+            lambda call_id: json.dumps([{"id": call_id, "result": {}}]),
+            lambda call_id: json.dumps({"id": call_id, "result": [1]}),
+        ],
+        ids=["deep", "array", "non-object-result"],
+    )
+    def test_rpc(self, reply):
+        with pytest.raises(ConversionError, match="^Page.enable returned a malformed reply: "):
+            _rpc(StandInSocket(reply), "Page.enable", {}, time.monotonic() + 5)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            evaluated(DEEP),
+            evaluated("[1, 2]"),
+            lambda call_id: json.dumps({"id": call_id, "result": {"result": [1]}}),
+        ],
+        ids=["deep", "array", "non-object-result"],
+    )
+    def test_evaluate(self, reply):
+        with pytest.raises(ConversionError, match="^page evaluation returned "):
+            _evaluate(StandInSocket(reply), "1", time.monotonic() + 5)
+
+    @pytest.mark.parametrize(
+        "body",
+        [DEEP, '[{"webSocketDebuggerUrl": "ws://127.0.0.1:9/page"}]', '{"webSocketDebuggerUrl": ["ws://x"]}'],
+        ids=["deep", "array", "non-string-socket"],
+    )
+    def test_open_target(self, monkeypatch, body):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body.encode("utf-8")))
+        with pytest.raises(Unreachable, match="^127.0.0.1:9 returned "):
+            _open_target("127.0.0.1:9", time.monotonic() + 5)
+
+    @pytest.mark.parametrize("body", [DEEP, "[]"], ids=["deep", "array"])
+    def test_audit_command_exits_two(self, monkeypatch, capsys, body):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body.encode("utf-8")))
+        assert main(["audit", "https://site.test", "--endpoint", "127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 127.0.0.1:9 returned a malformed target: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestCaptureRequest:

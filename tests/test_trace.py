@@ -11,14 +11,16 @@ from datetime import date
 
 import pytest
 
+import webaudit.trace
 from conftest import random_trace
 from oracles import from_dict_fieldwise
 from webaudit.capture import CaptureRequest
-from webaudit.config import DeviceMode, OutlierBounds, Viewport
+from webaudit.collector import load_trace, write_trace
+from webaudit.config import DeviceMode, OutlierBounds, Viewport, load_calibration, resolve_throttle
 from webaudit.corpus import AuditResult, SiteRecord
 from webaudit.errors import InvalidCurve, SchemaError
 from webaudit.metrics import QuietWindow
-from webaudit.netsim import ThrottleProfile
+from webaudit.netsim import UNTHROTTLED, ThrottleProfile, apply_throttle, throttler
 from webaudit.scoring import CategoryBands, ScoreCurve, WeightTable
 from webaudit.synth import build_demo_trace
 from webaudit.trace import (
@@ -35,6 +37,7 @@ from webaudit.trace import (
     _object,
     _string,
     clamp_visual_progress,
+    records,
 )
 
 
@@ -171,6 +174,110 @@ class TestCheckedRecords:
     def test_a_valid_record_survives_replace_copy_and_pickle(self, record):
         restored = pickle.loads(pickle.dumps(record))
         assert type(restored) is type(record) and restored == record == copy.copy(record) == record._replace()
+
+
+# One valid record of each trace record type, built by its class call.
+TRACE_RECORDS = [
+    PaintEvent(300.0, "first-paint"),
+    PaintEvent(1200.0, "fmp-candidate", 7.5),
+    MainThreadTask(100.0, 40.0),
+    NetworkRequest(0.0, 10.0, 700.0, 52000, "https://a.test"),
+    VisualSample(800.0, 0.4),
+]
+TRACE_RECORD_IDS = [f"{type(record).__name__}-{i}" for i, record in enumerate(TRACE_RECORDS)]
+
+
+class TestRecordsHelper:
+    """records(cls, rows) builds what the class call builds, for each trace record."""
+
+    @pytest.mark.parametrize("record", TRACE_RECORDS, ids=TRACE_RECORD_IDS)
+    def test_equals_the_class_call(self, record):
+        cls = type(record)
+        (built,) = records(cls, [tuple(record)])
+        assert type(built) is cls and built == record and len(built) == len(cls._fields)
+        assert built._asdict() == record._asdict()
+        assert built._replace() == record._replace() and type(built._replace()) is cls
+        restored = pickle.loads(pickle.dumps(built))
+        assert type(restored) is cls and restored == record
+        assert type(copy.copy(built)) is cls and copy.copy(built) == record
+        assert repr(built) == repr(record)
+
+    def test_rows_of_any_iterable_keep_their_order(self):
+        rows = [(float(i), 0.5) for i in range(5)]
+        assert records(VisualSample, iter(rows)) == tuple(VisualSample(*row) for row in rows)
+        assert records(MainThreadTask, []) == ()
+
+    @pytest.mark.parametrize("cls", [type(record) for record, _ in CHECKED], ids=CHECKED_IDS)
+    def test_a_checked_record_is_refused(self, cls):
+        with pytest.raises(TypeError, match="checks its fields"):
+            records(cls, [])
+
+
+RECORD_TYPES = {
+    "paint_events": PaintEvent,
+    "tasks": MainThreadTask,
+    "requests": NetworkRequest,
+    "visual_progress": VisualSample,
+}
+
+
+def assert_exact_records(trace) -> None:
+    """Each item of each trace tuple is its record class, not a plain tuple
+    (which would compare equal), and holds every field."""
+    assert type(trace) is NormalizedTrace
+    for name, cls in RECORD_TYPES.items():
+        items = getattr(trace, name)
+        assert type(items) is tuple
+        for item in items:
+            assert type(item) is cls and len(item) == len(cls._fields), (name, item)
+
+
+def regressing_trace() -> NormalizedTrace:
+    """valid_doc with a visual sample that regresses, so clamping builds one."""
+    doc = valid_doc()
+    doc["visual_progress"].insert(1, {"t_ms": 1000, "fraction": 0.2})
+    return NormalizedTrace.from_dict(doc)
+
+
+def record_traces() -> list[NormalizedTrace]:
+    rng = random.Random(20)
+    return [random_trace(rng) for _ in range(60)] + [build_demo_trace(i) for i in range(12)] + [regressing_trace()]
+
+
+class TestExactRecordTypes:
+    """Every path that builds trace records yields the record classes."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return record_traces()
+
+    @pytest.mark.parametrize("path", ["fast", "slow"])
+    def test_load_trace(self, tmp_path, monkeypatch, traces, path):
+        if path == "slow":
+            # No value passes the per-item guard's exact-type test, so every
+            # item is read by the field readers.
+            monkeypatch.setattr(webaudit.trace, "_REAL", ())
+        file = tmp_path / "trace.json"
+        for trace in traces:
+            write_trace(trace, file)
+            loaded = load_trace(file)
+            assert loaded == trace
+            assert_exact_records(loaded)
+
+    def test_apply_throttle_under_4g_and_identity(self, traces):
+        calibration = load_calibration()
+        profile = resolve_throttle("4g", calibration, calibration.mode("mobile"))
+        for trace in traces:
+            assert_exact_records(apply_throttle(trace, profile))
+            assert_exact_records(apply_throttle(trace, UNTHROTTLED))
+
+    def test_each_mode_of_one_throttler(self, traces):
+        calibration = load_calibration()
+        for trace in traces:
+            throttle = throttler(trace)
+            for kind in sorted(calibration.modes):
+                assert_exact_records(throttle(resolve_throttle("4g", calibration, calibration.mode(kind))))
+            assert_exact_records(throttle(UNTHROTTLED))
 
 
 def test_visual_regression_clamped_to_running_max():
