@@ -1,8 +1,8 @@
 """Website performance auditing from normalized load traces.
 
-The pipeline: a trace (paint events, main-thread tasks, network requests,
-visual progress) yields six load metrics; log-normal curves map each
-metric to a 0-100 score; a weight table combines them into the
+The pipeline: a stored trace (paint events, main-thread tasks, network
+requests, visual progress) yields six load metrics; log-normal curves map
+each metric to a 0-100 score; a weight table combines them into the
 performance score; batches over a site corpus aggregate per region into
 ranked, reportable tables. The curves, the weights and every other
 calibrated number are written down only in data/calibration.json, which
@@ -13,8 +13,9 @@ reads a plan file into them and waterfall_times plays them over the link.
 
 The names below are the short API that the demos, the README example and
 `bench/` import; everything else is imported from its module
-(`webaudit.corpus`, `webaudit.report`, ...). Live capture is
-`webaudit.capture`, which this package does not import.
+(`webaudit.corpus`, `webaudit.report`, ...). Converting a browser's
+performance entries into a trace is `webaudit.capture`, which this package
+does not import.
 """
 
 from .collector import load_trace

@@ -1,4 +1,5 @@
-"""Command-line driver for the audit pipeline.
+"""Command-line driver for the audit pipeline. Every command reads stored
+files: traces, a corpus, results, aggregates or a request plan.
 
 Exit codes: 0 on success, 1 when individual audits failed, 2 on usage or
 configuration errors.
@@ -11,16 +12,10 @@ import math
 import sys
 from pathlib import Path
 
-from .collector import load_trace, write_trace
+from .collector import load_trace
 from .config import MODE_KINDS, load_calibration, load_member_regions, read_text, resolve_throttle
 from .corpus import audit_trace, ingest_corpus, read_results, run_batch, write_results
-from .errors import (
-    AuditError,
-    CyclicPlan,
-    IncompleteVisualProgress,
-    NavigationTimeout,
-    NoContentfulPaint,
-)
+from .errors import AuditError, CyclicPlan, IncompleteVisualProgress, NoContentfulPaint
 from .metrics import MetricSet
 from .netsim import apply_throttle, plan_from_dict, waterfall_times
 from .report import build_aggregates, emit_report, read_aggregates, write_aggregates
@@ -31,17 +26,6 @@ from .trace import _parse_json, iso_date
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="webaudit", description="Website performance audit toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    audit = sub.add_parser("audit", help="audit one URL, from a stored trace or a live browser")
-    audit.add_argument("url")
-    audit.add_argument("--mode", choices=MODE_KINDS, default="mobile")
-    audit.add_argument("--throttle", default="4g", metavar="NAME|FILE")
-    source = audit.add_mutually_exclusive_group()
-    source.add_argument("--trace-in", metavar="FILE", help="replay this stored trace instead of capturing")
-    source.add_argument("--trace-out", metavar="FILE", help="store the captured trace here")
-    audit.add_argument("--repeat", type=int, default=1, metavar="N", help="run N times and average the scores")
-    audit.add_argument("--calibration", metavar="FILE")
-    audit.add_argument("--endpoint", metavar="HOST:PORT", help="browser endpoint (default: $AUDIT_BROWSER_ENDPOINT)")
 
     batch = sub.add_parser("batch", help="audit a corpus of sites from stored traces")
     batch.add_argument("--corpus", required=True, metavar="FILE")
@@ -57,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="print metrics and scores for a stored trace")
     score.add_argument("--trace", required=True, metavar="FILE")
     score.add_argument("--mode", choices=MODE_KINDS, default="mobile")
+    score.add_argument("--throttle", metavar="NAME|FILE", help="replay the trace under this throttle (default: none)")
     score.add_argument("--calibration", metavar="FILE")
 
     aggregate = sub.add_parser("aggregate", help="roll batch results up per region")
@@ -83,7 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = {
-        "audit": _cmd_audit,
         "batch": _cmd_batch,
         "score": _cmd_score,
         "aggregate": _cmd_aggregate,
@@ -92,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (NoContentfulPaint, IncompleteVisualProgress, NavigationTimeout) as exc:
+    except (NoContentfulPaint, IncompleteVisualProgress) as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return 1
     except (AuditError, OSError, ValueError) as exc:
@@ -108,43 +92,13 @@ def _print_scores(metrics: MetricSet, report: ScoreReport) -> None:
     print(f"performance score: {shown} ({report.category})")
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    calibration = load_calibration(args.calibration)
-    mode = calibration.mode(args.mode)
-    profile = resolve_throttle(args.throttle, calibration, mode)
-
-    scores = []
-    last = None
-    for run in range(args.repeat):
-        if args.trace_in:
-            trace = load_trace(args.trace_in)
-        else:
-            from . import capture  # only a live audit needs its network modules
-
-            trace = capture.capture_live(capture.CaptureRequest(url=args.url, mode=mode), endpoint=args.endpoint)
-        trace = apply_throttle(trace, profile)
-        if args.trace_out and run == 0:
-            # The stored trace already includes the throttle; replay it with
-            # --throttle none.
-            write_trace(trace, args.trace_out)
-        metrics, report = audit_trace(trace, mode, calibration)
-        scores.append(report.performance_score)
-        last = (metrics, report)
-
-    print(f"{args.url} [{args.mode}] throttle={args.throttle}")
-    _print_scores(*last)
-    if args.repeat > 1:
-        mean = math.fsum(scores) / len(scores)
-        print(f"mean performance score over {args.repeat} runs: {int(round_half_away(mean, 0))}")
-    return 0
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
     calibration = load_calibration(args.calibration)
     mode = calibration.mode(args.mode)
-    metrics, report = audit_trace(load_trace(args.trace), mode, calibration)
+    trace = load_trace(args.trace)
+    if args.throttle is not None:
+        trace = apply_throttle(trace, resolve_throttle(args.throttle, calibration, mode))
+    metrics, report = audit_trace(trace, mode, calibration)
     print(f"{args.trace} [{args.mode}]")
     _print_scores(metrics, report)
     return 0

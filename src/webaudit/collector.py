@@ -1,7 +1,8 @@
-"""Stored trace files: the replay path every audit reads.
+"""Stored trace files: the one way into the pipeline.
 
-Stored trace files make every audit reproducible. Live capture, which
-records new ones from a browser, lives in `webaudit.capture`.
+Every audit reads a stored trace, so every audit is reproducible.
+`webaudit.capture` converts the performance entries recorded in a browser
+into a trace that `write_trace` stores.
 """
 
 from __future__ import annotations

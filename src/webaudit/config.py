@@ -4,8 +4,8 @@ Everything tunable lives in one JSON document: device modes, per-mode
 scoring curves, metric weights, category bands, outlier bounds, named
 throttle profiles, and the quiet-window parameters. A packaged default
 ships with the library; any audit can point at its own file instead.
-`DeviceMode` (with its `Viewport`) is defined here because the
-calibration's `modes` section is the only place one is built.
+`DeviceMode` is defined here because the calibration's `modes` section is
+the only place one is built.
 """
 
 from __future__ import annotations
@@ -28,21 +28,10 @@ _DATA = Path(__file__).with_name("data")  # read by path: importlib.resources im
 
 
 @_checked_record
-class Viewport(NamedTuple):
-    width_px: int
-    height_px: int
-
-    def _check(self):
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError(f"viewport dimensions must be > 0, got {self.width_px}x{self.height_px}")
-
-
-@_checked_record
 class DeviceMode(NamedTuple):
     """One measurement condition: an emulated device class."""
 
     kind: str
-    viewport: Viewport
     cpu_multiplier: float
 
     def _check(self):
@@ -153,12 +142,8 @@ def calibration_from_dict(data: Any) -> Calibration:
     modes = {}
     for kind in MODE_KINDS:
         path = f"$.modes.{kind}"
-        item = _object(modes_data, kind, "$.modes")
-        viewport = _object(item, "viewport", path)
-        width = _integer(viewport, "width_px", f"{path}.viewport")
-        height = _integer(viewport, "height_px", f"{path}.viewport")
-        cpu = _number(item, "cpu_multiplier", path)
-        modes[kind] = _checked(path, lambda: DeviceMode(kind, Viewport(width, height), cpu))
+        cpu = _number(_object(modes_data, kind, "$.modes"), "cpu_multiplier", path)
+        modes[kind] = _checked(path, lambda: DeviceMode(kind, cpu))
     if modes["mobile"].cpu_multiplier < modes["desktop"].cpu_multiplier:
         raise SchemaError("$.modes", "mobile cpu_multiplier must be >= desktop cpu_multiplier")
 

@@ -53,16 +53,8 @@ class SchemaError(AuditError):
         self.path = path
 
 
-class Unreachable(AuditError):
-    """The browser debugging endpoint could not be reached."""
-
-
-class NavigationTimeout(AuditError):
-    """A live navigation did not settle within the allowed time."""
-
-
 class ConversionError(AuditError):
-    """Captured browser events could not be converted to a trace."""
+    """Browser performance entries could not be converted to a trace."""
 
 
 class CsvError(AuditError):

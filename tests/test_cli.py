@@ -10,18 +10,18 @@ from pathlib import Path
 import pytest
 
 import webaudit
-import webaudit.capture
 from conftest import call_within, parse_report_csv
 from webaudit.cli import main
 from webaudit.collector import write_trace
-from webaudit.config import default_calibration_text, load_calibration, resolve_throttle
+from webaudit.config import default_calibration_text
 from webaudit.corpus import trace_slug
-from webaudit.netsim import apply_throttle
 from webaudit.report import aggregates_from_json
+from webaudit.scoring import round_half_away
 from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN_RESULTS = [json.loads(line) for line in (FIXTURES / "golden_results.jsonl").read_text("utf-8").splitlines()]
 NOT_UTF8 = b"\xff\xfe"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder can recurse
 
@@ -130,13 +130,12 @@ class TestScoreCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["score", "audit"])
-    def test_a_trace_that_is_not_utf8_exits_two_naming_it(self, tmp_path, simple_trace, capsys, command):
+    @pytest.mark.parametrize("throttle", [[], ["--throttle", "4g"]], ids=["unthrottled", "throttled"])
+    def test_a_trace_that_is_not_utf8_exits_two_naming_it(self, tmp_path, simple_trace, capsys, throttle):
         trace_file = tmp_path / "t.json"
         write_trace(simple_trace, trace_file)
         trace_file.write_bytes(NOT_UTF8 + trace_file.read_bytes())
-        argv = ["score", "--trace", str(trace_file)] if command == "score" else ["audit", "x", "--trace-in", str(trace_file)]
-        assert main(argv) == 2
+        assert main(["score", "--trace", str(trace_file), *throttle]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace_file}: 'utf-8' codec can't decode byte 0xff")
         assert "Traceback" not in err
@@ -154,7 +153,7 @@ def test_an_input_file_that_is_not_utf8_exits_two_naming_it(workspace, tmp_path,
     bad.write_bytes(NOT_UTF8 + bad.read_bytes())
     argv = {
         "calibration": ["simulate", "--plan", str(plan), "--calibration", str(calibration)],
-        "profile": ["audit", "x", "--trace-in", str(trace_file), "--throttle", str(profile)],
+        "profile": ["score", "--trace", str(trace_file), "--throttle", str(profile)],
         "plan": ["simulate", "--plan", str(plan)],
     }.get(kind)
     if argv is None:
@@ -179,6 +178,15 @@ class TestPinnedOutput:
         assert [main(["score", "--trace", "demo.json", "--mode", mode]) for mode in ("mobile", "desktop")] == [0, 0]
         assert capsys.readouterr().out == (FIXTURES / "score_demo11.txt").read_text("utf-8")
 
+    def test_throttled_score_prints_the_fixture(self, tmp_path, monkeypatch, capsys):
+        # Every metric and score line as `audit --trace-in --throttle 4g`
+        # printed it, before that command was folded into score.
+        monkeypatch.chdir(tmp_path)
+        write_trace(build_demo_trace(11), "demo.json")
+        argv = ["score", "--trace", "demo.json", "--throttle", "4g", "--mode"]
+        assert [main([*argv, mode]) for mode in ("mobile", "desktop")] == [0, 0]
+        assert capsys.readouterr().out == (FIXTURES / "score_demo11_4g.txt").read_text("utf-8")
+
     def test_simulate_prints_the_fixture(self, capsys):
         assert main(["simulate", "--plan", str(FIXTURES / "plan.json")]) == 0
         assert capsys.readouterr().out == (FIXTURES / "simulate_plan.txt").read_text("utf-8")
@@ -190,34 +198,55 @@ class TestPinnedOutput:
         assert results.read_bytes() == (FIXTURES / "golden_results.jsonl").read_bytes()
 
 
-class TestAuditCommand:
-    def test_replays_a_stored_trace(self, tmp_path, simple_trace, capsys):
+class TestScoreThrottle:
+    def test_throttle_none_prints_what_no_throttle_prints(self, tmp_path, simple_trace, capsys):
         trace_file = tmp_path / "t.json"
         write_trace(simple_trace, trace_file)
-        rc = main(["audit", "https://site.test", "--trace-in", str(trace_file), "--throttle", "none"])
+        assert main(["score", "--trace", str(trace_file)]) == 0
+        recorded = capsys.readouterr().out
+        assert main(["score", "--trace", str(trace_file), "--throttle", "none"]) == 0
         out = capsys.readouterr().out
-        assert rc == 0
-        assert "https://site.test [mobile] throttle=none" in out
+        assert out == recorded and out.startswith(f"{trace_file} [mobile]\n")
 
-    def test_repeat_reports_a_mean(self, tmp_path, simple_trace, capsys):
+    @pytest.mark.parametrize("no", sorted({row["site"]["no"] for row in GOLDEN_RESULTS}), ids="site-{}".format)
+    def test_throttled_score_prints_the_batch_result(self, workspace, capsys, no):
+        # score --throttle replays a stored trace as the batch does, so it
+        # prints each golden result of the 4g batch, rounded as score shows it.
+        trace_file = demo_trace(workspace, no)
+        expected = []
+        for mode in ("mobile", "desktop"):
+            (row,) = [row for row in GOLDEN_RESULTS if row["site"]["no"] == no and row["mode"] == mode]
+            expected.append(f"{trace_file} [{mode}]")
+            expected.append(f"{'metric':<8} {'value_ms':>12} {'score':>7}")
+            for key in ("fcp", "fmp", "si", "tti", "fci", "max_fid"):
+                expected.append(f"{key:<8} {row['metrics'][key]:>12.1f} {row['scores'][key]:>7.1f}")
+            expected.append(f"performance score: {int(round_half_away(row['performance_score'], 0))} ({row['category']})")
+            assert main(["score", "--trace", str(trace_file), "--throttle", "4g", "--mode", mode]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_an_unknown_throttle_name_is_a_config_error(self, tmp_path, simple_trace, capsys):
         trace_file = tmp_path / "t.json"
         write_trace(simple_trace, trace_file)
-        rc = main(
-            ["audit", "https://site.test", "--trace-in", str(trace_file), "--throttle", "4g", "--repeat", "3"]
+        assert main(["score", "--trace", str(trace_file), "--throttle", "5g"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: $.throttle_profiles: unknown throttle '5g' (profiles: 4g, none; or pass a file)\n"
         )
-        assert rc == 0
-        assert "mean performance score over 3 runs:" in capsys.readouterr().out
 
-    def test_zero_repeat_is_a_usage_error(self, tmp_path, simple_trace):
+    def test_without_a_throttle_the_calibrations_profiles_are_not_read(self, tmp_path, simple_trace, capsys):
         trace_file = tmp_path / "t.json"
         write_trace(simple_trace, trace_file)
-        assert main(["audit", "https://x.test", "--trace-in", str(trace_file), "--repeat", "0"]) == 2
-
-    def test_capture_without_endpoint_is_a_config_error(self, monkeypatch, capsys):
-        monkeypatch.delenv("AUDIT_BROWSER_ENDPOINT", raising=False)
-        rc = main(["audit", "https://site.test"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert main(["score", "--trace", str(trace_file)]) == 0
+        packaged = capsys.readouterr().out
+        document = json.loads(default_calibration_text())
+        del document["throttle_profiles"]["none"]
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(document), "utf-8")
+        assert main(["score", "--trace", str(trace_file), "--calibration", str(calibration)]) == 0
+        assert capsys.readouterr().out == packaged
+        assert main(["score", "--trace", str(trace_file), "--calibration", str(calibration), "--throttle", "none"]) == 2
+        assert "unknown throttle 'none' (profiles: 4g;" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rtt", [float("nan"), [1]])
     def test_bad_rtt_in_a_profile_file_is_a_config_error(self, tmp_path, simple_trace, capsys, rtt):
@@ -225,7 +254,7 @@ class TestAuditCommand:
         write_trace(simple_trace, trace_file)
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"rtt_ms": rtt, "downlink_kbps": 1000}), "utf-8")
-        rc = main(["audit", "x", "--trace-in", str(trace_file), "--throttle", str(profile)])
+        rc = main(["score", "--trace", str(trace_file), "--throttle", str(profile)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "$.rtt_ms" in err
@@ -246,7 +275,7 @@ class TestAuditCommand:
         if isinstance(throttle, dict):
             (tmp_path / "profile.json").write_text(json.dumps(throttle), "utf-8")
             throttle = str(tmp_path / "profile.json")
-        assert call_within(10, main, ["audit", "x", "--trace-in", str(trace_file), "--throttle", throttle]) == 0
+        assert call_within(10, main, ["score", "--trace", str(trace_file), "--throttle", throttle]) == 0
         assert "performance score:" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -259,42 +288,12 @@ class TestAuditCommand:
         write_trace(build_demo_trace(5), trace_file)
         profile_file = tmp_path / "profile.json"
         profile_file.write_text(json.dumps(profile), "utf-8")
-        argv = ["audit", "x", "--trace-in", str(trace_file), "--throttle", str(profile_file)]
+        argv = ["score", "--trace", str(trace_file), "--throttle", str(profile_file)]
         assert call_within(10, main, argv) == 2
         captured = capsys.readouterr()
         assert "too extreme to simulate" in captured.err
         assert "Traceback" not in captured.err
         assert "performance score" not in captured.out
-
-    def test_live_capture_is_throttled_once_like_a_replay(self, tmp_path, monkeypatch, capsys):
-        recorded = build_demo_trace(5)
-        requests = []
-
-        def fake_capture(request, endpoint=None):
-            requests.append((request.url, request.mode.kind, endpoint))
-            return recorded
-
-        monkeypatch.setattr(webaudit.capture, "capture_live", fake_capture)
-        stored = tmp_path / "captured.json"
-        argv = ["audit", "https://site.test", "--throttle", "4g", "--endpoint", "127.0.0.1:9"]
-        assert main(argv + ["--trace-out", str(stored)]) == 0
-        live = capsys.readouterr().out
-        assert requests == [("https://site.test", "mobile", "127.0.0.1:9")]
-
-        calibration = load_calibration()
-        expected = tmp_path / "expected.json"
-        write_trace(apply_throttle(recorded, resolve_throttle("4g", calibration, calibration.mode("mobile"))), expected)
-        assert stored.read_bytes() == expected.read_bytes()
-
-        replayed = tmp_path / "recorded.json"
-        write_trace(recorded, replayed)
-        assert main(argv + ["--trace-in", str(replayed)]) == 0
-        assert capsys.readouterr().out == live
-
-    def test_trace_in_and_out_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "https://x.test", "--trace-in", "a.json", "--trace-out", "b.json"])
-        assert exc.value.code == 2
 
 
 class TestBatchCommand:
@@ -750,11 +749,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            (("modes", "mobile", "viewport"), "width_px", 360.5),
-            (("modes", "desktop", "viewport"), "height_px", True),
             (("quiet_window",), "max_inflight_requests", 2.5),
         ],
-        ids=["fractional-width", "bool-height", "fractional-inflight"],
+        ids=["fractional-inflight"],
     )
     def test_non_integer_calibration_count_names_the_field(self, tmp_path, capsys, section, key, value):
         doc = json.loads(default_calibration_text())
@@ -863,10 +860,12 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
-def test_package_and_cli_import_no_network_modules():
-    # Only a live audit needs capture's HTTP and socket client.
+@pytest.mark.parametrize("module", ["webaudit", "webaudit.cli", "webaudit.capture"])
+def test_package_and_cli_import_no_network_modules(module):
+    # Every audit reads stored files, and converting a browser's entries
+    # into a trace needs no network client either.
     code = (
-        "import sys, webaudit, webaudit.cli; "
+        f"import sys, {module}; "
         "print(' '.join(m for m in ('urllib.request', 'http.client', 'ssl', 'socket') if m in sys.modules))"
     )
     assert run_fresh(code).split() == []

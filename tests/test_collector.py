@@ -1,35 +1,14 @@
-"""Trace file IO (webaudit.collector), and performance-entry conversion and
-capture plumbing (webaudit.capture)."""
+"""Trace file IO (webaudit.collector), and performance-entry conversion
+(webaudit.capture)."""
 
-import io
 import json
 import re
-import socket
-import time
-import urllib.request
 
 import pytest
 
-from webaudit.capture import (
-    CaptureRequest,
-    _decode_frame,
-    _encode_frame,
-    _evaluate,
-    _open_target,
-    _rpc,
-    capture_live,
-    trace_from_performance_entries,
-)
-from webaudit.cli import main
+from webaudit.capture import trace_from_performance_entries
 from webaudit.collector import load_trace, write_trace
-from webaudit.config import DeviceMode, Viewport
-from webaudit.errors import ConversionError, ParseError, SchemaError, Unreachable
-
-MOBILE = DeviceMode(kind="mobile", viewport=Viewport(360, 640), cpu_multiplier=4.0)
-
-
-def capture_request(url: str = "https://site.test", timeout_ms: float = 300.0) -> CaptureRequest:
-    return CaptureRequest(url=url, mode=MOBILE, timeout_ms=timeout_ms)
+from webaudit.errors import ConversionError, ParseError, SchemaError
 
 
 class TestTraceFiles:
@@ -156,134 +135,87 @@ class TestPerformanceEntryConversion:
         with pytest.raises(ConversionError, match="resources must be a list of objects"):
             trace_from_performance_entries(payload)
 
-
-class TestFrameCodec:
-    @pytest.mark.parametrize("size", [0, 5, 125, 126, 400, 65535, 65536])
-    @pytest.mark.parametrize("mask", [True, False])
-    def test_round_trip_across_length_encodings(self, size, mask):
-        payload = bytes(i % 251 for i in range(size))
-        buf = _encode_frame(0x2, payload, mask=mask)
-        decoded = _decode_frame(buf)
-        assert decoded is not None
-        opcode, out, consumed = decoded
-        assert (opcode, out, consumed) == (0x2, payload, len(buf))
-
-    def test_partial_buffer_yields_none(self):
-        buf = _encode_frame(0x1, b"hello world", mask=True)
-        for cut in range(len(buf)):
-            assert _decode_frame(buf[:cut]) is None
-
-    def test_back_to_back_frames_consume_exactly_one(self):
-        first = _encode_frame(0x1, b"one", mask=False)
-        second = _encode_frame(0x1, b"two", mask=False)
-        opcode, payload, consumed = _decode_frame(first + second)
-        assert payload == b"one"
-        assert consumed == len(first)
-
-
-class TestCaptureLive:
-    def test_no_endpoint_configured(self, monkeypatch):
-        monkeypatch.delenv("AUDIT_BROWSER_ENDPOINT", raising=False)
-        with pytest.raises(Unreachable, match="AUDIT_BROWSER_ENDPOINT"):
-            capture_live(capture_request())
-
-    def test_dead_endpoint(self):
-        # grab a free port and close it again: nothing is listening there
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        with pytest.raises(Unreachable):
-            capture_live(capture_request(), endpoint=f"127.0.0.1:{port}")
-
-    def test_env_var_supplies_the_endpoint(self, monkeypatch):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        monkeypatch.setenv("AUDIT_BROWSER_ENDPOINT", f"127.0.0.1:{port}")
-        with pytest.raises(Unreachable):
-            capture_live(capture_request())
-
-
-DEEP = "[" * 100_000 + "]" * 100_000  # nests deeper than the JSON decoder can recurse
-
-
-class StandInSocket:
-    """A debugger socket that answers every call with ``reply(call_id)``."""
-
-    def __init__(self, reply):
-        self.reply = reply
-        self.call_id = None
-
-    def send_text(self, payload: str) -> None:
-        self.call_id = json.loads(payload)["id"]
-
-    def recv_text(self, timeout_s: float) -> str:
-        return self.reply(self.call_id)
-
-
-def evaluated(value):
-    """A reply whose page evaluation returned ``value``."""
-    return lambda call_id: json.dumps({"id": call_id, "result": {"result": {"value": value}}})
-
-
-class TestBrowserReplies:
-    """A browser reply that is not the JSON object the code reads is a
-    ConversionError, or Unreachable from the target endpoint (both
-    AuditErrors, which the CLI maps to exit 2), never a traceback."""
-
     @pytest.mark.parametrize(
-        "reply",
+        "key, entry, message",
         [
-            lambda call_id: DEEP,
-            lambda call_id: json.dumps([{"id": call_id, "result": {}}]),
-            lambda call_id: json.dumps({"id": call_id, "result": [1]}),
+            ("paint", {"name": "first-paint", "startTime": [1]}, "$.paint[0].startTime: must be a number"),
+            ("elements", {"renderTime": {}}, "$.elements[0].renderTime: must be a number"),
+            ("longtasks", {"startTime": 300.0, "duration": "80"}, "$.longtasks[0].duration: must be a number"),
+            ("longtasks", {"startTime": True}, "$.longtasks[0].startTime: must be a number"),
+            # json.loads reads the literal Infinity as float("inf"), which int() cannot convert
+            ("resources", json.loads('{"responseEnd": 90, "transferSize": Infinity}'),
+             "$.resources[0].transferSize: must be finite"),
+            ("resources", {"responseEnd": 90, "transferSize": 1.5}, "$.resources[0].transferSize: must be an integer"),
+            ("resources", {"responseEnd": 90, "transferSize": -1}, "$.resources[0].transferSize: must be >= 0"),
+            ("resources", {"responseEnd": 1e400}, "$.resources[0].responseEnd: must be finite"),
         ],
-        ids=["deep", "array", "non-object-result"],
-    )
-    def test_rpc(self, reply):
-        with pytest.raises(ConversionError, match="^Page.enable returned a malformed reply: "):
-            _rpc(StandInSocket(reply), "Page.enable", {}, time.monotonic() + 5)
+        ids=["array-start", "object-render", "string-duration", "bool-start", "infinite-size", "fractional-size",
+             "negative-size", "inf-end"],
+    )  # fmt: skip
+    def test_a_bad_entry_number_is_a_conversion_error_at_its_path(self, key, entry, message):
+        payload = self.payload()
+        payload[key] = [entry]
+        with pytest.raises(ConversionError) as raised:
+            trace_from_performance_entries(payload)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
-        "reply",
+        "navigation, message",
         [
-            evaluated(DEEP),
-            evaluated("[1, 2]"),
-            lambda call_id: json.dumps({"id": call_id, "result": {"result": [1]}}),
+            ({"loadEventEnd": "x"}, "$.navigation.loadEventEnd: must be a number"),
+            ([700.0], "$.navigation: must be an object"),
         ],
-        ids=["deep", "array", "non-object-result"],
+        ids=["string-load-end", "not-an-object"],
     )
-    def test_evaluate(self, reply):
-        with pytest.raises(ConversionError, match="^page evaluation returned "):
-            _evaluate(StandInSocket(reply), "1", time.monotonic() + 5)
+    def test_bad_navigation_milestones_are_a_conversion_error_at_their_path(self, navigation, message):
+        payload = self.payload()
+        payload["navigation"] = navigation
+        with pytest.raises(ConversionError) as raised:
+            trace_from_performance_entries(payload)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
-        "body",
-        [DEEP, '[{"webSocketDebuggerUrl": "ws://127.0.0.1:9/page"}]', '{"webSocketDebuggerUrl": ["ws://x"]}'],
-        ids=["deep", "array", "non-string-socket"],
+        "key, entry",
+        [
+            ("paint", '{"name": "first-paint", "startTime": NaN}'),
+            ("elements", '{"renderTime": NaN}'),
+            ("elements", '{"loadTime": NaN}'),
+            ("elements", '{"startTime": NaN}'),
+            ("elements", '{"renderTime": 450, "size": NaN}'),
+            ("longtasks", '{"startTime": NaN, "duration": 80}'),
+            ("longtasks", '{"startTime": 300, "duration": NaN}'),
+            ("resources", '{"responseEnd": NaN}'),
+            ("resources", '{"responseEnd": 90, "startTime": NaN}'),
+            ("resources", '{"responseEnd": 90, "requestStart": NaN}'),
+            ("resources", '{"responseEnd": 90, "transferSize": NaN}'),
+            ("navigation", '{"domContentLoaded": NaN}'),
+            ("navigation", '{"loadEventEnd": NaN}'),
+        ],
+        ids=lambda value: value if value[0] != "{" else re.search(r'"(\w+)": NaN', value)[1],
     )
-    def test_open_target(self, monkeypatch, body):
-        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body.encode("utf-8")))
-        with pytest.raises(Unreachable, match="^127.0.0.1:9 returned "):
-            _open_target("127.0.0.1:9", time.monotonic() + 5)
+    def test_every_entry_number_refuses_nan_at_its_path(self, key, entry):
+        # json.loads reads the literal NaN, which compares false with every
+        # bound, so only a field reader keeps it out of the trace.
+        payload = self.payload()
+        field = re.search(r'"(\w+)": NaN', entry)[1]
+        if key == "navigation":
+            payload[key] = json.loads(entry)
+            path = f"$.navigation.{field}"
+        else:
+            payload[key] = [json.loads(entry)]
+            path = f"$.{key}[0].{field}"
+        with pytest.raises(ConversionError) as raised:
+            trace_from_performance_entries(payload)
+        assert str(raised.value) == f"{path}: must be finite"
 
-    @pytest.mark.parametrize("body", [DEEP, "[]"], ids=["deep", "array"])
-    def test_audit_command_exits_two(self, monkeypatch, capsys, body):
-        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: io.BytesIO(body.encode("utf-8")))
-        assert main(["audit", "https://site.test", "--endpoint", "127.0.0.1:9"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: 127.0.0.1:9 returned a malformed target: ")
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-
-class TestCaptureRequest:
-    def test_validation(self):
-        capture_request()  # valid
-        with pytest.raises(ValueError):
-            capture_request(url="ftp://site.test")
-        with pytest.raises(ValueError):
-            capture_request(url="/relative/path")
-        with pytest.raises(ValueError):
-            capture_request(timeout_ms=0.0)
+    def test_zero_and_null_numbers_mean_absent(self):
+        payload = self.payload()
+        payload["paint"][0]["startTime"] = None
+        payload["elements"][0].update(renderTime=None, loadTime=0)
+        payload["resources"][0].update(transferSize=None, requestStart=None)
+        payload["navigation"] = None
+        trace = trace_from_performance_entries(payload)
+        assert trace.paint_events[0].t_ms == 0.0
+        assert [p.t_ms for p in trace.paint_events if p.kind == "fmp-candidate"] == [520.0]
+        assert (trace.requests[0].bytes, trace.requests[0].start_ms) == (0, 10.0)
+        assert 700.0 not in [v.t_ms for v in trace.visual_progress]

@@ -11,7 +11,6 @@ from webaudit.config import (
     DeviceMode,
     OutlierBounds,
     ThrottleSpec,
-    Viewport,
     calibration_from_dict,
     default_calibration_text,
     load_calibration,
@@ -118,7 +117,7 @@ class TestCalibrationSchema:
         "mutate, path_part",
         [
             (lambda d: d.pop("modes"), "modes"),
-            (lambda d: d["modes"].update(tablet={"viewport": {"width": 1, "height": 1}, "cpu_multiplier": 1}), "tablet"),
+            (lambda d: d["modes"].update(tablet={"cpu_multiplier": 1}), "tablet"),
             (lambda d: d["curves"]["mobile"].pop("tti"), "tti"),
             (lambda d: d["curves"]["mobile"]["fcp"].update(podr_ms=99999), "fcp"),
             (lambda d: d["weights"].update(fcp="heavy"), "weights"),
@@ -166,6 +165,16 @@ class TestCalibrationSchema:
     def test_old_calibration_with_uplink_still_loads(self):
         doc = self.base()
         doc["throttle_profiles"]["4g"]["uplink_kbps"] = 750
+        assert calibration_from_dict(doc) == calibration_from_dict(self.base())
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"foo": 1}, {"viewport": {"width_px": 0, "height_px": 640}}],
+        ids=["unknown-key", "retired-viewport"],
+    )
+    def test_keys_a_mode_item_does_not_read_are_ignored(self, extra):
+        doc = self.base()
+        doc["modes"]["mobile"].update(extra)
         assert calibration_from_dict(doc) == calibration_from_dict(self.base())
 
     def test_missing_optional_sections_load_the_packaged_values(self):
@@ -264,9 +273,7 @@ class TestOutlierBounds:
 
 
 class TestDeviceMode:
-    def test_viewport_and_cpu_validation(self):
-        DeviceMode(kind="mobile", viewport=Viewport(360, 640), cpu_multiplier=4.0)
+    def test_cpu_validation(self):
+        DeviceMode(kind="mobile", cpu_multiplier=4.0)
         with pytest.raises(ValueError):
-            Viewport(0, 640)
-        with pytest.raises(ValueError):
-            DeviceMode(kind="mobile", viewport=Viewport(360, 640), cpu_multiplier=0.5)
+            DeviceMode(kind="mobile", cpu_multiplier=0.5)

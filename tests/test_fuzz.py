@@ -150,7 +150,7 @@ def test_mutated_throttle_profiles(files, capsys):
         files["doc"].write_text(dump(document), "utf-8")
         case = f"profile {i}: {done}"
         throttle = str(files["doc"])
-        codes.append(run(["audit", "x", "--trace-in", str(files["trace"]), "--throttle", throttle], case))
+        codes.append(run(["score", "--trace", str(files["trace"]), "--throttle", throttle], case))
         codes.append(run(["simulate", "--plan", str(files["plan"]), "--profile", throttle], case))
         capsys.readouterr()
     assert {0, 2} <= set(codes)
@@ -242,7 +242,7 @@ def test_mutated_traces(files, capsys):
         case = f"trace {i}: {done}"
         trace = str(files["doc"])
         codes.append(run(["score", "--trace", trace], case))
-        codes.append(run(["audit", "x", "--trace-in", trace, "--throttle", rng.choice(("4g", "none"))], case))
+        codes.append(run(["score", "--trace", trace, "--throttle", rng.choice(("4g", "none"))], case))
         capsys.readouterr()
     assert {0, 2} <= set(codes)
 

@@ -14,9 +14,8 @@ import pytest
 import webaudit.trace
 from conftest import random_trace
 from oracles import from_dict_fieldwise
-from webaudit.capture import CaptureRequest
 from webaudit.collector import load_trace, write_trace
-from webaudit.config import DeviceMode, OutlierBounds, Viewport, load_calibration, resolve_throttle
+from webaudit.config import DeviceMode, OutlierBounds, load_calibration, resolve_throttle
 from webaudit.corpus import AuditResult, SiteRecord
 from webaudit.errors import InvalidCurve, SchemaError
 from webaudit.metrics import QuietWindow
@@ -132,7 +131,7 @@ class TestRecords:
         )
 
 
-MOBILE = DeviceMode("mobile", Viewport(360, 640), 4.0)
+MOBILE = DeviceMode("mobile", 4.0)
 FAILED = AuditResult(
     SiteRecord(1, "A", "provinsi", "Kab. Garut", "https://a.test"),
     "mobile", "failed", None, None, date(2019, 8, 25), False, "Unreachable: refused",
@@ -141,7 +140,6 @@ FAILED = AuditResult(
 # A valid record of each type whose constructor checks its fields, and a
 # change that the check rejects.
 CHECKED = [
-    (Viewport(360, 640), {"height_px": 0}),
     (MOBILE, {"kind": "tablet"}),
     (MOBILE, {"cpu_multiplier": 0.5}),
     (OutlierBounds(99.0, 1.0), {"lower": 99.0}),
@@ -150,7 +148,6 @@ CHECKED = [
     (WeightTable(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), {"fcp": math.nan}),
     (CategoryBands(90.0, 50.0), {"average_min": 90.0}),
     (ThrottleProfile(150.0, 1638.4), {"downlink_kbps": math.nan}),
-    (CaptureRequest("https://a.test/", MOBILE), {"url": "ftp://a.test/"}),
     (FAILED, {"failure_reason": None}),
     (FAILED, {"status": "skipped"}),
 ]
