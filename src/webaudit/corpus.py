@@ -29,8 +29,8 @@ from .config import (
     resolve_throttle,
 )
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
-from .metrics import METRIC_KEYS, MetricSet, compute_all
-from .netsim import throttler
+from .metrics import METRIC_KEYS, Edges, MetricSet, compute_all
+from .netsim import LinkReplay, replay_link, replay_mode
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
 from .trace import (
     NormalizedTrace,
@@ -141,9 +141,11 @@ def membership_filter(records: Iterable[SiteRecord], member_regions: Sequence[st
     return [record for record in records if normalize_region(record.region) in members]
 
 
-def audit_trace(trace: NormalizedTrace, mode: DeviceMode, calibration: Calibration) -> tuple[MetricSet, ScoreReport]:
-    """Metrics plus scores for one already-throttled trace."""
-    metrics = compute_all(trace, quiet=calibration.quiet_window)
+def audit_trace(
+    trace: NormalizedTrace, mode: DeviceMode, calibration: Calibration, edges: Edges | None = None
+) -> tuple[MetricSet, ScoreReport]:
+    """Metrics plus scores for one already-throttled trace; ``edges`` as for compute_all."""
+    metrics = compute_all(trace, calibration.quiet_window, edges)
     report = score_metrics(metrics, calibration.curves_for(mode.kind), calibration.weights, calibration.bands)
     return metrics, report
 
@@ -167,8 +169,9 @@ def run_batch(
 ) -> list[AuditResult]:
     """Audit every record in every mode from stored traces, one pass per site.
 
-    A site's trace is loaded once and throttled per mode through one
-    `netsim.throttler`, so the modes share its network replay. Results come
+    A site's trace is loaded once. Each distinct link is replayed once per
+    site (`netsim.replay_link`), and every mode on it is retimed from that
+    replay (`netsim.replay_mode`) and reads its in-flight edges. Results come
     back sorted by (site number, mode kind). Per-item failures never abort
     the batch.
     """
@@ -205,14 +208,25 @@ def run_batch(
 
     for site in records:
         try:
-            replay = throttler(load_trace(traces_dir / (trace_slug(site.url) + ".json")))
+            trace = load_trace(traces_dir / (trace_slug(site.url) + ".json"))
         except (AuditError, OSError) as exc:
             for kind in modes:
                 add_result(site, kind, exc=exc)
             continue
+        links: dict[tuple[float, float], LinkReplay] = {}
         for kind in modes:
+            profile = profiles[kind]
             try:
-                metrics, report = audit_trace(replay(profiles[kind]), calibration.mode(kind), calibration)
+                if profile.is_identity:
+                    # As in apply_throttle, the identity profile leaves the trace as recorded.
+                    throttled, edges = trace, None
+                else:
+                    key = (profile.rtt_ms, profile.downlink_kbps)
+                    if key not in links:
+                        links[key] = replay_link(trace, profile)
+                    link = links[key]
+                    throttled, edges = replay_mode(trace, link, profile.cpu_multiplier), link.edges
+                metrics, report = audit_trace(throttled, calibration.mode(kind), calibration, edges)
             except AuditError as exc:
                 add_result(site, kind, exc=exc)
             else:

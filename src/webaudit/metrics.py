@@ -9,10 +9,18 @@ free of long tasks (and, for TTI, of heavy network activity).
 
 from __future__ import annotations
 
+import operator
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IncompleteVisualProgress, NoContentfulPaint
 from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, _checked_record
+
+_START_MS = operator.attrgetter("start_ms")
+_END_MS = operator.attrgetter("end_ms")
+
+# In-flight edges: (sorted start_ms values, sorted end_ms values) of a trace's requests.
+Edges = tuple[list[float], list[float]]
 
 
 @_checked_record
@@ -105,7 +113,7 @@ def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float
     or before w (at least fcp). Traces are treated as quiet past their end,
     so a window always exists.
     """
-    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), trace.requests, fcp, quiet)
+    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), _request_edges(trace.requests), fcp, quiet)
 
 
 def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
@@ -113,10 +121,8 @@ def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float
     return _fci(_long_task_intervals(trace.tasks, quiet.long_task_ms), fcp, quiet)
 
 
-def _tti(
-    long_tasks: list[tuple[float, float]], requests: Sequence[NetworkRequest], fcp: float, quiet: QuietWindow
-) -> float:
-    blockers = long_tasks + _overload_intervals(requests, quiet.max_inflight_requests)
+def _tti(long_tasks: list[tuple[float, float]], edges: Edges, fcp: float, quiet: QuietWindow) -> float:
+    blockers = long_tasks + _overload_intervals(edges, quiet.max_inflight_requests)
     w = _earliest_quiet_start(blockers, fcp, quiet.window_ms)
     return _last_long_task_end(long_tasks, w, fcp)
 
@@ -135,8 +141,13 @@ def compute_max_fid(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     return best
 
 
-def compute_all(trace: NormalizedTrace, quiet: QuietWindow | None = None) -> MetricSet:
-    """All six metrics in dependency order; ``quiet`` defaults to the packaged calibration's."""
+def compute_all(trace: NormalizedTrace, quiet: QuietWindow | None = None, edges: Edges | None = None) -> MetricSet:
+    """All six metrics in dependency order; ``quiet`` defaults to the packaged calibration's.
+
+    ``edges`` are the trace's in-flight edges when the caller already has
+    them, as a replay's link stage does; by default they are built from
+    ``trace.requests``.
+    """
     if quiet is None:
         from .config import load_calibration  # config imports this module
 
@@ -146,7 +157,9 @@ def compute_all(trace: NormalizedTrace, quiet: QuietWindow | None = None) -> Met
     speed_index = compute_speed_index(trace)
     # TTI and FCI share the long tasks.
     long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
-    tti = _tti(long_tasks, trace.requests, fcp, quiet)
+    if edges is None:
+        edges = _request_edges(trace.requests)
+    tti = _tti(long_tasks, edges, fcp, quiet)
     fci = _fci(long_tasks, fcp, quiet)
     max_fid = compute_max_fid(trace, fcp, tti)
     return MetricSet(fcp, fmp, speed_index, tti, fci, max_fid)
@@ -156,33 +169,37 @@ def _long_task_intervals(tasks: Sequence[MainThreadTask], long_task_ms: float) -
     return [(start, start + dur) for start, dur in tasks if dur > long_task_ms]
 
 
-def _overload_intervals(requests: Sequence[NetworkRequest], max_inflight: int) -> list[tuple[float, float]]:
+def in_flight_edges(starts: Iterable[float], ends: Iterable[float]) -> Edges:
+    """TTI's in-flight edges: the requests' start times and end times, each sorted."""
+    return sorted(starts), sorted(ends)
+
+
+def _request_edges(requests: Sequence[NetworkRequest]) -> Edges:
+    return in_flight_edges(map(_START_MS, requests), map(_END_MS, requests))
+
+
+def _overload_intervals(edges: Edges, max_inflight: int) -> list[tuple[float, float]]:
     """Half-open intervals during which more than max_inflight requests are in flight.
 
-    A request is in flight over [start_ms, end_ms). Events at equal times are
-    merged so that a request ending exactly when another starts does not
-    produce a spurious overload.
+    A request is in flight over [start_ms, end_ms), and start_ms <= end_ms
+    (the trace schema's rule). With S the sorted starts, E the sorted ends
+    and k = max_inflight, the count in flight at t is
+    #{S <= t} - #{E <= t}, which exceeds k exactly on the union of the
+    pieces [S[k+m], E[m]). Both bounds ascend with m, so consecutive pieces
+    merge unless one starts strictly after the previous one ends: a request
+    ending exactly when another starts leaves no gap, and a zero-length
+    request adds as much to S as to E. Each run of merged pieces is one
+    interval, kept when it is not empty.
     """
-    # Net change in flight per time. A dict keeps the key it was first given,
-    # so each time is reported as its first event, as a stable sort would.
-    deltas: dict[float, int] = {}
-    for r in requests:
-        start, end = r.start_ms, r.end_ms
-        if end > start:
-            deltas[start] = deltas.get(start, 0) + 1
-            deltas[end] = deltas.get(end, 0) - 1
-
-    out = []
-    count = 0
-    over_since = None
-    for t in sorted(deltas):
-        count += deltas[t]
-        if count > max_inflight and over_since is None:
-            over_since = t
-        elif count <= max_inflight and over_since is not None:
-            out.append((over_since, t))
-            over_since = None
-    return out
+    starts, ends = edges
+    lows = starts[max_inflight:]  # piece m is [lows[m], ends[m])
+    if not lows:
+        return []
+    tail = lows[1:]
+    gaps = list(map(operator.gt, tail, ends))  # gaps[m]: piece m+1 starts after piece m ends
+    firsts = [lows[0], *compress(tail, gaps)]
+    lasts = [*compress(ends, gaps), ends[len(tail)]]
+    return list(compress(zip(firsts, lasts), map(operator.lt, firsts, lasts)))
 
 
 def _earliest_quiet_start(blockers: Iterable[tuple[float, float]], origin: float, window_ms: float) -> float:

@@ -4,10 +4,14 @@ The downlink is modeled as a single shared pipe split equally among all
 requests in flight (processor sharing), simulated with a GPS virtual
 clock and a heap of finish tags, O(log n) per arrival or completion. A
 request becomes visible some fixed offset after its parent finishes,
-then spends one round trip before its first byte arrives. Applying a
-throttle to a recorded trace rebuilds the request waterfall under these
-rules, stretches main-thread tasks, and shifts paint/visual timestamps
-along with the requests that preceded them.
+then spends one round trip before its first byte arrives.
+
+Applying a throttle to a recorded trace runs in two stages. The link
+stage (replay_link) rebuilds the request waterfall under these rules,
+shifts paint/visual timestamps along with the requests that preceded
+them, and sorts the replayed requests' in-flight edges for TTI once. It
+reads only the link, so the modes on one link share it. The mode stage
+(replay_mode) stretches the main-thread tasks by the CPU multiplier.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import bisect
 import heapq
 import math
 import operator
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import CyclicPlan, SchemaError, ThrottleOverflow
+from .metrics import Edges, in_flight_edges
 from .trace import (
     MainThreadTask,
     NetworkRequest,
@@ -248,58 +253,30 @@ def _parents(
     return parents, offsets
 
 
-def infer_plan(trace: NormalizedTrace) -> tuple[list[int], list[float]]:
-    """(parents, offsets) of the trace's requests by the replay parent rule
-    (see _parents), numbered as in the trace, for waterfall_times."""
-    return _parents(trace.requests, _finish_table(trace.requests))
+class LinkReplay(NamedTuple):
+    """The link stage's output: the trace's network replayed on one link."""
+
+    requests: tuple[NetworkRequest, ...]
+    paint_events: tuple[PaintEvent, ...]
+    visual_progress: tuple[VisualSample, ...]
+    edges: Edges  # the replayed requests' in-flight edges, for compute_all
 
 
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
-    """Rebuild a trace as if it had been recorded under the profile."""
-    return throttler(trace)(profile)
+    """Rebuild a trace as if it had been recorded under the profile: its link
+    stage, then its mode stage."""
+    # Recorded times already contain the recording network's delays, so even
+    # a no-op re-simulation would move them: identity returns the trace as given.
+    if profile.is_identity:
+        return trace
+    return replay_mode(trace, replay_link(trace, profile), profile.cpu_multiplier)
 
 
-def throttler(trace: NormalizedTrace) -> Callable[[ThrottleProfile], NormalizedTrace]:
-    """``throttle(profile)``: the trace rebuilt as if recorded under the profile.
-
-    The network replay reads only the link (rtt_ms, downlink_kbps), so it
-    runs once per distinct link; tasks are retimed per profile.
-    """
-    networks: dict[tuple[float, float], tuple] = {}  # link -> (requests, paints, visual)
-
-    def throttle(profile: ThrottleProfile) -> NormalizedTrace:
-        # Recorded times already contain the recording network's delays, so even
-        # a no-op re-simulation would move them: identity returns the trace as given.
-        if profile.is_identity:
-            return trace
-        link = (profile.rtt_ms, profile.downlink_kbps)
-        if link not in networks:
-            networks[link] = _replay_network(trace, profile)
-        requests, paints, visual = networks[link]
-        scaled_tasks = []
-        cpu = profile.cpu_multiplier
-        prev_old_end = prev_new_end = 0.0
-        for old_start, old_dur in trace.tasks:
-            start = prev_new_end + (old_start - prev_old_end)
-            dur = old_dur * cpu
-            scaled_tasks.append((start, dur))
-            prev_old_end = old_start + old_dur
-            prev_new_end = start + dur
-        # The last task's end bounds every task.
-        _check_finite([prev_new_end])
-        return NormalizedTrace(
-            paint_events=paints,
-            tasks=records(MainThreadTask, scaled_tasks),
-            requests=requests,
-            visual_progress=visual,
-        )
-
-    return throttle
-
-
-def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
-    """The trace's (requests, paints, visual samples) replayed on the
-    profile's link. Reads only rtt_ms and downlink_kbps."""
+def replay_link(trace: NormalizedTrace, profile: ThrottleProfile) -> LinkReplay:
+    """The link stage: the trace's requests, paints and visual samples
+    replayed on the profile's link, with the replayed requests' in-flight
+    edges. Reads only rtt_ms and downlink_kbps, so every mode on one link
+    can share it."""
     old = trace.requests
     table = _finish_table(old)
     parents, offsets = _parents(old, table)
@@ -321,7 +298,30 @@ def _replay_network(trace: NormalizedTrace, profile: ThrottleProfile) -> tuple:
     )
     moved = [(t + deltas[after(finish_ends, t)], fraction) for t, fraction in trace.visual_progress]
     moved.sort(key=_T_MS)
-    return new_requests, new_paints, clamp_visual_progress(records(VisualSample, moved))
+    visual = clamp_visual_progress(records(VisualSample, moved))
+    return LinkReplay(new_requests, new_paints, visual, in_flight_edges(starts, ends))
+
+
+def replay_mode(trace: NormalizedTrace, link: LinkReplay, cpu_multiplier: float) -> NormalizedTrace:
+    """The mode stage: the trace with the link stage's network and its tasks
+    retimed for cpu_multiplier. Each task keeps its recorded gap to the task
+    before it and lasts cpu_multiplier times as long."""
+    scaled_tasks = []
+    prev_old_end = prev_new_end = 0.0
+    for old_start, old_dur in trace.tasks:
+        start = prev_new_end + (old_start - prev_old_end)
+        dur = old_dur * cpu_multiplier
+        scaled_tasks.append((start, dur))
+        prev_old_end = old_start + old_dur
+        prev_new_end = start + dur
+    # The last task's end bounds every task.
+    _check_finite([prev_new_end])
+    return NormalizedTrace(
+        paint_events=link.paint_events,
+        tasks=records(MainThreadTask, scaled_tasks),
+        requests=link.requests,
+        visual_progress=link.visual_progress,
+    )
 
 
 def _check_finite(times: list[float]) -> None:

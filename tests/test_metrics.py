@@ -1,13 +1,15 @@
 """Metric computations against hand-worked values and brute-force oracles."""
 
 import json
+import math
 import random
 
 import pytest
 
 from oracles import max_fid_brute, overload_intervals_groupby, quiet_window_scan, speed_index_riemann
 from conftest import random_trace
-from webaudit import config
+from webaudit import config, metrics
+from webaudit.config import resolve_throttle
 from webaudit.errors import IncompleteVisualProgress, NoContentfulPaint
 from webaudit.metrics import (
     MetricSet,
@@ -19,8 +21,9 @@ from webaudit.metrics import (
     compute_speed_index,
     compute_tti,
     _overload_intervals,
+    _request_edges,
 )
-from webaudit.netsim import ThrottleProfile, apply_throttle
+from webaudit.netsim import ThrottleProfile, apply_throttle, replay_link, replay_mode
 from webaudit.trace import (
     MainThreadTask,
     NetworkRequest,
@@ -201,13 +204,16 @@ def requests_over(*spans):
 
 
 class TestOverloadScan:
-    """The one-pass dict scan against the sort + groupby oracle: equal results
-    of the same types, so repr compares int against float and -0.0 against 0.0."""
+    """The sorted-edges kernel against the sort + groupby oracle, equal by value.
+
+    A kernel bound is the (k+1)-th start or an end, where the oracle's is the
+    first event at that time; so the two may differ in the sign of a zero or
+    in int against float. No bound reaches a metric (TestInFlightEdges)."""
 
     @staticmethod
     def agree(requests, max_inflight=2):
-        got = _overload_intervals(requests, max_inflight)
-        assert repr(got) == repr(overload_intervals_groupby(requests, max_inflight))
+        got = _overload_intervals(_request_edges(requests), max_inflight)
+        assert got == overload_intervals_groupby(requests, max_inflight)
         return got
 
     def test_request_ending_as_another_starts_is_no_overload(self):
@@ -224,15 +230,15 @@ class TestOverloadScan:
 
     def test_negative_zero_start_is_kept(self):
         got = self.agree(requests_over((-0.0, 100.0), (0.0, 100.0), (0.0, 50.0)))
-        assert repr(got) == "[(-0.0, 50.0)]"
+        assert got == [(-0.0, 50.0)]
         got = self.agree(requests_over((0.0, 100.0), (-0.0, 100.0), (0.0, 50.0)))
         assert repr(got) == "[(0.0, 50.0)]"
 
-    def test_first_event_at_a_time_names_it(self):
-        # An int end and float starts at one instant: the earliest event names it.
+    def test_int_end_and_float_starts_at_one_instant(self):
         ends_at_10 = NetworkRequest(0, 0, 10, 1, "https://x.test")
         starts_at_10 = requests_over((10.0, 20.0), (10.0, 20.0))
-        assert repr(self.agree([ends_at_10] + starts_at_10, max_inflight=1)) == "[(10, 20.0)]"
+        # The oracle names the interval by the int end, the first event at 10.
+        assert self.agree([ends_at_10] + starts_at_10, max_inflight=1) == [(10, 20.0)]
         assert repr(self.agree(starts_at_10 + [ends_at_10], max_inflight=1)) == "[(10.0, 20.0)]"
 
     def test_matches_oracle_on_random_traces(self, rng):
@@ -252,6 +258,73 @@ class TestOverloadScan:
                 a, b = rng.choice(times), rng.choice(times)
                 spans.append((a, b) if a <= b else (b, a))
             self.agree(requests_over(*spans), rng.randint(0, 3))
+
+    def test_matches_oracle_on_tie_heavy_requests(self, rng):
+        # Coincident starts and ends, a third of the requests zero-length, both zeros, k = 0..4.
+        times = (-0.0, 0.0, 0, 5.0, 5, 10.0)
+        for _ in range(1000):
+            spans = []
+            for _ in range(rng.randint(0, 16)):
+                a = rng.choice(times)
+                b = a if rng.random() < 1 / 3 else rng.choice(times)
+                spans.append((a, b) if a <= b else (b, a))
+            requests = requests_over(*spans)
+            for max_inflight in range(5):
+                self.agree(requests, max_inflight)
+
+
+def zero_start_trace(requests):
+    """A trace that paints at 0 and has a long task, over the given requests."""
+    return NormalizedTrace(
+        paint_events=(PaintEvent(0.0, "contentful-paint"),),
+        tasks=(MainThreadTask(0.0, 60.0), MainThreadTask(70.0, 60.0)),
+        requests=tuple(requests),
+        visual_progress=(VisualSample(0.0, 1.0),),
+    )
+
+
+class TestInFlightEdges:
+    """compute_all with a link stage's edges, or with the kernel's interval
+    bounds, gives the very metrics (by repr) it gives from the trace alone
+    or with the oracle's bounds."""
+
+    @pytest.fixture
+    def profiles(self, tmp_path, calibration):
+        profile_file = tmp_path / "profile.json"
+        profile_file.write_text(json.dumps({"rtt_ms": 40, "downlink_kbps": 700, "cpu_multiplier": 2}), "utf-8")
+        return [
+            resolve_throttle("4g", calibration, calibration.mode("mobile")),
+            resolve_throttle(str(profile_file), calibration),
+            ThrottleProfile(rtt_ms=150.0, downlink_kbps=math.inf),
+        ]
+
+    def test_link_stage_edges_give_the_same_metrics(self, profiles, quiet, rng):
+        for profile in profiles:
+            for _ in range(150):
+                trace = random_trace(rng)
+                link = replay_link(trace, profile)
+                throttled = replay_mode(trace, link, profile.cpu_multiplier)
+                assert repr(link.edges) == repr(_request_edges(throttled.requests))
+                assert repr(compute_all(throttled, quiet, link.edges)) == repr(compute_all(throttled, quiet))
+
+    def test_kernel_bounds_never_reach_a_metric(self, monkeypatch, quiet, rng):
+        ends_at_10 = NetworkRequest(0, 0, 10, 1, "https://x.test")
+        traces = [
+            zero_start_trace(requests_over((-0.0, 100.0), (0.0, 100.0), (0.0, 50.0))),
+            zero_start_trace(requests_over((0.0, 100.0), (-0.0, 100.0), (0.0, 50.0))),
+            zero_start_trace([ends_at_10] + requests_over((10.0, 20.0), (10.0, 20.0))),
+        ] + [random_trace(rng) for _ in range(200)]
+        for trace in traces:
+            for k in range(3):
+                allowed = quiet._replace(max_inflight_requests=k)
+                expected = repr(compute_all(trace, allowed))
+                with monkeypatch.context() as patched:
+
+                    def oracle(edges, max_inflight):
+                        return overload_intervals_groupby(trace.requests, max_inflight)
+
+                    patched.setattr(metrics, "_overload_intervals", oracle)
+                    assert repr(compute_all(trace, allowed)) == expected
 
 
 class TestComputeAll:

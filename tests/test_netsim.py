@@ -14,8 +14,9 @@ from webaudit.errors import CyclicPlan, SchemaError, ThrottleOverflow
 from webaudit.netsim import (
     ThrottleProfile,
     UNTHROTTLED,
+    _finish_table,
+    _parents,
     apply_throttle,
-    infer_plan,
     plan_from_dict,
     waterfall_times,
 )
@@ -28,6 +29,12 @@ from webaudit.trace import (
 )
 
 FOUR_G = ThrottleProfile(rtt_ms=100.0, downlink_kbps=1000.0, cpu_multiplier=1.0)
+
+
+def parent_rule(trace: NormalizedTrace) -> tuple[list[int], list[float]]:
+    """(parents, offsets) of the trace's requests by the replay parent rule
+    that the link stage hands to waterfall_times."""
+    return _parents(trace.requests, _finish_table(trace.requests))
 
 
 def times(*reqs, profile=FOUR_G) -> list[tuple[float, float]]:
@@ -119,7 +126,7 @@ class TestCycles:
         # Built by hand past the schema (the second request ends before it
         # starts), so by the parent rule each request waits on the other.
         trace = NormalizedTrace(requests=(NetworkRequest(10, 10, 20, 1000, "o"), NetworkRequest(25, 25, 8, 1000, "o")))
-        assert infer_plan(trace) == ([1, 0], [2, 5])
+        assert parent_rule(trace) == ([1, 0], [2, 5])
         with pytest.raises(CyclicPlan):
             apply_throttle(trace, FOUR_G)
 
@@ -179,7 +186,7 @@ class TestInferPlan:
                 NetworkRequest(300.0, 310.0, 450.0, 100, "https://a.test"),
             )
         )
-        assert infer_plan(trace) == ([-1, 0, -1], [0.0, 0.0, 300.0])
+        assert parent_rule(trace) == ([-1, 0, -1], [0.0, 0.0, 300.0])
 
     def test_tie_prefers_earliest_finisher(self):
         trace = NormalizedTrace(
@@ -189,7 +196,7 @@ class TestInferPlan:
                 NetworkRequest(500.0, 510.0, 700.0, 100, "https://a.test"),
             )
         )
-        assert infer_plan(trace)[0][2] == 0
+        assert parent_rule(trace)[0][2] == 0
 
     def test_simultaneous_zero_length_twins_stay_acyclic(self):
         # the naive rule would make these two adopt each other
@@ -199,14 +206,14 @@ class TestInferPlan:
                 NetworkRequest(100.0, 100.0, 100.0, 0, "https://a.test"),
             )
         )
-        assert infer_plan(trace)[0] == [-1, 0]
+        assert parent_rule(trace)[0] == [-1, 0]
 
     def test_indices_follow_trace_order(self, rng):
         from conftest import random_trace
 
         trace = random_trace(rng)
         reqs = trace.requests
-        parents, offsets = infer_plan(trace)
+        parents, offsets = parent_rule(trace)
         assert len(parents) == len(offsets) == len(reqs)
         for req, parent, offset in zip(reqs, parents, offsets):
             assert offset == req.discovered_ms - (0.0 if parent < 0 else reqs[parent].end_ms)
@@ -286,7 +293,7 @@ class TestParentRuleOracle:
         rng = random.Random(0x9A7E)
         for _ in range(self.SETS):
             requests = tied_requests(rng)
-            parents, offsets = infer_plan(NormalizedTrace(requests=tuple(requests)))
+            parents, offsets = parent_rule(NormalizedTrace(requests=tuple(requests)))
             got = [(None if parent < 0 else parent, offset) for parent, offset in zip(parents, offsets)]
             assert got == parent_scan(requests), requests
 
@@ -449,7 +456,7 @@ class TestMinMaxKernelOracle:
         rng = random.Random(0xB18)
         for i in range(4):
             trace = burst_trace(rng, rng.randint(200, 1000))
-            parents, offsets = infer_plan(trace)
+            parents, offsets = parent_rule(trace)
             case = (parents, offsets, [req.bytes for req in trace.requests], FOUR_G)
             assert kernel_outcome(waterfall_times, *case) == kernel_outcome(waterfall_times_minmax, *case), i
 
@@ -493,7 +500,7 @@ class TestLargeReplay:
         for i in range(6):
             trace = burst_trace(rng, rng.randint(200, 1000))
             profile = resolve_throttle("4g", calibration, calibration.mode(("mobile", "desktop")[i % 2]))
-            parents, offsets = infer_plan(trace)
+            parents, offsets = parent_rule(trace)
             sizes = [req.bytes for req in trace.requests]
             out = apply_throttle(trace, profile).requests
             want_starts, want_ends = share_rescan(parents, offsets, sizes, profile)

@@ -19,7 +19,7 @@ from webaudit.config import DeviceMode, OutlierBounds, load_calibration, resolve
 from webaudit.corpus import AuditResult, SiteRecord
 from webaudit.errors import InvalidCurve, SchemaError
 from webaudit.metrics import QuietWindow
-from webaudit.netsim import UNTHROTTLED, ThrottleProfile, apply_throttle, throttler
+from webaudit.netsim import UNTHROTTLED, ThrottleProfile, apply_throttle, replay_link, replay_mode
 from webaudit.scoring import CategoryBands, ScoreCurve, WeightTable
 from webaudit.synth import build_demo_trace
 from webaudit.trace import (
@@ -268,13 +268,13 @@ class TestExactRecordTypes:
             assert_exact_records(apply_throttle(trace, profile))
             assert_exact_records(apply_throttle(trace, UNTHROTTLED))
 
-    def test_each_mode_of_one_throttler(self, traces):
+    def test_each_mode_of_one_link_replay(self, traces):
         calibration = load_calibration()
+        profiles = [resolve_throttle("4g", calibration, calibration.mode(kind)) for kind in sorted(calibration.modes)]
         for trace in traces:
-            throttle = throttler(trace)
-            for kind in sorted(calibration.modes):
-                assert_exact_records(throttle(resolve_throttle("4g", calibration, calibration.mode(kind))))
-            assert_exact_records(throttle(UNTHROTTLED))
+            link = replay_link(trace, profiles[0])
+            for profile in profiles:
+                assert_exact_records(replay_mode(trace, link, profile.cpu_multiplier))
 
 
 def test_visual_regression_clamped_to_running_max():
