@@ -29,8 +29,8 @@ from .config import (
     resolve_throttle,
 )
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
-from .metrics import METRIC_KEYS, Edges, MetricSet, compute_all
-from .netsim import LinkReplay, replay_link, replay_mode
+from .metrics import METRIC_KEYS, Edges, MetricSet, compute_all, in_flight_edges
+from .netsim import replay_link, replay_mode
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
 from .trace import (
     NormalizedTrace,
@@ -169,11 +169,11 @@ def run_batch(
 ) -> list[AuditResult]:
     """Audit every record in every mode from stored traces, one pass per site.
 
-    A site's trace is loaded once. Each distinct link is replayed once per
-    site (`netsim.replay_link`), and every mode on it is retimed from that
-    replay (`netsim.replay_mode`) and reads its in-flight edges. Results come
-    back sorted by (site number, mode kind). Per-item failures never abort
-    the batch.
+    A site's trace is loaded once and replayed on its link once
+    (`netsim.replay_link`); every throttled mode retimes that replay's
+    tasks (`netsim.replay_mode`) and reads the in-flight edges sorted from
+    it. Results come back sorted by (site number, mode kind). Per-item
+    failures never abort the batch.
     """
     if calibration is None:
         calibration = load_calibration()
@@ -181,39 +181,16 @@ def run_batch(
         test_date = date.today()
     traces_dir = Path(traces_dir)
 
+    # resolve_throttle varies only cpu_multiplier by mode, so all modes share one link.
     profiles = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)) for kind in modes}
     results: list[AuditResult] = []
-
-    def add_result(
-        site: SiteRecord,
-        kind: str,
-        metrics: MetricSet | None = None,
-        report: ScoreReport | None = None,
-        exc: Exception | None = None,
-    ) -> None:
-        """Record an ok result from metrics and report, or a failed one from exc."""
-        ok = exc is None
-        results.append(
-            AuditResult(
-                site=site,
-                mode=kind,
-                status="ok" if ok else "failed",
-                metrics=metrics,
-                report=report,
-                test_date=test_date,
-                outlier_flag=ok and calibration.outliers.flags(report.performance_score),
-                failure_reason=None if ok else f"{type(exc).__name__}: {exc}",
-            )
-        )
-
     for site in records:
         try:
             trace = load_trace(traces_dir / (trace_slug(site.url) + ".json"))
         except (AuditError, OSError) as exc:
-            for kind in modes:
-                add_result(site, kind, exc=exc)
+            results += [_failed(site, kind, test_date, exc) for kind in modes]
             continue
-        links: dict[tuple[float, float], LinkReplay] = {}
+        link = link_edges = None  # the trace replayed on the link and its in-flight edges, once a mode needs them
         for kind in modes:
             profile = profiles[kind]
             try:
@@ -221,19 +198,23 @@ def run_batch(
                     # As in apply_throttle, the identity profile leaves the trace as recorded.
                     throttled, edges = trace, None
                 else:
-                    key = (profile.rtt_ms, profile.downlink_kbps)
-                    if key not in links:
-                        links[key] = replay_link(trace, profile)
-                    link = links[key]
-                    throttled, edges = replay_mode(trace, link, profile.cpu_multiplier), link.edges
+                    if link is None:
+                        link, times = replay_link(trace, profile)
+                        link_edges = in_flight_edges(*times)
+                    throttled, edges = replay_mode(link, profile.cpu_multiplier), link_edges
                 metrics, report = audit_trace(throttled, calibration.mode(kind), calibration, edges)
             except AuditError as exc:
-                add_result(site, kind, exc=exc)
+                results.append(_failed(site, kind, test_date, exc))
             else:
-                add_result(site, kind, metrics, report)
+                flag = calibration.outliers.flags(report.performance_score)
+                results.append(AuditResult(site, kind, "ok", metrics, report, test_date, flag))
     # url breaks ties: `no` need not be unique.
     results.sort(key=lambda r: (r.site.no, r.mode, r.site.url))
     return results
+
+
+def _failed(site: SiteRecord, kind: str, test_date: date, exc: Exception) -> AuditResult:
+    return AuditResult(site, kind, "failed", None, None, test_date, False, f"{type(exc).__name__}: {exc}")
 
 
 def result_to_dict(result: AuditResult) -> dict:
@@ -370,16 +351,11 @@ def read_results(path: str | Path) -> list[AuditResult]:
     """Read a results file; a bad line, or one that is not UTF-8, is a
     ParseError naming the file and the line."""
     results = []
-    # A byte that is not UTF-8 reads as a lone surrogate, so the error below
-    # can name its line; write_results writes ASCII, so no line it wrote
-    # takes that check.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "rb") as handle:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                if not line.isascii():
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 results.append(result_from_dict(_parse_json(line, path, number)))
             except (KeyError, TypeError, ValueError, SchemaError) as exc:
                 raise ParseError(f"{path}, line {number}: {exc}") from exc

@@ -6,12 +6,12 @@ clock and a heap of finish tags, O(log n) per arrival or completion. A
 request becomes visible some fixed offset after its parent finishes,
 then spends one round trip before its first byte arrives.
 
-Applying a throttle to a recorded trace runs in two stages. The link
-stage (replay_link) rebuilds the request waterfall under these rules,
-shifts paint/visual timestamps along with the requests that preceded
-them, and sorts the replayed requests' in-flight edges for TTI once. It
-reads only the link, so the modes on one link share it. The mode stage
-(replay_mode) stretches the main-thread tasks by the CPU multiplier.
+Applying a throttle to a recorded trace runs in two stages, each a trace
+to a trace. The link stage (replay_link) rebuilds the request waterfall
+under these rules and shifts paint/visual timestamps along with the
+requests that preceded them. It reads only the link, so the modes on one
+link share it. The mode stage (replay_mode) stretches the main-thread
+tasks by the CPU multiplier.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import operator
 from typing import Any, NamedTuple, Sequence
 
 from .errors import CyclicPlan, SchemaError, ThrottleOverflow
-from .metrics import Edges, in_flight_edges
 from .trace import (
     MainThreadTask,
     NetworkRequest,
@@ -253,15 +252,6 @@ def _parents(
     return parents, offsets
 
 
-class LinkReplay(NamedTuple):
-    """The link stage's output: the trace's network replayed on one link."""
-
-    requests: tuple[NetworkRequest, ...]
-    paint_events: tuple[PaintEvent, ...]
-    visual_progress: tuple[VisualSample, ...]
-    edges: Edges  # the replayed requests' in-flight edges, for compute_all
-
-
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
     """Rebuild a trace as if it had been recorded under the profile: its link
     stage, then its mode stage."""
@@ -269,13 +259,16 @@ def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> Normaliz
     # a no-op re-simulation would move them: identity returns the trace as given.
     if profile.is_identity:
         return trace
-    return replay_mode(trace, replay_link(trace, profile), profile.cpu_multiplier)
+    return replay_mode(replay_link(trace, profile)[0], profile.cpu_multiplier)
 
 
-def replay_link(trace: NormalizedTrace, profile: ThrottleProfile) -> LinkReplay:
-    """The link stage: the trace's requests, paints and visual samples
-    replayed on the profile's link, with the replayed requests' in-flight
-    edges. Reads only rtt_ms and downlink_kbps, so every mode on one link
+def replay_link(
+    trace: NormalizedTrace, profile: ThrottleProfile
+) -> tuple[NormalizedTrace, tuple[list[float], list[float]]]:
+    """The link stage: the trace with its requests, paints and visual samples
+    replayed on the profile's link and its tasks as recorded, and the
+    replayed requests' (starts, ends) from waterfall_times, in request
+    order. Reads only rtt_ms and downlink_kbps, so every mode on one link
     can share it."""
     old = trace.requests
     table = _finish_table(old)
@@ -299,13 +292,13 @@ def replay_link(trace: NormalizedTrace, profile: ThrottleProfile) -> LinkReplay:
     moved = [(t + deltas[after(finish_ends, t)], fraction) for t, fraction in trace.visual_progress]
     moved.sort(key=_T_MS)
     visual = clamp_visual_progress(records(VisualSample, moved))
-    return LinkReplay(new_requests, new_paints, visual, in_flight_edges(starts, ends))
+    return NormalizedTrace(new_paints, trace.tasks, new_requests, visual), (starts, ends)
 
 
-def replay_mode(trace: NormalizedTrace, link: LinkReplay, cpu_multiplier: float) -> NormalizedTrace:
-    """The mode stage: the trace with the link stage's network and its tasks
-    retimed for cpu_multiplier. Each task keeps its recorded gap to the task
-    before it and lasts cpu_multiplier times as long."""
+def replay_mode(trace: NormalizedTrace, cpu_multiplier: float) -> NormalizedTrace:
+    """The mode stage: the trace with its tasks retimed for cpu_multiplier.
+    Each task keeps its recorded gap to the task before it and lasts
+    cpu_multiplier times as long."""
     scaled_tasks = []
     prev_old_end = prev_new_end = 0.0
     for old_start, old_dur in trace.tasks:
@@ -316,12 +309,7 @@ def replay_mode(trace: NormalizedTrace, link: LinkReplay, cpu_multiplier: float)
         prev_new_end = start + dur
     # The last task's end bounds every task.
     _check_finite([prev_new_end])
-    return NormalizedTrace(
-        paint_events=link.paint_events,
-        tasks=records(MainThreadTask, scaled_tasks),
-        requests=link.requests,
-        visual_progress=link.visual_progress,
-    )
+    return trace._replace(tasks=records(MainThreadTask, scaled_tasks))
 
 
 def _check_finite(times: list[float]) -> None:

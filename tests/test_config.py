@@ -82,6 +82,16 @@ class TestResolveThrottle:
         profile = resolve_throttle(str(p), calibration, calibration.mode("desktop"))
         assert (profile.rtt_ms, profile.downlink_kbps, profile.cpu_multiplier) == (400.0, 400.0, 1.0)
 
+    def test_every_mode_of_a_throttle_shares_one_link(self, tmp_path, calibration):
+        # run_batch replays a site on one link for all its modes by this rule;
+        # only a cpu_multiplier, where it is deferred to the mode, varies.
+        files = [tmp_path / "fixed-cpu.json", tmp_path / "deferred-cpu.json"]
+        files[0].write_text(json.dumps({"rtt_ms": 40, "downlink_kbps": 700, "cpu_multiplier": 3}), "utf-8")
+        files[1].write_text(json.dumps({"rtt_ms": 40, "downlink_kbps": 700}), "utf-8")
+        for spec in sorted(calibration.throttles) + [str(file) for file in files]:
+            profiles = [resolve_throttle(spec, calibration, calibration.mode(kind)) for kind in calibration.modes]
+            assert len({(p.rtt_ms, p.downlink_kbps) for p in profiles}) == 1, spec
+
     def test_unknown_name_lists_known_profiles(self, calibration):
         with pytest.raises(SchemaError, match="4g"):
             resolve_throttle("5g", calibration)

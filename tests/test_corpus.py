@@ -5,10 +5,12 @@ import json
 import logging
 import random
 import re
+import sys
 
 import pytest
 
 import webaudit.corpus
+import webaudit.metrics
 import webaudit.netsim
 from conftest import random_trace
 from webaudit.collector import load_trace, write_trace
@@ -231,6 +233,23 @@ class TestTraceSlug:
         assert trace_slug("HTTPS://SITE.TEST/X").startswith("site-test-x-")
 
 
+@pytest.fixture
+def edge_sorts(monkeypatch):
+    """One entry per sort of a trace's in-flight edges: a call of
+    metrics.in_flight_edges through any module that holds it."""
+    calls = []
+    original = webaudit.metrics.in_flight_edges
+
+    def counted(starts, ends):
+        calls.append(None)
+        return original(starts, ends)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("webaudit") and getattr(module, "in_flight_edges", None) is original:
+            monkeypatch.setattr(module, "in_flight_edges", counted)
+    return calls
+
+
 class TestRunBatch:
     def setup_workspace(self, tmp_path, simple_trace):
         traces = tmp_path / "traces"
@@ -264,7 +283,7 @@ class TestRunBatch:
         assert [r.status for r in results] == ["ok", "ok", "failed", "failed"]
         assert caplog.records == []
 
-    def test_one_load_and_one_network_replay_per_site(self, tmp_path, simple_trace, monkeypatch):
+    def test_one_load_and_one_network_replay_per_site(self, tmp_path, simple_trace, monkeypatch, edge_sorts):
         records, traces = self.setup_workspace(tmp_path, simple_trace)
         records.append(SiteRecord(3, "C", "kabupaten-kota", "Kota Bandung", "https://ok3.test"))
         write_trace(simple_trace, traces / (trace_slug("https://ok3.test") + ".json"))
@@ -284,6 +303,7 @@ class TestRunBatch:
         results = run_batch(records, ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
         assert [r.status for r in results] == ["ok", "ok", "failed", "failed", "ok", "ok"]
         assert calls == {"load_trace": 3, "waterfall_times": 2}
+        assert len(edge_sorts) == 2
 
     def test_task_overflow_fails_only_its_mode(self, tmp_path):
         trace = build_demo_trace(5)
@@ -307,6 +327,14 @@ class TestRunBatch:
         results = run_batch(records, ("mobile",), str(profile_file), traces_dir=traces, test_date=TEST_DATE)
         assert [(r.site.no, r.status) for r in results] == [(1, "failed"), (2, "failed")]
         assert results[0].failure_reason.startswith("ThrottleOverflow: ")
+
+
+def test_a_single_throttled_audit_sorts_its_edges_once(edge_sorts):
+    calibration = load_calibration()
+    mode = calibration.mode("mobile")
+    throttled = apply_throttle(build_demo_trace(5), resolve_throttle("4g", calibration, mode))
+    audit_trace(throttled, mode, calibration)
+    assert len(edge_sorts) == 1
 
 
 def single_audit(record, kind, throttle, traces, calibration):

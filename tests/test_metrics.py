@@ -20,6 +20,7 @@ from webaudit.metrics import (
     compute_max_fid,
     compute_speed_index,
     compute_tti,
+    in_flight_edges,
     _overload_intervals,
     _request_edges,
 )
@@ -302,10 +303,13 @@ class TestInFlightEdges:
         for profile in profiles:
             for _ in range(150):
                 trace = random_trace(rng)
-                link = replay_link(trace, profile)
-                throttled = replay_mode(trace, link, profile.cpu_multiplier)
-                assert repr(link.edges) == repr(_request_edges(throttled.requests))
-                assert repr(compute_all(throttled, quiet, link.edges)) == repr(compute_all(throttled, quiet))
+                link, times = replay_link(trace, profile)
+                # The link stage's times are its requests', in request order.
+                assert repr(times) == repr(([r.start_ms for r in link.requests], [r.end_ms for r in link.requests]))
+                throttled = replay_mode(link, profile.cpu_multiplier)
+                edges = in_flight_edges(*times)
+                assert repr(edges) == repr(_request_edges(throttled.requests))
+                assert repr(compute_all(throttled, quiet, edges)) == repr(compute_all(throttled, quiet))
 
     def test_kernel_bounds_never_reach_a_metric(self, monkeypatch, quiet, rng):
         ends_at_10 = NetworkRequest(0, 0, 10, 1, "https://x.test")

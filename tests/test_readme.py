@@ -4,11 +4,15 @@ with the code, never the prose around it."""
 
 import argparse
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import webaudit
 from webaudit import audit_trace, cli, load_calibration, load_trace
 from webaudit.collector import write_trace
 from webaudit.synth import build_demo_trace
@@ -92,3 +96,87 @@ def test_exit_code_block_names_the_classes_cli_main_maps():
     documented = documented_exit_codes()
     assert documented.pop(0) == set()
     assert documented == mapped_exit_codes()
+
+
+def documented_calls() -> list[tuple[str, list[str]]]:
+    """(name, arguments) of each distinct backticked call in README.md whose
+    arguments are all identifiers, such as `netsim.replay_link(trace, profile)`."""
+    calls = []
+    for call in dict.fromkeys(re.findall(r"`([A-Za-z_][\w.]*\([^`()]*\))`", README.read_text("utf-8"))):
+        name, arguments = call[:-1].split("(")
+        arguments = [argument.strip() for argument in arguments.split(",")] if arguments.strip() else []
+        if all(argument.isidentifier() for argument in arguments):
+            calls.append((name, arguments))
+    return calls
+
+
+# webaudit.__main__ runs the command line when imported.
+MODULES = {
+    info.name: importlib.import_module(f"webaudit.{info.name}")
+    for info in pkgutil.iter_modules(webaudit.__path__)
+    if info.name != "__main__"
+}
+
+
+def defined_names() -> dict[str, object]:
+    """Every function and class that a webaudit module defines, by name."""
+    names: dict[str, object] = {}
+    for module in MODULES.values():
+        for name, value in vars(module).items():
+            if callable(value) and getattr(value, "__module__", "").startswith("webaudit."):
+                assert names.setdefault(name, value) is value, f"two webaudit objects are named {name}"
+    return names
+
+
+def call_problem(name: str, arguments: list[str]) -> str | None:
+    """Why the documented call name(arguments) disagrees with the code, or None.
+
+    The first part of a dotted name is a webaudit module or a name a webaudit
+    module defines, and a bare name must be one of those; a dotted name whose
+    first part is neither (`json.dumps`) is not webaudit's, and passes. The
+    arguments must be the leading parameters of what the name resolves to,
+    in order, without a method's self.
+    """
+    head, *rest = name.split(".")
+    target = MODULES.get(head) or defined_names().get(head)
+    if target is None:
+        return None if rest else f"{name} is not defined in webaudit"
+    owner = None
+    for attr in rest:
+        if not hasattr(target, attr):
+            return f"{name}: {attr} is not defined in {head}"
+        owner, target = target, getattr(target, attr)
+    if isinstance(target, type) and hasattr(target, "_fields"):
+        parameters = list(target._fields)
+    else:
+        parameters = list(inspect.signature(target).parameters)
+        if isinstance(owner, type) and inspect.isfunction(target):
+            del parameters[0]  # a method's self
+    if parameters[: len(arguments)] != arguments:
+        return f"{name}({', '.join(arguments)}): the code's parameters are ({', '.join(parameters)})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, arguments", [pytest.param(*call, id=f"{call[0]}({', '.join(call[1])})") for call in documented_calls()]
+)
+def test_documented_call_gives_the_leading_parameters(name, arguments):
+    assert call_problem(name, arguments) is None
+
+
+@pytest.mark.parametrize(
+    "name, arguments",
+    [
+        ("categorize", ["score", "bands"]),
+        ("netsim.replay_mode", ["trace", "link", "cpu_multiplier"]),
+        ("netsim.waterfall_times", ["offsets", "parents"]),
+        ("netsim.infer_plan", ["trace"]),
+        ("infer_plan", ["trace"]),
+    ],
+)
+def test_a_call_that_disagrees_with_the_code_is_found(name, arguments):
+    assert call_problem(name, arguments) is not None
+
+
+def test_a_call_outside_webaudit_passes():
+    assert call_problem("json.dumps", ["record"]) is None

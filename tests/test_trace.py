@@ -272,9 +272,10 @@ class TestExactRecordTypes:
         calibration = load_calibration()
         profiles = [resolve_throttle("4g", calibration, calibration.mode(kind)) for kind in sorted(calibration.modes)]
         for trace in traces:
-            link = replay_link(trace, profiles[0])
+            link = replay_link(trace, profiles[0])[0]
+            assert_exact_records(link)
             for profile in profiles:
-                assert_exact_records(replay_mode(trace, link, profile.cpu_multiplier))
+                assert_exact_records(replay_mode(link, profile.cpu_multiplier))
 
 
 def test_visual_regression_clamped_to_running_max():
