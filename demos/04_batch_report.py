@@ -28,7 +28,8 @@ with tempfile.TemporaryDirectory(prefix="webaudit-demo-") as tmp:
     paths = write_demo_workspace(workspace)
     print(f"workspace under {workspace}")
 
-    records = membership_filter(ingest_corpus(paths["corpus"]), load_member_regions(paths["members"]))
+    members = load_member_regions(paths["members"])
+    records = membership_filter(ingest_corpus(paths["corpus"]), members)
     print(f"{len(records)} member sites in the corpus")
 
     results = run_batch(
@@ -42,7 +43,7 @@ with tempfile.TemporaryDirectory(prefix="webaudit-demo-") as tmp:
     print(f"{len(results)} audits, {len(failed)} failed")
     print()
 
-    aggregates = build_aggregates(results)
+    aggregates = build_aggregates(results, members)
     overall = overall_average(aggregates.rows)
     print("region means (mobile / web):")
     for row in aggregates.rows:

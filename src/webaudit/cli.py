@@ -13,14 +13,14 @@ import sys
 from pathlib import Path
 
 from .collector import load_trace
-from .config import MODE_KINDS, load_calibration, load_member_regions, read_text, resolve_throttle
+from .config import MODE_KINDS, load_calibration, load_member_regions, resolve_throttle
 from .corpus import audit_trace, ingest_corpus, read_results, run_batch, write_results
 from .errors import AuditError, CyclicPlan, IncompleteVisualProgress, NoContentfulPaint
 from .metrics import MetricSet
 from .netsim import apply_throttle, plan_from_dict, waterfall_times
 from .report import build_aggregates, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
-from .trace import _parse_json, iso_date
+from .trace import _read_json, iso_date
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     aggregate = sub.add_parser("aggregate", help="roll batch results up per region")
     aggregate.add_argument("--results", required=True, metavar="FILE")
     aggregate.add_argument("--out", required=True, metavar="FILE")
-    aggregate.add_argument("--members", metavar="FILE")
+    aggregate.add_argument("--members", metavar="FILE", help="member region list (default: packaged)")
 
     report = sub.add_parser("report", help="render a report from the aggregates alone")
     report.add_argument("--aggregates", required=True, metavar="FILE")
@@ -140,9 +140,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    results = read_results(args.results)
-    members = load_member_regions(args.members) if args.members else None
-    aggregates = build_aggregates(results, members)
+    aggregates = build_aggregates(read_results(args.results), load_member_regions(args.members))
     write_aggregates(aggregates, args.out)
     print(f"{len(aggregates.rows)} regions -> {args.out}")
     return 0
@@ -160,7 +158,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     calibration = load_calibration(args.calibration)
     profile = resolve_throttle(args.profile, calibration)
-    ids, parents, offsets, sizes = plan_from_dict(_parse_json(read_text(args.plan), args.plan))
+    ids, parents, offsets, sizes = plan_from_dict(_read_json(args.plan))
     try:
         starts, ends = waterfall_times(parents, offsets, sizes, profile)
     except CyclicPlan as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, TextIO
@@ -21,7 +20,7 @@ from .errors import InvalidCurve, ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
-from .trace import _checked_record, _integer, _known_keys, _number, _object, _parse_json
+from .trace import _checked_record, _integer, _known_keys, _number, _object, _parse_json, _read_json
 
 MODE_KINDS = ("mobile", "desktop")
 _DATA = Path(__file__).with_name("data")  # read by path: importlib.resources imports inspect on Python 3.12
@@ -110,32 +109,24 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def read_text(path: str | Path) -> str:
-    """The whole of a UTF-8 text file, read through open_text."""
-    with open_text(path) as handle:
-        return handle.read()
-
-
 def default_calibration_text() -> str:
     return (_DATA / "calibration.json").read_text("utf-8")
 
 
+def _packaged_calibration() -> Any:
+    return _parse_json(default_calibration_text(), "<packaged calibration>")
+
+
 def load_calibration(path: str | Path | None = None) -> Calibration:
     """Load a calibration file; None loads the packaged defaults."""
-    if path is None:
-        text = default_calibration_text()
-        source = "<packaged calibration>"
-    else:
-        text = read_text(path)
-        source = str(path)
-    return calibration_from_dict(_parse_json(text, source))
+    return calibration_from_dict(_packaged_calibration() if path is None else _read_json(path))
 
 
 def calibration_from_dict(data: Any) -> Calibration:
     """A Calibration from a document; an optional value it leaves out is read from the packaged one."""
     if not isinstance(data, dict):
         raise SchemaError("$", "calibration document must be an object")
-    packaged = functools.cache(lambda: json.loads(default_calibration_text()))
+    packaged = functools.cache(_packaged_calibration)
 
     modes_data = _object(data, "modes", "$")
     _known_keys(modes_data, MODE_KINDS, "$.modes")
@@ -210,7 +201,7 @@ def resolve_throttle(spec: str, calibration: Calibration, mode: DeviceMode | Non
     if not path.exists():
         known = ", ".join(sorted(calibration.throttles))
         raise SchemaError("$.throttle_profiles", f"unknown throttle {spec!r} (profiles: {known}; or pass a file)")
-    return _throttle_spec(_parse_json(read_text(path), path), "$").resolve(mode)
+    return _throttle_spec(_read_json(path), "$").resolve(mode)
 
 
 def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
@@ -229,16 +220,9 @@ def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
 
 def load_member_regions(path: str | Path | None = None) -> tuple[str, ...]:
     """Region names, one per line; blank lines and # comments are skipped."""
-    if path is None:
-        text = (_DATA / "member_regions.txt").read_text("utf-8")
-    else:
-        text = read_text(path)
-    regions = []
-    for line in text.splitlines():
-        name = line.strip()
-        if name and not name.startswith("#"):
-            regions.append(name)
-    return tuple(regions)
+    with open_text(_DATA / "member_regions.txt" if path is None else path) as handle:
+        names = [line.strip() for line in handle.read().splitlines()]
+    return tuple(name for name in names if name and not name.startswith("#"))
 
 
 def _checked(path: str, build: Callable[[], Any]) -> Any:

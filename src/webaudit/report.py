@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections import Counter
 from datetime import date
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, KeysView, NamedTuple, Sequence
 
-from .config import MODE_KINDS, load_member_regions
+from .config import MODE_KINDS
 from .corpus import AuditResult, normalize_region
 from .errors import SchemaError, UnknownFormat
 from .scoring import SCORE_MAX, round_half_away
-from .trace import _array, _date, _field, _integer, _number, _object, _parse_json, _string
+from .trace import _array, _date, _field, _integer, _json_text, _known_keys, _number, _read_json, _string
 
 # Device mode kinds feeding the two report columns. The recording modes
 # are called mobile and desktop; reports label the desktop column "Web".
@@ -84,7 +83,7 @@ class Aggregates(NamedTuple):
     failures: list[Failure]
 
 
-def build_aggregates(results: Sequence[AuditResult], member_regions: Sequence[str] | None = None) -> Aggregates:
+def build_aggregates(results: Sequence[AuditResult], member_regions: Sequence[str]) -> Aggregates:
     """The rows of aggregate_regions, with the flagged ok audits and the failed ones."""
     return Aggregates(
         aggregate_regions(results, member_regions),
@@ -97,17 +96,12 @@ def build_aggregates(results: Sequence[AuditResult], member_regions: Sequence[st
     )
 
 
-def aggregate_regions(
-    results: Sequence[AuditResult], member_regions: Sequence[str] | None = None
-) -> list[RegionAggregate]:
+def aggregate_regions(results: Sequence[AuditResult], member_regions: Sequence[str]) -> list[RegionAggregate]:
     """Group results per region, in member-list row order.
 
     Regions absent from the member list sort after it, alphabetically.
     Failed audits count toward n_failed and nothing else.
     """
-    if member_regions is None:
-        member_regions = load_member_regions()
-
     order = {normalize_region(name): i for i, name in enumerate(member_regions)}
     display = {normalize_region(name): name for name in member_regions}
     groups: dict[str, list[AuditResult]] = {}
@@ -121,17 +115,17 @@ def aggregate_regions(
     aggregates = []
     for key in keys:
         group = groups[key]
-        raw_mobile = _mean_score(group, MOBILE_KIND)
-        raw_web = _mean_score(group, WEB_KIND)
+        mobile, web = _ok_scores(group, MOBILE_KIND), _ok_scores(group, WEB_KIND)
+        raw_mobile, raw_web = (math.fsum(scores) / len(scores) if scores else None for scores in (mobile, web))
         aggregates.append(
             RegionAggregate(
                 region=display[key],
-                mean_mobile=None if raw_mobile is None else round_half_away(raw_mobile, 2),
-                mean_web=None if raw_web is None else round_half_away(raw_web, 2),
+                mean_mobile=_shown(raw_mobile),
+                mean_web=_shown(raw_web),
                 raw_mean_mobile=raw_mobile,
                 raw_mean_web=raw_web,
-                n_ok_mobile=sum(1 for r in group if r.mode == MOBILE_KIND and r.status == "ok"),
-                n_ok_web=sum(1 for r in group if r.mode == WEB_KIND and r.status == "ok"),
+                n_ok_mobile=len(mobile),
+                n_ok_web=len(web),
                 n_failed=sum(1 for r in group if r.status == "failed"),
                 test_date=max(r.test_date for r in group),
             )
@@ -139,11 +133,14 @@ def aggregate_regions(
     return aggregates
 
 
-def _mean_score(group: Sequence[AuditResult], kind: str) -> float | None:
-    scores = [r.report.performance_score for r in group if r.mode == kind and r.status == "ok"]
-    if not scores:
-        return None
-    return math.fsum(scores) / len(scores)
+def _ok_scores(group: Sequence[AuditResult], kind: str) -> list[float]:
+    """The performance scores of a region's ok audits in one mode."""
+    return [r.report.performance_score for r in group if r.mode == kind and r.status == "ok"]
+
+
+def _shown(raw_mean: float | None) -> float | None:
+    """The displayed mean: the raw one rounded half away from zero to 2 decimals."""
+    return None if raw_mean is None else round_half_away(raw_mean, 2)
 
 
 def overall_average(aggregates: Sequence[RegionAggregate]) -> dict[str, float | None]:
@@ -184,7 +181,7 @@ def emit_report(aggregates: Aggregates, format: str, *, decimal_comma: bool = Fa
     if format == "md":
         return _emit_md(aggregates, decimal_comma)
     if format == "json":
-        return _to_json(aggregates)
+        return _json_text(_document(aggregates))
     raise UnknownFormat(f"format must be csv, md or json, got {format!r}")
 
 
@@ -195,20 +192,22 @@ def _fmt(value: float | None, decimals: int, missing: str, comma: bool = False) 
     return text.replace(".", ",") if comma else text
 
 
+def _cells(number: int, aggregate: RegionAggregate, missing: str, comma: bool = False) -> list[str]:
+    """The REPORT_COLUMNS of one region row, ``missing`` standing for a null."""
+    return [
+        str(number),
+        aggregate.region,
+        _fmt(aggregate.mean_mobile, 2, missing, comma),
+        _fmt(aggregate.mean_web, 2, missing, comma),
+        aggregate.test_date.isoformat() if aggregate.test_date else missing,
+    ]
+
+
 def _emit_csv(aggregates: Sequence[RegionAggregate]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for number, aggregate in enumerate(aggregates, start=1):
-        writer.writerow(
-            [
-                number,
-                aggregate.region,
-                _fmt(aggregate.mean_mobile, 2, ""),
-                _fmt(aggregate.mean_web, 2, ""),
-                aggregate.test_date.isoformat() if aggregate.test_date else "",
-            ]
-        )
+    writer.writerows(_cells(number, aggregate, "") for number, aggregate in enumerate(aggregates, start=1))
     return buffer.getvalue()
 
 
@@ -220,15 +219,7 @@ def _emit_md(aggregates: Aggregates, comma: bool) -> str:
     lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
     lines.append("| ---: | --- | ---: | ---: | --- |")
     for number, aggregate in enumerate(rows, start=1):
-        lines.append(
-            "| {} | {} | {} | {} | {} |".format(
-                number,
-                aggregate.region,
-                _fmt(aggregate.mean_mobile, 2, "-", comma),
-                _fmt(aggregate.mean_web, 2, "-", comma),
-                aggregate.test_date.isoformat() if aggregate.test_date else "-",
-            )
-        )
+        lines.append("| " + " | ".join(_cells(number, aggregate, "-", comma)) + " |")
     if rows:
         overall = overall_average(rows)
         lines.append(
@@ -293,9 +284,9 @@ def aggregate_to_dict(aggregate: RegionAggregate) -> dict:
 
 
 def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
-    """Read one aggregates row; a bad value is a SchemaError at its JSON path."""
-    for key in RegionAggregate._fields:
-        _field(data, key, path)  # present, even where null is allowed
+    """Read one aggregates row; a bad value, an unknown key or a missing one
+    is a SchemaError at its JSON path."""
+    _exact(data, _ROW_KEYS, path)  # every key is present, even where null is allowed
     aggregate = RegionAggregate(
         region=_string(data, "region", path),
         **{
@@ -309,8 +300,7 @@ def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
     for column in ("mobile", "web"):
         raw = getattr(aggregate, f"raw_mean_{column}")
         no_ok = getattr(aggregate, f"n_ok_{column}") == 0
-        shown = None if raw is None else round_half_away(raw, 2)
-        if no_ok != (raw is None) or getattr(aggregate, f"mean_{column}") != shown:
+        if no_ok != (raw is None) or getattr(aggregate, f"mean_{column}") != _shown(raw):
             raise SchemaError(
                 f"{path}.mean_{column}",
                 f"must be raw_mean_{column} rounded to 2 decimals, both null exactly when n_ok_{column} is 0",
@@ -323,46 +313,64 @@ def _document(aggregates: Aggregates) -> dict:
     rows = aggregates.rows
     return {
         "aggregates": [aggregate_to_dict(a) for a in rows],
-        "overall_average": overall_average(rows) if rows else {"mobile": None, "web": None},
+        "overall_average": overall_average(rows),
         "outliers": [o._asdict() for o in aggregates.outliers],
         "failures": {"total": len(aggregates.failures), "items": [f._asdict() for f in aggregates.failures]},
     }
 
 
-def _to_json(aggregates: Aggregates) -> str:
-    """The aggregates file and the JSON report: the same aggregates, the same bytes."""
-    return json.dumps(_document(aggregates), indent=2, sort_keys=True) + "\n"
+# The keys _document writes at each level, as ordered sets: one set
+# comparison checks an object, and a missing key is named in this order.
+_EMPTY_DOCUMENT = _document(Aggregates([], [], []))
+_DOCUMENT_KEYS = _EMPTY_DOCUMENT.keys()
+_OVERALL_KEYS = _EMPTY_DOCUMENT["overall_average"].keys()
+_FAILURES_KEYS = _EMPTY_DOCUMENT["failures"].keys()
+_ROW_KEYS = dict.fromkeys(RegionAggregate._fields).keys()
+_OUTLIER_KEYS = dict.fromkeys(Outlier._fields).keys()
+_FAILURE_KEYS = dict.fromkeys(Failure._fields).keys()
 
 
-def aggregates_from_json(text: str | bytes, source: str | Path = "aggregates document") -> Aggregates:
-    """Read an aggregates document, a str or UTF-8 bytes; one that does not
-    parse is a ParseError naming ``source``, and a bad one a SchemaError at
-    its JSON path.
+def _exact(item: Any, keys: KeysView[str], path: str) -> dict:
+    """``item``, an object holding ``keys`` and no other key. Otherwise a
+    SchemaError at ``path`` names a non-object, else the first missing key,
+    else the first unknown one."""
+    if type(item) is not dict or item.keys() != keys:
+        for key in keys:
+            _field(item, key, path)
+        _known_keys(item, keys, path)
+    return item
 
-    Besides each row (aggregate_from_dict), every outlier and failure field
-    must have its type, failures.total must count the items, each row's
-    n_failed must count the items of its region, and there can be no more
-    outliers than ok audits.
+
+def aggregates_from_dict(document: Any) -> Aggregates:
+    """Read an aggregates document; a bad one is a SchemaError at its JSON path.
+
+    Every object must hold exactly the keys _document writes. Besides each
+    row (aggregate_from_dict), overall_average must be overall_average of
+    the rows, every outlier and failure field must have its type,
+    failures.total must count the items, each row's n_failed must count the
+    items of its region, and there can be no more outliers than ok audits.
     """
-    document = _parse_json(text, source)
-    if type(document) is not dict:
-        raise SchemaError("$", "must be an object")
+    _exact(document, _DOCUMENT_KEYS, "$")
     rows = [
         aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(_array(document, "aggregates", "$"))
     ]
+    overall = _exact(document["overall_average"], _OVERALL_KEYS, "$.overall_average")
+    for column, value in overall_average(rows).items():
+        if _number(overall, column, "$.overall_average", default=None) != value:
+            raise SchemaError(f"$.overall_average.{column}", f"must be the rows' average, {_fmt(value, 1, 'null')}")
     outliers = [
         Outlier(
-            *_entry(item, f"$.outliers[{i}]"),
+            *_entry(item, _OUTLIER_KEYS, f"$.outliers[{i}]"),
             _number(item, "performance_score", f"$.outliers[{i}]", minimum=0.0, maximum=SCORE_MAX),
         )
         for i, item in enumerate(_array(document, "outliers", "$"))
     ]
-    failures_doc = _object(document, "failures", "$")
+    failures_doc = _exact(document["failures"], _FAILURES_KEYS, "$.failures")
     total = _integer(failures_doc, "total", "$.failures", minimum=0)
     failures = []
     for i, item in enumerate(_array(failures_doc, "items", "$.failures")):
         path = f"$.failures.items[{i}]"
-        failures.append(Failure(*_entry(item, path), _string(item, "reason", path, nonempty=True)))
+        failures.append(Failure(*_entry(item, _FAILURE_KEYS, path), _string(item, "reason", path, nonempty=True)))
     if total != len(failures):
         raise SchemaError("$.failures.total", f"must be the number of items, {len(failures)}")
 
@@ -382,17 +390,18 @@ def aggregates_from_json(text: str | bytes, source: str | Path = "aggregates doc
     return Aggregates(rows, outliers, failures)
 
 
-def _entry(item: Any, path: str) -> tuple[str, str, str]:
-    """(region, url, mode) of an outlier or failure entry; an entry that is
-    not an object is a SchemaError at path."""
+def _entry(item: Any, keys: KeysView[str], path: str) -> tuple[str, str, str]:
+    """(region, url, mode) of an outlier or failure entry, which must hold
+    exactly ``keys``; a bad entry is a SchemaError at path."""
+    _exact(item, keys, path)
     return _string(item, "region", path), _string(item, "url", path), _string(item, "mode", path, choices=MODE_KINDS)
 
 
 def write_aggregates(aggregates: Aggregates, path: str | Path) -> None:
     """Write the aggregates file the report step consumes."""
-    Path(path).write_text(_to_json(aggregates), "utf-8")
+    Path(path).write_text(_json_text(_document(aggregates)), "utf-8")
 
 
 def read_aggregates(path: str | Path) -> Aggregates:
     """Read an aggregates file; one that is not UTF-8 JSON is a ParseError naming it."""
-    return aggregates_from_json(Path(path).read_bytes(), path)
+    return aggregates_from_dict(_read_json(path))

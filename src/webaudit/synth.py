@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .collector import write_trace
 from .config import load_member_regions
-from .corpus import trace_slug
+from .corpus import _CSV_HEADER, trace_slug
 from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, PaintEvent, VisualSample
 
 NON_MEMBER_REGIONS = (
@@ -114,7 +114,7 @@ def build_corpus_rows(
 def write_corpus_csv(rows: list[tuple[int, str, str, str, str]], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("no", "institution", "tier", "region", "url"))
+        writer.writerow(_CSV_HEADER)
         writer.writerows(rows)
 
 

@@ -248,6 +248,19 @@ def _parse_json(text: str | bytes, source: Any, line: int | None = None) -> Any:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _read_json(path: Any) -> Any:
+    """The JSON document in the file at ``path``, read as bytes by the rule of
+    _parse_json. Every JSON input file is read this way."""
+    with open(path, "rb") as handle:
+        return _parse_json(handle.read(), path)
+
+
+def _json_text(document: Any) -> str:
+    """A document as every JSON file the pipeline writes holds it: two-space
+    indents, sorted keys and a final newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 _REQUIRED = object()
 _REAL = (int, float)  # exact JSON number types: a bool is neither
 _FLOAT_MAX = 1.7976931348623157e308  # the largest float

@@ -15,7 +15,7 @@ from webaudit.cli import main
 from webaudit.collector import write_trace
 from webaudit.config import default_calibration_text
 from webaudit.corpus import trace_slug
-from webaudit.report import aggregates_from_json
+from webaudit.report import aggregates_from_dict
 from webaudit.scoring import round_half_away
 from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
 
@@ -70,6 +70,16 @@ def set_failures(**fields):
 
     def edit(document):
         document["failures"].update(fields)
+        return document
+
+    return edit
+
+
+def set_overall(**fields):
+    """An edit of an aggregates document that sets fields of its overall_average."""
+
+    def edit(document):
+        document["overall_average"].update(fields)
         return document
 
     return edit
@@ -196,6 +206,21 @@ class TestPinnedOutput:
         rc, results = run_batch_cli(workspace, tmp_path, ("--parallel", "1"))
         assert rc == 0
         assert results.read_bytes() == (FIXTURES / "golden_results.jsonl").read_bytes()
+
+    def test_aggregate_writes_the_golden_aggregates(self, workspace, tmp_path):
+        _, aggregates = run_aggregate_cli(workspace, tmp_path)
+        assert aggregates.read_bytes() == (FIXTURES / "golden_aggregates.json").read_bytes()
+
+    def test_decimal_comma_report_is_the_fixture(self, tmp_path):
+        report = tmp_path / "report.md"
+        aggregates = str(FIXTURES / "golden_aggregates.json")
+        assert main(["report", "--aggregates", aggregates, "--format", "md", "--decimal-comma", "--out", str(report)]) == 0
+        assert report.read_bytes() == (FIXTURES / "golden_report_comma.md").read_bytes()
+
+    def test_write_trace_writes_the_fixture(self, tmp_path):
+        path = tmp_path / "demo.json"
+        write_trace(build_demo_trace(11), path)
+        assert path.read_bytes() == (FIXTURES / "trace_demo11.json").read_bytes()
 
 
 class TestScoreThrottle:
@@ -497,7 +522,7 @@ class TestAggregateAndReportCommands:
 
     def test_json_report_round_trips_aggregates(self, workspace, tmp_path):
         text = self.pipeline(workspace, tmp_path, "json")
-        assert len(aggregates_from_json(text).rows) == 12
+        assert len(aggregates_from_dict(json.loads(text)).rows) == 12
 
     def test_unknown_format_rejected_by_the_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -636,6 +661,20 @@ class TestAggregateAndReportCommands:
                 lambda document: {key: document[key] for key in ("aggregates", "overall_average")},
                 "$.outliers: missing field",
             ),
+            (lambda document: {**document, "bogus": 2}, "$.bogus: unknown field"),
+            (set_row(nickname=1), "$.aggregates[3].nickname: unknown field"),
+            (set_entry("outliers", 2, nickname=1), "$.outliers[2].nickname: unknown field"),
+            (set_entry("failures", 1, nickname=1), "$.failures.items[1].nickname: unknown field"),
+            (set_failures(nickname=1), "$.failures.nickname: unknown field"),
+            (set_overall(nickname=1), "$.overall_average.nickname: unknown field"),
+            (
+                lambda document: {key: document[key] for key in ("aggregates", "outliers", "failures")},
+                "$.overall_average: missing field",
+            ),
+            (lambda document: {**document, "overall_average": {"mobile": 75.0}}, "$.overall_average.web: missing field"),
+            (set_overall(mobile=75.1), "$.overall_average.mobile: must be the rows' average, 75.0"),
+            (set_overall(web=None), "$.overall_average.web: must be the rows' average, 78.0"),
+            (set_overall(web=True), "$.overall_average.web: must be a number"),
         ],
         ids=[
             "string-mean", "nan-mean", "huge-mean", "negative-raw-mean", "fractional-count", "bool-count", "number-region", "non-iso-date",
@@ -644,6 +683,9 @@ class TestAggregateAndReportCommands:
             "outlier-score-over-max", "string-outlier-score", "unknown-outlier-mode", "null-outlier-url", "empty-failure-reason",
             "number-failure-region", "total-not-the-item-count", "bool-total", "failure-counted-in-another-row",
             "failure-in-no-row", "more-outliers-than-ok-audits", "old-format-without-outliers",
+            "unknown-top-level-key", "unknown-row-key", "unknown-outlier-key", "unknown-failure-item-key",
+            "unknown-failures-key", "unknown-overall-key", "no-overall-average", "no-overall-web",
+            "overall-not-the-rows-average", "null-overall-beside-rows", "bool-overall",
         ],
     )
     def test_bad_aggregates_field_names_the_row_and_field(self, failing_workspace, tmp_path, capsys, edit, where):

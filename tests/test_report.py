@@ -1,7 +1,9 @@
 """Region aggregation, ranking, and the three report formats."""
 
 import datetime
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from webaudit.report import (
     aggregate_from_dict,
     aggregate_regions,
     aggregate_to_dict,
-    aggregates_from_json,
+    aggregates_from_dict,
     build_aggregates,
     emit_report,
     overall_average,
@@ -26,6 +28,7 @@ from webaudit.report import (
 )
 from webaudit.scoring import SCORE_MAX, ScoreReport
 
+FIXTURES = Path(__file__).parent / "fixtures"
 DATE = datetime.date(2019, 8, 25)
 METRICS = MetricSet(800.0, 1500.0, 1460.0, 1100.0, 1100.0, 200.0)
 MEMBERS = ("Web SKPD Provinsi", "Kota Bandung", "Kab. Cirebon")
@@ -226,8 +229,6 @@ class TestJsonReport:
             result("Kota Bandung", "mobile", 98.2, flagged=True),
             result("Kab. Cirebon", "desktop", None, no=2),
         ]
-        import json
-
         doc = json.loads(emit_report(build_aggregates(results, MEMBERS), "json"))
         assert doc["overall_average"]["mobile"] == 98.2
         assert doc["outliers"][0]["url"] == "https://1.test"
@@ -241,8 +242,8 @@ class TestJsonReport:
         ]
         aggregates = build_aggregates(results, MEMBERS)
         text = emit_report(aggregates, "json")
-        assert aggregates_from_json(text) == aggregates
-        assert emit_report(aggregates_from_json(text), "json") == text
+        assert aggregates_from_dict(json.loads(text)) == aggregates
+        assert emit_report(aggregates_from_dict(json.loads(text)), "json") == text
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -270,11 +271,20 @@ class TestJsonReport:
         low = aggregate_from_dict(dict(row, mean_mobile=0.0, raw_mean_mobile=0.0))
         assert (low.mean_mobile, low.raw_mean_mobile) == (0.0, 0.0)
 
-    def test_not_a_report_rejected(self):
-        with pytest.raises(ParseError):
-            aggregates_from_json("{broken")
+    def test_a_well_formed_document_is_checked_by_key_sets_alone(self, monkeypatch):
+        # The golden pipeline's aggregates: 12 rows, 8 outliers and no failure items.
+        document = json.loads((FIXTURES / "golden_aggregates.json").read_text("utf-8"))
+        monkeypatch.setattr("webaudit.report._field", lambda *args: pytest.fail("read key by key"))
+        text = emit_report(aggregates_from_dict(document), "json")
+        assert text == (FIXTURES / "golden_aggregates.json").read_text("utf-8")
+
+    def test_not_a_report_rejected(self, tmp_path):
+        path = tmp_path / "aggregates.json"
+        path.write_text("{broken", "utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            read_aggregates(path)
         with pytest.raises(SchemaError, match=r"^\$: must be an object$"):
-            aggregates_from_json("[]")
+            aggregates_from_dict([])
 
 
 class TestAggregateFiles:
