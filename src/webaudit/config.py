@@ -101,11 +101,19 @@ class Calibration(NamedTuple):
 @contextlib.contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """open() for reading UTF-8 text; a byte that is not UTF-8 is a
-    ParseError naming the file."""
+    ParseError naming the file, the byte's line and its offset in the file."""
     try:
         with open(path, encoding="utf-8", newline=newline) as handle:
             yield handle
     except UnicodeDecodeError as exc:
+        # A stream counts the position within its decode chunk: decode the
+        # file whole for the offset in the file.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = data.count(b"\n", 0, whole.start) + 1
+            raise ParseError(f"{path}, line {line}: {whole}") from whole
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -11,7 +11,6 @@ excluded from averages downstream.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import re
@@ -152,6 +151,8 @@ def audit_trace(
 
 def trace_slug(url: str) -> str:
     """Stable filesystem name (without extension) for a site's trace."""
+    import hashlib  # here, not at the top: its OpenSSL load would add to every process's start-up
+
     stripped = re.sub(r"^[a-z][a-z0-9+.-]*://", "", url.strip().lower())
     readable = re.sub(r"[^a-z0-9]+", "-", stripped).strip("-")
     digest = hashlib.sha1(url.strip().encode("utf-8")).hexdigest()[:8]

@@ -124,6 +124,19 @@ def random_profile(rng: random.Random) -> ThrottleProfile:
     )
 
 
+NOT_UTF8_CORPUS_ERROR = "line 754: 'utf-8' codec can't decode byte 0xff in position 44828: invalid start byte"
+
+
+def write_not_utf8_corpus(path) -> None:
+    """A 1000-row corpus whose byte 44828, on line 754, is not UTF-8: far past
+    the first chunk a text stream decodes, whose own position an error from
+    the stream would give."""
+    rows = [f"{n},Diskominfo {n},provinsi,Kota Bandung,https://s{n}.go.id\n" for n in range(1, 1001)]
+    data = bytearray(("no,institution,tier,region,url\n" + "".join(rows)).encode("utf-8"))
+    data[44828] = 0xFF
+    path.write_bytes(data)
+
+
 def parse_report_csv(text: str) -> list[dict]:
     """Parse a CSV report back into its row values.
 

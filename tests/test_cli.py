@@ -1,6 +1,7 @@
 """The command-line surface, run in-process through cli.main."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import webaudit
-from conftest import call_within, parse_report_csv
+from conftest import NOT_UTF8_CORPUS_ERROR, call_within, parse_report_csv, write_not_utf8_corpus
 from webaudit.cli import main
 from webaudit.collector import write_trace
 from webaudit.config import default_calibration_text
@@ -173,8 +174,16 @@ def test_an_input_file_that_is_not_utf8_exits_two_naming_it(workspace, tmp_path,
         rc = main(argv)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    where = f"{bad}, line 1" if kind in ("corpus", "members") else bad
+    assert err.startswith(f"error: {where}: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in err
+
+
+def test_a_corpus_byte_that_is_not_utf8_exits_two_naming_its_line_and_file_offset(workspace, tmp_path, capsys):
+    write_not_utf8_corpus(workspace["corpus"])
+    rc, out = run_batch_cli(workspace, tmp_path)
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {workspace['corpus']}, {NOT_UTF8_CORPUS_ERROR}\n"
 
 
 class TestPinnedOutput:
@@ -902,6 +911,13 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
+def new_modules(code: str, watched: tuple[str, ...]) -> list[str]:
+    """The watched modules that running ``code`` in a fresh interpreter imports
+    and the bare interpreter had not."""
+    report = f"print(' '.join(m for m in {watched!r} if m in sys.modules and m not in bare))"
+    return run_fresh(f"import sys; bare = set(sys.modules); {code}; {report}").split()
+
+
 @pytest.mark.parametrize("module", ["webaudit", "webaudit.cli", "webaudit.capture"])
 def test_package_and_cli_import_no_network_modules(module):
     # Every audit reads stored files, and converting a browser's entries
@@ -917,14 +933,71 @@ def test_package_and_cli_start_without_heavy_stdlib_modules():
     # Every webaudit process imports the package first. dataclasses and
     # inspect (which brings ast, dis and tokenize) would cost about a third
     # of its set-up; logging brings traceback, linecache and tokenize, and
-    # nothing in the package logs. Compared with the bare interpreter's
-    # modules, which differ between Python versions.
-    heavy = ("dataclasses", "inspect", "logging", "traceback", "tokenize")
-    code = (
-        "import sys; bare = set(sys.modules); import webaudit, webaudit.cli; "
-        f"print(' '.join(m for m in {heavy!r} if m in sys.modules and m not in bare))"
-    )
-    assert run_fresh(code).split() == []
+    # nothing in the package logs; hashlib loads OpenSSL, which only naming
+    # a trace file needs. Compared with the bare interpreter's modules,
+    # which differ between Python versions.
+    heavy = ("dataclasses", "inspect", "logging", "traceback", "tokenize", "hashlib")
+    assert new_modules("import webaudit, webaudit.cli", heavy) == []
+
+
+class TestStartUp:
+    """Each process imports only the layers it runs."""
+
+    def test_importing_the_package_imports_none_of_its_modules(self):
+        code = "import sys, webaudit; print(' '.join(m for m in sys.modules if m.startswith('webaudit.')))"
+        assert run_fresh(code).split() == []
+
+    def test_set_up_imports_neither_the_report_layer_nor_openssl(self, workspace):
+        # Everything before a batch's first audit.
+        set_up = (
+            "import webaudit; calibration = webaudit.load_calibration(); "
+            "members = webaudit.load_member_regions(); "
+            f"assert webaudit.ingest_corpus({str(workspace['corpus'])!r}, members); "
+            "[webaudit.resolve_throttle('4g', calibration, calibration.mode(kind)) for kind in ('mobile', 'desktop')]"
+        )
+        assert new_modules(set_up, ("webaudit.report", "hashlib", "_hashlib")) == []
+
+    def test_the_cli_imports_the_report_layer_but_not_openssl(self):
+        # bench/tracer.py wraps the report layer right after importing webaudit.cli.
+        watched = ("webaudit.report", "hashlib", "_hashlib")
+        assert new_modules("import webaudit.cli", watched) == ["webaudit.report"]
+
+
+class TestPackageNamespace:
+    HOMES = {
+        "collector": ("load_trace",),
+        "config": ("load_calibration", "load_member_regions", "resolve_throttle"),
+        "corpus": ("audit_trace", "ingest_corpus", "membership_filter", "run_batch", "trace_slug"),
+        "errors": ("AuditError",),
+        "metrics": ("METRIC_KEYS", "compute_all", "compute_fci", "compute_fcp", "compute_fmp", "compute_max_fid",
+                    "compute_speed_index", "compute_tti"),
+        "netsim": ("UNTHROTTLED", "apply_throttle", "plan_from_dict", "waterfall_times"),
+        "report": ("aggregate_regions", "build_aggregates", "emit_report", "overall_average", "rank_regions"),
+        "scoring": ("ScoreCurve", "aggregate", "categorize", "metric_score"),
+        "trace": ("MainThreadTask", "NetworkRequest", "NormalizedTrace", "PaintEvent", "VisualSample"),
+    }  # fmt: skip
+    NAMES = {*HOMES, *(name for names in HOMES.values() for name in names)}
+
+    def test_each_name_is_its_home_modules_object(self):
+        for module, names in self.HOMES.items():
+            home = importlib.import_module(f"webaudit.{module}")
+            assert getattr(webaudit, module) is home
+            for name in names:
+                assert getattr(webaudit, name) is getattr(home, name), name
+
+    def test_all_and_dir_list_the_names(self):
+        assert len(self.NAMES) == 45
+        assert sorted(webaudit.__all__) == sorted(self.NAMES)
+        assert self.NAMES <= set(dir(webaudit))
+
+    def test_a_star_import_binds_the_names(self):
+        namespace: dict = {}
+        exec("from webaudit import *", namespace)
+        assert set(namespace) - {"__builtins__"} == self.NAMES
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'webaudit' has no attribute 'nope'$"):
+            webaudit.nope  # noqa: B018
 
 
 class TestParserBasics:

@@ -12,7 +12,7 @@ import pytest
 import webaudit.corpus
 import webaudit.metrics
 import webaudit.netsim
-from conftest import random_trace
+from conftest import NOT_UTF8_CORPUS_ERROR, random_trace, write_not_utf8_corpus
 from webaudit.collector import load_trace, write_trace
 from webaudit.config import load_calibration, resolve_throttle
 from webaudit.corpus import (
@@ -144,6 +144,12 @@ class TestIngestCorpus:
         path = write_corpus(tmp_path, ["1,A,provinsi,Nowhere,https://a.test"])
         assert [r.region for r in ingest_corpus(path)] == ["Nowhere"]
 
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line_and_file_offset(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        write_not_utf8_corpus(path)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}, {NOT_UTF8_CORPUS_ERROR}')}$"):
+            ingest_corpus(path, MEMBERS)
+
 
 class TestMembershipFilter:
     def test_keeps_members_in_order(self):
@@ -231,6 +237,10 @@ class TestTraceSlug:
 
     def test_scheme_is_dropped_case_folded(self):
         assert trace_slug("HTTPS://SITE.TEST/X").startswith("site-test-x-")
+
+    def test_names_of_stored_traces_do_not_change(self):
+        assert trace_slug("https://www.bandung.go.id/path?q=1") == "www-bandung-go-id-path-q-1-0608c68d"
+        assert trace_slug("HTTPS://SITE.TEST/X") == "site-test-x-07addfab"
 
 
 @pytest.fixture
