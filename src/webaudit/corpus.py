@@ -11,10 +11,11 @@ excluded from averages downstream.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from datetime import date
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -218,22 +219,6 @@ def _failed(site: SiteRecord, kind: str, test_date: date, exc: Exception) -> Aud
     return AuditResult(site, kind, "failed", None, None, test_date, False, f"{type(exc).__name__}: {exc}")
 
 
-def result_to_dict(result: AuditResult) -> dict:
-    ok = result.status == "ok"
-    return {
-        "site": result.site._asdict(),
-        "mode": result.mode,
-        "status": result.status,
-        "failure_reason": result.failure_reason,
-        "metrics": result.metrics.as_dict() if ok else None,
-        "scores": dict(result.report.scores) if ok else None,
-        "performance_score": result.report.performance_score if ok else None,
-        "category": result.report.category if ok else None,
-        "test_date": result.test_date.isoformat(),
-        "outlier_flag": result.outlier_flag,
-    }
-
-
 def result_from_dict(data: Any) -> AuditResult:
     """Read one result line back; a bad value, an unknown key or a missing one
     is a SchemaError at its JSON path, so a line read back writes the same bytes."""
@@ -287,7 +272,7 @@ def result_from_dict(data: Any) -> AuditResult:
     )
 
 
-# The keys of a result line, in result_to_dict's order.
+# The keys of a result line.
 _RESULT_FIELDS = (
     "site", "mode", "status", "failure_reason", "metrics", "scores", "performance_score", "category", "test_date",
     "outlier_flag",
@@ -340,12 +325,53 @@ def _metric_values(data: dict, key: str, maximum: float) -> dict[str, float]:
 
 
 def write_results(results: Iterable[AuditResult], path: str | Path) -> None:
-    """Write one result per line; key order and spacing are fixed so equal
-    result lists produce byte-identical files."""
+    """Write one result per line, the bytes json.dumps(..., sort_keys=True,
+    separators=(",", ":")) writes for it, so equal result lists produce
+    byte-identical files. A metric or score that is not finite is a
+    ValueError naming the url, the mode and the field: read_results
+    refuses the Infinity and NaN json.dumps would write."""
     with open(path, "w", encoding="utf-8") as handle:
-        for result in results:
-            handle.write(json.dumps(result_to_dict(result), sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
+        handle.writelines(map(_result_line, results))
+
+
+# The sorted-key compact layout of a result line, ok and failed. Floats go
+# in through %r, float.__repr__, which is what json's encoder writes, and
+# strings quoted and escaped as json.dumps escapes them by default.
+_SORTED_KEYS = sorted(METRIC_KEYS)
+_SIX_FLOATS = "{" + ",".join(f'"{key}":%r' for key in _SORTED_KEYS) + "}"
+_OK_LINE = (
+    '{"category":%s,"failure_reason":null,"metrics":' + _SIX_FLOATS + ',"mode":%s,"outlier_flag":%s,'
+    '"performance_score":%r,"scores":' + _SIX_FLOATS + ","
+    '"site":{"institution":%s,"no":%d,"region":%s,"tier":%s,"url":%s},"status":"ok","test_date":%s}\n'
+)
+_FAILED_LINE = (
+    '{"category":null,"failure_reason":%s,"metrics":null,"mode":%s,"outlier_flag":%s,"performance_score":null,'
+    '"scores":null,"site":{"institution":%s,"no":%d,"region":%s,"tier":%s,"url":%s},"status":"failed","test_date":%s}\n'
+)
+# A MetricSet's values and a scores mapping's in sorted key order, and the path of each float of an ok line.
+_sorted_metrics = itemgetter(*map(METRIC_KEYS.index, _SORTED_KEYS))
+_sorted_scores = itemgetter(*_SORTED_KEYS)
+_LINE_FLOATS = (
+    *[f"$.metrics.{key}" for key in _SORTED_KEYS], "$.performance_score", *[f"$.scores.{key}" for key in _SORTED_KEYS]
+)
+
+
+def _result_line(result: AuditResult) -> str:
+    """The results-file line of one result, newline included."""
+    site, mode, status, metrics, report, test_date, outlier_flag, reason = result
+    # What both layouts hold, in key order: mode and outlier_flag, then site and test_date.
+    shared = (
+        _quote(mode), "true" if outlier_flag else "false",
+        _quote(site.institution), site.no, _quote(site.region), _quote(site.tier), _quote(site.url),
+        _quote(test_date.isoformat()),
+    )  # fmt: skip
+    if status != "ok":
+        return _FAILED_LINE % (_quote(reason), *shared)
+    floats = (*_sorted_metrics(metrics), report.performance_score, *_sorted_scores(report.scores))
+    if not all(map(math.isfinite, floats)):  # each value on its own: a sum of finite values can overflow
+        i = next(i for i, value in enumerate(floats) if not math.isfinite(value))
+        raise ValueError(f"{site.url} ({mode}): {_LINE_FLOATS[i]}: must be finite to be written, got {floats[i]!r}")
+    return _OK_LINE % (_quote(report.category), *floats[:6], *shared[:2], *floats[6:], *shared[2:])
 
 
 def read_results(path: str | Path) -> list[AuditResult]:

@@ -286,13 +286,13 @@ def replay_link(
     finish_ends, first = table
     deltas = [0.0] + [ends[j] - old[j].end_ms for j in first]
     after = bisect.bisect_right
-    new_paints = records(
-        PaintEvent, [(t + deltas[after(finish_ends, t)], kind, sig) for t, kind, sig in trace.paint_events]
-    )
+    paints = [(t + deltas[after(finish_ends, t)], kind, sig) for t, kind, sig in trace.paint_events]
     moved = [(t + deltas[after(finish_ends, t)], fraction) for t, fraction in trace.visual_progress]
     moved.sort(key=_T_MS)
+    # A shift can carry an event past the largest float, as it can a request; the last sample is the latest.
+    _check_finite([*map(_T_MS, paints), *map(_T_MS, moved[-1:])])
     visual = clamp_visual_progress(records(VisualSample, moved))
-    return NormalizedTrace(new_paints, trace.tasks, new_requests, visual), (starts, ends)
+    return NormalizedTrace(records(PaintEvent, paints), trace.tasks, new_requests, visual), (starts, ends)
 
 
 def replay_mode(trace: NormalizedTrace, cpu_multiplier: float) -> NormalizedTrace:

@@ -110,9 +110,11 @@ class NormalizedTrace(NamedTuple):
                     and prev_end <= start <= _FLOAT_MAX and 0.0 < dur <= _FLOAT_MAX
                 ):
                     start, dur = float(start), float(dur)
-                    prev_end = start + dur
-                    tasks.append((start, dur))
-                    continue
+                    end = start + dur
+                    if end <= _FLOAT_MAX:
+                        prev_end = end
+                        tasks.append((start, dur))
+                        continue
             except (KeyError, TypeError):
                 pass
             path = f"$.tasks[{i}]"
@@ -123,6 +125,8 @@ class NormalizedTrace(NamedTuple):
             if start < prev_end:
                 raise SchemaError(path, "tasks must be sorted by start_ms and non-overlapping")
             prev_end = start + dur
+            if prev_end > _FLOAT_MAX:
+                raise SchemaError(f"{path}.dur_ms", "start_ms + dur_ms must be within float range")
             tasks.append((start, dur))
 
         requests = []

@@ -5,6 +5,9 @@ sharing no code with the package. Slow and simple on purpose. The one
 exception is from_dict_fieldwise, which checks the guard in front of the
 trace field readers and so calls those readers.
 
+result_to_dict is a result as the object of its results line:
+write_results must write the bytes json.dumps writes from it.
+
 A second kind pins bits rather than values: the scoring formulas and the
 GPS kernel as first written, with every float and decimal operation in the
 order the package must keep (metric_score_per_call, aggregate_per_call,
@@ -32,6 +35,7 @@ from webaudit.trace import (
     NormalizedTrace,
     PaintEvent,
     VisualSample,
+    _FLOAT_MAX,
     _array,
     _integer,
     _number,
@@ -443,6 +447,8 @@ def from_dict_fieldwise(data) -> NormalizedTrace:
         if prev_end is not None and start < prev_end:
             raise SchemaError(path, "tasks must be sorted by start_ms and non-overlapping")
         prev_end = start + dur
+        if prev_end > _FLOAT_MAX:
+            raise SchemaError(f"{path}.dur_ms", "start_ms + dur_ms must be within float range")
         tasks.append(MainThreadTask(start, dur))
 
     requests = []
@@ -476,3 +482,21 @@ def from_dict_fieldwise(data) -> NormalizedTrace:
         requests=tuple(requests),
         visual_progress=clamp_visual_progress(samples),
     )
+
+
+def result_to_dict(result) -> dict:
+    """A result as the JSON object of its results line, for
+    json.dumps(..., sort_keys=True, separators=(",", ":"))."""
+    ok = result.status == "ok"
+    return {
+        "site": result.site._asdict(),
+        "mode": result.mode,
+        "status": result.status,
+        "failure_reason": result.failure_reason,
+        "metrics": result.metrics._asdict() if ok else None,
+        "scores": dict(result.report.scores) if ok else None,
+        "performance_score": result.report.performance_score if ok else None,
+        "category": result.report.category if ok else None,
+        "test_date": result.test_date.isoformat(),
+        "outlier_flag": result.outlier_flag,
+    }

@@ -399,6 +399,44 @@ class TestBatchCommand:
         assert "24 audits (12 sites x 2 modes), 2 failed" in captured.out
         assert len(captured.err.splitlines()) == 2 and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "trace, throttle, reason",
+        [
+            (
+                {"paint_events": [{"t_ms": 1.5e308, "kind": "contentful-paint"}],
+                 "tasks": [{"start_ms": 1.4e308, "dur_ms": 9e307}], "requests": [],
+                 "visual_progress": [{"t_ms": 1.5e308, "fraction": 1.0}]},
+                "none",
+                "SchemaError: $.tasks[0].dur_ms: start_ms + dur_ms must be within float range",
+            ),
+            (
+                {"paint_events": [{"t_ms": 1.7976931348623157e308, "kind": "contentful-paint"}], "tasks": [],
+                 "requests": [{"discovered_ms": 0, "start_ms": 0, "end_ms": 10, "bytes": 10**300, "origin": "a"}],
+                 "visual_progress": [{"t_ms": 1.7976931348623157e308, "fraction": 1.0}]},
+                "4g",
+                "ThrottleOverflow: throttle or input times too extreme to simulate: a time reached inf",
+            ),
+        ],
+        ids=["task-ends-past-float-range", "paint-shifted-past-float-range"],
+    )  # fmt: skip
+    def test_an_overflowing_time_fails_its_audits_and_aggregates(self, tmp_path, capsys, trace, throttle, reason):
+        url = "https://overflow.example.go.id"
+        corpus = f"no,institution,tier,region,url\n1,Diskominfo,provinsi,Kota Bandung,{url}\n"
+        (tmp_path / "corpus.csv").write_text(corpus, "utf-8")
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "traces" / (trace_slug(url) + ".json")).write_text(json.dumps({"nav_start": 0, **trace}), "utf-8")
+        results = tmp_path / "results.jsonl"
+        argv = ["batch", "--corpus", str(tmp_path / "corpus.csv"), "--traces", str(tmp_path / "traces"),
+                "--throttle", throttle, "--test-date", "2019-08-25", "--out", str(results)]  # fmt: skip
+        assert main(argv) == 1
+        lines = [json.loads(line) for line in results.read_text("utf-8").splitlines()]
+        assert [(line["mode"], line["status"], line["failure_reason"]) for line in lines] == [
+            ("desktop", "failed", reason),
+            ("mobile", "failed", reason),
+        ]
+        assert main(["aggregate", "--results", str(results), "--out", str(tmp_path / "aggregates.json")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_mode_is_a_usage_error(self, workspace, tmp_path, capsys):
         rc = main(
             [

@@ -1,8 +1,10 @@
 """Corpus ingestion, membership, batch running, and result files."""
 
 import datetime
+import itertools
 import json
 import logging
+import math
 import random
 import re
 import sys
@@ -13,18 +15,19 @@ import webaudit.corpus
 import webaudit.metrics
 import webaudit.netsim
 from conftest import NOT_UTF8_CORPUS_ERROR, random_trace, write_not_utf8_corpus
+from oracles import result_to_dict
 from webaudit.collector import load_trace, write_trace
 from webaudit.config import load_calibration, resolve_throttle
 from webaudit.corpus import (
     AuditResult,
     SiteRecord,
+    TIERS,
     audit_trace,
     ingest_corpus,
     membership_filter,
     normalize_region,
     read_results,
     result_from_dict,
-    result_to_dict,
     run_batch,
     trace_slug,
     write_results,
@@ -33,7 +36,7 @@ from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError, Sche
 from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
 from webaudit.report import build_aggregates, read_aggregates, write_aggregates
-from webaudit.scoring import SCORE_MAX, ScoreReport
+from webaudit.scoring import CATEGORIES, SCORE_MAX, ScoreReport
 from webaudit.synth import build_demo_trace
 from webaudit.trace import NormalizedTrace, PaintEvent, VisualSample
 from webaudit.config import OutlierBounds
@@ -573,3 +576,90 @@ class TestResultFiles:
         )
         assert read_results(path) == results
 
+
+# Text a results line must escape or carry: quotes, backslashes, control
+# characters, non-ASCII, astral and line-separator characters.
+AWKWARD_TEXT = ('"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u4e2d", "\U0001f600", "\u2028", "Kota", " ")
+METRIC_VALUES = (0.0, 2547.0, 1.5e308, 5e-05, 1e-300, 0.1 + 0.2)
+SCORE_VALUES = (0.0, 100.0, 5e-05, 1e-300, SCORE_MAX, 99.99999986140496)
+
+
+def awkward_text(rng: random.Random) -> str:
+    return "".join(rng.choices(AWKWARD_TEXT, k=rng.randint(1, 6)))
+
+
+def random_result(rng: random.Random) -> AuditResult:
+    """A result with every field drawn at random, text and numbers a line
+    must get exactly right among them."""
+    no = rng.choice((rng.randint(0, 2000), -rng.randint(1, 99), rng.randint(10**29, 10**30 - 1)))
+    site = SiteRecord(no, awkward_text(rng), rng.choice(TIERS), awkward_text(rng), "https://" + awkward_text(rng))
+    mode = rng.choice(("mobile", "desktop"))
+    test_date = datetime.date.fromordinal(rng.randint(1, datetime.date.max.toordinal()))
+    if rng.random() < 0.3:
+        return AuditResult(site, mode, "failed", None, None, test_date, rng.random() < 0.5, awkward_text(rng))
+
+    def pick(values: tuple) -> float:
+        return rng.choice(values) if rng.random() < 0.5 else rng.uniform(0.0, 100.0)
+
+    metrics = MetricSet(*(pick(METRIC_VALUES) for _ in range(6)))
+    scores = {key: pick(SCORE_VALUES) for key in rng.sample(MetricSet._fields, 6)}  # in a random key order
+    report = ScoreReport(scores, pick(SCORE_VALUES), rng.choice(CATEGORIES))
+    return AuditResult(site, mode, "ok", metrics, report, test_date, rng.random() < 0.5)
+
+
+def dumps_line(result: AuditResult) -> str:
+    """The line json.dumps writes for a result."""
+    return json.dumps(result_to_dict(result), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestResultLines:
+    """write_results writes each line as json.dumps writes it."""
+
+    def test_random_results_are_written_as_json_dumps_writes_them(self, tmp_path):
+        rng = random.Random(0x5E1F)
+        results = [random_result(rng) for _ in range(600)]
+        path = tmp_path / "results.jsonl"
+        write_results(results, path)
+        assert path.read_text("utf-8").splitlines(keepends=True) == [dumps_line(r) for r in results]
+        assert {(r.status, r.outlier_flag) for r in results} == {*itertools.product(("ok", "failed"), (True, False))}
+        reports = [r.report for r in results if r.status == "ok"]
+        assert {*METRIC_VALUES} <= {value for r in results if r.status == "ok" for value in r.metrics}
+        assert {*SCORE_VALUES} <= {value for r in reports for value in (*r.scores.values(), r.performance_score)}
+        assert min(r.site.no for r in results) < 0 and max(len(str(r.site.no)) for r in results) == 30
+
+    def test_records_read_back_keep_their_scores_order_and_write_as_json_dumps_writes_them(self, tmp_path):
+        rng = random.Random(0xF11E)
+        # read_results refuses a failed line flagged as an outlier
+        written = [r for r in (random_result(rng) for _ in range(300)) if r.status == "ok" or not r.outlier_flag]
+        source = tmp_path / "source.jsonl"
+        source.write_text("".join(json.dumps(result_to_dict(r)) + "\n" for r in written), "utf-8")
+        results = read_results(source)
+        orders = {tuple(r.report.scores) for r in results if r.status == "ok"}
+        assert len(orders) > 1  # not all in sorted order: the writer must sort them
+        path = tmp_path / "results.jsonl"
+        write_results(results, path)
+        assert path.read_text("utf-8").splitlines(keepends=True) == [dumps_line(r) for r in results]
+
+    @pytest.mark.parametrize(
+        "field",
+        [f"metrics.{key}" for key in MetricSet._fields] + ["performance_score"]
+        + [f"scores.{key}" for key in MetricSet._fields],
+    )  # fmt: skip
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_value_that_is_not_finite_is_refused_naming_its_site_mode_and_field(self, tmp_path, field, value):
+        result = ok_result(50.0, mode="desktop")
+        if field == "performance_score":
+            result = result._replace(report=result.report._replace(performance_score=value))
+        elif field.startswith("metrics."):
+            result = result._replace(metrics=result.metrics._replace(**{field[8:]: value}))
+        else:
+            result = result._replace(report=result.report._replace(scores={**result.report.scores, field[7:]: value}))
+        message = f"https://s1.test (desktop): $.{field}: must be finite to be written, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_results([result], tmp_path / "results.jsonl")
+
+    def test_values_whose_sum_overflows_are_each_written(self, tmp_path):
+        result = ok_result(50.0)._replace(metrics=MetricSet(*[1.7976931348623157e308] * 6))
+        path = tmp_path / "results.jsonl"
+        write_results([result], path)
+        assert path.read_text("utf-8") == dumps_line(result)

@@ -271,6 +271,18 @@ class TestApplyThrottle:
         assert out.tasks == (MainThreadTask(200.0, 160.0), MainThreadTask(820.0, 400.0))
         assert [p.t_ms for p in out.paint_events] == [50.0, 50.0]
 
+    @pytest.mark.parametrize("shifted", ["paint", "visual sample"])
+    def test_an_event_shifted_past_the_largest_float_is_an_overflow(self, shifted):
+        # 10**300 bytes end ~1e297 ms later under 4g, which carries an event at the largest float to inf
+        latest = 1.7976931348623157e308
+        trace = NormalizedTrace(
+            paint_events=(PaintEvent(latest if shifted == "paint" else 10.0, "contentful-paint"),),
+            requests=(NetworkRequest(0.0, 0.0, 10.0, 10**300, "https://a.test"),),
+            visual_progress=(VisualSample(latest if shifted == "visual sample" else 10.0, 1.0),),
+        )
+        with pytest.raises(ThrottleOverflow, match="a time reached inf"):
+            apply_throttle(trace, FOUR_G)
+
 
 def tied_requests(rng: random.Random) -> list[NetworkRequest]:
     """Requests on a grid of six instants: many zero-length requests, equal

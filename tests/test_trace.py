@@ -509,3 +509,26 @@ class TestFromDictOracle:
         for name in ("missing-key", "non-object", "swap", "paint-kind", "discovered-after-start",
                      "bytes", "origin", "overlap", "nav-start", "list"):
             assert seen[name] >= 100, (name, seen)
+
+    @pytest.mark.parametrize(
+        "tasks, index",
+        [
+            ([{"start_ms": 1.4e308, "dur_ms": 9e307}], 0),
+            ([{"start_ms": 10, "dur_ms": 5}, {"start_ms": 1.7976931348623157e308, "dur_ms": 1e292}], 1),
+            ([{"start_ms": 10**308, "dur_ms": 10**308}], 0),
+        ],
+        ids=["floats", "second-task", "integers"],
+    )
+    def test_a_task_that_ends_beyond_float_range_is_refused_at_its_duration(self, tasks, index):
+        doc = valid_doc()
+        doc["tasks"] = tasks
+        path = f"$.tasks[{index}].dur_ms"
+        expected = ("SchemaError", path, f"{path}: start_ms + dur_ms must be within float range")
+        assert outcome(from_dict_fieldwise, copy.deepcopy(doc)) == expected
+        assert outcome(NormalizedTrace.from_dict, doc) == expected
+
+    def test_a_task_that_ends_at_the_largest_float_is_read(self):
+        doc = valid_doc()
+        doc["tasks"] = [{"start_ms": 1.7976931348623157e308, "dur_ms": 1e291}]  # under half an ulp: rounds back
+        assert outcome(NormalizedTrace.from_dict, doc) == outcome(from_dict_fieldwise, copy.deepcopy(doc))
+        assert NormalizedTrace.from_dict(doc).tasks[0].end_ms == 1.7976931348623157e308
