@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from datetime import date
 from json.encoder import encode_basestring_ascii as _quote
@@ -76,8 +77,8 @@ class AuditResult(NamedTuple):
             if self.report is None or self.metrics is None or self.failure_reason is not None:
                 raise ValueError("ok results carry metrics and a report, and no failure reason")
         elif self.status == "failed":
-            if self.report is not None or self.metrics is not None or not self.failure_reason:
-                raise ValueError("failed results carry a reason and no metrics/report")
+            if self.report is not None or self.metrics is not None or not self.failure_reason or self.outlier_flag:
+                raise ValueError("failed results carry a reason, no metrics/report and no outlier flag")
         else:
             raise ValueError(f"status must be 'ok' or 'failed', got {self.status!r}")
 
@@ -172,10 +173,11 @@ def run_batch(
     """Audit every record in every mode from stored traces, one pass per site.
 
     A site's trace is loaded once and replayed on its link once
-    (`netsim.replay_link`); every throttled mode retimes that replay's
-    tasks (`netsim.replay_mode`) and reads the in-flight edges sorted from
-    it. Results come back sorted by (site number, mode kind). Per-item
-    failures never abort the batch.
+    (`netsim.replay_link`); every mode retimes that replay's tasks
+    (`netsim.replay_mode`) and reads the in-flight edges sorted from it.
+    Results come back sorted by (site number, mode kind). Per-item
+    failures never abort the batch: a failed load or link stage fails
+    every mode with the same reason.
     """
     if calibration is None:
         calibration = load_calibration()
@@ -183,28 +185,19 @@ def run_batch(
         test_date = date.today()
     traces_dir = Path(traces_dir)
 
-    # resolve_throttle varies only cpu_multiplier by mode, so all modes share one link.
-    profiles = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)) for kind in modes}
+    link_profile = resolve_throttle(throttle, calibration)  # every mode's link: modes differ only in the CPU
+    cpu = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)).cpu_multiplier for kind in modes}
     results: list[AuditResult] = []
     for site in records:
         try:
-            trace = load_trace(traces_dir / (trace_slug(site.url) + ".json"))
+            link, times = replay_link(load_trace(traces_dir / (trace_slug(site.url) + ".json")), link_profile)
         except (AuditError, OSError) as exc:
             results += [_failed(site, kind, test_date, exc) for kind in modes]
             continue
-        link = link_edges = None  # the trace replayed on the link and its in-flight edges, once a mode needs them
+        edges = None if times is None else in_flight_edges(*times)
         for kind in modes:
-            profile = profiles[kind]
             try:
-                if profile.is_identity:
-                    # As in apply_throttle, the identity profile leaves the trace as recorded.
-                    throttled, edges = trace, None
-                else:
-                    if link is None:
-                        link, times = replay_link(trace, profile)
-                        link_edges = in_flight_edges(*times)
-                    throttled, edges = replay_mode(link, profile.cpu_multiplier), link_edges
-                metrics, report = audit_trace(throttled, calibration.mode(kind), calibration, edges)
+                metrics, report = audit_trace(replay_mode(link, cpu[kind]), calibration.mode(kind), calibration, edges)
             except AuditError as exc:
                 results.append(_failed(site, kind, test_date, exc))
             else:
@@ -260,16 +253,7 @@ def result_from_dict(data: Any) -> AuditResult:
         # Each check above passed, so a field that is absent is one they read as null.
         for key in _RESULT_FIELDS:
             _field(data, key, "$")
-    return AuditResult(
-        site=site,
-        mode=mode,
-        status=status,
-        metrics=metrics,
-        report=report,
-        test_date=test_date,
-        outlier_flag=data["outlier_flag"],
-        failure_reason=reason,
-    )
+    return AuditResult(site, mode, status, metrics, report, test_date, data["outlier_flag"], reason)
 
 
 # The keys of a result line.
@@ -329,9 +313,23 @@ def write_results(results: Iterable[AuditResult], path: str | Path) -> None:
     separators=(",", ":")) writes for it, so equal result lists produce
     byte-identical files. A metric or score that is not finite is a
     ValueError naming the url, the mode and the field: read_results
-    refuses the Infinity and NaN json.dumps would write."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(map(_result_line, results))
+    refuses the Infinity and NaN json.dumps would write. The lines stream to
+    a file beside path that replaces it after the last line, so a failed
+    write leaves path as it was; a pipe or a device (/dev/stdout) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(map(_result_line, results))
+        return
+    target = os.path.realpath(path)  # through a symlink: replace the file, not the link
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.writelines(map(_result_line, results))
+        os.replace(temporary, target)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
 
 
 # The sorted-key compact layout of a result line, ok and failed. Floats go

@@ -11,7 +11,8 @@ to a trace. The link stage (replay_link) rebuilds the request waterfall
 under these rules and shifts paint/visual timestamps along with the
 requests that preceded them. It reads only the link, so the modes on one
 link share it. The mode stage (replay_mode) stretches the main-thread
-tasks by the CPU multiplier.
+tasks by the CPU multiplier. Each stage returns its input when its part
+of the profile changes nothing.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class ThrottleProfile(NamedTuple):
             raise ValueError(f"downlink_kbps must be > 0, got {self.downlink_kbps!r}")
         if not self.cpu_multiplier >= 1:
             raise ValueError(f"cpu_multiplier must be >= 1, got {self.cpu_multiplier!r}")
-
-    @property
-    def is_identity(self) -> bool:
-        """True when applying this profile must leave a trace untouched."""
-        return self.rtt_ms == 0 and math.isinf(self.downlink_kbps) and self.cpu_multiplier == 1
 
 
 UNTHROTTLED = ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, cpu_multiplier=1.0)
@@ -254,22 +250,23 @@ def _parents(
 
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
     """Rebuild a trace as if it had been recorded under the profile: its link
-    stage, then its mode stage."""
-    # Recorded times already contain the recording network's delays, so even
-    # a no-op re-simulation would move them: identity returns the trace as given.
-    if profile.is_identity:
-        return trace
+    stage, then its mode stage. UNTHROTTLED returns the trace itself."""
     return replay_mode(replay_link(trace, profile)[0], profile.cpu_multiplier)
 
 
 def replay_link(
     trace: NormalizedTrace, profile: ThrottleProfile
-) -> tuple[NormalizedTrace, tuple[list[float], list[float]]]:
+) -> tuple[NormalizedTrace, tuple[list[float], list[float]] | None]:
     """The link stage: the trace with its requests, paints and visual samples
     replayed on the profile's link and its tasks as recorded, and the
     replayed requests' (starts, ends) from waterfall_times, in request
     order. Reads only rtt_ms and downlink_kbps, so every mode on one link
-    can share it."""
+    can share it. On the identity link (no round trip, unlimited downlink)
+    it returns (trace, None)."""
+    # Recorded times already contain the recording network's delays, so even
+    # a no-op re-simulation would move them: the identity link keeps them.
+    if profile.rtt_ms == 0 and math.isinf(profile.downlink_kbps):
+        return trace, None
     old = trace.requests
     table = _finish_table(old)
     parents, offsets = _parents(old, table)
@@ -298,7 +295,9 @@ def replay_link(
 def replay_mode(trace: NormalizedTrace, cpu_multiplier: float) -> NormalizedTrace:
     """The mode stage: the trace with its tasks retimed for cpu_multiplier.
     Each task keeps its recorded gap to the task before it and lasts
-    cpu_multiplier times as long."""
+    cpu_multiplier times as long. At cpu_multiplier 1 it returns the trace."""
+    if cpu_multiplier == 1:
+        return trace
     scaled_tasks = []
     prev_old_end = prev_new_end = 0.0
     for old_start, old_dur in trace.tasks:

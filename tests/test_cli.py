@@ -206,6 +206,14 @@ class TestPinnedOutput:
         assert [main([*argv, mode]) for mode in ("mobile", "desktop")] == [0, 0]
         assert capsys.readouterr().out == (FIXTURES / "score_demo11_4g.txt").read_text("utf-8")
 
+    def test_cpu_only_score_prints_the_fixture(self, tmp_path, monkeypatch, capsys):
+        # A throttle file of {}: the recorded network, and the mode's CPU.
+        monkeypatch.chdir(tmp_path)
+        write_trace(build_demo_trace(11), "demo.json")
+        argv = ["score", "--trace", "demo.json", "--throttle", str(FIXTURES / "throttle_cpu_only.json"), "--mode"]
+        assert [main([*argv, mode]) for mode in ("mobile", "desktop")] == [0, 0]
+        assert capsys.readouterr().out == (FIXTURES / "score_demo11_cpu.txt").read_text("utf-8")
+
     def test_simulate_prints_the_fixture(self, capsys):
         assert main(["simulate", "--plan", str(FIXTURES / "plan.json")]) == 0
         assert capsys.readouterr().out == (FIXTURES / "simulate_plan.txt").read_text("utf-8")
@@ -337,6 +345,25 @@ class TestBatchCommand:
         assert out.exists()
         assert len(out.read_text("utf-8").splitlines()) == 24
         assert "24 audits (12 sites x 2 modes), 0 failed" in capsys.readouterr().out
+
+    def test_a_cpu_only_throttle_keeps_the_recorded_network(self, workspace, tmp_path):
+        # Under {} the mobile paints are the recorded ones, as under none;
+        # desktop, at CPU x1, is exactly the unthrottled audit.
+        lines = {}
+        for name, throttle in (("none", "none"), ("cpu", str(FIXTURES / "throttle_cpu_only.json"))):
+            (tmp_path / name).mkdir()
+            rc, out = run_batch_cli(workspace, tmp_path / name, ("--throttle", throttle))
+            assert rc == 0
+            lines[name] = out.read_text("utf-8").splitlines()
+        assert len(lines["cpu"]) == len(lines["none"]) == 24
+        for cpu, none in zip(lines["cpu"], lines["none"]):
+            cpu_result, none_result = json.loads(cpu), json.loads(none)
+            if cpu_result["mode"] == "desktop":
+                assert cpu == none
+            else:
+                for key in ("fcp", "fmp", "si"):
+                    assert cpu_result["metrics"][key] == none_result["metrics"][key]
+        assert lines["cpu"] != lines["none"]
 
     def test_failures_flip_the_exit_code(self, tmp_path, capsys):
         paths = write_demo_workspace(tmp_path, include_failure=True)

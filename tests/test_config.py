@@ -18,7 +18,9 @@ from webaudit.config import (
     resolve_throttle,
 )
 from webaudit.errors import ParseError, SchemaError
+from webaudit.netsim import apply_throttle
 from webaudit.scoring import METRIC_KEYS
+from webaudit.trace import MainThreadTask, NetworkRequest, NormalizedTrace
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,8 @@ class TestThrottleSpec:
     def test_none_rates_mean_unlimited(self):
         profile = ThrottleSpec(0.0, None, 1.0).resolve()
         assert math.isinf(profile.downlink_kbps)
-        assert profile.is_identity
+        trace = NormalizedTrace(requests=(NetworkRequest(0.0, 10.0, 90.0, 5000, "https://a.test"),))
+        assert apply_throttle(trace, profile) is trace
 
     def test_deferred_cpu_takes_the_mode_multiplier(self, calibration):
         spec = ThrottleSpec(150.0, 1638.0, None)
@@ -74,7 +77,10 @@ class TestResolveThrottle:
         assert (profile.rtt_ms, profile.downlink_kbps, profile.cpu_multiplier) == (150.0, 1638.0, 4.0)
 
     def test_none_profile_is_identity_even_on_mobile(self, calibration):
-        assert resolve_throttle("none", calibration, calibration.mode("mobile")).is_identity
+        trace = NormalizedTrace(
+            tasks=(MainThreadTask(100.0, 60.0),), requests=(NetworkRequest(0.0, 10.0, 90.0, 5000, "https://a.test"),)
+        )
+        assert apply_throttle(trace, resolve_throttle("none", calibration, calibration.mode("mobile"))) is trace
 
     def test_profile_file(self, tmp_path, calibration):
         p = tmp_path / "slow.json"
@@ -83,13 +89,14 @@ class TestResolveThrottle:
         assert (profile.rtt_ms, profile.downlink_kbps, profile.cpu_multiplier) == (400.0, 400.0, 1.0)
 
     def test_every_mode_of_a_throttle_shares_one_link(self, tmp_path, calibration):
-        # run_batch replays a site on one link for all its modes by this rule;
-        # only a cpu_multiplier, where it is deferred to the mode, varies.
+        # run_batch replays a site once, on the link resolved with no mode, for
+        # all its modes by this rule; only a cpu_multiplier deferred to the mode varies.
         files = [tmp_path / "fixed-cpu.json", tmp_path / "deferred-cpu.json"]
         files[0].write_text(json.dumps({"rtt_ms": 40, "downlink_kbps": 700, "cpu_multiplier": 3}), "utf-8")
         files[1].write_text(json.dumps({"rtt_ms": 40, "downlink_kbps": 700}), "utf-8")
         for spec in sorted(calibration.throttles) + [str(file) for file in files]:
             profiles = [resolve_throttle(spec, calibration, calibration.mode(kind)) for kind in calibration.modes]
+            profiles.append(resolve_throttle(spec, calibration))
             assert len({(p.rtt_ms, p.downlink_kbps) for p in profiles}) == 1, spec
 
     def test_unknown_name_lists_known_profiles(self, calibration):

@@ -1,7 +1,6 @@
 """Corpus ingestion, membership, batch running, and result files."""
 
 import datetime
-import itertools
 import json
 import logging
 import math
@@ -210,6 +209,20 @@ class TestAuditResultInvariants:
                 report=None,
                 test_date=TEST_DATE,
                 outlier_flag=False,
+                failure_reason="boom",
+            )
+
+    def test_failed_refuses_an_outlier_flag(self):
+        # read_results refuses such a line, so write_results must never be handed one.
+        with pytest.raises(ValueError, match="no outlier flag"):
+            AuditResult(
+                site=SiteRecord(1, "A", "provinsi", "X", "https://a.test"),
+                mode="mobile",
+                status="failed",
+                metrics=None,
+                report=None,
+                test_date=TEST_DATE,
+                outlier_flag=True,
                 failure_reason="boom",
             )
 
@@ -596,7 +609,7 @@ def random_result(rng: random.Random) -> AuditResult:
     mode = rng.choice(("mobile", "desktop"))
     test_date = datetime.date.fromordinal(rng.randint(1, datetime.date.max.toordinal()))
     if rng.random() < 0.3:
-        return AuditResult(site, mode, "failed", None, None, test_date, rng.random() < 0.5, awkward_text(rng))
+        return AuditResult(site, mode, "failed", None, None, test_date, False, awkward_text(rng))
 
     def pick(values: tuple) -> float:
         return rng.choice(values) if rng.random() < 0.5 else rng.uniform(0.0, 100.0)
@@ -621,7 +634,7 @@ class TestResultLines:
         path = tmp_path / "results.jsonl"
         write_results(results, path)
         assert path.read_text("utf-8").splitlines(keepends=True) == [dumps_line(r) for r in results]
-        assert {(r.status, r.outlier_flag) for r in results} == {*itertools.product(("ok", "failed"), (True, False))}
+        assert {(r.status, r.outlier_flag) for r in results} == {("ok", True), ("ok", False), ("failed", False)}
         reports = [r.report for r in results if r.status == "ok"]
         assert {*METRIC_VALUES} <= {value for r in results if r.status == "ok" for value in r.metrics}
         assert {*SCORE_VALUES} <= {value for r in reports for value in (*r.scores.values(), r.performance_score)}
@@ -629,8 +642,7 @@ class TestResultLines:
 
     def test_records_read_back_keep_their_scores_order_and_write_as_json_dumps_writes_them(self, tmp_path):
         rng = random.Random(0xF11E)
-        # read_results refuses a failed line flagged as an outlier
-        written = [r for r in (random_result(rng) for _ in range(300)) if r.status == "ok" or not r.outlier_flag]
+        written = [random_result(rng) for _ in range(300)]
         source = tmp_path / "source.jsonl"
         source.write_text("".join(json.dumps(result_to_dict(r)) + "\n" for r in written), "utf-8")
         results = read_results(source)
@@ -657,6 +669,36 @@ class TestResultLines:
         message = f"https://s1.test (desktop): $.{field}: must be finite to be written, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             write_results([result], tmp_path / "results.jsonl")
+
+    @pytest.mark.parametrize("failure", ["refused", "io-error"])
+    def test_a_failed_write_keeps_the_file_that_was_there(self, tmp_path, failure):
+        path = tmp_path / "results.jsonl"
+        write_results([ok_result(61.25), ok_result(38.5, no=2)], path)
+        before = path.read_bytes()
+
+        def results():
+            yield ok_result(50.0, no=3)
+            if failure == "refused":
+                yield ok_result(50.0, no=4)._replace(metrics=_METRICS._replace(tti=math.inf))
+            raise OSError("disk full")
+
+        with pytest.raises((ValueError, OSError)):
+            write_results(results(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+
+    def test_a_write_through_a_symlink_replaces_the_file_it_names(self, tmp_path):
+        (tmp_path / "real.jsonl").write_text("old\n", "utf-8")
+        (tmp_path / "link.jsonl").symlink_to("real.jsonl")
+        write_results([ok_result(61.25)], tmp_path / "link.jsonl")
+        assert (tmp_path / "link.jsonl").is_symlink()
+        assert (tmp_path / "real.jsonl").read_text("utf-8") == dumps_line(ok_result(61.25))
+
+    def test_a_directory_is_not_replaced(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_results([ok_result(61.25)], tmp_path / "out")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any((tmp_path / "out").iterdir())
 
     def test_values_whose_sum_overflows_are_each_written(self, tmp_path):
         result = ok_result(50.0)._replace(metrics=MetricSet(*[1.7976931348623157e308] * 6))

@@ -18,6 +18,8 @@ from webaudit.netsim import (
     _parents,
     apply_throttle,
     plan_from_dict,
+    replay_link,
+    replay_mode,
     waterfall_times,
 )
 from webaudit.trace import (
@@ -58,9 +60,16 @@ class TestProfiles:
                 ThrottleProfile(**bad)
 
     def test_identity_detection(self):
-        assert UNTHROTTLED.is_identity
-        assert not FOUR_G.is_identity
-        assert not ThrottleProfile(0.0, math.inf, 4.0).is_identity
+        trace = NormalizedTrace(
+            tasks=(MainThreadTask(200.0, 40.0),), requests=(NetworkRequest(0.0, 100.0, 600.0, 125000, "https://a.test"),)
+        )
+        assert apply_throttle(trace, UNTHROTTLED) is trace
+        assert apply_throttle(trace, FOUR_G) is not trace
+        assert apply_throttle(trace, ThrottleProfile(0.0, math.inf, 4.0)) is not trace
+        # Each stage skips itself on its own part of the profile.
+        link, times = replay_link(trace, ThrottleProfile(0.0, math.inf, 4.0))
+        assert link is trace and times is None
+        assert replay_mode(trace, 1.0) is trace
 
 
 class TestPlanFromDict:
@@ -262,14 +271,15 @@ class TestApplyThrottle:
             again = NormalizedTrace.from_dict(out.to_dict())
             assert again == out
 
-    def test_unconstrained_network_collapses_recorded_network_time(self):
-        # re-simulation attributes the recorded transfer time to the
-        # recording network, so an infinite pipe pulls everything to 0
-        profile = ThrottleProfile(0.0, math.inf, 4.0)
-        out = apply_throttle(self.base_trace(), profile)
-        assert out.requests == (NetworkRequest(0.0, 0.0, 0.0, 125000, "https://a.test"),)
+    def test_a_cpu_only_profile_keeps_the_recorded_network(self):
+        # The identity link leaves the recorded requests, paints and visual
+        # samples as they are, since they already hold the recording
+        # network's delays; only the tasks stretch.
+        trace = self.base_trace()
+        out = apply_throttle(trace, ThrottleProfile(0.0, math.inf, 4.0))
         assert out.tasks == (MainThreadTask(200.0, 160.0), MainThreadTask(820.0, 400.0))
-        assert [p.t_ms for p in out.paint_events] == [50.0, 50.0]
+        assert out._replace(tasks=trace.tasks) == trace
+        assert out.requests is trace.requests and out.paint_events is trace.paint_events
 
     @pytest.mark.parametrize("shifted", ["paint", "visual sample"])
     def test_an_event_shifted_past_the_largest_float_is_an_overflow(self, shifted):
@@ -481,6 +491,8 @@ def burst_trace(rng: random.Random, n: int) -> NormalizedTrace:
     navigation. Transfer times come from a palette of four and starts from
     two round trips, so siblings often end together. Zero-byte requests end
     as they start. Paints and visual samples sit on and between request ends.
+    Two tasks: the second starts just after the first paint, or once the
+    first task ends if that is later, so the trace is one the schema accepts.
     """
     durations = (0.0, 137.3, rng.choice((250.0, 562.5)), rng.randint(1, 40000) * 0.1)
     sizes = (0, 12500, 62500, rng.randint(1, 100000))
@@ -495,9 +507,10 @@ def burst_trace(rng: random.Random, n: int) -> NormalizedTrace:
             end = start + (0.0 if nbytes == 0 else rng.choice(durations))
             requests.append(NetworkRequest(discovered, start, end, nbytes, "https://a.test"))
     times = sorted(rng.choice(requests).end_ms + rng.choice((0.0, 0.0, 5.5)) for _ in range(12))
+    first = MainThreadTask(10.0, 40.0)
     return NormalizedTrace(
         paint_events=tuple(PaintEvent(t, "contentful-paint") for t in times),
-        tasks=(MainThreadTask(10.0, 40.0), MainThreadTask(times[0] + 1.0, 120.0)),
+        tasks=(first, MainThreadTask(max(times[0] + 1.0, first.start_ms + first.dur_ms), 120.0)),
         requests=tuple(requests),
         visual_progress=tuple(VisualSample(t, (k + 1) / len(times)) for k, t in enumerate(times)),
     )
@@ -505,6 +518,11 @@ def burst_trace(rng: random.Random, n: int) -> NormalizedTrace:
 
 class TestLargeReplay:
     """The throttled replay of large, bursty pages."""
+
+    def test_burst_traces_are_valid_traces(self):
+        for seed, n in [*((seed, 100) for seed in range(200)), *self.PINNED]:
+            trace = burst_trace(random.Random(seed), n)
+            assert NormalizedTrace.from_dict(trace.to_dict()) == trace, seed
 
     def test_replay_matches_the_rescan_and_the_kernel(self):
         calibration = load_calibration()
@@ -529,8 +547,8 @@ class TestLargeReplay:
     # the replay's float operations changes these.
     PINNED = {
         (0xD16E57, 300): "aff2f26eb41a1ec7f4eb6207be574c08f2be5f5f1a3236a5f54a3a69695d6340",
-        (0xD16E58, 700): "49db576bc23d8a77222cf0261fdc4295e4db4ae4e031e8676e32e6fdb7faad10",
-        (0xD16E59, 1000): "a1137aaaa7064c8fa219ece920ee5aa3e515d21e64a2abeb64bada39f6cf1c4f",
+        (0xD16E58, 700): "c5b6f7653eaac3af4e911b673b601be9cc8a6988651bcffc60d2dd21cdd88bcd",
+        (0xD16E59, 1000): "b6e72464e2b88e98ad5859937a10a5c87cca59653eab893a8e6331fbf51b9f70",
     }
 
     @pytest.mark.parametrize("seed,n", sorted(PINNED), ids=lambda v: str(v))

@@ -6,6 +6,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -15,15 +16,18 @@ import pytest
 import webaudit
 from webaudit import audit_trace, cli, load_calibration, load_trace
 from webaudit.collector import write_trace
+from webaudit.errors import AuditError
 from webaudit.synth import build_demo_trace
+from webaudit.trace import NormalizedTrace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def fenced_block(heading: str) -> list[str]:
-    """The lines of the first fenced block under the README heading ``heading``."""
+    """The lines of the first fenced block under the README heading ``heading``:
+    a heading line, or the bold label that starts a paragraph (**Trace JSON**)."""
     lines = README.read_text("utf-8").splitlines()
-    start = lines.index(heading)
+    start = next(i for i, line in enumerate(lines) if line == heading or line.startswith(f"{heading} "))
     opening = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("```"))
     assert not any(line.startswith("#") for line in lines[start + 1 : opening]), f"no block under {heading!r}"
     return lines[opening + 1 : lines.index("```", opening + 1)]
@@ -180,3 +184,39 @@ def test_a_call_that_disagrees_with_the_code_is_found(name, arguments):
 
 def test_a_call_outside_webaudit_passes():
     assert call_problem("json.dumps", ["record"]) is None
+
+
+def trace_example_problem(block: list[str], tmp_path: Path) -> str | None:
+    """Why the "Trace JSON" example block is not a trace that round-trips
+    through write_trace and load_trace, or None."""
+    try:
+        trace = NormalizedTrace.from_dict(json.loads("\n".join(block)))
+    except (ValueError, AuditError) as exc:  # a JSONDecodeError is a ValueError
+        return str(exc)
+    write_trace(trace, tmp_path / "example.json")
+    if load_trace(tmp_path / "example.json") != trace:
+        return "the example does not read back as written"
+    return None
+
+
+def test_trace_json_example_is_a_trace_that_round_trips(tmp_path):
+    assert trace_example_problem(fenced_block("**Trace JSON**"), tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"nav_start": 0.0', '"nav_start": 5.0'),
+        ('"kind": "contentful-paint"', '"kind": "paint"'),
+        ('"start_ms": 880', '"start_ms": -880'),
+        ('"end_ms": 520', '"end_ms": 5'),
+        ('"fraction": 1.0}]', '"fraction": 1.5}]'),
+        ('"bytes": 74000,', '"bytes": 74000'),
+    ],
+    ids=["nav-start", "paint-kind", "task-start", "request-end", "visual-fraction", "not-json"],
+)
+def test_an_edit_that_breaks_the_trace_json_example_is_found(tmp_path, old, new):
+    block = fenced_block("**Trace JSON**")
+    edited = "\n".join(block).replace(old, new)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert trace_example_problem(edited.splitlines(), tmp_path) is not None
