@@ -30,7 +30,7 @@ from .config import (
     resolve_throttle,
 )
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
-from .metrics import METRIC_KEYS, Edges, MetricSet, compute_all, in_flight_edges
+from .metrics import METRIC_KEYS, MetricSet, compute_all, in_flight_edges, link_metrics, mode_metrics
 from .netsim import replay_link, replay_mode
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
 from .trace import (
@@ -49,6 +49,7 @@ from .trace import (
 TIERS = ("provinsi", "kabupaten-kota", "kecamatan", "desa")
 
 _CSV_HEADER = ("no", "institution", "tier", "region", "url")
+_URL = re.compile(r"^https?://\S+$")
 
 
 class SiteRecord(NamedTuple):
@@ -123,7 +124,7 @@ def ingest_corpus(path: str | Path, member_regions: Sequence[str] | None = None)
                 raise CsvError(line, "tier", f"must be one of {', '.join(TIERS)}, got {tier!r}")
             if not region:
                 raise CsvError(line, "region", "must not be empty")
-            if not re.match(r"^https?://\S+$", url):
+            if not _URL.match(url):
                 raise CsvError(line, "url", f"must be an absolute http/https URL, got {url!r}")
             if url in seen_urls:
                 raise DuplicateUrl(line, url)
@@ -142,21 +143,24 @@ def membership_filter(records: Iterable[SiteRecord], member_regions: Sequence[st
     return [record for record in records if normalize_region(record.region) in members]
 
 
-def audit_trace(
-    trace: NormalizedTrace, mode: DeviceMode, calibration: Calibration, edges: Edges | None = None
-) -> tuple[MetricSet, ScoreReport]:
-    """Metrics plus scores for one already-throttled trace; ``edges`` as for compute_all."""
-    metrics = compute_all(trace, calibration.quiet_window, edges)
+def audit_trace(trace: NormalizedTrace, mode: DeviceMode, calibration: Calibration) -> tuple[MetricSet, ScoreReport]:
+    """Metrics plus scores for one already-throttled trace."""
+    metrics = compute_all(trace, calibration.quiet_window)
     report = score_metrics(metrics, calibration.curves_for(mode.kind), calibration.weights, calibration.bands)
     return metrics, report
+
+
+# A URL's scheme, and each run of characters a trace's file name leaves out.
+_SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*://")
+_NOT_SLUG = re.compile(r"[^a-z0-9]+")
 
 
 def trace_slug(url: str) -> str:
     """Stable filesystem name (without extension) for a site's trace."""
     import hashlib  # here, not at the top: its OpenSSL load would add to every process's start-up
 
-    stripped = re.sub(r"^[a-z][a-z0-9+.-]*://", "", url.strip().lower())
-    readable = re.sub(r"[^a-z0-9]+", "-", stripped).strip("-")
+    stripped = _SCHEME.sub("", url.strip().lower())
+    readable = _NOT_SLUG.sub("-", stripped).strip("-")
     digest = hashlib.sha1(url.strip().encode("utf-8")).hexdigest()[:8]
     return f"{readable[:64]}-{digest}"
 
@@ -172,32 +176,43 @@ def run_batch(
 ) -> list[AuditResult]:
     """Audit every record in every mode from stored traces, one pass per site.
 
-    A site's trace is loaded once and replayed on its link once
-    (`netsim.replay_link`); every mode retimes that replay's tasks
-    (`netsim.replay_mode`) and reads the in-flight edges sorted from it.
-    Results come back sorted by (site number, mode kind). Per-item
-    failures never abort the batch: a failed load or link stage fails
-    every mode with the same reason.
+    A site's trace is loaded once, replayed on its link once
+    (`netsim.replay_link`) and its link's metrics computed once
+    (`metrics.link_metrics`); every mode retimes the replay's tasks
+    (`netsim.replay_mode`) and adds the metrics they decide
+    (`metrics.mode_metrics`). Results come back sorted by (site number,
+    mode kind). Per-item failures never abort the batch: a failed load or
+    link stage fails every mode with the same reason, and a mode whose own
+    stage fails keeps that reason, as a single audit would.
     """
     if calibration is None:
         calibration = load_calibration()
     if test_date is None:
         test_date = date.today()
-    traces_dir = Path(traces_dir)
+    # Trace files are named as Path(traces_dir) / name spells them (a failure reason quotes
+    # the name), but joined as strings, which costs less than a Path per site.
+    traces = str(Path(traces_dir))
+    traces = "" if traces == "." else os.path.join(traces, "")
 
+    quiet, weights, bands = calibration.quiet_window, calibration.weights, calibration.bands
     link_profile = resolve_throttle(throttle, calibration)  # every mode's link: modes differ only in the CPU
     cpu = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)).cpu_multiplier for kind in modes}
+    curves = {kind: calibration.curves_for(kind) for kind in modes}
     results: list[AuditResult] = []
     for site in records:
         try:
-            link, times = replay_link(load_trace(traces_dir / (trace_slug(site.url) + ".json")), link_profile)
+            link, times = replay_link(load_trace(traces + trace_slug(site.url) + ".json"), link_profile)
         except (AuditError, OSError) as exc:
             results += [_failed(site, kind, test_date, exc) for kind in modes]
             continue
-        edges = None if times is None else in_flight_edges(*times)
+        shared = None  # the link's metrics, from the first mode whose own stage succeeds; a failure is not kept
         for kind in modes:
             try:
-                metrics, report = audit_trace(replay_mode(link, cpu[kind]), calibration.mode(kind), calibration, edges)
+                trace = replay_mode(link, cpu[kind])
+                if shared is None:
+                    shared = link_metrics(link, quiet, None if times is None else in_flight_edges(*times))
+                metrics = mode_metrics(shared, trace, quiet)
+                report = score_metrics(metrics, curves[kind], weights, bands)
             except AuditError as exc:
                 results.append(_failed(site, kind, test_date, exc))
             else:

@@ -5,6 +5,9 @@ meaningful paint, speed index, time to interactive, first CPU idle, and max
 potential first-input delay. Interactivity metrics use a quiet-window search:
 the page counts as interactive once a window of ``window_ms`` after FCP is
 free of long tasks (and, for TTI, of heavy network activity).
+
+``link_metrics`` computes what every device mode on one link shares, and
+``mode_metrics`` adds what one mode's main-thread tasks decide.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ _END_MS = operator.attrgetter("end_ms")
 
 # In-flight edges: (sorted start_ms values, sorted end_ms values) of a trace's requests.
 Edges = tuple[list[float], list[float]]
+# What a trace's link alone fixes: FCP, FMP, speed index and TTI's network blockers.
+LinkMetrics = tuple[float, float, float, list[tuple[float, float]]]
 
 
 @_checked_record
@@ -113,7 +118,8 @@ def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float
     or before w (at least fcp). Traces are treated as quiet past their end,
     so a window always exists.
     """
-    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), _request_edges(trace.requests), fcp, quiet)
+    overloads = _overload_intervals(_request_edges(trace.requests), quiet.max_inflight_requests)
+    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), overloads, fcp, quiet)
 
 
 def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
@@ -121,9 +127,10 @@ def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float
     return _fci(_long_task_intervals(trace.tasks, quiet.long_task_ms), fcp, quiet)
 
 
-def _tti(long_tasks: list[tuple[float, float]], edges: Edges, fcp: float, quiet: QuietWindow) -> float:
-    blockers = long_tasks + _overload_intervals(edges, quiet.max_inflight_requests)
-    w = _earliest_quiet_start(blockers, fcp, quiet.window_ms)
+def _tti(
+    long_tasks: list[tuple[float, float]], overloads: list[tuple[float, float]], fcp: float, quiet: QuietWindow
+) -> float:
+    w = _earliest_quiet_start(long_tasks + overloads, fcp, quiet.window_ms)
     return _last_long_task_end(long_tasks, w, fcp)
 
 
@@ -141,28 +148,38 @@ def compute_max_fid(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     return best
 
 
-def compute_all(trace: NormalizedTrace, quiet: QuietWindow | None = None, edges: Edges | None = None) -> MetricSet:
-    """All six metrics in dependency order; ``quiet`` defaults to the packaged calibration's.
+def link_metrics(trace: NormalizedTrace, quiet: QuietWindow, edges: Edges | None = None) -> LinkMetrics:
+    """The metrics the tasks do not move: (fcp, fmp, si, overload intervals).
 
-    ``edges`` are the trace's in-flight edges when the caller already has
-    them, as a replay's link stage does; by default they are built from
-    ``trace.requests``.
+    Every mode replayed on one link shares them. ``edges`` are the trace's
+    in-flight edges when the caller already has them, as a replay's link
+    stage does; by default they are sorted from ``trace.requests``.
     """
+    fcp = compute_fcp(trace)
+    fmp = compute_fmp(trace, fcp)
+    speed_index = compute_speed_index(trace)
+    if edges is None:
+        edges = _request_edges(trace.requests)
+    return fcp, fmp, speed_index, _overload_intervals(edges, quiet.max_inflight_requests)
+
+
+def mode_metrics(link: LinkMetrics, trace: NormalizedTrace, quiet: QuietWindow) -> MetricSet:
+    """All six metrics from a link's metrics and the tasks of one mode's trace on that link."""
+    fcp, fmp, speed_index, overloads = link
+    # TTI and FCI share the long tasks.
+    long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
+    tti = _tti(long_tasks, overloads, fcp, quiet)
+    fci = _fci(long_tasks, fcp, quiet)
+    return MetricSet(fcp, fmp, speed_index, tti, fci, compute_max_fid(trace, fcp, tti))
+
+
+def compute_all(trace: NormalizedTrace, quiet: QuietWindow | None = None) -> MetricSet:
+    """All six metrics in dependency order; ``quiet`` defaults to the packaged calibration's."""
     if quiet is None:
         from .config import load_calibration  # config imports this module
 
         quiet = load_calibration().quiet_window
-    fcp = compute_fcp(trace)
-    fmp = compute_fmp(trace, fcp)
-    speed_index = compute_speed_index(trace)
-    # TTI and FCI share the long tasks.
-    long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
-    if edges is None:
-        edges = _request_edges(trace.requests)
-    tti = _tti(long_tasks, edges, fcp, quiet)
-    fci = _fci(long_tasks, fcp, quiet)
-    max_fid = compute_max_fid(trace, fcp, tti)
-    return MetricSet(fcp, fmp, speed_index, tti, fci, max_fid)
+    return mode_metrics(link_metrics(trace, quiet), trace, quiet)
 
 
 def _long_task_intervals(tasks: Sequence[MainThreadTask], long_task_ms: float) -> list[tuple[float, float]]:

@@ -135,15 +135,17 @@ def aggregate(scores: Mapping[str, float], weights: WeightTable) -> float:
 
     Runs in decimal arithmetic so the weights act at their exact decimal
     values: a lone score of 100 under weight 0.267 yields 26.7, not the
-    binary-float product 26.700000000000003. Scores carrying zero weight
-    cannot perturb the result. Raises WeightMismatch if a score is missing.
+    binary-float product 26.700000000000003. A score under zero weight is
+    not read, so not even a NaN or an infinite one there can perturb the
+    result. Raises WeightMismatch if a score is missing.
     """
     if not scores.keys() >= _KEY_SET:
         missing = [key for key in METRIC_KEYS if key not in scores]
         raise WeightMismatch(f"missing metric scores: {', '.join(missing)}")
     total = Decimal(0)
     for key, weight in zip(METRIC_KEYS, weights.decimals):
-        total += weight * Decimal(repr(float(scores[key])))
+        if weight:
+            total += weight * Decimal(repr(float(scores[key])))
     return float(total)
 
 

@@ -4,6 +4,7 @@ import datetime
 import json
 import logging
 import math
+import pathlib
 import random
 import re
 import sys
@@ -36,8 +37,8 @@ from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
 from webaudit.report import build_aggregates, read_aggregates, write_aggregates
 from webaudit.scoring import CATEGORIES, SCORE_MAX, ScoreReport
-from webaudit.synth import build_demo_trace
-from webaudit.trace import NormalizedTrace, PaintEvent, VisualSample
+from webaudit.synth import build_demo_trace, write_demo_workspace
+from webaudit.trace import MainThreadTask, NormalizedTrace, PaintEvent, VisualSample
 from webaudit.config import OutlierBounds
 
 MEMBERS = ("Kota Bandung", "Kab. Bogor")
@@ -340,6 +341,33 @@ class TestRunBatch:
         assert mobile.failure_reason == "ThrottleOverflow: throttle or input times too extreme to simulate: a time reached inf"
         assert desktop.status == "ok"
         assert desktop.report.performance_score == 53.242505369267796
+
+    def test_a_mode_stage_failure_comes_before_a_link_metric_failure(self, tmp_path):
+        # No contentful paint, and a task that overflows at mobile's 4x CPU.
+        trace = NormalizedTrace(paint_events=(PaintEvent(100.0, "first-paint"),), tasks=(MainThreadTask(0.0, 1e308),))
+        records, traces = self.setup_workspace(tmp_path, trace)
+        desktop, mobile = run_batch(records[:1], ("mobile", "desktop"), "4g", traces_dir=traces, test_date=TEST_DATE)
+        assert mobile.failure_reason == "ThrottleOverflow: throttle or input times too extreme to simulate: a time reached inf"
+        assert desktop.failure_reason == "NoContentfulPaint: trace has no contentful-paint event"
+
+    @pytest.mark.parametrize("spelling", [".", "traces", "./traces/", "traces//", "{tmp}/traces", "{tmp}//traces/"])
+    def test_a_trace_file_is_named_as_a_path_names_it(self, tmp_path, simple_trace, monkeypatch, spelling):
+        # A failure reason quotes the file name, so the batch names it as Path(traces_dir) / name does.
+        records, traces = self.setup_workspace(tmp_path, simple_trace)
+        monkeypatch.chdir(traces if spelling == "." else tmp_path)
+        directory = spelling.format(tmp=tmp_path)
+        results = run_batch(records, ("mobile",), "none", traces_dir=directory, test_date=TEST_DATE)
+        missing = pathlib.Path(directory) / (trace_slug("https://missing.test") + ".json")
+        assert [r.status for r in results] == ["ok", "failed"]
+        assert results[1].failure_reason == f"FileNotFoundError: [Errno 2] No such file or directory: {str(missing)!r}"
+
+    @pytest.mark.parametrize("throttle", ["none", "4g"])
+    def test_one_sort_of_the_in_flight_edges_per_site(self, tmp_path, throttle, edge_sorts):
+        paths = write_demo_workspace(tmp_path)
+        records = ingest_corpus(paths["corpus"])
+        results = run_batch(records, ("mobile", "desktop"), throttle, traces_dir=paths["traces"], test_date=TEST_DATE)
+        assert (len(records), [r.status for r in results]) == (12, ["ok"] * 24)
+        assert len(edge_sorts) == 12
 
     @pytest.mark.parametrize(
         "profile",

@@ -21,6 +21,8 @@ from webaudit.metrics import (
     compute_speed_index,
     compute_tti,
     in_flight_edges,
+    link_metrics,
+    mode_metrics,
     _overload_intervals,
     _request_edges,
 )
@@ -285,9 +287,9 @@ def zero_start_trace(requests):
 
 
 class TestInFlightEdges:
-    """compute_all with a link stage's edges, or with the kernel's interval
-    bounds, gives the very metrics (by repr) it gives from the trace alone
-    or with the oracle's bounds."""
+    """The metrics staged like the replay, on a link stage's edges, are the
+    very metrics (by repr) compute_all gives the throttled trace alone; and
+    the kernel's interval bounds give the very metrics the oracle's do."""
 
     @pytest.fixture
     def profiles(self, tmp_path, calibration):
@@ -297,6 +299,7 @@ class TestInFlightEdges:
             resolve_throttle("4g", calibration, calibration.mode("mobile")),
             resolve_throttle(str(profile_file), calibration),
             ThrottleProfile(rtt_ms=150.0, downlink_kbps=math.inf),
+            ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, cpu_multiplier=4.0),  # the identity link: no times
         ]
 
     def test_link_stage_edges_give_the_same_metrics(self, profiles, quiet, rng):
@@ -304,12 +307,14 @@ class TestInFlightEdges:
             for _ in range(150):
                 trace = random_trace(rng)
                 link, times = replay_link(trace, profile)
-                # The link stage's times are its requests', in request order.
-                assert repr(times) == repr(([r.start_ms for r in link.requests], [r.end_ms for r in link.requests]))
-                throttled = replay_mode(link, profile.cpu_multiplier)
-                edges = in_flight_edges(*times)
-                assert repr(edges) == repr(_request_edges(throttled.requests))
-                assert repr(compute_all(throttled, quiet, edges)) == repr(compute_all(throttled, quiet))
+                edges = None
+                if times is not None:
+                    # The link stage's times are its requests', in request order.
+                    assert repr(times) == repr(([r.start_ms for r in link.requests], [r.end_ms for r in link.requests]))
+                    edges = in_flight_edges(*times)
+                    assert repr(edges) == repr(_request_edges(link.requests))
+                staged = mode_metrics(link_metrics(link, quiet, edges), replay_mode(link, profile.cpu_multiplier), quiet)
+                assert repr(staged) == repr(compute_all(apply_throttle(trace, profile), quiet))
 
     def test_kernel_bounds_never_reach_a_metric(self, monkeypatch, quiet, rng):
         ends_at_10 = NetworkRequest(0, 0, 10, 1, "https://x.test")

@@ -137,6 +137,17 @@ class TestAggregate:
             high = dict(scores, max_fid=100.0)
             assert aggregate(low, calibration.weights) == aggregate(high, calibration.weights)
 
+    def test_a_zero_weight_score_is_not_read(self, calibration, rng):
+        # Before, a NaN under the packaged max_fid weight of 0 made the result nan, and an infinity raised.
+        tables = [calibration.weights] + [random_weights(rng) for _ in range(40)]
+        for weights in tables:
+            zero = [key for key, weight in weights.as_dict().items() if weight == 0]
+            scores = {key: rng.uniform(0.0, 100.0) for key in METRIC_KEYS}
+            want = aggregate(scores, weights).hex()
+            for bad in (math.nan, math.inf, -math.inf, "not a number"):
+                assert aggregate(dict(scores, **dict.fromkeys(zero, bad)), weights).hex() == want
+        assert sum(1 for weights in tables if 0.0 in weights.as_dict().values()) > 10
+
     def test_missing_metric_rejected(self, calibration):
         scores = self.full(50.0)
         del scores["tti"]
