@@ -23,6 +23,8 @@ from .scoring import CategoryBands, ScoreCurve, WeightTable
 from .trace import _checked_record, _integer, _known_keys, _number, _object, _parse_json, _read_json
 
 MODE_KINDS = ("mobile", "desktop")
+# The sections of a calibration document.
+_SECTIONS = ("modes", "curves", "weights", "category_bands", "outlier_bounds", "throttle_profiles", "quiet_window")
 _DATA = Path(__file__).with_name("data")  # read by path: importlib.resources imports inspect on Python 3.12
 
 
@@ -100,10 +102,10 @@ class Calibration(NamedTuple):
 
 @contextlib.contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """open() for reading UTF-8 text; a byte that is not UTF-8 is a
-    ParseError naming the file, the byte's line and its offset in the file."""
+    """open() for reading UTF-8 text, a leading byte-order mark skipped; a byte that
+    is not UTF-8 is a ParseError naming the file, the byte's line and its offset in the file."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
+        with open(path, encoding="utf-8-sig", newline=newline) as handle:
             yield handle
     except UnicodeDecodeError as exc:
         # A stream counts the position within its decode chunk: decode the
@@ -134,6 +136,7 @@ def calibration_from_dict(data: Any) -> Calibration:
     """A Calibration from a document; an optional value it leaves out is read from the packaged one."""
     if not isinstance(data, dict):
         raise SchemaError("$", "calibration document must be an object")
+    _known_keys(data, _SECTIONS, "$")
     packaged = functools.cache(_packaged_calibration)
 
     modes_data = _object(data, "modes", "$")
@@ -195,6 +198,7 @@ def _optional_section(data: dict, packaged: Callable[[], dict], key: str, cls: t
     """
     path = f"$.{key}"
     section = _object(data, key, "$", default={})
+    _known_keys(section, readers, path)
     values = {}
     for name, read in readers.items():
         values[name] = read(section if section.get(name) is not None else packaged()[key], name, path)
@@ -203,13 +207,18 @@ def _optional_section(data: dict, packaged: Callable[[], dict], key: str, cls: t
 
 def resolve_throttle(spec: str, calibration: Calibration, mode: DeviceMode | None = None) -> ThrottleProfile:
     """Turn a profile name or a profile-file path into a concrete profile."""
+    return _find_throttle(spec, calibration).resolve(mode)
+
+
+def _find_throttle(spec: str, calibration: Calibration) -> ThrottleSpec:
+    """The profile a name or a profile-file path names, as configured; a file is read here, once per call."""
     if spec in calibration.throttles:
-        return calibration.throttles[spec].resolve(mode)
+        return calibration.throttles[spec]
     path = Path(spec)
     if not path.exists():
         known = ", ".join(sorted(calibration.throttles))
         raise SchemaError("$.throttle_profiles", f"unknown throttle {spec!r} (profiles: {known}; or pass a file)")
-    return _throttle_spec(_read_json(path), "$").resolve(mode)
+    return _throttle_spec(_read_json(path), "$")
 
 
 def _throttle_spec(item: Any, path: str) -> ThrottleSpec:

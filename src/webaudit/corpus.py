@@ -25,12 +25,12 @@ from .config import (
     MODE_KINDS,
     Calibration,
     DeviceMode,
+    _find_throttle,
     load_calibration,
     open_text,
-    resolve_throttle,
 )
 from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
-from .metrics import METRIC_KEYS, MetricSet, compute_all, in_flight_edges, link_metrics, mode_metrics
+from .metrics import METRIC_KEYS, MetricSet, compute_all, link_metrics, mode_metrics
 from .netsim import replay_link, replay_mode
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
 from .trace import (
@@ -195,13 +195,14 @@ def run_batch(
     traces = "" if traces == "." else os.path.join(traces, "")
 
     quiet, weights, bands = calibration.quiet_window, calibration.weights, calibration.bands
-    link_profile = resolve_throttle(throttle, calibration)  # every mode's link: modes differ only in the CPU
-    cpu = {kind: resolve_throttle(throttle, calibration, calibration.mode(kind)).cpu_multiplier for kind in modes}
+    spec = _find_throttle(throttle, calibration)  # read once, so every mode sees one version of a file
+    link_profile = spec.resolve()  # every mode's link: modes differ only in the CPU
+    cpu = {kind: spec.resolve(calibration.mode(kind)).cpu_multiplier for kind in modes}
     curves = {kind: calibration.curves_for(kind) for kind in modes}
     results: list[AuditResult] = []
     for site in records:
         try:
-            link, times = replay_link(load_trace(traces + trace_slug(site.url) + ".json"), link_profile)
+            link = replay_link(load_trace(traces + trace_slug(site.url) + ".json"), link_profile)
         except (AuditError, OSError) as exc:
             results += [_failed(site, kind, test_date, exc) for kind in modes]
             continue
@@ -210,7 +211,7 @@ def run_batch(
             try:
                 trace = replay_mode(link, cpu[kind])
                 if shared is None:
-                    shared = link_metrics(link, quiet, None if times is None else in_flight_edges(*times))
+                    shared = link_metrics(link, quiet)
                 metrics = mode_metrics(shared, trace, quiet)
                 report = score_metrics(metrics, curves[kind], weights, bands)
             except AuditError as exc:

@@ -22,8 +22,6 @@ from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, _checked_rec
 _START_MS = operator.attrgetter("start_ms")
 _END_MS = operator.attrgetter("end_ms")
 
-# In-flight edges: (sorted start_ms values, sorted end_ms values) of a trace's requests.
-Edges = tuple[list[float], list[float]]
 # What a trace's link alone fixes: FCP, FMP, speed index and TTI's network blockers.
 LinkMetrics = tuple[float, float, float, list[tuple[float, float]]]
 
@@ -118,24 +116,20 @@ def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float
     or before w (at least fcp). Traces are treated as quiet past their end,
     so a window always exists.
     """
-    overloads = _overload_intervals(_request_edges(trace.requests), quiet.max_inflight_requests)
+    overloads = _overload_intervals(trace.requests, quiet.max_inflight_requests)
     return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), overloads, fcp, quiet)
 
 
 def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
     """First CPU idle: like TTI but ignoring network activity entirely."""
-    return _fci(_long_task_intervals(trace.tasks, quiet.long_task_ms), fcp, quiet)
+    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), [], fcp, quiet)
 
 
 def _tti(
     long_tasks: list[tuple[float, float]], overloads: list[tuple[float, float]], fcp: float, quiet: QuietWindow
 ) -> float:
+    """The quiet-window rule over the long tasks and network blockers; FCI is it with no blockers."""
     w = _earliest_quiet_start(long_tasks + overloads, fcp, quiet.window_ms)
-    return _last_long_task_end(long_tasks, w, fcp)
-
-
-def _fci(long_tasks: list[tuple[float, float]], fcp: float, quiet: QuietWindow) -> float:
-    w = _earliest_quiet_start(long_tasks, fcp, quiet.window_ms)
     return _last_long_task_end(long_tasks, w, fcp)
 
 
@@ -148,19 +142,15 @@ def compute_max_fid(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     return best
 
 
-def link_metrics(trace: NormalizedTrace, quiet: QuietWindow, edges: Edges | None = None) -> LinkMetrics:
+def link_metrics(trace: NormalizedTrace, quiet: QuietWindow) -> LinkMetrics:
     """The metrics the tasks do not move: (fcp, fmp, si, overload intervals).
 
-    Every mode replayed on one link shares them. ``edges`` are the trace's
-    in-flight edges when the caller already has them, as a replay's link
-    stage does; by default they are sorted from ``trace.requests``.
+    Every mode replayed on one link shares them.
     """
     fcp = compute_fcp(trace)
     fmp = compute_fmp(trace, fcp)
     speed_index = compute_speed_index(trace)
-    if edges is None:
-        edges = _request_edges(trace.requests)
-    return fcp, fmp, speed_index, _overload_intervals(edges, quiet.max_inflight_requests)
+    return fcp, fmp, speed_index, _overload_intervals(trace.requests, quiet.max_inflight_requests)
 
 
 def mode_metrics(link: LinkMetrics, trace: NormalizedTrace, quiet: QuietWindow) -> MetricSet:
@@ -169,7 +159,7 @@ def mode_metrics(link: LinkMetrics, trace: NormalizedTrace, quiet: QuietWindow) 
     # TTI and FCI share the long tasks.
     long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
     tti = _tti(long_tasks, overloads, fcp, quiet)
-    fci = _fci(long_tasks, fcp, quiet)
+    fci = _tti(long_tasks, [], fcp, quiet)
     return MetricSet(fcp, fmp, speed_index, tti, fci, compute_max_fid(trace, fcp, tti))
 
 
@@ -186,16 +176,7 @@ def _long_task_intervals(tasks: Sequence[MainThreadTask], long_task_ms: float) -
     return [(start, start + dur) for start, dur in tasks if dur > long_task_ms]
 
 
-def in_flight_edges(starts: Iterable[float], ends: Iterable[float]) -> Edges:
-    """TTI's in-flight edges: the requests' start times and end times, each sorted."""
-    return sorted(starts), sorted(ends)
-
-
-def _request_edges(requests: Sequence[NetworkRequest]) -> Edges:
-    return in_flight_edges(map(_START_MS, requests), map(_END_MS, requests))
-
-
-def _overload_intervals(edges: Edges, max_inflight: int) -> list[tuple[float, float]]:
+def _overload_intervals(requests: Sequence[NetworkRequest], max_inflight: int) -> list[tuple[float, float]]:
     """Half-open intervals during which more than max_inflight requests are in flight.
 
     A request is in flight over [start_ms, end_ms), and start_ms <= end_ms
@@ -208,10 +189,10 @@ def _overload_intervals(edges: Edges, max_inflight: int) -> list[tuple[float, fl
     request adds as much to S as to E. Each run of merged pieces is one
     interval, kept when it is not empty.
     """
-    starts, ends = edges
-    lows = starts[max_inflight:]  # piece m is [lows[m], ends[m])
+    lows = sorted(map(_START_MS, requests))[max_inflight:]  # piece m is [lows[m], ends[m])
     if not lows:
         return []
+    ends = sorted(map(_END_MS, requests))
     tail = lows[1:]
     gaps = list(map(operator.gt, tail, ends))  # gaps[m]: piece m+1 starts after piece m ends
     firsts = [lows[0], *compress(tail, gaps)]

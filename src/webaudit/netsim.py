@@ -251,22 +251,19 @@ def _parents(
 def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
     """Rebuild a trace as if it had been recorded under the profile: its link
     stage, then its mode stage. UNTHROTTLED returns the trace itself."""
-    return replay_mode(replay_link(trace, profile)[0], profile.cpu_multiplier)
+    return replay_mode(replay_link(trace, profile), profile.cpu_multiplier)
 
 
-def replay_link(
-    trace: NormalizedTrace, profile: ThrottleProfile
-) -> tuple[NormalizedTrace, tuple[list[float], list[float]] | None]:
+def replay_link(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
     """The link stage: the trace with its requests, paints and visual samples
-    replayed on the profile's link and its tasks as recorded, and the
-    replayed requests' (starts, ends) from waterfall_times, in request
-    order. Reads only rtt_ms and downlink_kbps, so every mode on one link
-    can share it. On the identity link (no round trip, unlimited downlink)
-    it returns (trace, None)."""
+    replayed on the profile's link and its tasks as recorded. Reads only
+    rtt_ms and downlink_kbps, so every mode on one link can share it. On
+    the identity link (no round trip, unlimited downlink) it returns the
+    trace."""
     # Recorded times already contain the recording network's delays, so even
     # a no-op re-simulation would move them: the identity link keeps them.
     if profile.rtt_ms == 0 and math.isinf(profile.downlink_kbps):
-        return trace, None
+        return trace
     old = trace.requests
     table = _finish_table(old)
     parents, offsets = _parents(old, table)
@@ -289,7 +286,7 @@ def replay_link(
     # A shift can carry an event past the largest float, as it can a request; the last sample is the latest.
     _check_finite([*map(_T_MS, paints), *map(_T_MS, moved[-1:])])
     visual = clamp_visual_progress(records(VisualSample, moved))
-    return NormalizedTrace(records(PaintEvent, paints), trace.tasks, new_requests, visual), (starts, ends)
+    return NormalizedTrace(records(PaintEvent, paints), trace.tasks, new_requests, visual)
 
 
 def replay_mode(trace: NormalizedTrace, cpu_multiplier: float) -> NormalizedTrace:

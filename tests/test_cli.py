@@ -1,5 +1,6 @@
 """The command-line surface, run in-process through cli.main."""
 
+import codecs
 import csv
 import importlib
 import json
@@ -184,6 +185,18 @@ def test_a_corpus_byte_that_is_not_utf8_exits_two_naming_its_line_and_file_offse
     rc, out = run_batch_cli(workspace, tmp_path)
     assert rc == 2 and not out.exists()
     assert capsys.readouterr().err == f"error: {workspace['corpus']}, {NOT_UTF8_CORPUS_ERROR}\n"
+
+
+def test_a_byte_order_mark_on_the_corpus_and_the_member_list_is_skipped(workspace, tmp_path):
+    for key in ("corpus", "members"):
+        workspace[key].write_bytes(codecs.BOM_UTF8 + workspace[key].read_bytes())
+    rc, results = run_batch_cli(workspace, tmp_path)
+    assert rc == 0
+    assert results.read_bytes() == (FIXTURES / "golden_results.jsonl").read_bytes()
+    aggregates = tmp_path / "aggregates.json"
+    argv = ["aggregate", "--results", str(results), "--members", str(workspace["members"]), "--out", str(aggregates)]
+    assert main(argv) == 0
+    assert aggregates.read_bytes() == (FIXTURES / "golden_aggregates.json").read_bytes()
 
 
 class TestPinnedOutput:
@@ -904,6 +917,7 @@ class TestOneWordingPerRule:
             ("results", lambda d: d.pop("mode"), "$.mode: missing field"),
             ("aggregates", lambda d: d.update(failures=[]), "$.failures: must be an object"),
             ("aggregates", lambda d: d["aggregates"][0].pop("region"), "$.aggregates[0].region: missing field"),
+            ("calibration", lambda d: d["quiet_window"].update(windw_ms=100), "$.quiet_window.windw_ms: unknown field"),
         ],
     )
     def test_a_bad_or_missing_field_exits_two_at_its_path(self, workspace, tmp_path, capsys, kind, edit, message):

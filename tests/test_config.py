@@ -1,5 +1,6 @@
 """Calibration loading, throttle resolution, and the member-region list."""
 
+import codecs
 import json
 import math
 
@@ -247,6 +248,25 @@ class TestCalibrationSchema:
         assert calibration_from_dict(doc) == calibration_from_dict(json.loads(text))
         assert len(reads) == 1
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["quiet_window"].update(windw_ms=100), "$.quiet_window.windw_ms: unknown field"),
+            (lambda d: d.update(quiet_window={"windw_ms": 100}), "$.quiet_window.windw_ms: unknown field"),
+            (lambda d: d["category_bands"].update(good=90), "$.category_bands.good: unknown field"),
+            (lambda d: d["outlier_bounds"].update(uper=90), "$.outlier_bounds.uper: unknown field"),
+            (lambda d: d.update(outlier_bound={"upper": 90, "lower": 10}), "$.outlier_bound: unknown field"),
+        ],
+        ids=["field", "field-of-a-partial-section", "band", "bound", "section"],
+    )
+    def test_an_unknown_key_at_the_top_or_in_an_optional_section_is_an_error(self, mutate, message):
+        # Before, each of these loaded the packaged value without a word.
+        doc = self.base()
+        mutate(doc)
+        with pytest.raises(SchemaError) as exc:
+            calibration_from_dict(doc)
+        assert str(exc.value) == message
+
     def test_a_null_weight_is_still_an_error(self):
         doc = self.base()
         doc["weights"]["fcp"] = None
@@ -279,6 +299,11 @@ class TestMemberRegions:
         p = tmp_path / "members.txt"
         p.write_text("# header\n\nKota A\n  Kota B \n", "utf-8")
         assert load_member_regions(p) == ("Kota A", "Kota B")
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "members.txt"
+        p.write_bytes(codecs.BOM_UTF8 + "Web SKPD Provinsi\nKota Bandung\n".encode("utf-8"))
+        assert load_member_regions(p) == ("Web SKPD Provinsi", "Kota Bandung")
 
 
 class TestOutlierBounds:

@@ -1,5 +1,6 @@
 """Corpus ingestion, membership, batch running, and result files."""
 
+import codecs
 import datetime
 import json
 import logging
@@ -7,10 +8,10 @@ import math
 import pathlib
 import random
 import re
-import sys
 
 import pytest
 
+import webaudit.config
 import webaudit.corpus
 import webaudit.metrics
 import webaudit.netsim
@@ -147,6 +148,13 @@ class TestIngestCorpus:
         path = write_corpus(tmp_path, ["1,A,provinsi,Nowhere,https://a.test"])
         assert [r.region for r in ingest_corpus(path)] == ["Nowhere"]
 
+    def test_a_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        path = write_corpus(tmp_path, ["1,Diskominfo,kabupaten-kota,Kota Bandung,https://bandung.go.id"])
+        plain = ingest_corpus(path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert ingest_corpus(path) == plain
+        assert plain == [SiteRecord(1, "Diskominfo", "kabupaten-kota", "Kota Bandung", "https://bandung.go.id")]
+
     def test_a_byte_that_is_not_utf8_is_named_by_its_line_and_file_offset(self, tmp_path):
         path = tmp_path / "corpus.csv"
         write_not_utf8_corpus(path)
@@ -262,18 +270,16 @@ class TestTraceSlug:
 
 @pytest.fixture
 def edge_sorts(monkeypatch):
-    """One entry per sort of a trace's in-flight edges: a call of
-    metrics.in_flight_edges through any module that holds it."""
+    """One entry per sort of a trace's request starts and ends: a call of
+    metrics._overload_intervals, the one in-flight rule."""
     calls = []
-    original = webaudit.metrics.in_flight_edges
+    original = webaudit.metrics._overload_intervals
 
-    def counted(starts, ends):
+    def counted(requests, max_inflight):
         calls.append(None)
-        return original(starts, ends)
+        return original(requests, max_inflight)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("webaudit") and getattr(module, "in_flight_edges", None) is original:
-            monkeypatch.setattr(module, "in_flight_edges", counted)
+    monkeypatch.setattr(webaudit.metrics, "_overload_intervals", counted)
     return calls
 
 
@@ -368,6 +374,20 @@ class TestRunBatch:
         results = run_batch(records, ("mobile", "desktop"), throttle, traces_dir=paths["traces"], test_date=TEST_DATE)
         assert (len(records), [r.status for r in results]) == (12, ["ok"] * 24)
         assert len(edge_sorts) == 12
+
+    def test_a_throttle_file_is_read_once_per_batch(self, tmp_path, monkeypatch):
+        # Every mode then sees one version of the file, even if it is edited mid-batch.
+        paths = write_demo_workspace(tmp_path)
+        profile = tmp_path / "4g.json"
+        profile.write_text(json.dumps({"rtt_ms": 150, "downlink_kbps": 1638, "cpu_multiplier": None}), "utf-8")
+        reads = []
+        original = webaudit.config._read_json
+        monkeypatch.setattr(webaudit.config, "_read_json", lambda path: reads.append(path) or original(path))
+        records = ingest_corpus(paths["corpus"])
+        modes = ("mobile", "desktop")
+        by_file = run_batch(records, modes, str(profile), traces_dir=paths["traces"], test_date=TEST_DATE)
+        assert reads == [profile]
+        assert by_file == run_batch(records, modes, "4g", traces_dir=paths["traces"], test_date=TEST_DATE)
 
     @pytest.mark.parametrize(
         "profile",

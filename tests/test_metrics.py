@@ -20,11 +20,9 @@ from webaudit.metrics import (
     compute_max_fid,
     compute_speed_index,
     compute_tti,
-    in_flight_edges,
     link_metrics,
     mode_metrics,
     _overload_intervals,
-    _request_edges,
 )
 from webaudit.netsim import ThrottleProfile, apply_throttle, replay_link, replay_mode
 from webaudit.trace import (
@@ -207,7 +205,7 @@ def requests_over(*spans):
 
 
 class TestOverloadScan:
-    """The sorted-edges kernel against the sort + groupby oracle, equal by value.
+    """The sorted-starts-and-ends kernel against the sort + groupby oracle, equal by value.
 
     A kernel bound is the (k+1)-th start or an end, where the oracle's is the
     first event at that time; so the two may differ in the sign of a zero or
@@ -215,7 +213,7 @@ class TestOverloadScan:
 
     @staticmethod
     def agree(requests, max_inflight=2):
-        got = _overload_intervals(_request_edges(requests), max_inflight)
+        got = _overload_intervals(requests, max_inflight)
         assert got == overload_intervals_groupby(requests, max_inflight)
         return got
 
@@ -287,7 +285,7 @@ def zero_start_trace(requests):
 
 
 class TestInFlightEdges:
-    """The metrics staged like the replay, on a link stage's edges, are the
+    """The metrics staged like the replay, on a link stage's trace, are the
     very metrics (by repr) compute_all gives the throttled trace alone; and
     the kernel's interval bounds give the very metrics the oracle's do."""
 
@@ -299,21 +297,15 @@ class TestInFlightEdges:
             resolve_throttle("4g", calibration, calibration.mode("mobile")),
             resolve_throttle(str(profile_file), calibration),
             ThrottleProfile(rtt_ms=150.0, downlink_kbps=math.inf),
-            ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, cpu_multiplier=4.0),  # the identity link: no times
+            ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, cpu_multiplier=4.0),  # the identity link
         ]
 
-    def test_link_stage_edges_give_the_same_metrics(self, profiles, quiet, rng):
+    def test_link_stage_trace_gives_the_same_metrics(self, profiles, quiet, rng):
         for profile in profiles:
             for _ in range(150):
                 trace = random_trace(rng)
-                link, times = replay_link(trace, profile)
-                edges = None
-                if times is not None:
-                    # The link stage's times are its requests', in request order.
-                    assert repr(times) == repr(([r.start_ms for r in link.requests], [r.end_ms for r in link.requests]))
-                    edges = in_flight_edges(*times)
-                    assert repr(edges) == repr(_request_edges(link.requests))
-                staged = mode_metrics(link_metrics(link, quiet, edges), replay_mode(link, profile.cpu_multiplier), quiet)
+                link = replay_link(trace, profile)
+                staged = mode_metrics(link_metrics(link, quiet), replay_mode(link, profile.cpu_multiplier), quiet)
                 assert repr(staged) == repr(compute_all(apply_throttle(trace, profile), quiet))
 
     def test_kernel_bounds_never_reach_a_metric(self, monkeypatch, quiet, rng):
@@ -329,7 +321,7 @@ class TestInFlightEdges:
                 expected = repr(compute_all(trace, allowed))
                 with monkeypatch.context() as patched:
 
-                    def oracle(edges, max_inflight):
+                    def oracle(requests, max_inflight):
                         return overload_intervals_groupby(trace.requests, max_inflight)
 
                     patched.setattr(metrics, "_overload_intervals", oracle)

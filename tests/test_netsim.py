@@ -67,8 +67,9 @@ class TestProfiles:
         assert apply_throttle(trace, FOUR_G) is not trace
         assert apply_throttle(trace, ThrottleProfile(0.0, math.inf, 4.0)) is not trace
         # Each stage skips itself on its own part of the profile.
-        link, times = replay_link(trace, ThrottleProfile(0.0, math.inf, 4.0))
-        assert link is trace and times is None
+        assert replay_link(trace, ThrottleProfile(0.0, math.inf, 4.0)) is trace
+        assert replay_link(trace, UNTHROTTLED) is trace
+        assert type(replay_link(trace, FOUR_G)) is NormalizedTrace
         assert replay_mode(trace, 1.0) is trace
 
 
