@@ -8,11 +8,11 @@ then spends one round trip before its first byte arrives.
 
 Applying a throttle to a recorded trace runs in two stages, each a trace
 to a trace. The link stage (replay_link) rebuilds the request waterfall
-under these rules and shifts paint/visual timestamps along with the
-requests that preceded them. It reads only the link, so the modes on one
-link share it. The mode stage (replay_mode) stretches the main-thread
-tasks by the CPU multiplier. Each stage returns its input when its part
-of the profile changes nothing.
+under these rules and moves paints, visual samples and tasks with the
+requests that preceded them; it reads only the link, so modes share it.
+The mode stage (replay_mode) stretches the tasks by the CPU multiplier.
+Both run the main thread one task at a time. Each stage returns its
+input when its part of the profile changes nothing.
 """
 
 from __future__ import annotations
@@ -255,11 +255,11 @@ def apply_throttle(trace: NormalizedTrace, profile: ThrottleProfile) -> Normaliz
 
 
 def replay_link(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedTrace:
-    """The link stage: the trace with its requests, paints and visual samples
-    replayed on the profile's link and its tasks as recorded. Reads only
-    rtt_ms and downlink_kbps, so every mode on one link can share it. On
-    the identity link (no round trip, unlimited downlink) it returns the
-    trace."""
+    """The link stage: the trace with its requests replayed on the profile's
+    link, and its paints, visual samples and tasks moved with their parent
+    requests. Reads only rtt_ms and downlink_kbps, so every mode on one link
+    can share it. On the identity link (no round trip, unlimited downlink)
+    it returns the trace."""
     # Recorded times already contain the recording network's delays, so even
     # a no-op re-simulation would move them: the identity link keeps them.
     if profile.rtt_ms == 0 and math.isinf(profile.downlink_kbps):
@@ -274,9 +274,9 @@ def replay_link(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedT
         NetworkRequest, zip([start - rtt for start in starts], starts, ends, sizes, [r.origin for r in old])
     )
 
-    # Paints and visual samples move with the request the parent rule gives
-    # them: an event after k of the distinct finish times moves by deltas[k],
-    # and one before them all by 0.0.
+    # Paints, visual samples and tasks move with the request the parent rule
+    # gives them: an event after k of the distinct finish times moves by
+    # deltas[k], and one before them all by 0.0.
     finish_ends, first = table
     deltas = [0.0] + [ends[j] - old[j].end_ms for j in first]
     after = bisect.bisect_right
@@ -286,26 +286,31 @@ def replay_link(trace: NormalizedTrace, profile: ThrottleProfile) -> NormalizedT
     # A shift can carry an event past the largest float, as it can a request; the last sample is the latest.
     _check_finite([*map(_T_MS, paints), *map(_T_MS, moved[-1:])])
     visual = clamp_visual_progress(records(VisualSample, moved))
-    return NormalizedTrace(records(PaintEvent, paints), trace.tasks, new_requests, visual)
+    tasks = _main_thread([(start + deltas[after(finish_ends, start)], dur) for start, dur in trace.tasks])
+    return NormalizedTrace(records(PaintEvent, paints), tasks, new_requests, visual)
 
 
 def replay_mode(trace: NormalizedTrace, cpu_multiplier: float) -> NormalizedTrace:
-    """The mode stage: the trace with its tasks retimed for cpu_multiplier.
-    Each task keeps its recorded gap to the task before it and lasts
-    cpu_multiplier times as long. At cpu_multiplier 1 it returns the trace."""
+    """The mode stage: the trace with each task lasting cpu_multiplier times
+    as long, run one at a time from its link-stage start. At cpu_multiplier
+    1 it returns the trace."""
     if cpu_multiplier == 1:
         return trace
-    scaled_tasks = []
-    prev_old_end = prev_new_end = 0.0
-    for old_start, old_dur in trace.tasks:
-        start = prev_new_end + (old_start - prev_old_end)
-        dur = old_dur * cpu_multiplier
-        scaled_tasks.append((start, dur))
-        prev_old_end = old_start + old_dur
-        prev_new_end = start + dur
+    return trace._replace(tasks=_main_thread([(start, dur * cpu_multiplier) for start, dur in trace.tasks]))
+
+
+def _main_thread(tasks: list[tuple[float, float]]) -> tuple[MainThreadTask, ...]:
+    """The tasks of (start, dur) pairs in recorded order, run one at a time:
+    each starts at its start or once the task before it ends, if later."""
+    placed = []
+    free = 0.0
+    for start, dur in tasks:
+        start = start if start >= free else free
+        free = start + dur
+        placed.append((start, dur))
     # The last task's end bounds every task.
-    _check_finite([prev_new_end])
-    return trace._replace(tasks=records(MainThreadTask, scaled_tasks))
+    _check_finite([free])
+    return records(MainThreadTask, placed)
 
 
 def _check_finite(times: list[float]) -> None:

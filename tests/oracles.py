@@ -220,6 +220,34 @@ def shift_source_scan(requests: Sequence[NetworkRequest], t_ms: float) -> int | 
     return source
 
 
+def main_thread_march(
+    trace: NormalizedTrace, replayed: Sequence[NetworkRequest], cpu_multiplier: float
+) -> list[tuple[Fraction, Fraction]]:
+    """(start, dur) of the trace's tasks in exact arithmetic, given its
+    requests as replayed (replayed[j] is trace.requests[j] on the new link).
+
+    A task is ready once the request that finished last at or before its
+    recorded start (shift_source_scan) has finished on the new link, at its
+    recorded offset from that finish; before every finish it is ready at its
+    recorded start. The main thread's clock marches through the tasks in
+    recorded order: each starts when it is ready or when the clock reaches
+    the end of the task before it, whichever is later, and runs
+    cpu_multiplier times its recorded duration.
+    """
+    clock = Fraction(0)
+    out = []
+    for task in trace.tasks:
+        ready = Fraction(task.start_ms)
+        j = shift_source_scan(trace.requests, task.start_ms)
+        if j is not None:
+            ready = Fraction(replayed[j].end_ms) + (ready - Fraction(trace.requests[j].end_ms))
+        start = max(ready, clock)
+        dur = Fraction(task.dur_ms) * Fraction(cpu_multiplier)
+        out.append((start, dur))
+        clock = start + dur
+    return out
+
+
 def share_rescan(
     parents: Sequence[int], offsets: Sequence[float], sizes: Sequence[int], profile: ThrottleProfile
 ) -> tuple[list[float], list[float]]:

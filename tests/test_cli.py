@@ -26,6 +26,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN_RESULTS = [json.loads(line) for line in (FIXTURES / "golden_results.jsonl").read_text("utf-8").splitlines()]
 NOT_UTF8 = b"\xff\xfe"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder can recurse
+# A trace whose task at the largest float waited on a 10**300-byte request,
+# which ends ~1e297 ms later under 4g.
+TASK_SHIFTED_PAST_FLOAT_RANGE = {
+    "paint_events": [{"t_ms": 10, "kind": "contentful-paint"}],
+    "tasks": [{"start_ms": 1.7976931348623157e308, "dur_ms": 1}],
+    "requests": [{"discovered_ms": 0, "start_ms": 0, "end_ms": 10, "bytes": 10**300, "origin": "a"}],
+    "visual_progress": [{"t_ms": 10, "fraction": 1.0}],
+}
 
 
 @pytest.fixture
@@ -226,6 +234,17 @@ class TestPinnedOutput:
         argv = ["score", "--trace", "demo.json", "--throttle", str(FIXTURES / "throttle_cpu_only.json"), "--mode"]
         assert [main([*argv, mode]) for mode in ("mobile", "desktop")] == [0, 0]
         assert capsys.readouterr().out == (FIXTURES / "score_demo11_cpu.txt").read_text("utf-8")
+
+    def test_throttled_demo5_score_prints_the_fixture(self, tmp_path, monkeypatch, capsys):
+        # Demo trace 5's tasks wait on the requests they followed, so under
+        # 4g desktop keeps the 90 ms task between FCP and TTI as its max FID.
+        monkeypatch.chdir(tmp_path)
+        write_trace(build_demo_trace(5), "demo5.json")
+        argv = ["score", "--trace", "demo5.json", "--throttle", "4g", "--mode"]
+        assert [main([*argv, mode]) for mode in ("mobile", "desktop")] == [0, 0]
+        expected = (FIXTURES / "score_demo05_4g.txt").read_text("utf-8")
+        assert capsys.readouterr().out == expected
+        assert "\nmax_fid          90.0    92.3\n" in expected.split("[desktop]")[1]
 
     def test_simulate_prints_the_fixture(self, capsys):
         assert main(["simulate", "--plan", str(FIXTURES / "plan.json")]) == 0
@@ -456,8 +475,13 @@ class TestBatchCommand:
                 "4g",
                 "ThrottleOverflow: throttle or input times too extreme to simulate: a time reached inf",
             ),
+            (
+                TASK_SHIFTED_PAST_FLOAT_RANGE,
+                "4g",
+                "ThrottleOverflow: throttle or input times too extreme to simulate: a time reached inf",
+            ),
         ],
-        ids=["task-ends-past-float-range", "paint-shifted-past-float-range"],
+        ids=["task-ends-past-float-range", "paint-shifted-past-float-range", "task-shifted-past-float-range"],
     )  # fmt: skip
     def test_an_overflowing_time_fails_its_audits_and_aggregates(self, tmp_path, capsys, trace, throttle, reason):
         url = "https://overflow.example.go.id"
@@ -474,8 +498,19 @@ class TestBatchCommand:
             ("desktop", "failed", reason),
             ("mobile", "failed", reason),
         ]
+        assert "Infinity" not in results.read_text("utf-8")
         assert main(["aggregate", "--results", str(results), "--out", str(tmp_path / "aggregates.json")]) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_score_of_a_task_shifted_past_float_range_is_a_usage_error(self, tmp_path, capsys):
+        # The link stage moves the task after its 10**300-byte request, past the largest float.
+        trace_file = tmp_path / "t.json"
+        trace_file.write_text(json.dumps({"nav_start": 0, **TASK_SHIFTED_PAST_FLOAT_RANGE}), "utf-8")
+        for mode in ("mobile", "desktop"):
+            assert main(["score", "--trace", str(trace_file), "--throttle", "4g", "--mode", mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: throttle or input times too extreme to simulate: a time reached inf\n"
 
     def test_unknown_mode_is_a_usage_error(self, workspace, tmp_path, capsys):
         rc = main(
@@ -759,8 +794,8 @@ class TestAggregateAndReportCommands:
                 "$.overall_average: missing field",
             ),
             (lambda document: {**document, "overall_average": {"mobile": 75.0}}, "$.overall_average.web: missing field"),
-            (set_overall(mobile=75.1), "$.overall_average.mobile: must be the rows' average, 75.0"),
-            (set_overall(web=None), "$.overall_average.web: must be the rows' average, 78.0"),
+            (set_overall(mobile=75.1), "$.overall_average.mobile: must be the rows' average, 76.7"),
+            (set_overall(web=None), "$.overall_average.web: must be the rows' average, 75.9"),
             (set_overall(web=True), "$.overall_average.web: must be a number"),
         ],
         ids=[

@@ -20,7 +20,7 @@ request   unthrottled              4g (rtt 150, 1638 kbps)
   img       40.0 ->     40.0        594.0 ->   1233.0
 
 demo page, mobile curves, unthrottled trace : score  99.96
-same page re-simulated on 4g with 4x cpu    : score  97.76
+same page re-simulated on 4g with 4x cpu    : score  98.40
 last byte arrives at 820 ms as recorded, 1178 ms on 4g
 """,
 }

@@ -7,10 +7,18 @@ import random
 
 import pytest
 
-from oracles import parent_scan, share_rescan, shift_source_scan, waterfall_march, waterfall_times_minmax
-from conftest import call_within, random_plan, random_profile
+from oracles import (
+    main_thread_march,
+    parent_scan,
+    share_rescan,
+    shift_source_scan,
+    waterfall_march,
+    waterfall_times_minmax,
+)
+from conftest import call_within, random_plan, random_profile, random_trace
 from webaudit.config import load_calibration, resolve_throttle
 from webaudit.errors import CyclicPlan, SchemaError, ThrottleOverflow
+from webaudit.metrics import compute_all
 from webaudit.netsim import (
     ThrottleProfile,
     UNTHROTTLED,
@@ -31,6 +39,7 @@ from webaudit.trace import (
 )
 
 FOUR_G = ThrottleProfile(rtt_ms=100.0, downlink_kbps=1000.0, cpu_multiplier=1.0)
+CPU_ONLY = ThrottleProfile(rtt_ms=0.0, downlink_kbps=math.inf, cpu_multiplier=4.0)
 
 
 def parent_rule(trace: NormalizedTrace) -> tuple[list[int], list[float]]:
@@ -251,10 +260,16 @@ class TestApplyThrottle:
         # 1000 kilobits at 1000 kbps: starts after rtt, takes a full second
         assert out.requests == (NetworkRequest(0.0, 100.0, 1100.0, 125000, "https://a.test"),)
 
-    def test_tasks_scaled_and_repacked_preserving_gaps(self):
+    def test_tasks_move_with_their_request_and_run_one_at_a_time(self):
         profile = ThrottleProfile(100.0, 1000.0, 2.0)
         out = apply_throttle(self.base_trace(), profile)
-        assert out.tasks == (MainThreadTask(200.0, 80.0), MainThreadTask(740.0, 200.0))
+        # The task at 200 precedes every request end and stays; the one at
+        # 700 waited on the request, whose end moved 600 -> 1100, so it
+        # starts at 1200. Each lasts twice as long.
+        assert out.tasks == (MainThreadTask(200.0, 80.0), MainThreadTask(1200.0, 200.0))
+        # A task recorded while the stretched task before it still runs waits for it to end.
+        busy = self.base_trace()._replace(tasks=(MainThreadTask(200.0, 40.0), MainThreadTask(250.0, 10.0)))
+        assert apply_throttle(busy, profile).tasks == (MainThreadTask(200.0, 80.0), MainThreadTask(280.0, 20.0))
 
     def test_paints_shift_with_the_latest_finished_request(self):
         profile = ThrottleProfile(100.0, 1000.0, 2.0)
@@ -264,8 +279,6 @@ class TestApplyThrottle:
         assert [s.t_ms for s in out.visual_progress] == [50.0, 1150.0]
 
     def test_throttled_trace_still_validates(self, rng):
-        from conftest import random_trace
-
         for _ in range(50):
             trace = random_trace(rng)
             out = apply_throttle(trace, FOUR_G)
@@ -275,24 +288,96 @@ class TestApplyThrottle:
     def test_a_cpu_only_profile_keeps_the_recorded_network(self):
         # The identity link leaves the recorded requests, paints and visual
         # samples as they are, since they already hold the recording
-        # network's delays; only the tasks stretch.
+        # network's delays; only the tasks stretch, each keeping its recorded
+        # start once the main thread is free by then.
         trace = self.base_trace()
-        out = apply_throttle(trace, ThrottleProfile(0.0, math.inf, 4.0))
-        assert out.tasks == (MainThreadTask(200.0, 160.0), MainThreadTask(820.0, 400.0))
+        out = apply_throttle(trace, CPU_ONLY)
+        assert out.tasks == (MainThreadTask(200.0, 160.0), MainThreadTask(700.0, 400.0))
         assert out._replace(tasks=trace.tasks) == trace
         assert out.requests is trace.requests and out.paint_events is trace.paint_events
+        busy = trace._replace(tasks=(MainThreadTask(200.0, 40.0), MainThreadTask(250.0, 10.0)))
+        assert apply_throttle(busy, CPU_ONLY).tasks == (MainThreadTask(200.0, 160.0), MainThreadTask(360.0, 40.0))
 
-    @pytest.mark.parametrize("shifted", ["paint", "visual sample"])
+    @pytest.mark.parametrize("shifted", ["paint", "visual sample", "task"])
     def test_an_event_shifted_past_the_largest_float_is_an_overflow(self, shifted):
         # 10**300 bytes end ~1e297 ms later under 4g, which carries an event at the largest float to inf
         latest = 1.7976931348623157e308
         trace = NormalizedTrace(
             paint_events=(PaintEvent(latest if shifted == "paint" else 10.0, "contentful-paint"),),
+            tasks=(MainThreadTask(latest if shifted == "task" else 10.0, 1.0),),
             requests=(NetworkRequest(0.0, 0.0, 10.0, 10**300, "https://a.test"),),
             visual_progress=(VisualSample(latest if shifted == "visual sample" else 10.0, 1.0),),
         )
         with pytest.raises(ThrottleOverflow, match="a time reached inf"):
+            replay_link(trace, FOUR_G)
+        with pytest.raises(ThrottleOverflow, match="a time reached inf"):
             apply_throttle(trace, FOUR_G)
+
+
+class TestMainThreadRule:
+    """Every task waits on its parent request, as paints do, and the main
+    thread runs one task at a time."""
+
+    PROFILES = {"4g": FOUR_G, "cpu-only": CPU_ONLY, "4g-x4": ThrottleProfile(100.0, 1000.0, 4.0)}
+
+    def replays(self, name: str, seed: int, count: int = 300):
+        """(trace, replayed trace) pairs of random traces under the named profile."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            trace = random_trace(rng)
+            yield trace, apply_throttle(trace, self.PROFILES[name])
+
+    @staticmethod
+    def parent_bound(trace: NormalizedTrace, out: NormalizedTrace, i: int) -> float:
+        """Task i's recorded start, kept at its offset from its parent
+        request's end (shift_source_scan) as that end moved in out."""
+        start = trace.tasks[i].start_ms
+        j = shift_source_scan(trace.requests, start)
+        return start + (0.0 if j is None else out.requests[j].end_ms - trace.requests[j].end_ms)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_a_task_starts_no_earlier_than_its_parent_request_allows(self, name):
+        k = self.PROFILES[name].cpu_multiplier
+        for trace, out in self.replays(name, 0x7A5C):
+            assert len(out.tasks) == len(trace.tasks)
+            for i, (old, new) in enumerate(zip(trace.tasks, out.tasks)):
+                assert new.start_ms >= self.parent_bound(trace, out, i), (trace, i)
+                assert new.dur_ms == old.dur_ms * k
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_tasks_never_overlap(self, name):
+        # Nor does the thread idle: a task held past its parent's bound
+        # starts as the task before it ends.
+        for trace, out in self.replays(name, 0x0E1A):
+            for i, (before, after) in enumerate(zip(out.tasks, out.tasks[1:]), 1):
+                assert before.end_ms <= after.start_ms, out.tasks
+                if after.start_ms > self.parent_bound(trace, out, i):
+                    assert after.start_ms == before.end_ms, (trace, out.tasks)
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_fcp_fci_tti_stay_in_order(self, name):
+        for _, out in self.replays(name, 0xFC1, count=100):
+            metrics = compute_all(out)
+            assert metrics.fcp <= metrics.fci <= metrics.tti, out
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_tasks_match_the_exact_march(self, name):
+        k = self.PROFILES[name].cpu_multiplier
+        for trace, out in self.replays(name, 0x3A7C):
+            want = main_thread_march(trace, out.requests, k)
+            got = [(new.start_ms, new.dur_ms) for new in out.tasks]
+            assert len(got) == len(want)
+            for (start, dur), (want_start, want_dur) in zip(got, want):
+                assert abs(start - want_start) <= 1e-9 and dur == want_dur, (trace, got, want)
+
+    def test_each_stage_returns_its_input_on_its_own_identity(self):
+        rng = random.Random(0x1D)
+        for _ in range(100):
+            trace = random_trace(rng)
+            assert replay_link(trace, CPU_ONLY) is trace
+            assert replay_mode(trace, 1.0) is trace
+            linked = replay_link(trace, FOUR_G)
+            assert replay_mode(linked, 1.0) is linked
 
 
 def tied_requests(rng: random.Random) -> list[NetworkRequest]:
@@ -547,9 +632,9 @@ class TestLargeReplay:
     # sha256 of the throttled trace document; any change in the order of
     # the replay's float operations changes these.
     PINNED = {
-        (0xD16E57, 300): "aff2f26eb41a1ec7f4eb6207be574c08f2be5f5f1a3236a5f54a3a69695d6340",
-        (0xD16E58, 700): "c5b6f7653eaac3af4e911b673b601be9cc8a6988651bcffc60d2dd21cdd88bcd",
-        (0xD16E59, 1000): "b6e72464e2b88e98ad5859937a10a5c87cca59653eab893a8e6331fbf51b9f70",
+        (0xD16E57, 300): "f1ad0979597208244cf6e5527647ad23caa582dcbdcceffde52440c2409a4c6f",
+        (0xD16E58, 700): "7dc3b06e1b7dcb11636a81e937d86fa4a35eee07d5b723404083818b631feeba",
+        (0xD16E59, 1000): "0f1829088283a29cc0c9b862842d70ae076a9a38cc561a8ca34f64d6ffa853f0",
     }
 
     @pytest.mark.parametrize("seed,n", sorted(PINNED), ids=lambda v: str(v))

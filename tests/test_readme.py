@@ -9,6 +9,8 @@ import inspect
 import json
 import pkgutil
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ import webaudit
 from webaudit import audit_trace, cli, load_calibration, load_trace
 from webaudit.collector import write_trace
 from webaudit.errors import AuditError
-from webaudit.synth import build_demo_trace
+from webaudit.synth import build_demo_trace, write_demo_workspace
 from webaudit.trace import NormalizedTrace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -220,3 +222,63 @@ def test_an_edit_that_breaks_the_trace_json_example_is_found(tmp_path, old, new)
     edited = "\n".join(block).replace(old, new)
     assert edited != "\n".join(block), f"{old!r} is not in the block"
     assert trace_example_problem(edited.splitlines(), tmp_path) is not None
+
+
+def batch_run_problem(block: list[str], root: Path) -> str | None:
+    """Why the "typical batch run" block does not run on the demo workspace,
+    command by command through cli.main with each exiting 0, and leave the
+    results, aggregates and report its batch, aggregate and report commands
+    write, or None.
+
+    A word with a "." or "/" in it names a file, taken under root. The demo
+    workspace's corpus and traces are put where the batch's --corpus and
+    --traces name.
+    """
+    text = "\n".join(block).replace("\\\n", " ")
+    commands = [
+        [str(root / word) if "." in word or "/" in word else word for word in shlex.split(line)]
+        for line in text.splitlines()
+        if line.strip()
+    ]
+    outputs = {argv[1]: argv[argv.index("--out") + 1] for argv in commands if len(argv) > 1 and "--out" in argv[:-1]}
+    batch = next((argv for argv in commands if argv[1:2] == ["batch"]), [])
+    if "--corpus" in batch[:-1] and "--traces" in batch[:-1]:
+        workspace = write_demo_workspace(root / "demo workspace")
+        shutil.move(workspace["corpus"], batch[batch.index("--corpus") + 1])
+        shutil.move(workspace["traces"], batch[batch.index("--traces") + 1])
+    for argv in commands:
+        if argv[0] != "webaudit":
+            return f"{shlex.join(argv)}: not a webaudit command"
+        try:
+            code = cli.main(argv[1:])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        if code != 0:
+            return f"{shlex.join(argv)}: exit code {code}"
+    for command in ("batch", "aggregate", "report"):
+        if command not in outputs or not Path(outputs[command]).is_file():
+            return f"the block's {command} command writes no --out file"
+    return None
+
+
+def test_typical_batch_run_runs_on_the_demo_workspace(tmp_path, capsys):
+    assert batch_run_problem(fenced_block("A typical batch run"), tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("--test-date", "--tested-on"),
+        ("--throttle 4g", "--throttle 5g"),
+        ("--results results.jsonl", "--results other.jsonl"),
+        ("--format md", "--format pdf"),
+        ("webaudit aggregate", "webaudit aggregates"),
+        ("webaudit report --aggregates aggregates.json --format md --out report.md", ""),
+    ],
+    ids=["unknown-option", "unknown-throttle", "results-never-written", "unknown-format", "unknown-command", "no-report"],
+)
+def test_an_edit_that_breaks_the_typical_batch_run_is_found(tmp_path, capsys, old, new):
+    block = fenced_block("A typical batch run")
+    edited = "\n".join(block).replace(old, new)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert batch_run_problem(edited.splitlines(), tmp_path) is not None
