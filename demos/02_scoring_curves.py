@@ -3,17 +3,18 @@
 Each metric value runs down a complementary log-normal CDF pinned by two
 control points: the curve's median scores 50 and its point of
 diminishing returns scores 90. The six scores then combine as a
-weighted mean, and the result lands in a category band.
+weighted mean of a MetricSet of scores, in METRIC_KEYS order, and the
+result lands in a category band.
 """
 
 from webaudit import (
-    METRIC_KEYS,
     ScoreCurve,
     aggregate,
     categorize,
     load_calibration,
     metric_score,
 )
+from webaudit.metrics import MetricSet
 
 # the shipped weights, bands and per-mode curves
 calibration = load_calibration()
@@ -34,14 +35,13 @@ print()
 print("default weights:", weights.as_dict())
 print()
 
-uniform = {key: 80.0 for key in METRIC_KEYS}
+uniform = MetricSet(*[80.0] * 6)
 print(f"all six scores at 80      -> aggregate {aggregate(uniform, weights):.1f}")
 
-lone = {key: 0.0 for key in METRIC_KEYS}
-lone["tti"] = 100.0
+lone = MetricSet(*[0.0] * 6)._replace(tti=100.0)
 print(f"only tti at 100           -> aggregate {aggregate(lone, weights):.1f}  (its weight x 100)")
 
-fid_low = dict(uniform, max_fid=0.0)
+fid_low = uniform._replace(max_fid=0.0)
 print(f"max_fid dropped to 0      -> aggregate {aggregate(fid_low, weights):.1f}  (zero weight, no effect)")
 
 print()

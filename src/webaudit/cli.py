@@ -16,7 +16,7 @@ from .collector import load_trace
 from .config import MODE_KINDS, load_calibration, load_member_regions, resolve_throttle
 from .corpus import audit_trace, ingest_corpus, read_results, run_batch, write_results
 from .errors import AuditError, CyclicPlan, IncompleteVisualProgress, NoContentfulPaint
-from .metrics import MetricSet
+from .metrics import METRIC_KEYS, MetricSet
 from .netsim import apply_throttle, plan_from_dict, waterfall_times
 from .report import build_aggregates, emit_report, read_aggregates, write_aggregates
 from .scoring import ScoreReport, round_half_away
@@ -86,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _print_scores(metrics: MetricSet, report: ScoreReport) -> None:
     print(f"{'metric':<8} {'value_ms':>12} {'score':>7}")
-    for key, value in metrics.as_dict().items():
-        print(f"{key:<8} {value:>12.1f} {report.scores[key]:>7.1f}")
+    for key, value, score in zip(METRIC_KEYS, metrics, report.scores):
+        print(f"{key:<8} {value:>12.1f} {score:>7.1f}")
     shown = int(round_half_away(report.performance_score, 0))
     print(f"performance score: {shown} ({report.category})")
 

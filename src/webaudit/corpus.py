@@ -3,9 +3,9 @@
 The corpus is a CSV of government websites. Auditing filters it down to
 the regions enrolled in the smart-city program, replays each site's
 stored trace in both device modes under a throttle profile, and records
-one result per (site, mode). Failures are data: a site whose trace is
-missing or never paints stays in the result set as a failed audit and is
-excluded from averages downstream.
+one result per (site, mode), its metrics and its scores each a MetricSet.
+Failures are data: a site whose trace is missing or never paints stays in
+the result set as a failed audit and is excluded from averages downstream.
 """
 
 from __future__ import annotations
@@ -249,8 +249,7 @@ def result_from_dict(data: Any) -> AuditResult:
     report = None
     metrics = None
     if ok:
-        values = _metric_values(data, "metrics", math.inf)
-        metrics = MetricSet(**values)
+        metrics = _metric_values(data, "metrics", math.inf)
         score = data.get("performance_score")
         if type(score) is not float or not 0.0 <= score <= SCORE_MAX:
             score = _number(data, "performance_score", "$", minimum=0.0, maximum=SCORE_MAX)
@@ -280,6 +279,7 @@ _RESULT_FIELDS = (
 _RESULT_FIELD_SET = frozenset(_RESULT_FIELDS)
 _SITE_FIELD_SET = frozenset(SiteRecord._fields)
 _METRIC_KEY_SET = frozenset(METRIC_KEYS)
+_by_metric_key = itemgetter(*METRIC_KEYS)
 
 
 def _site_from_dict(data: dict) -> SiteRecord:
@@ -301,9 +301,9 @@ def _site_from_dict(data: dict) -> SiteRecord:
     return SiteRecord(no, *(_string(site, key, "$.site") for key in ("institution", "tier", "region", "url")))
 
 
-def _metric_values(data: dict, key: str, maximum: float) -> dict[str, float]:
+def _metric_values(data: dict, key: str, maximum: float) -> MetricSet:
     """``data[key]``: the six metric keys, each a finite number in
-    [0, maximum], as floats.
+    [0, maximum], as the MetricSet of their values as floats.
 
     One guard passes six floats with a finite sum, the least >= 0 and the
     greatest <= maximum, as they are: a NaN or infinite term makes the sum
@@ -317,11 +317,11 @@ def _metric_values(data: dict, key: str, maximum: float) -> dict[str, float]:
         and {*map(type, values.values())} == {float} and math.isfinite(sum(values.values()))
         and 0.0 <= min(values.values()) <= max(values.values()) <= maximum
     ):
-        return values
+        return tuple.__new__(MetricSet, _by_metric_key(values))  # MetricSet(**values), for less
     path = f"$.{key}"
     values = _object(data, key, "$")
     _known_keys(values, _METRIC_KEY_SET, path)
-    return {name: _number(values, name, path, minimum=0.0, maximum=maximum) for name in METRIC_KEYS}
+    return MetricSet._make(_number(values, name, path, minimum=0.0, maximum=maximum) for name in METRIC_KEYS)
 
 
 def write_results(results: Iterable[AuditResult], path: str | Path) -> None:
@@ -362,9 +362,8 @@ _FAILED_LINE = (
     '{"category":null,"failure_reason":%s,"metrics":null,"mode":%s,"outlier_flag":%s,"performance_score":null,'
     '"scores":null,"site":{"institution":%s,"no":%d,"region":%s,"tier":%s,"url":%s},"status":"failed","test_date":%s}\n'
 )
-# A MetricSet's values and a scores mapping's in sorted key order, and the path of each float of an ok line.
+# A MetricSet's values in sorted key order, and the path of each float of an ok line.
 _sorted_metrics = itemgetter(*map(METRIC_KEYS.index, _SORTED_KEYS))
-_sorted_scores = itemgetter(*_SORTED_KEYS)
 _LINE_FLOATS = (
     *[f"$.metrics.{key}" for key in _SORTED_KEYS], "$.performance_score", *[f"$.scores.{key}" for key in _SORTED_KEYS]
 )
@@ -381,7 +380,7 @@ def _result_line(result: AuditResult) -> str:
     )  # fmt: skip
     if status != "ok":
         return _FAILED_LINE % (_quote(reason), *shared)
-    floats = (*_sorted_metrics(metrics), report.performance_score, *_sorted_scores(report.scores))
+    floats = (*_sorted_metrics(metrics), report.performance_score, *_sorted_metrics(report.scores))
     if not all(map(math.isfinite, floats)):  # each value on its own: a sum of finite values can overflow
         i = next(i for i, value in enumerate(floats) if not math.isfinite(value))
         raise ValueError(f"{site.url} ({mode}): {_LINE_FLOATS[i]}: must be finite to be written, got {floats[i]!r}")

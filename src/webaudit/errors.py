@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit. An argument that breaks a
+call's contract, such as five scores for scoring.aggregate, is a ValueError."""
 
 
 class AuditError(Exception):
@@ -15,10 +16,6 @@ class IncompleteVisualProgress(AuditError):
 
 class InvalidCurve(AuditError):
     """A scoring curve whose point of diminishing returns is not below its median."""
-
-
-class WeightMismatch(AuditError):
-    """A weighted aggregate was asked for with a metric score missing."""
 
 
 class CyclicPlan(AuditError):

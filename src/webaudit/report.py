@@ -211,6 +211,10 @@ def _emit_csv(aggregates: Sequence[RegionAggregate]) -> str:
     return buffer.getvalue()
 
 
+# What a markdown table cell escapes: a pipe, which would end the cell, and a backslash, which would escape one.
+_MD_CELL = str.maketrans({"\\": "\\\\", "|": "\\|"})
+
+
 def _emit_md(aggregates: Aggregates, comma: bool) -> str:
     rows = aggregates.rows
     lines = ["# Laporan Audit Performa Web", ""]
@@ -219,7 +223,7 @@ def _emit_md(aggregates: Aggregates, comma: bool) -> str:
     lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
     lines.append("| ---: | --- | ---: | ---: | --- |")
     for number, aggregate in enumerate(rows, start=1):
-        lines.append("| " + " | ".join(_cells(number, aggregate, "-", comma)) + " |")
+        lines.append("| " + " | ".join(c.translate(_MD_CELL) for c in _cells(number, aggregate, "-", comma)) + " |")
     if rows:
         overall = overall_average(rows)
         lines.append(
@@ -243,7 +247,7 @@ def _emit_md(aggregates: Aggregates, comma: bool) -> str:
     for aggregate in rows:
         lines.append(
             "| {} | {} | {} |".format(
-                aggregate.region,
+                aggregate.region.translate(_MD_CELL),
                 _fmt(aggregate.raw_mean_mobile, -1, "-", comma),
                 _fmt(aggregate.raw_mean_web, -1, "-", comma),
             )
@@ -267,7 +271,7 @@ def _emit_md(aggregates: Aggregates, comma: bool) -> str:
     per_region = [(a.region, a.n_failed) for a in rows if a.n_failed]
     if per_region:
         lines += ["| Daerah | Gagal |", "| --- | ---: |"]
-        lines += [f"| {region} | {count} |" for region, count in per_region]
+        lines += [f"| {region.translate(_MD_CELL)} | {count} |" for region, count in per_region]
         lines.append("")
     if failures:
         for _, url, mode, reason in failures:

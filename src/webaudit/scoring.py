@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InvalidCurve, WeightMismatch
+from .errors import InvalidCurve
 from .metrics import METRIC_KEYS, MetricSet
 from .trace import _checked_record
 
@@ -98,9 +98,9 @@ class CategoryBands(NamedTuple):
 
 
 class ScoreReport(NamedTuple):
-    """Per-metric scores plus the weighted performance score for one audit."""
+    """The six per-metric scores, a MetricSet, plus the weighted performance score for one audit."""
 
-    scores: Mapping[str, float]
+    scores: MetricSet
     performance_score: float
     category: str
 
@@ -127,25 +127,19 @@ def metric_score(value: float, curve: ScoreCurve) -> float:
     return 100.0 * (1.0 - normal_cdf(z))
 
 
-_KEY_SET = frozenset(METRIC_KEYS)
-
-
-def aggregate(scores: Mapping[str, float], weights: WeightTable) -> float:
-    """Weighted arithmetic mean of the six metric scores, unrounded.
+def aggregate(scores: Sequence[float], weights: WeightTable) -> float:
+    """Weighted arithmetic mean of the six metric scores, in METRIC_KEYS order, unrounded.
 
     Runs in decimal arithmetic so the weights act at their exact decimal
     values: a lone score of 100 under weight 0.267 yields 26.7, not the
     binary-float product 26.700000000000003. A score under zero weight is
     not read, so not even a NaN or an infinite one there can perturb the
-    result. Raises WeightMismatch if a score is missing.
+    result. Raises ValueError unless there are six scores.
     """
-    if not scores.keys() >= _KEY_SET:
-        missing = [key for key in METRIC_KEYS if key not in scores]
-        raise WeightMismatch(f"missing metric scores: {', '.join(missing)}")
     total = Decimal(0)
-    for key, weight in zip(METRIC_KEYS, weights.decimals):
+    for score, weight in zip(scores, weights.decimals, strict=True):
         if weight:
-            total += weight * Decimal(repr(float(scores[key])))
+            total += weight * Decimal(repr(float(score)))
     return float(total)
 
 
@@ -165,7 +159,8 @@ def score_metrics(
     metrics: MetricSet, curves: Mapping[str, ScoreCurve], weights: WeightTable, bands: CategoryBands
 ) -> ScoreReport:
     """Score a metric set against one device mode's curves."""
-    scores = {key: metric_score(value, curves[key]) for key, value in zip(METRIC_KEYS, metrics)}
+    # tuple.__new__ builds what MetricSet(*scores) builds, for less: MetricSet checks nothing.
+    scores = tuple.__new__(MetricSet, [metric_score(value, curves[key]) for key, value in zip(METRIC_KEYS, metrics)])
     performance = aggregate(scores, weights)
     return ScoreReport(scores=scores, performance_score=performance, category=categorize(performance, bands))
 

@@ -522,7 +522,7 @@ def result_to_dict(result) -> dict:
         "status": result.status,
         "failure_reason": result.failure_reason,
         "metrics": result.metrics._asdict() if ok else None,
-        "scores": dict(result.report.scores) if ok else None,
+        "scores": result.report.scores._asdict() if ok else None,
         "performance_score": result.report.performance_score if ok else None,
         "category": result.report.category if ok else None,
         "test_date": result.test_date.isoformat(),

@@ -20,6 +20,7 @@ from webaudit.cli import main
 from webaudit.config import load_calibration, load_member_regions
 from webaudit.corpus import ingest_corpus, membership_filter
 from webaudit.metrics import (
+    MetricSet,
     compute_fcp,
     compute_fci,
     compute_max_fid,
@@ -68,10 +69,10 @@ def test_criterion_1_weight_table():
 
         rng = random.Random(1)
         for _ in range(100):
-            scores = {key: rng.uniform(0.0, 100.0) for key in METRIC_KEYS}
+            scores = MetricSet(*(rng.uniform(0.0, 100.0) for _ in METRIC_KEYS))
             baseline = aggregate(scores, weights)
             for fid_score in (0.0, 33.3, 100.0, rng.uniform(0.0, 100.0)):
-                assert bits(aggregate(dict(scores, max_fid=fid_score), weights)) == bits(baseline)
+                assert bits(aggregate(scores._replace(max_fid=fid_score), weights)) == bits(baseline)
 
 
 def test_criterion_2_curve_control_points():
@@ -98,13 +99,11 @@ def test_criterion_2_curve_control_points():
 def test_criterion_3_aggregate_identities():
     with criterion(3):
         weights = load_calibration().weights
-        assert aggregate({key: 100.0 for key in METRIC_KEYS}, weights) == 100.0
-        assert aggregate({key: 0.0 for key in METRIC_KEYS}, weights) == 0.0
+        assert aggregate(MetricSet(*[100.0] * 6), weights) == 100.0
+        assert aggregate(MetricSet(*[0.0] * 6), weights) == 0.0
         expected = {"fcp": 20.0, "fmp": 6.7, "si": 26.7, "tti": 33.3, "fci": 13.3, "max_fid": 0.0}
         for key, want in expected.items():
-            scores = {k: 0.0 for k in METRIC_KEYS}
-            scores[key] = 100.0
-            assert aggregate(scores, weights) == want
+            assert aggregate(MetricSet(*[0.0] * 6)._replace(**{key: 100.0}), weights) == want
 
 
 def test_criterion_4_trace_metric_oracles():

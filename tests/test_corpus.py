@@ -63,7 +63,7 @@ def ok_result(score: float, no: int = 1, mode: str = "mobile", region: str = "Ko
         mode=mode,
         status="ok",
         metrics=_METRICS,
-        report=ScoreReport(scores={k: score for k in _METRICS.as_dict()}, performance_score=score, category="average"),
+        report=ScoreReport(scores=MetricSet(*[score] * 6), performance_score=score, category="average"),
         test_date=TEST_DATE,
         outlier_flag=False,
     )
@@ -508,7 +508,8 @@ class TestResultFiles:
         data["scores"]["fcp"] = 90
         result = result_from_dict(data)
         assert type(result.metrics.fcp) is float and result.metrics.fcp == 800.0
-        assert type(result.report.scores["fcp"]) is float and result.report.scores["fcp"] == 90.0
+        assert type(result.report.scores) is MetricSet
+        assert type(result.report.scores.fcp) is float and result.report.scores.fcp == 90.0
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -577,7 +578,7 @@ class TestResultFiles:
         data["scores"].update(fcp=0.0, si=SCORE_MAX)
         data.update(performance_score=SCORE_MAX)
         result = result_from_dict(data)
-        assert result.metrics.tti == 1e300 and result.report.scores["si"] == SCORE_MAX
+        assert result.metrics.tti == 1e300 and result.report.scores.si == SCORE_MAX
         assert result.report.performance_score == SCORE_MAX
 
     def test_scores_over_100_under_a_weight_tolerance_round_trip(self, tmp_path, calibration):
@@ -663,7 +664,7 @@ def random_result(rng: random.Random) -> AuditResult:
         return rng.choice(values) if rng.random() < 0.5 else rng.uniform(0.0, 100.0)
 
     metrics = MetricSet(*(pick(METRIC_VALUES) for _ in range(6)))
-    scores = {key: pick(SCORE_VALUES) for key in rng.sample(MetricSet._fields, 6)}  # in a random key order
+    scores = MetricSet(*(pick(SCORE_VALUES) for _ in range(6)))
     report = ScoreReport(scores, pick(SCORE_VALUES), rng.choice(CATEGORIES))
     return AuditResult(site, mode, "ok", metrics, report, test_date, rng.random() < 0.5)
 
@@ -685,17 +686,22 @@ class TestResultLines:
         assert {(r.status, r.outlier_flag) for r in results} == {("ok", True), ("ok", False), ("failed", False)}
         reports = [r.report for r in results if r.status == "ok"]
         assert {*METRIC_VALUES} <= {value for r in results if r.status == "ok" for value in r.metrics}
-        assert {*SCORE_VALUES} <= {value for r in reports for value in (*r.scores.values(), r.performance_score)}
+        assert {*SCORE_VALUES} <= {value for r in reports for value in (*r.scores, r.performance_score)}
         assert min(r.site.no for r in results) < 0 and max(len(str(r.site.no)) for r in results) == 30
 
-    def test_records_read_back_keep_their_scores_order_and_write_as_json_dumps_writes_them(self, tmp_path):
+    def test_records_read_back_from_any_key_order_write_as_json_dumps_writes_them(self, tmp_path):
         rng = random.Random(0xF11E)
         written = [random_result(rng) for _ in range(300)]
+        lines = [result_to_dict(r) for r in written]
+        for data in lines:
+            for key in ("metrics", "scores"):
+                if data[key] is not None:  # in a random key order, not MetricSet's nor sorted
+                    data[key] = dict(rng.sample(sorted(data[key].items()), 6))
         source = tmp_path / "source.jsonl"
-        source.write_text("".join(json.dumps(result_to_dict(r)) + "\n" for r in written), "utf-8")
+        source.write_text("".join(json.dumps(data) + "\n" for data in lines), "utf-8")
         results = read_results(source)
-        orders = {tuple(r.report.scores) for r in results if r.status == "ok"}
-        assert len(orders) > 1  # not all in sorted order: the writer must sort them
+        assert results == written
+        assert all(type(r.metrics) is type(r.report.scores) is MetricSet for r in results if r.status == "ok")
         path = tmp_path / "results.jsonl"
         write_results(results, path)
         assert path.read_text("utf-8").splitlines(keepends=True) == [dumps_line(r) for r in results]
@@ -713,7 +719,8 @@ class TestResultLines:
         elif field.startswith("metrics."):
             result = result._replace(metrics=result.metrics._replace(**{field[8:]: value}))
         else:
-            result = result._replace(report=result.report._replace(scores={**result.report.scores, field[7:]: value}))
+            scores = result.report.scores._replace(**{field[7:]: value})
+            result = result._replace(report=result.report._replace(scores=scores))
         message = f"https://s1.test (desktop): $.{field}: must be finite to be written, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             write_results([result], tmp_path / "results.jsonl")

@@ -17,6 +17,7 @@ import pytest
 
 import webaudit
 from webaudit import audit_trace, cli, load_calibration, load_trace
+from webaudit.capture import trace_from_performance_entries
 from webaudit.collector import write_trace
 from webaudit.errors import AuditError
 from webaudit.synth import build_demo_trace, write_demo_workspace
@@ -25,12 +26,13 @@ from webaudit.trace import NormalizedTrace
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def fenced_block(heading: str) -> list[str]:
+def fenced_block(heading: str, info: str = "") -> list[str]:
     """The lines of the first fenced block under the README heading ``heading``:
-    a heading line, or the bold label that starts a paragraph (**Trace JSON**)."""
+    a heading line, or the bold label that starts a paragraph (**Trace JSON**);
+    with ``info``, the first whose opening fence names it (```python)."""
     lines = README.read_text("utf-8").splitlines()
     start = next(i for i, line in enumerate(lines) if line == heading or line.startswith(f"{heading} "))
-    opening = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("```"))
+    opening = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("```" + info))
     assert not any(line.startswith("#") for line in lines[start + 1 : opening]), f"no block under {heading!r}"
     return lines[opening + 1 : lines.index("```", opening + 1)]
 
@@ -282,3 +284,70 @@ def test_an_edit_that_breaks_the_typical_batch_run_is_found(tmp_path, capsys, ol
     edited = "\n".join(block).replace(old, new)
     assert edited != "\n".join(block), f"{old!r} is not in the block"
     assert batch_run_problem(edited.splitlines(), tmp_path) is not None
+
+
+# Performance entries with the keys the "Recording a trace from a browser"
+# snippet emits: whole paint, element and resource entries, long tasks
+# and two navigation milestones.
+ENTRIES = {
+    "paint": [
+        {"name": "first-paint", "entryType": "paint", "startTime": 310.5, "duration": 0},
+        {"name": "first-contentful-paint", "entryType": "paint", "startTime": 320.0, "duration": 0},
+    ],
+    "elements": [
+        {"name": "image-paint", "entryType": "element", "startTime": 0, "renderTime": 640.2, "loadTime": 600.0,
+         "size": 50000, "identifier": "", "url": "https://example.test/hero.jpg"},
+    ],
+    "longtasks": [{"startTime": 400.0, "duration": 80.0}],
+    "resources": [
+        {"name": "https://example.test/app.css", "entryType": "resource", "startTime": 20.0, "requestStart": 25.0,
+         "responseEnd": 300.0, "transferSize": 12000, "initiatorType": "link"},
+        {"name": "https://example.test/hero.jpg", "entryType": "resource", "startTime": 330.0, "requestStart": 0,
+         "responseEnd": 590.0, "transferSize": 48000, "initiatorType": "img"},
+    ],
+    "navigation": {"domContentLoaded": 700.0, "loadEventEnd": 900.0},
+}  # fmt: skip
+
+
+def test_converter_entries_have_the_keys_the_snippet_emits():
+    snippet = "\n".join(fenced_block("## Recording a trace from a browser", "js"))
+    assert re.findall(r"(?m)^    (\w+):", snippet) == list(ENTRIES)
+    assert re.findall(r"(?m)^      (\w+):", snippet) == list(ENTRIES["navigation"])
+
+
+def converter_problem(block: list[str], root: Path) -> str | None:
+    """Why the converter block, run in root on ENTRIES saved as entries.json,
+    does not leave the trace of those entries in a trace.json that load_trace
+    reads, or None."""
+    (root / "entries.json").write_text(json.dumps(ENTRIES), "utf-8")
+    try:
+        exec(compile("\n".join(block), "README.md", "exec"), {})
+        trace = load_trace("trace.json")
+    except Exception as exc:  # whatever the block raises is its problem
+        return f"{type(exc).__name__}: {exc}"
+    if trace != trace_from_performance_entries(ENTRIES):
+        return "trace.json is not the trace of the entries"
+    return None
+
+
+def test_converter_block_writes_the_trace_of_the_entries(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert converter_problem(fenced_block("## Recording a trace from a browser", "python"), tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("import trace_from_performance_entries", "import trace_from_performance_entry"),
+        ('"trace.json")', '"trace.out")'),
+        ('open("entries.json"', 'open("entries.txt"'),
+        ("from webaudit.collector import", "from webaudit.trace import"),
+    ],
+    ids=["misspelt-converter", "other-output", "other-input", "writer-not-there"],
+)
+def test_an_edit_that_breaks_the_converter_block_is_found(tmp_path, monkeypatch, old, new):
+    monkeypatch.chdir(tmp_path)
+    block = fenced_block("## Recording a trace from a browser", "python")
+    edited = "\n".join(block).replace(old, new)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert converter_problem(edited.splitlines(), tmp_path) is not None

@@ -41,7 +41,7 @@ def result(region: str, mode: str, score: float | None, no: int = 1, flagged: bo
             site=site, mode=mode, status="failed", metrics=None, report=None,
             test_date=DATE, outlier_flag=False, failure_reason="NoContentfulPaint: nothing painted",
         )
-    report = ScoreReport(scores={k: score for k in METRICS.as_dict()}, performance_score=score, category="average")
+    report = ScoreReport(scores=MetricSet(*[score] * 6), performance_score=score, category="average")
     return AuditResult(
         site=site, mode=mode, status="ok", metrics=METRICS, report=report,
         test_date=DATE, outlier_flag=flagged,
@@ -221,6 +221,34 @@ class TestMdReport:
     def test_total_row_uses_one_decimal(self):
         text = emit_report(rows_only(reference_aggregates()), "md")
         assert "| Rata-rata total | 38.7 | 63.6 |" in text
+
+    @pytest.mark.parametrize("region", ["Kota A | B", "|Kab. C|", "Kota D \\", "Kota \\| E"])
+    def test_a_region_with_a_pipe_or_a_backslash_keeps_each_tables_columns(self, region):
+        # "Kota A | B" used to split its cell in two: six cells in a five-column row.
+        results = [result(region, "mobile", 74.06, no=1), result(region, "desktop", None, no=2)]
+        text = emit_report(build_aggregates(results, [region]), "md")
+        tables = [[md_cells(line) for line in block.splitlines()] for block in re.findall(r"(?m)(?:^\|.*\n)+", text)]
+        assert len(tables) == 3  # Hasil per Daerah, Data Grafik and the failures per region
+        for header, *rows in tables:
+            assert rows and all(len(row) == len(header) for row in rows), (header, rows)
+            assert region in (cell for row in rows for cell in row)
+
+
+def md_cells(row: str) -> list[str]:
+    """The cells of a markdown table row, split on each pipe that no backslash
+    escapes, each stripped and unescaped."""
+    cells, cell, escaped = [], [], False
+    for char in row:
+        if escaped or char not in "\\|":
+            cell.append(char)
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        else:
+            cells.append("".join(cell).strip())
+            cell = []
+    assert cells[0] == "" and not "".join(cell).strip() and not escaped, f"{row!r} is not one row of cells"
+    return cells[1:]
 
 
 class TestJsonReport:

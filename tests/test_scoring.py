@@ -13,7 +13,7 @@ from oracles import (
     normal_cdf_oracle,
     z90_oracle,
 )
-from webaudit.errors import InvalidCurve, WeightMismatch
+from webaudit.errors import InvalidCurve
 from webaudit.metrics import MetricSet
 from webaudit.scoring import (
     _Z_90,
@@ -110,8 +110,8 @@ class TestWeights:
 
 
 class TestAggregate:
-    def full(self, value: float) -> dict[str, float]:
-        return {key: value for key in METRIC_KEYS}
+    def full(self, value: float) -> MetricSet:
+        return MetricSet(*[value] * len(METRIC_KEYS))
 
     def test_all_hundreds_give_hundred(self, calibration):
         assert aggregate(self.full(100.0), calibration.weights) == 100.0
@@ -126,15 +126,13 @@ class TestAggregate:
     def test_single_metric_hundred_reproduces_each_weight_exactly(self, calibration):
         expected = {"fcp": 20.0, "fmp": 6.7, "si": 26.7, "tti": 33.3, "fci": 13.3, "max_fid": 0.0}
         for key, want in expected.items():
-            scores = self.full(0.0)
-            scores[key] = 100.0
-            assert aggregate(scores, calibration.weights) == want
+            assert aggregate(self.full(0.0)._replace(**{key: 100.0}), calibration.weights) == want
 
     def test_fid_score_cannot_move_the_aggregate(self, calibration, rng):
         for _ in range(20):
-            scores = {key: rng.uniform(0.0, 100.0) for key in METRIC_KEYS}
-            low = dict(scores, max_fid=0.0)
-            high = dict(scores, max_fid=100.0)
+            scores = MetricSet(*(rng.uniform(0.0, 100.0) for _ in METRIC_KEYS))
+            low = scores._replace(max_fid=0.0)
+            high = scores._replace(max_fid=100.0)
             assert aggregate(low, calibration.weights) == aggregate(high, calibration.weights)
 
     def test_a_zero_weight_score_is_not_read(self, calibration, rng):
@@ -142,21 +140,21 @@ class TestAggregate:
         tables = [calibration.weights] + [random_weights(rng) for _ in range(40)]
         for weights in tables:
             zero = [key for key, weight in weights.as_dict().items() if weight == 0]
-            scores = {key: rng.uniform(0.0, 100.0) for key in METRIC_KEYS}
+            scores = MetricSet(*(rng.uniform(0.0, 100.0) for _ in METRIC_KEYS))
             want = aggregate(scores, weights).hex()
             for bad in (math.nan, math.inf, -math.inf, "not a number"):
-                assert aggregate(dict(scores, **dict.fromkeys(zero, bad)), weights).hex() == want
+                assert aggregate(scores._replace(**dict.fromkeys(zero, bad)), weights).hex() == want
         assert sum(1 for weights in tables if 0.0 in weights.as_dict().values()) > 10
 
-    def test_missing_metric_rejected(self, calibration):
-        scores = self.full(50.0)
-        del scores["tti"]
-        with pytest.raises(WeightMismatch):
-            aggregate(scores, calibration.weights)
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_a_score_sequence_of_the_wrong_length_is_rejected(self, calibration, count):
+        # Not a smaller or a truncated sum: five scores under six weights, or seven.
+        with pytest.raises(ValueError):
+            aggregate([50.0] * count, calibration.weights)
 
     def test_custom_weights(self):
         weights = WeightTable(fcp=1.0, fmp=0.0, si=0.0, tti=0.0, fci=0.0, max_fid=0.0)
-        assert aggregate(dict(self.full(0.0), fcp=73.0), weights) == 73.0
+        assert aggregate(self.full(0.0)._replace(fcp=73.0), weights) == 73.0
 
 
 class TestCategorize:
@@ -180,11 +178,13 @@ class TestScoreMetrics:
         from webaudit.metrics import compute_all
 
         metrics = compute_all(simple_trace, calibration.quiet_window)
-        report = score_metrics(metrics, calibration.curves_for("mobile"), calibration.weights, calibration.bands)
-        assert set(report.scores) == set(METRIC_KEYS)
+        curves = calibration.curves_for("mobile")
+        report = score_metrics(metrics, curves, calibration.weights, calibration.bands)
+        assert type(report.scores) is MetricSet
+        assert report.scores == tuple(metric_score(value, curves[key]) for key, value in zip(METRIC_KEYS, metrics))
         assert report.performance_score == aggregate(report.scores, calibration.weights)
         assert report.category == categorize(report.performance_score, calibration.bands)
-        assert all(0.0 <= s <= 100.0 for s in report.scores.values())
+        assert all(0.0 <= s <= 100.0 for s in report.scores)
 
 
 def random_weights(rng) -> WeightTable:
@@ -222,8 +222,8 @@ class TestFixedConstants:
     def test_aggregate_matches_the_per_call_formula(self, calibration, rng):
         for i in range(500):
             weights = calibration.weights if i % 5 == 0 else random_weights(rng)
-            scores = {key: rng.choice((0.0, 100.0, rng.uniform(0.0, 100.0))) for key in METRIC_KEYS}
-            want = aggregate_per_call(scores, weights.as_dict())
+            scores = MetricSet(*(rng.choice((0.0, 100.0, rng.uniform(0.0, 100.0))) for _ in METRIC_KEYS))
+            want = aggregate_per_call(scores._asdict(), weights.as_dict())
             assert aggregate(scores, weights).hex() == want.hex(), (weights, scores)
 
     def test_score_metrics_matches_the_per_call_formulas(self, calibration, rng):
@@ -237,7 +237,7 @@ class TestFixedConstants:
                 key: metric_score_per_call(value, curves[key].median_ms, curves[key].podr_ms)
                 for key, value in zip(METRIC_KEYS, metrics)
             }
-            assert {key: score.hex() for key, score in report.scores.items()} == {k: v.hex() for k, v in want.items()}
+            assert [score.hex() for score in report.scores] == [want[key].hex() for key in METRIC_KEYS]
             assert report.performance_score.hex() == aggregate_per_call(want, weights.as_dict()).hex()
 
     def test_replace_recomputes_the_fixed_constants(self, calibration):
@@ -246,8 +246,8 @@ class TestFixedConstants:
         assert metric_score(8000.0, curve) == metric_score_per_call(8000.0, 8000.0, 2000.0)
         weights = calibration.weights._replace(fcp=0.0, max_fid=0.2)
         assert weights.decimals == tuple(Decimal(repr(w)) for w in weights.as_dict().values())
-        assert aggregate({key: 100.0 for key in METRIC_KEYS}, weights) == 100.0
-        assert aggregate(dict.fromkeys(METRIC_KEYS, 0.0) | {"max_fid": 100.0}, weights) == 20.0
+        assert aggregate(MetricSet(*[100.0] * 6), weights) == 100.0
+        assert aggregate(MetricSet(*[0.0] * 6)._replace(max_fid=100.0), weights) == 20.0
 
     def test_fixed_constants_are_fields_that_follow_from_the_others(self, calibration):
         curve = ScoreCurve(4000.0, 2000.0)
