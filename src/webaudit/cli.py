@@ -33,7 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--traces", required=True, metavar="DIR")
     batch.add_argument("--modes", default="mobile,desktop", metavar="KIND[,KIND]")
     batch.add_argument("--throttle", default="4g", metavar="NAME|FILE")
-    batch.add_argument("--parallel", type=int, default=4, metavar="N", help="checked (N >= 1) but has no effect")
+    batch.add_argument(
+        "--parallel", type=int, default=4, metavar="N",
+        help="ignored (checked only that N >= 1); a batch of 40 sites or more uses two processes "
+        "where two CPUs are usable, and taskset -c 0 keeps it in one",
+    )  # fmt: skip
     batch.add_argument("--out", required=True, metavar="FILE")
     batch.add_argument("--calibration", metavar="FILE")
     batch.add_argument("--test-date", metavar="YYYY-MM-DD", help="stamp results with this date (default: today)")

@@ -6,11 +6,14 @@ stored trace in both device modes under a throttle profile, and records
 one result per (site, mode), its metrics and its scores each a MetricSet.
 Failures are data: a site whose trace is missing or never paints stays in
 the result set as a failed audit and is excluded from averages downstream.
+A batch of 40 sites or more is split across two forked workers where the
+process may use two CPUs, and gives the results one process gives.
 """
 
 from __future__ import annotations
 
 import csv
+import marshal
 import math
 import os
 import re
@@ -18,7 +21,7 @@ from datetime import date
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from .collector import load_trace
 from .config import (
@@ -102,34 +105,38 @@ def ingest_corpus(path: str | Path, member_regions: Sequence[str] | None = None)
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvError(1, None, "empty file; expected header no,institution,tier,region,url") from None
-        if tuple(cell.strip() for cell in header) != _CSV_HEADER:
-            raise CsvError(reader.line_num, None, f"header must be {','.join(_CSV_HEADER)}")
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(_CSV_HEADER):
-                raise CsvError(line, None, f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
-            raw_no, institution, tier, region, url = (cell.strip() for cell in row)
-            try:
-                no = int(raw_no)
-            except ValueError:
-                raise CsvError(line, "no", f"must be an integer, got {raw_no!r}") from None
-            if not institution:
-                raise CsvError(line, "institution", "must not be empty")
-            if tier not in TIERS:
-                raise CsvError(line, "tier", f"must be one of {', '.join(TIERS)}, got {tier!r}")
-            if not region:
-                raise CsvError(line, "region", "must not be empty")
-            if not _URL.match(url):
-                raise CsvError(line, "url", f"must be an absolute http/https URL, got {url!r}")
-            if url in seen_urls:
-                raise DuplicateUrl(line, url)
-            seen_urls[url] = line
-            records.append(SiteRecord(no, institution, tier, region, url))
+            header = next(reader, None)
+            if header is None:
+                raise CsvError(1, None, "empty file; expected header no,institution,tier,region,url")
+            if tuple(cell.strip() for cell in header) != _CSV_HEADER:
+                raise CsvError(reader.line_num, None, f"header must be {','.join(_CSV_HEADER)}")
+            for row in reader:
+                line = reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(_CSV_HEADER):
+                    raise CsvError(line, None, f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
+                raw_no, institution, tier, region, url = (cell.strip() for cell in row)
+                try:
+                    if not raw_no.isascii() or "_" in raw_no:  # which int() would read: 1_0 and non-ASCII digits
+                        raise ValueError
+                    no = int(raw_no)  # so a sign and ASCII digits; a ValueError past sys.get_int_max_str_digits()
+                except ValueError:
+                    raise CsvError(line, "no", f"must be an integer, got {raw_no!r}") from None
+                if not institution:
+                    raise CsvError(line, "institution", "must not be empty")
+                if tier not in TIERS:
+                    raise CsvError(line, "tier", f"must be one of {', '.join(TIERS)}, got {tier!r}")
+                if not region:
+                    raise CsvError(line, "region", "must not be empty")
+                if not _URL.match(url):
+                    raise CsvError(line, "url", f"must be an absolute http/https URL, got {url!r}")
+                if url in seen_urls:
+                    raise DuplicateUrl(line, url)
+                seen_urls[url] = line
+                records.append(SiteRecord(no, institution, tier, region, url))
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            raise CsvError(reader.line_num, None, str(exc)) from None
     return records if member_regions is None else membership_filter(records, member_regions)
 
 
@@ -184,6 +191,13 @@ def run_batch(
     mode kind). Per-item failures never abort the batch: a failed load or
     link stage fails every mode with the same reason, and a mode whose own
     stage fails keeps that reason, as a single audit would.
+
+    A batch of 2 * _SITES_PER_WORKER sites or more is split across up to
+    _MAX_WORKERS of the CPUs the process may use (`_workers`), each worker
+    taking the next run of sites as it finishes one (`_audit_split`), with
+    the results of the in-process loop. Any failure of the split reruns the
+    whole batch in that loop, which alone runs a smaller batch and any batch
+    in a process with a second thread; `taskset -c 0` keeps one in-process.
     """
     if calibration is None:
         calibration = load_calibration()
@@ -199,29 +213,168 @@ def run_batch(
     link_profile = spec.resolve()  # every mode's link: modes differ only in the CPU
     cpu = {kind: spec.resolve(calibration.mode(kind)).cpu_multiplier for kind in modes}
     curves = {kind: calibration.curves_for(kind) for kind in modes}
-    results: list[AuditResult] = []
-    for site in records:
-        try:
-            link = replay_link(load_trace(traces + trace_slug(site.url) + ".json"), link_profile)
-        except (AuditError, OSError) as exc:
-            results += [_failed(site, kind, test_date, exc) for kind in modes]
-            continue
-        shared = None  # the link's metrics, from the first mode whose own stage succeeds; a failure is not kept
-        for kind in modes:
+
+    def audit(sites: Sequence[SiteRecord]) -> list[AuditResult]:
+        """len(modes) results per site, in site order."""
+        results: list[AuditResult] = []
+        for site in sites:
             try:
-                trace = replay_mode(link, cpu[kind])
-                if shared is None:
-                    shared = link_metrics(link, quiet)
-                metrics = mode_metrics(shared, trace, quiet)
-                report = score_metrics(metrics, curves[kind], weights, bands)
-            except AuditError as exc:
-                results.append(_failed(site, kind, test_date, exc))
-            else:
-                flag = calibration.outliers.flags(report.performance_score)
-                results.append(AuditResult(site, kind, "ok", metrics, report, test_date, flag))
+                link = replay_link(load_trace(traces + trace_slug(site.url) + ".json"), link_profile)
+            except (AuditError, OSError) as exc:
+                results += [_failed(site, kind, test_date, exc) for kind in modes]
+                continue
+            shared = None  # the link's metrics, from the first mode whose own stage succeeds; a failure is not kept
+            for kind in modes:
+                try:
+                    trace = replay_mode(link, cpu[kind])
+                    if shared is None:
+                        shared = link_metrics(link, quiet)
+                    metrics = mode_metrics(shared, trace, quiet)
+                    report = score_metrics(metrics, curves[kind], weights, bands)
+                except AuditError as exc:
+                    results.append(_failed(site, kind, test_date, exc))
+                else:
+                    flag = calibration.outliers.flags(report.performance_score)
+                    results.append(AuditResult(site, kind, "ok", metrics, report, test_date, flag))
+        return results
+
+    results = None
+    workers = _workers(len(records))
+    if workers > 1:
+        try:
+            results = _audit_split(records, len(modes), workers, audit, test_date)
+        except Exception:
+            pass  # a failed fork or worker, or a site that raised: the in-process run below ends as a serial batch does
+    if results is None:
+        results = audit(records)
     # url breaks ties: `no` need not be unique.
     results.sort(key=lambda r: (r.site.no, r.mode, r.site.url))
     return results
+
+
+# The fewest sites a forked worker is given: two workers break even with
+# the in-process loop at 40 to 64 sites of 4 requests, and this is the low end.
+_SITES_PER_WORKER = 20
+# The most workers a batch uses: only two have been measured against one
+# process (on a 2-CPU host); more stay unused until paired runs show they pay.
+_MAX_WORKERS = 2
+
+
+def _workers(sites: int) -> int:
+    """How many processes audit a batch of `sites` sites: one per CPU the
+    process may use, at most _MAX_WORKERS, each given at least
+    _SITES_PER_WORKER sites. One where os.fork or os.sched_getaffinity is
+    missing, or where a second thread runs, which a fork could leave
+    holding a lock in the child."""
+    try:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return 1 if threads > 1 else max(1, min(_MAX_WORKERS, cpus, sites // _SITES_PER_WORKER))
+
+
+def _audit_split(
+    records: Sequence[SiteRecord], per_site: int, workers: int, audit: Callable, test_date: date
+) -> list[AuditResult]:
+    """audit(records), in record order, by `workers` processes: this one and
+    workers - 1 forked children.
+
+    The records are cut into at most _RUNS runs of consecutive sites, and
+    each process takes the next run from a shared queue until none is left.
+    So the work follows each site's cost as it is met: a large page holds up
+    the one process auditing it, not a fixed share of sites behind it, and a
+    process that starts late or runs on a slower CPU takes fewer runs.
+
+    A child sends its results through a pipe as marshal-ed plain values, and
+    they are rebuilt here through the records' constructors. A child that
+    exits non-zero, is killed or sends bytes that do not read back raises
+    here, and run_batch redoes the batch in-process. Every child is reaped
+    before this returns or raises.
+    """
+    size = -(-len(records) // _RUNS)
+    runs = [records[start : start + size] for start in range(0, len(records), size)]
+    parent = os.getpid()
+    children: dict[BinaryIO, int] = {}  # the read end of each child's pipe and its pid until reaped
+    queue, feed = os.pipe()
+    try:
+        with open(feed, "wb") as tickets:  # closed before any fork, so the queue ends once every run is taken
+            tickets.write(bytes(range(len(runs))))  # one byte a run: at most _RUNS bytes, which any pipe holds
+        for _ in range(1, workers):
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            children[pipe] = 0
+            with open(write, "wb") as sink:  # closed here once forked, so a child's exit ends its pipe
+                pid = os.fork()
+                if pid == 0:
+                    _child(audit, runs, queue, sink)
+            children[pipe] = pid
+        done = _take(audit, runs, queue)
+        for pipe, pid in list(children.items()):
+            with pipe:
+                sent = marshal.loads(pipe.read())
+            for k, plain in sent:
+                done[k] = [
+                    AuditResult(
+                        site, mode, status, metrics and MetricSet(*metrics),
+                        report and ScoreReport(MetricSet(*report[0]), *report[1:]), test_date, flag, reason,
+                    )
+                    for site, (mode, status, metrics, report, flag, reason) in zip(
+                        [site for site in runs[k] for _ in range(per_site)], plain, strict=True
+                    )
+                ]  # fmt: skip
+            exit_status = os.waitpid(pid, 0)[1]  # after the rebuild, which overlaps the child's exit
+            children[pipe] = 0
+            if exit_status:
+                raise ChildProcessError(f"worker {pid} ended with wait status {exit_status}")
+        return [result for k in range(len(runs)) for result in done[k]]  # a KeyError if a run's results are missing
+    finally:
+        if os.getpid() != parent:  # a child interrupted (by a Ctrl-C to its group) before _child's own try
+            os._exit(1)
+        os.close(queue)
+        for pipe in children:
+            pipe.close()
+        if any(children.values()):
+            from signal import SIGKILL  # here, not at the top: only a batch that raises kills its workers
+
+            for pid in filter(None, children.values()):
+                try:  # a child reaped just before an interrupt is gone: go on to the next
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass
+
+
+# The most runs _audit_split cuts a batch into, so that one byte names a run.
+_RUNS = 256
+
+
+def _take(audit: Callable, runs: list[Sequence[SiteRecord]], queue: int) -> dict[int, list[AuditResult]]:
+    """audit(run) of each run this process takes from the queue, by the
+    run's index, until the queue is empty."""
+    done = {}
+    while taken := os.read(queue, 1):  # a pipe hands each byte to one reader
+        done[taken[0]] = audit(runs[taken[0]])
+    return done
+
+
+def _child(audit: Callable, runs: list[Sequence[SiteRecord]], queue: int, sink: BinaryIO) -> NoReturn:
+    """A forked worker: audit the runs it takes, send the results and exit.
+    It never returns into the caller's code, so it flushes no inherited
+    stdio buffer and runs no atexit hook."""
+    code = 1
+    try:
+        plain = [
+            (k, [(r.mode, r.status, r.metrics and tuple(r.metrics),
+                  r.report and (tuple(r.report.scores), *r.report[1:]), r.outlier_flag, r.failure_reason)
+                 for r in results])
+            for k, results in _take(audit, runs, queue).items()
+        ]  # fmt: skip
+        sink.write(marshal.dumps(plain))
+        sink.close()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _failed(site: SiteRecord, kind: str, test_date: date, exc: Exception) -> AuditResult:

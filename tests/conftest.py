@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 import signal
 from datetime import date
+
+# numpy, which oracles.py imports, would otherwise start a BLAS thread per
+# CPU, and run_batch never forks in a process with a second thread; the
+# oracles do no BLAS work that a second thread would speed up.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import pytest
 

@@ -561,6 +561,18 @@ class TestBatchCommand:
         )
         assert rc == 2
 
+    def test_a_corpus_cell_over_the_csv_field_limit_is_a_usage_error(self, workspace, tmp_path, capsys):
+        with open(workspace["corpus"], encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[3][1] = "x" * 200_000  # the csv module refuses a field over 131,072 characters
+        with open(workspace["corpus"], "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        rc, out = run_batch_cli(workspace, tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: line 4: field larger than field limit (131072)\n"
+        assert not out.exists()
+
 
 def run_aggregate_cli(paths, tmp_path) -> tuple[Path, Path]:
     """(results, aggregates) of a batch and aggregate run over the workspace."""

@@ -4,10 +4,15 @@ import codecs
 import datetime
 import json
 import logging
+import marshal
 import math
+import os
 import pathlib
 import random
 import re
+import signal
+import threading
+import time
 
 import pytest
 
@@ -38,7 +43,7 @@ from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
 from webaudit.report import build_aggregates, read_aggregates, write_aggregates
 from webaudit.scoring import CATEGORIES, SCORE_MAX, ScoreReport
-from webaudit.synth import build_demo_trace, write_demo_workspace
+from webaudit.synth import build_demo_trace, build_no_paint_trace, write_demo_workspace
 from webaudit.trace import MainThreadTask, NormalizedTrace, PaintEvent, VisualSample
 from webaudit.config import OutlierBounds
 
@@ -106,6 +111,9 @@ class TestIngestCorpus:
         "row, column",
         [
             ("x,Diskominfo,provinsi,Kota Bandung,https://a.test", "no"),
+            ("1_0,Diskominfo,provinsi,Kota Bandung,https://a.test", "no"),
+            ("\u0663,Diskominfo,provinsi,Kota Bandung,https://a.test", "no"),  # an Arabic-Indic 3
+            ("+-1,Diskominfo,provinsi,Kota Bandung,https://a.test", "no"),
             ("1,,provinsi,Kota Bandung,https://a.test", "institution"),
             ("1,Diskominfo,city,Kota Bandung,https://a.test", "tier"),
             ("1,Diskominfo,provinsi,,https://a.test", "region"),
@@ -120,6 +128,11 @@ class TestIngestCorpus:
             ingest_corpus(path, MEMBERS)
         assert exc.value.column == column
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("no, value", [(" 7 ", 7), ("-3", -3), ("+12", 12), ("0" * 20 + "5", 5)])
+    def test_a_number_is_an_optional_sign_and_ascii_digits(self, tmp_path, no, value):
+        path = write_corpus(tmp_path, [f"{no},Diskominfo,provinsi,Kota Bandung,https://a.test"])
+        assert [record.no for record in ingest_corpus(path)] == [value]
 
     def test_wrong_field_count(self, tmp_path):
         path = write_corpus(tmp_path, ["1,Diskominfo,provinsi,Kota Bandung"])
@@ -455,6 +468,288 @@ class TestBatchMatchesSingleAudits:
         ]
         assert [result_to_dict(r) for r in results] == [result_to_dict(r) for r in expected]
         assert sum(r.status == "ok" for r in results) > 50
+
+
+
+MODES = ("mobile", "desktop")
+
+
+@pytest.fixture
+def big_corpus(tmp_path):
+    """Sites enough for three workers, so that only _MAX_WORKERS caps a
+    split; one trace file per URL, every 7th site has no trace and every
+    11th never paints."""
+    rng = random.Random(33)
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    records = []
+    for no in range(1, 3 * webaudit.corpus._SITES_PER_WORKER + 5):
+        record = SiteRecord(no, "A", "kecamatan", "Kota Bandung", f"https://s{no}.test")
+        if no % 7:
+            trace = build_no_paint_trace() if no % 11 == 0 else random_trace(rng)
+            write_trace(trace, traces / (trace_slug(record.url) + ".json"))
+        records.append(record)
+    return records, traces
+
+
+def usable_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child os.fork starts in this process."""
+    pids = []
+    original = os.fork
+
+    def counted():
+        pid = original()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def count_loads(monkeypatch, forks, log: pathlib.Path) -> list[str]:
+    """The traces this process loads from now on; a worker's go to `log`,
+    one a line. This process's first load after a fork waits (up to 10 s)
+    until the worker has loaded a trace, so that each takes some sites of a
+    split batch however the two are scheduled."""
+    loads = []
+    parent = os.getpid()
+    load_trace = webaudit.corpus.load_trace
+
+    def counted(path):
+        if os.getpid() != parent:
+            with open(log, "a", encoding="utf-8") as worker:
+                worker.write(path + "\n")
+        elif forks and not loads:
+            deadline = time.monotonic() + 10
+            while not log.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        if os.getpid() == parent:
+            loads.append(path)
+        return load_trace(path)
+
+    monkeypatch.setattr(webaudit.corpus, "load_trace", counted)
+    return loads
+
+
+def trace_paths(records, traces) -> list[str]:
+    """The trace path run_batch loads for each record, in record order."""
+    return [str(traces / (trace_slug(r.url) + ".json")) for r in records]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitBatch:
+    """A batch split across forked workers gives the in-process batch's results."""
+
+    def in_process(self, monkeypatch, batch):
+        with monkeypatch.context() as patch:
+            usable_cpus(patch, 1)
+            return batch()
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    @pytest.mark.parametrize("throttle", ["4g", "none"])
+    def test_a_split_batch_equals_the_in_process_batch(self, tmp_path, monkeypatch, big_corpus, forks, cpus, throttle):
+        records, traces = big_corpus
+        batch = lambda: run_batch(records, MODES, throttle, traces_dir=traces, test_date=TEST_DATE)  # noqa: E731
+        log = tmp_path / "worker-loads"
+        loads = count_loads(monkeypatch, forks, log)
+        usable_cpus(monkeypatch, cpus)
+        split = batch()
+        assert len(forks) == 1  # two workers at most, however many CPUs
+        worker = log.read_text("utf-8").splitlines()
+        assert loads and worker
+        # Each site loaded once, by one process: the worker's results were used, not redone here.
+        assert sorted(loads + worker) == sorted(trace_paths(records, traces))
+        serial = self.in_process(monkeypatch, batch)
+        assert len(forks) == 1
+        assert split == serial
+        write_results(split, tmp_path / "split.jsonl")
+        write_results(serial, tmp_path / "serial.jsonl")
+        assert (tmp_path / "split.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+        reasons = {r.failure_reason.split(":")[0] for r in split if r.status == "failed"}
+        assert reasons == {"FileNotFoundError", "NoContentfulPaint"}
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "failure", ["raises", "killed", "killed-after-sending", "not-marshal", "one-run-short", "one-result-short"]
+    )
+    def test_a_failed_worker_reruns_the_batch_in_process(self, tmp_path, monkeypatch, big_corpus, forks, failure):
+        records, traces = big_corpus
+        batch = lambda: run_batch(records, MODES, "4g", traces_dir=traces, test_date=TEST_DATE)  # noqa: E731
+        parent = os.getpid()
+        original = marshal.dumps
+
+        def dumps(value, *args):
+            if os.getpid() == parent:  # only the worker fails
+                return original(value, *args)
+            if failure == "raises":
+                raise RuntimeError("a worker that fails")
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "killed-after-sending":  # every result sent, then no clean exit
+                os._exit = lambda code: os.kill(os.getpid(), signal.SIGKILL)
+                return original(value, *args)
+            if failure == "not-marshal":
+                return b"\xff not marshal"
+            if failure == "one-run-short":
+                return original(value[:-1], *args)
+            (run, results), *others = value  # one result short in one run
+            return original([(run, results[:-1]), *others], *args)
+
+        loads = count_loads(monkeypatch, forks, tmp_path / "worker-loads")
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(marshal, "dumps", dumps)
+        split = batch()
+        assert len(forks) == 1
+        own = len(loads) - len(records)
+        assert own > 0 and loads[own:] == trace_paths(records, traces)  # the sites it took, then the whole batch
+        monkeypatch.undo()
+        assert split == self.in_process(monkeypatch, batch)
+        assert_no_child_left()
+
+    def test_a_site_that_raises_ends_the_batch_as_in_process(self, monkeypatch, big_corpus, forks):
+        # Sites 2 and 3 raise in whichever process audits them; an in-process batch raises at site 2.
+        records, traces = big_corpus
+        original = webaudit.corpus.load_trace
+
+        def load_trace(path):
+            if any(trace_slug(f"https://s{no}.test") in path for no in (2, 3)):
+                raise RuntimeError(path)
+            return original(path)
+
+        monkeypatch.setattr(webaudit.corpus, "load_trace", load_trace)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError) as split:
+            run_batch(records, MODES, "4g", traces_dir=traces, test_date=TEST_DATE)
+        assert len(forks) == 1
+        assert trace_slug("https://s2.test") in str(split.value)
+        assert_no_child_left()
+
+    def test_an_interrupted_batch_kills_and_reaps_its_workers(self, monkeypatch, big_corpus, forks):
+        records, traces = big_corpus
+        parent = os.getpid()
+
+        def load_trace(path):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(10)  # a worker still auditing, which only a kill ends in time
+
+        statuses = []
+        waitpid = os.waitpid
+        monkeypatch.setattr(webaudit.corpus, "load_trace", load_trace)
+        monkeypatch.setattr(os, "waitpid", lambda pid, options: statuses.append(waitpid(pid, options)) or statuses[-1])
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(records, MODES, "4g", traces_dir=traces, test_date=TEST_DATE)
+        assert len(forks) == 1
+        assert [(pid, os.WTERMSIG(status)) for pid, status in statuses] == [(forks[0], signal.SIGKILL)]
+        assert_no_child_left()
+
+    def test_an_interrupt_just_after_a_worker_is_reaped_stays_an_interrupt(self, monkeypatch, big_corpus, forks):
+        records, traces = big_corpus
+        original = os.waitpid
+
+        def waitpid(pid, options):
+            result = original(pid, options)
+            if pid in forks:
+                monkeypatch.setattr(os, "waitpid", original)
+                raise KeyboardInterrupt  # after the reap, before the parent has noted it
+            return result
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(records, MODES, "4g", traces_dir=traces, test_date=TEST_DATE)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_worker_interrupted_before_its_own_code_never_returns_into_the_caller(
+        self, tmp_path, monkeypatch, big_corpus, forks
+    ):
+        records, traces = big_corpus
+        batch = lambda: run_batch(records, MODES, "4g", traces_dir=traces, test_date=TEST_DATE)  # noqa: E731
+        parent = os.getpid()
+
+        def interrupted(*args):
+            raise KeyboardInterrupt  # as a Ctrl-C to the process group would, right after the fork
+
+        monkeypatch.setattr(webaudit.corpus, "_child", interrupted)
+        usable_cpus(monkeypatch, 2)
+        try:
+            split = batch()
+        except BaseException:
+            if os.getpid() != parent:
+                (tmp_path / f"unwound-{os.getpid()}").touch()
+                os._exit(1)
+            raise
+        assert len(forks) == 1
+        assert list(tmp_path.glob("unwound-*")) == []
+        monkeypatch.undo()
+        assert split == self.in_process(monkeypatch, batch)
+        assert_no_child_left()
+
+    def test_a_slow_worker_takes_fewer_sites(self, tmp_path, monkeypatch, big_corpus, forks):
+        records, traces = big_corpus
+        batch = lambda: run_batch(records, MODES, "4g", traces_dir=traces, test_date=TEST_DATE)  # noqa: E731
+        log = tmp_path / "worker-loads"
+        parent = os.getpid()
+        original = webaudit.corpus.load_trace
+
+        def load_trace(path):
+            if os.getpid() != parent:  # a worker on a CPU far slower than this process's
+                with open(log, "a", encoding="utf-8") as worker:
+                    worker.write(path + "\n")
+                time.sleep(0.05)
+            return original(path)
+
+        monkeypatch.setattr(webaudit.corpus, "load_trace", load_trace)
+        usable_cpus(monkeypatch, 2)
+        split = batch()
+        assert len(forks) == 1
+        worker = log.read_text("utf-8").splitlines() if log.exists() else []
+        assert len(worker) < len(records) // 4  # a fixed half would have been 32 sites
+        monkeypatch.undo()
+        assert split == self.in_process(monkeypatch, batch)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["one-cpu", "a-second-thread", "no-fork", "no-affinity", "too-few-sites"])
+    def test_a_batch_stays_in_process(self, monkeypatch, big_corpus, forks, case):
+        records, traces = big_corpus
+        usable_cpus(monkeypatch, 1 if case == "one-cpu" else 64)
+        if case in ("no-fork", "no-affinity"):
+            monkeypatch.delattr(os, "fork" if case == "no-fork" else "sched_getaffinity")
+        if case == "too-few-sites":
+            records = records[: 2 * webaudit.corpus._SITES_PER_WORKER - 1]
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "a-second-thread":
+            thread.start()
+        try:
+            results = run_batch(records, MODES, "4g", traces_dir=traces, test_date=TEST_DATE)
+        finally:
+            done.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert len(results) == 2 * len(records)
+
+    @pytest.mark.parametrize("throttle", ["none", "4g"])
+    def test_the_demo_workspace_is_audited_in_process(self, tmp_path, monkeypatch, forks, throttle):
+        paths = write_demo_workspace(tmp_path)
+        records = ingest_corpus(paths["corpus"])
+        usable_cpus(monkeypatch, 64)
+        results = run_batch(records, MODES, throttle, traces_dir=paths["traces"], test_date=TEST_DATE)
+        assert (len(records), len(results), forks) == (12, 24, [])
 
 
 class TestResultFiles:
