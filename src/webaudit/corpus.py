@@ -6,7 +6,7 @@ stored trace in both device modes under a throttle profile, and records
 one result per (site, mode), its metrics and its scores each a MetricSet.
 Failures are data: a site whose trace is missing or never paints stays in
 the result set as a failed audit and is excluded from averages downstream.
-A batch of 40 sites or more is split across two forked workers where the
+A batch of 40 sites or more is split with one forked child where the
 process may use two CPUs, and gives the results one process gives.
 """
 
@@ -192,12 +192,13 @@ def run_batch(
     link stage fails every mode with the same reason, and a mode whose own
     stage fails keeps that reason, as a single audit would.
 
-    A batch of 2 * _SITES_PER_WORKER sites or more is split across up to
-    _MAX_WORKERS of the CPUs the process may use (`_workers`), each worker
-    taking the next run of sites as it finishes one (`_audit_split`), with
-    the results of the in-process loop. Any failure of the split reruns the
-    whole batch in that loop, which alone runs a smaller batch and any batch
-    in a process with a second thread; `taskset -c 0` keeps one in-process.
+    A batch of _SPLIT_SITES sites or more, where the process may use a
+    second CPU (`_may_split`), is audited by this process and one forked
+    child, each taking the next run of sites as it finishes one
+    (`_audit_split`), with the results of the in-process loop. Any failure
+    of the split reruns the whole batch in that loop, which alone runs a
+    smaller batch and any batch in a process with a second thread;
+    `taskset -c 0` keeps one in-process.
     """
     if calibration is None:
         calibration = load_calibration()
@@ -239,12 +240,11 @@ def run_batch(
         return results
 
     results = None
-    workers = _workers(len(records))
-    if workers > 1:
+    if _may_split(len(records)):
         try:
-            results = _audit_split(records, len(modes), workers, audit, test_date)
+            results = _audit_split(records, len(modes), audit, test_date)
         except Exception:
-            pass  # a failed fork or worker, or a site that raised: the in-process run below ends as a serial batch does
+            pass  # a failed fork or child, or a site that raised: the in-process run below ends as a serial batch does
     if results is None:
         results = audit(records)
     # url breaks ties: `no` need not be unique.
@@ -252,33 +252,26 @@ def run_batch(
     return results
 
 
-# The fewest sites a forked worker is given: two workers break even with
-# the in-process loop at 40 to 64 sites of 4 requests, and this is the low end.
-_SITES_PER_WORKER = 20
-# The most workers a batch uses: only two have been measured against one
-# process (on a 2-CPU host); more stay unused until paired runs show they pay.
-_MAX_WORKERS = 2
+# The fewest sites a batch is split at: this process and one forked child
+# break even with the in-process loop at 40 to 64 sites of 4 requests, and
+# this is the low end. One child only: more have not been measured.
+_SPLIT_SITES = 40
 
 
-def _workers(sites: int) -> int:
-    """How many processes audit a batch of `sites` sites: one per CPU the
-    process may use, at most _MAX_WORKERS, each given at least
-    _SITES_PER_WORKER sites. One where os.fork or os.sched_getaffinity is
-    missing, or where a second thread runs, which a fork could leave
-    holding a lock in the child."""
+def _may_split(sites: int) -> bool:
+    """Whether a batch of `sites` sites is split with a forked child: at
+    _SPLIT_SITES or more, where the process may use a second CPU and runs
+    no second thread, which a fork could leave holding a lock in the child.
+    Never where os.fork or os.sched_getaffinity is missing."""
     try:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") else 1
-        threads = len(os.listdir("/proc/self/task"))
+        return sites >= _SPLIT_SITES and cpus > 1 and len(os.listdir("/proc/self/task")) == 1
     except (AttributeError, OSError):
-        return 1
-    return 1 if threads > 1 else max(1, min(_MAX_WORKERS, cpus, sites // _SITES_PER_WORKER))
+        return False
 
 
-def _audit_split(
-    records: Sequence[SiteRecord], per_site: int, workers: int, audit: Callable, test_date: date
-) -> list[AuditResult]:
-    """audit(records), in record order, by `workers` processes: this one and
-    workers - 1 forked children.
+def _audit_split(records: Sequence[SiteRecord], per_site: int, audit: Callable, test_date: date) -> list[AuditResult]:
+    """audit(records), in record order, by this process and one forked child.
 
     The records are cut into at most _RUNS runs of consecutive sites, and
     each process takes the next run from a shared queue until none is left.
@@ -286,63 +279,55 @@ def _audit_split(
     the one process auditing it, not a fixed share of sites behind it, and a
     process that starts late or runs on a slower CPU takes fewer runs.
 
-    A child sends its results through a pipe as marshal-ed plain values, and
-    they are rebuilt here through the records' constructors. A child that
-    exits non-zero, is killed or sends bytes that do not read back raises
-    here, and run_batch redoes the batch in-process. Every child is reaped
-    before this returns or raises.
+    The child sends its results through a pipe as marshal-ed plain values,
+    and they are rebuilt here through the records' constructors. A child
+    that exits non-zero, is killed or sends bytes that do not read back
+    raises here, and run_batch redoes the batch in-process. The child is
+    reaped before this returns or raises.
     """
     size = -(-len(records) // _RUNS)
     runs = [records[start : start + size] for start in range(0, len(records), size)]
     parent = os.getpid()
-    children: dict[BinaryIO, int] = {}  # the read end of each child's pipe and its pid until reaped
+    pid = 0  # the child's until it is reaped
     queue, feed = os.pipe()
     try:
-        with open(feed, "wb") as tickets:  # closed before any fork, so the queue ends once every run is taken
+        with open(feed, "wb") as tickets:  # closed before the fork, so the queue ends once every run is taken
             tickets.write(bytes(range(len(runs))))  # one byte a run: at most _RUNS bytes, which any pipe holds
-        for _ in range(1, workers):
-            read, write = os.pipe()
-            pipe = open(read, "rb")
-            children[pipe] = 0
-            with open(write, "wb") as sink:  # closed here once forked, so a child's exit ends its pipe
+        read, write = os.pipe()
+        with open(read, "rb") as pipe:
+            with open(write, "wb") as sink:  # closed here once forked, so the child's exit ends its pipe
                 pid = os.fork()
                 if pid == 0:
                     _child(audit, runs, queue, sink)
-            children[pipe] = pid
-        done = _take(audit, runs, queue)
-        for pipe, pid in list(children.items()):
-            with pipe:
-                sent = marshal.loads(pipe.read())
-            for k, plain in sent:
-                done[k] = [
-                    AuditResult(
-                        site, mode, status, metrics and MetricSet(*metrics),
-                        report and ScoreReport(MetricSet(*report[0]), *report[1:]), test_date, flag, reason,
-                    )
-                    for site, (mode, status, metrics, report, flag, reason) in zip(
-                        [site for site in runs[k] for _ in range(per_site)], plain, strict=True
-                    )
-                ]  # fmt: skip
-            exit_status = os.waitpid(pid, 0)[1]  # after the rebuild, which overlaps the child's exit
-            children[pipe] = 0
-            if exit_status:
-                raise ChildProcessError(f"worker {pid} ended with wait status {exit_status}")
+            done = _take(audit, runs, queue)
+            sent = marshal.loads(pipe.read())
+        for k, plain in sent:
+            done[k] = [
+                AuditResult(
+                    site, mode, status, metrics and MetricSet(*metrics),
+                    report and ScoreReport(MetricSet(*report[0]), *report[1:]), test_date, flag, reason,
+                )
+                for site, (mode, status, metrics, report, flag, reason) in zip(
+                    [site for site in runs[k] for _ in range(per_site)], plain, strict=True
+                )
+            ]  # fmt: skip
+        exit_status = os.waitpid(pid, 0)[1]  # after the rebuild, which overlaps the child's exit
+        pid = 0
+        if exit_status:
+            raise ChildProcessError(f"child ended with wait status {exit_status}")
         return [result for k in range(len(runs)) for result in done[k]]  # a KeyError if a run's results are missing
     finally:
         if os.getpid() != parent:  # a child interrupted (by a Ctrl-C to its group) before _child's own try
             os._exit(1)
         os.close(queue)
-        for pipe in children:
-            pipe.close()
-        if any(children.values()):
-            from signal import SIGKILL  # here, not at the top: only a batch that raises kills its workers
+        if pid:
+            from signal import SIGKILL  # here, not at the top: only a batch that raises kills its child
 
-            for pid in filter(None, children.values()):
-                try:  # a child reaped just before an interrupt is gone: go on to the next
-                    os.kill(pid, SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass
+            try:  # a child reaped just before an interrupt is gone
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
 
 
 # The most runs _audit_split cuts a batch into, so that one byte names a run.
@@ -359,7 +344,7 @@ def _take(audit: Callable, runs: list[Sequence[SiteRecord]], queue: int) -> dict
 
 
 def _child(audit: Callable, runs: list[Sequence[SiteRecord]], queue: int, sink: BinaryIO) -> NoReturn:
-    """A forked worker: audit the runs it takes, send the results and exit.
+    """The forked child: audit the runs it takes, send the results and exit.
     It never returns into the caller's code, so it flushes no inherited
     stdio buffer and runs no atexit hook."""
     code = 1

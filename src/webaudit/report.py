@@ -350,14 +350,20 @@ def aggregates_from_dict(document: Any) -> Aggregates:
 
     Every object must hold exactly the keys _document writes. Besides each
     row (aggregate_from_dict), overall_average must be overall_average of
-    the rows, every outlier and failure field must have its type,
-    failures.total must count the items, each row's n_failed must count the
-    items of its region, and there can be no more outliers than ok audits.
+    the rows, every outlier and failure field must have its type and
+    failures.total must count the items. Rows name distinct regions, and
+    every outlier and failure item is in a row's region: each row's n_failed
+    counts its region's failure items, and its n_ok_mobile and n_ok_web
+    bound its region's outliers in each mode.
     """
     _exact(document, _DOCUMENT_KEYS, "$")
     rows = [
         aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(_array(document, "aggregates", "$"))
     ]
+    regions = {}  # each row by its region's normalize_region key
+    for i, row in enumerate(rows):
+        if regions.setdefault(normalize_region(row.region), row) is not row:
+            raise SchemaError(f"$.aggregates[{i}].region", "must differ from every other row's region")
     overall = _exact(document["overall_average"], _OVERALL_KEYS, "$.overall_average")
     for column, value in overall_average(rows).items():
         if _number(overall, column, "$.overall_average", default=None) != value:
@@ -378,19 +384,22 @@ def aggregates_from_dict(document: Any) -> Aggregates:
     if total != len(failures):
         raise SchemaError("$.failures.total", f"must be the number of items, {len(failures)}")
 
-    per_region = Counter(normalize_region(failure.region) for failure in failures)
-    for i, row in enumerate(rows):
-        count = per_region.pop(normalize_region(row.region), 0)
-        if row.n_failed != count:
+    for name, entries in (("outliers", outliers), ("failures.items", failures)):
+        for i, entry in enumerate(entries):
+            if normalize_region(entry.region) not in regions:
+                raise SchemaError(f"$.{name}[{i}].region", "must be the region of an aggregates row")
+    failed = Counter(normalize_region(failure.region) for failure in failures)
+    flagged = Counter((normalize_region(outlier.region), outlier.mode) for outlier in outliers)
+    for i, (key, row) in enumerate(regions.items()):
+        if row.n_failed != failed[key]:
             raise SchemaError(
-                f"$.aggregates[{i}].n_failed", f"must be the number of failure items in its region, {count}"
+                f"$.aggregates[{i}].n_failed", f"must be the number of failure items in its region, {failed[key]}"
             )
-    if per_region:
-        first = next(i for i, failure in enumerate(failures) if normalize_region(failure.region) in per_region)
-        raise SchemaError(f"$.failures.items[{first}].region", "must be the region of an aggregates row")
-    ok = sum(row.n_ok_mobile + row.n_ok_web for row in rows)
-    if len(outliers) > ok:
-        raise SchemaError("$.outliers", f"must hold no more entries than ok audits, {ok}")
+        for mode, ok in ((MOBILE_KIND, row.n_ok_mobile), (WEB_KIND, row.n_ok_web)):
+            if flagged[key, mode] > ok:
+                raise SchemaError(
+                    "$.outliers", f"must hold no more entries than ok audits, {ok} for {row.region} ({mode})"
+                )
     return Aggregates(rows, outliers, failures)
 
 

@@ -476,14 +476,13 @@ MODES = ("mobile", "desktop")
 
 @pytest.fixture
 def big_corpus(tmp_path):
-    """Sites enough for three workers, so that only _MAX_WORKERS caps a
-    split; one trace file per URL, every 7th site has no trace and every
-    11th never paints."""
+    """64 sites, one trace file per URL; every 7th site has no trace and
+    every 11th never paints."""
     rng = random.Random(33)
     traces = tmp_path / "traces"
     traces.mkdir()
     records = []
-    for no in range(1, 3 * webaudit.corpus._SITES_PER_WORKER + 5):
+    for no in range(1, 65):
         record = SiteRecord(no, "A", "kecamatan", "Kota Bandung", f"https://s{no}.test")
         if no % 7:
             trace = build_no_paint_trace() if no % 11 == 0 else random_trace(rng)
@@ -557,14 +556,18 @@ class TestSplitBatch:
 
     @pytest.mark.parametrize("cpus", [2, 64])
     @pytest.mark.parametrize("throttle", ["4g", "none"])
-    def test_a_split_batch_equals_the_in_process_batch(self, tmp_path, monkeypatch, big_corpus, forks, cpus, throttle):
+    @pytest.mark.parametrize("sites", [webaudit.corpus._SPLIT_SITES, 64])  # the threshold: one site a run
+    def test_a_split_batch_equals_the_in_process_batch(
+        self, tmp_path, monkeypatch, big_corpus, forks, cpus, throttle, sites
+    ):
         records, traces = big_corpus
+        records = records[:sites]
         batch = lambda: run_batch(records, MODES, throttle, traces_dir=traces, test_date=TEST_DATE)  # noqa: E731
         log = tmp_path / "worker-loads"
         loads = count_loads(monkeypatch, forks, log)
         usable_cpus(monkeypatch, cpus)
         split = batch()
-        assert len(forks) == 1  # two workers at most, however many CPUs
+        assert len(forks) == 1  # one child, however many CPUs
         worker = log.read_text("utf-8").splitlines()
         assert loads and worker
         # Each site loaded once, by one process: the worker's results were used, not redone here.
@@ -728,7 +731,7 @@ class TestSplitBatch:
         if case in ("no-fork", "no-affinity"):
             monkeypatch.delattr(os, "fork" if case == "no-fork" else "sched_getaffinity")
         if case == "too-few-sites":
-            records = records[: 2 * webaudit.corpus._SITES_PER_WORKER - 1]
+            records = records[: webaudit.corpus._SPLIT_SITES - 1]
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         if case == "a-second-thread":

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import webaudit
-from webaudit import audit_trace, cli, load_calibration, load_trace
+from webaudit import audit_trace, cli, load_calibration, load_trace, netsim
 from webaudit.capture import trace_from_performance_entries
 from webaudit.collector import write_trace
+from webaudit.config import ThrottleSpec, resolve_throttle
 from webaudit.errors import AuditError
 from webaudit.synth import build_demo_trace, write_demo_workspace
 from webaudit.trace import NormalizedTrace
@@ -224,6 +225,96 @@ def test_an_edit_that_breaks_the_trace_json_example_is_found(tmp_path, old, new)
     edited = "\n".join(block).replace(old, new)
     assert edited != "\n".join(block), f"{old!r} is not in the block"
     assert trace_example_problem(edited.splitlines(), tmp_path) is not None
+
+
+def plan_keys() -> set[str]:
+    """The request keys plan_from_dict reads: each field name it passes one of its field readers."""
+    tree = ast.parse(inspect.getsource(netsim.plan_from_dict))
+    readers = {"_string", "_number", "_integer"}
+    return {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers
+    }
+
+
+def plan_example_problem(block: list[str], root: Path, capsys) -> str | None:
+    """Why the "Plan JSON" example block is not a plan that plan_from_dict
+    reads, naming only keys it reads, and whose requests `webaudit simulate
+    --plan` prints in id order, or None."""
+    text = "\n".join(block)
+    try:
+        document = json.loads(text)
+        netsim.plan_from_dict(document)
+    except (ValueError, AuditError) as exc:  # a JSONDecodeError is a ValueError
+        return str(exc)
+    requests = document["requests"] if isinstance(document, dict) else document
+    unread = {key for request in requests for key in request} - plan_keys()
+    if unread:
+        return f"plan_from_dict ignores {sorted(unread)}"
+    (root / "plan.json").write_text(text, "utf-8")
+    capsys.readouterr()
+    code = cli.main(["simulate", "--plan", str(root / "plan.json")])
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+    if code != 0 or printed != sorted(request["id"] for request in requests):
+        return f"simulate --plan exits {code} and prints {printed}"
+    return None
+
+
+def test_plan_json_example_is_a_plan_that_simulate_reads(tmp_path, capsys):
+    assert plan_example_problem(fenced_block("**Plan JSON**"), tmp_path, capsys) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"parent_id": "doc"', '"parent": "doc"'),
+        ('{"id": "doc"', '{"ID": "doc"'),
+        ('"discovery_offset_ms": 5,', '"discovery_offset_ms": -5,'),
+        ('"parent_id": "app.js"', '"parent_id": "app"'),
+        ('"bytes": 30000', '"bytes": 30000.5'),
+    ],
+    ids=["misspelt-parent", "misspelt-id", "negative-offset", "unknown-parent", "fractional-bytes"],
+)
+def test_an_edit_that_breaks_the_plan_json_example_is_found(tmp_path, capsys, old, new):
+    block = fenced_block("**Plan JSON**")
+    edited = "\n".join(block).replace(old, new)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert plan_example_problem(edited.splitlines(), tmp_path, capsys) is not None
+
+
+def profile_example_problem(block: list[str], root: Path) -> str | None:
+    """Why the throttle-profile example under "Calibration JSON" is not a
+    profile file that resolve_throttle reads, naming only keys it reads, or None."""
+    path = root / "profile.json"
+    path.write_text("\n".join(block), "utf-8")
+    try:
+        resolve_throttle(str(path), load_calibration())
+    except AuditError as exc:
+        return str(exc)
+    unread = json.loads("\n".join(block)).keys() - set(ThrottleSpec._fields)
+    return f"resolve_throttle ignores {sorted(unread)}" if unread else None
+
+
+def test_throttle_profile_example_is_a_profile_file(tmp_path):
+    assert profile_example_problem(fenced_block("**Calibration JSON**"), tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"rtt_ms"', '"rtt"'),
+        ('"downlink_kbps": 700', '"downlink_kbps": -700'),
+        ('"cpu_multiplier": null', '"cpu_multiplier": 0.5'),
+        ("300,", "300"),
+    ],
+    ids=["misspelt-rtt", "negative-downlink", "cpu-below-one", "not-json"],
+)
+def test_an_edit_that_breaks_the_throttle_profile_example_is_found(tmp_path, old, new):
+    block = fenced_block("**Calibration JSON**")
+    edited = "\n".join(block).replace(old, new)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert profile_example_problem(edited.splitlines(), tmp_path) is not None
 
 
 def batch_run_problem(block: list[str], root: Path) -> str | None:

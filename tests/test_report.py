@@ -251,6 +251,20 @@ def md_cells(row: str) -> list[str]:
     return cells[1:]
 
 
+TWO_ROWS = "$.aggregates[12].region: must differ from every other row's region"
+
+
+def second_row(region: str):
+    """An edit of an aggregates document: a copy of row 0 named region, with
+    no failure, appended, and overall_average that of the rows."""
+
+    def edit(document):
+        document["aggregates"].append(dict(document["aggregates"][0], region=region, n_failed=0))
+        document["overall_average"] = overall_average([aggregate_from_dict(row) for row in document["aggregates"]])
+
+    return edit
+
+
 class TestJsonReport:
     def test_document_structure(self):
         results = [
@@ -305,6 +319,34 @@ class TestJsonReport:
         monkeypatch.setattr("webaudit.report._field", lambda *args: pytest.fail("read key by key"))
         text = emit_report(aggregates_from_dict(document), "json")
         assert text == (FIXTURES / "golden_aggregates.json").read_text("utf-8")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # Both were accepted: the md report listed Atlantis under "Validasi Manual", and the csv
+            # report printed "Web SKPD Provinsi" twice.
+            (
+                lambda document: document["outliers"].append(
+                    {"region": "Atlantis", "url": "https://x.test", "mode": "mobile", "performance_score": 99.0}
+                ),
+                "$.outliers[8].region: must be the region of an aggregates row",
+            ),
+            (second_row("Web SKPD Provinsi"), TWO_ROWS),
+            (second_row("  web skpd   PROVINSI "), TWO_ROWS),
+            # Two mobile outliers beside one ok mobile audit: 8 outliers in all, under the 24 ok audits.
+            (
+                lambda document: document["outliers"][2].update(mode="mobile"),
+                "$.outliers: must hold no more entries than ok audits, 1 for Kota Bandung (mobile)",
+            ),
+        ],
+        ids=["outlier-in-no-row", "two-rows-for-a-region", "two-rows-for-a-normalized-region", "outliers-past-a-mode"],
+    )
+    def test_outliers_and_rows_are_held_to_the_rows_regions(self, edit, message):
+        document = json.loads((FIXTURES / "golden_aggregates.json").read_text("utf-8"))
+        edit(document)
+        with pytest.raises(SchemaError) as exc:
+            aggregates_from_dict(document)
+        assert str(exc.value) == message
 
     def test_not_a_report_rejected(self, tmp_path):
         path = tmp_path / "aggregates.json"
