@@ -13,11 +13,9 @@ from webaudit import (
     VisualSample,
     compute_all,
     compute_fcp,
-    compute_fci,
     compute_fmp,
     compute_max_fid,
     compute_speed_index,
-    compute_tti,
     load_calibration,
 )
 
@@ -55,10 +53,13 @@ si = compute_speed_index(trace)
 print(f"speed index             {si:8.1f} ms   area above the visual-progress steps")
 # by hand: 800*1.0 + 700*0.6 + 1200*0.2 = 800 + 420 + 240 = 1460
 
-tti = compute_tti(trace, fcp, quiet)
+# TTI and FCI have no function of their own: compute_all gives them, by one quiet-window rule.
+metrics = compute_all(trace, quiet)
+
+tti = metrics.tti
 print(f"time to interactive     {tti:8.1f} ms   end of the last long task before the quiet window")
 
-fci = compute_fci(trace, fcp, quiet)
+fci = metrics.fci
 print(f"first cpu idle          {fci:8.1f} ms   same scan, network pressure ignored")
 
 fid = compute_max_fid(trace, fcp, tti)
@@ -66,4 +67,4 @@ print(f"max potential fid       {fid:8.1f} ms   longest task overlapping [fcp, t
 
 print()
 print("compute_all bundles the same numbers:")
-print(" ", compute_all(trace, quiet).as_dict())
+print(" ", metrics.as_dict())

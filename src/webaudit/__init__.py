@@ -30,16 +30,7 @@ _EXPORTS = {
     "config": ("load_calibration", "load_member_regions", "resolve_throttle"),
     "corpus": ("audit_trace", "ingest_corpus", "membership_filter", "run_batch", "trace_slug"),
     "errors": ("AuditError",),
-    "metrics": (
-        "METRIC_KEYS",
-        "compute_all",
-        "compute_fci",
-        "compute_fcp",
-        "compute_fmp",
-        "compute_max_fid",
-        "compute_speed_index",
-        "compute_tti",
-    ),
+    "metrics": ("METRIC_KEYS", "compute_all", "compute_fcp", "compute_fmp", "compute_max_fid", "compute_speed_index"),
     "netsim": ("UNTHROTTLED", "apply_throttle", "plan_from_dict", "waterfall_times"),
     "report": ("aggregate_regions", "build_aggregates", "emit_report", "overall_average", "rank_regions"),
     "scoring": ("ScoreCurve", "aggregate", "categorize", "metric_score"),

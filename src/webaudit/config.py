@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, TextIO
 
-from .errors import InvalidCurve, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .metrics import METRIC_KEYS, QuietWindow
 from .netsim import ThrottleProfile
 from .scoring import CategoryBands, ScoreCurve, WeightTable
@@ -222,7 +222,8 @@ def _find_throttle(spec: str, calibration: Calibration) -> ThrottleSpec:
 
 
 def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
-    """Read one throttle profile object; keys it does not name are ignored.
+    """Read one throttle profile object: a key that is neither a ThrottleSpec
+    field nor the retired uplink_kbps is a SchemaError.
 
     The spec is resolved once here so that ThrottleProfile's own checks
     reject a bad value when the document is read, not when it is used.
@@ -230,6 +231,7 @@ def _throttle_spec(item: Any, path: str) -> ThrottleSpec:
     if not isinstance(item, dict):
         raise SchemaError(path, "throttle profile must be an object")
     defaults = ThrottleSpec._field_defaults
+    _known_keys(item, (*defaults, "uplink_kbps"), path)
     spec = ThrottleSpec(**{key: _number(item, key, path, default=value) for key, value in defaults.items()})
     _checked(path, spec.resolve)
     return spec
@@ -246,5 +248,5 @@ def _checked(path: str, build: Callable[[], Any]) -> Any:
     """build(), with a failed range check reported as a SchemaError at path."""
     try:
         return build()
-    except (ValueError, InvalidCurve) as exc:
+    except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc

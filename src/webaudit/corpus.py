@@ -32,7 +32,7 @@ from .config import (
     load_calibration,
     open_text,
 )
-from .errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
+from .errors import AuditError, CsvError, ParseError, SchemaError
 from .metrics import METRIC_KEYS, MetricSet, compute_all, link_metrics, mode_metrics
 from .netsim import replay_link, replay_mode
 from .scoring import CATEGORIES, SCORE_MAX, ScoreReport, score_metrics
@@ -97,11 +97,11 @@ def ingest_corpus(path: str | Path, member_regions: Sequence[str] | None = None)
     that membership_filter keeps.
 
     The file must carry the header no,institution,tier,region,url. Rows
-    failing validation raise CsvError with the offending line and column;
-    a URL seen twice raises DuplicateUrl with the second line.
+    failing validation raise CsvError with the offending line and column,
+    a URL seen twice at its second line.
     """
     records: list[SiteRecord] = []
-    seen_urls: dict[str, int] = {}
+    seen_urls: set[str] = set()
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -132,8 +132,8 @@ def ingest_corpus(path: str | Path, member_regions: Sequence[str] | None = None)
                 if not _URL.match(url):
                     raise CsvError(line, "url", f"must be an absolute http/https URL, got {url!r}")
                 if url in seen_urls:
-                    raise DuplicateUrl(line, url)
-                seen_urls[url] = line
+                    raise CsvError(line, "url", f"duplicate url {url}")
+                seen_urls.add(url)
                 records.append(SiteRecord(no, institution, tier, region, url))
         except csv.Error as exc:  # a field over csv.field_size_limit(), say
             raise CsvError(reader.line_num, None, str(exc)) from None

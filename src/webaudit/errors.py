@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit. An argument that breaks a
-call's contract, such as five scores for scoring.aggregate, is a ValueError."""
+call's contract is a ValueError: five scores for scoring.aggregate, a
+ScoreCurve whose podr_ms is not below its median_ms, or a format other
+than csv, md or json for report.emit_report."""
 
 
 class AuditError(Exception):
@@ -12,10 +14,6 @@ class NoContentfulPaint(AuditError):
 
 class IncompleteVisualProgress(AuditError):
     """Visual progress never reached 1.0, so the speed index is undefined."""
-
-
-class InvalidCurve(AuditError):
-    """A scoring curve whose point of diminishing returns is not below its median."""
 
 
 class CyclicPlan(AuditError):
@@ -62,16 +60,3 @@ class CsvError(AuditError):
         super().__init__(f"{where}: {message}")
         self.line = line
         self.column = column
-
-
-class DuplicateUrl(AuditError):
-    """A corpus URL that already appeared on an earlier line."""
-
-    def __init__(self, line: int, url: str):
-        super().__init__(f"line {line}: duplicate url {url}")
-        self.line = line
-        self.url = url
-
-
-class UnknownFormat(AuditError):
-    """An unsupported report output format."""

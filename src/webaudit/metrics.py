@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import IncompleteVisualProgress, NoContentfulPaint
 from .trace import MainThreadTask, NetworkRequest, NormalizedTrace, _checked_record
@@ -73,14 +73,12 @@ def compute_fcp(trace: NormalizedTrace) -> float:
     return min(times)
 
 
-def compute_fmp(trace: NormalizedTrace, fcp: float | None = None) -> float:
+def compute_fmp(trace: NormalizedTrace, fcp: float) -> float:
     """Meaningful-paint moment: the candidate with maximum significance.
 
     Ties break to the earliest candidate. Without candidates the metric
     falls back to FCP; either way the result is clamped to >= FCP.
     """
-    if fcp is None:
-        fcp = compute_fcp(trace)
     candidates = [p for p in trace.paint_events if p.kind == "fmp-candidate"]
     if not candidates:
         return fcp
@@ -107,32 +105,6 @@ def compute_speed_index(trace: NormalizedTrace) -> float:
     raise IncompleteVisualProgress("visual progress never reached 1.0")
 
 
-def compute_tti(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
-    """Time to interactive under the quiet-window rule.
-
-    Finds the earliest window start w >= fcp whose [w, w + window_ms) holds
-    no part of any long task and never has more than the allowed number of
-    requests in flight, then returns the end of the last long task ending at
-    or before w (at least fcp). Traces are treated as quiet past their end,
-    so a window always exists.
-    """
-    overloads = _overload_intervals(trace.requests, quiet.max_inflight_requests)
-    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), overloads, fcp, quiet)
-
-
-def compute_fci(trace: NormalizedTrace, fcp: float, quiet: QuietWindow) -> float:
-    """First CPU idle: like TTI but ignoring network activity entirely."""
-    return _tti(_long_task_intervals(trace.tasks, quiet.long_task_ms), [], fcp, quiet)
-
-
-def _tti(
-    long_tasks: list[tuple[float, float]], overloads: list[tuple[float, float]], fcp: float, quiet: QuietWindow
-) -> float:
-    """The quiet-window rule over the long tasks and network blockers; FCI is it with no blockers."""
-    w = _earliest_quiet_start(long_tasks + overloads, fcp, quiet.window_ms)
-    return _last_long_task_end(long_tasks, w, fcp)
-
-
 def compute_max_fid(trace: NormalizedTrace, fcp: float, tti: float) -> float:
     """Longest task overlapping [fcp, tti]; 0.0 when no task overlaps."""
     best = 0.0
@@ -156,10 +128,10 @@ def link_metrics(trace: NormalizedTrace, quiet: QuietWindow) -> LinkMetrics:
 def mode_metrics(link: LinkMetrics, trace: NormalizedTrace, quiet: QuietWindow) -> MetricSet:
     """All six metrics from a link's metrics and the tasks of one mode's trace on that link."""
     fcp, fmp, speed_index, overloads = link
-    # TTI and FCI share the long tasks.
+    # TTI and FCI share the long tasks; FCI ignores the network.
     long_tasks = _long_task_intervals(trace.tasks, quiet.long_task_ms)
-    tti = _tti(long_tasks, overloads, fcp, quiet)
-    fci = _tti(long_tasks, [], fcp, quiet)
+    tti = _quiet_end(long_tasks, overloads, fcp, quiet.window_ms)
+    fci = _quiet_end(long_tasks, [], fcp, quiet.window_ms)
     return MetricSet(fcp, fmp, speed_index, tti, fci, compute_max_fid(trace, fcp, tti))
 
 
@@ -200,20 +172,20 @@ def _overload_intervals(requests: Sequence[NetworkRequest], max_inflight: int) -
     return list(compress(zip(firsts, lasts), map(operator.lt, firsts, lasts)))
 
 
-def _earliest_quiet_start(blockers: Iterable[tuple[float, float]], origin: float, window_ms: float) -> float:
-    """Earliest w >= origin with no blocker intersecting [w, w + window_ms).
+def _quiet_end(
+    long_tasks: list[tuple[float, float]], blockers: list[tuple[float, float]], fcp: float, window_ms: float
+) -> float:
+    """The quiet-window rule: TTI with the overload intervals as blockers, FCI with none.
 
-    A single pass over start-sorted blockers suffices: once w advances past a
-    blocker, no earlier-starting blocker can intersect the shifted window.
+    Finds the earliest window start w >= fcp whose [w, w + window_ms) holds
+    no part of any long task or blocker, then returns the end of the last
+    long task ending at or before w (at least fcp, so fcp <= fci <= tti).
+    Traces are treated as quiet past their end, so a window always exists.
+    A single pass over start-sorted intervals finds w: once w advances past
+    one, no earlier-starting interval can intersect the shifted window.
     """
-    w = origin
-    for start, end in sorted(blockers):
+    w = fcp
+    for start, end in sorted(long_tasks + blockers):
         if start < w + window_ms and end > w:
             w = end
-    return w
-
-
-def _last_long_task_end(long_tasks: Sequence[tuple[float, float]], w: float, fcp: float) -> float:
-    ends = [end for _, end in long_tasks if end <= w]
-    # Clamped to fcp so the fcp <= fci <= tti ordering always holds.
-    return max(ends + [fcp])
+    return max([end for _, end in long_tasks if end <= w] + [fcp])

@@ -32,6 +32,7 @@ from .trace import (
     VisualSample,
     _checked_record,
     _integer,
+    _known_keys,
     _number,
     _string,
     clamp_visual_progress,
@@ -73,17 +74,20 @@ def plan_from_dict(data: Any) -> tuple[list[str], list[int], list[float], list[i
     id and an optional parent_id (a string or null), discovery_offset_ms
     (>= 0, counted from the parent's completion or from navigation start)
     and bytes (an integer >= 0). Requests are numbered in id order, so
-    simultaneous events are taken in id order. A bad value is a SchemaError
-    at its JSON path, a duplicate id or an unknown parent one at
-    $.requests. Cycles are left to waterfall_times.
+    simultaneous events are taken in id order. A bad value or another key
+    is a SchemaError at its JSON path, a duplicate id or an unknown parent
+    one at $.requests. Cycles are left to waterfall_times.
     """
-    items = data.get("requests") if isinstance(data, dict) else data
-    if not isinstance(items, list):
+    if isinstance(data, dict):
+        _known_keys(data, ("requests",), "$")
+        data = data.get("requests")
+    if not isinstance(data, list):
         raise SchemaError("$", "plan must be a list of requests or {\"requests\": [...]}")
     rows = []
-    for i, item in enumerate(items):
+    for i, item in enumerate(data):
         where = f"$.requests[{i}]"
         rid = _string(item, "id", where)
+        _known_keys(item, ("id", "parent_id", "discovery_offset_ms", "bytes"), where)
         offset = _number(item, "discovery_offset_ms", where, minimum=0.0, default=0.0)
         nbytes = _integer(item, "bytes", where, minimum=0, default=0)
         rows.append((rid, _string(item, "parent_id", where, default=None), offset, nbytes))

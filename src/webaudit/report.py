@@ -23,7 +23,7 @@ from typing import Any, KeysView, NamedTuple, Sequence
 
 from .config import MODE_KINDS
 from .corpus import AuditResult, normalize_region
-from .errors import SchemaError, UnknownFormat
+from .errors import SchemaError
 from .scoring import SCORE_MAX, round_half_away
 from .trace import _array, _date, _field, _integer, _json_text, _known_keys, _number, _read_json, _string
 
@@ -175,14 +175,14 @@ def rank_regions(aggregates: Sequence[RegionAggregate], mode: str) -> list[Regio
 
 
 def emit_report(aggregates: Aggregates, format: str, *, decimal_comma: bool = False) -> str:
-    """Render the report in the chosen format; raises UnknownFormat."""
+    """Render the report in the chosen format; another format is a ValueError."""
     if format == "csv":
         return _emit_csv(aggregates.rows)
     if format == "md":
         return _emit_md(aggregates, decimal_comma)
     if format == "json":
         return _json_text(_document(aggregates))
-    raise UnknownFormat(f"format must be csv, md or json, got {format!r}")
+    raise ValueError(f"format must be csv, md or json, got {format!r}")
 
 
 def _fmt(value: float | None, decimals: int, missing: str, comma: bool = False) -> str:

@@ -12,7 +12,6 @@ import math
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InvalidCurve
 from .metrics import METRIC_KEYS, MetricSet
 from .trace import _checked_record
 
@@ -38,7 +37,7 @@ class ScoreCurve(NamedTuple):
 
     def _check(self):
         if not 0 < self.podr_ms < self.median_ms:
-            raise InvalidCurve(
+            raise ValueError(
                 f"need 0 < podr_ms < median_ms, got podr={self.podr_ms!r} median={self.median_ms!r}"
             )
         mu = math.log(self.median_ms)

@@ -19,14 +19,7 @@ from oracles import max_fid_brute, quiet_window_scan, speed_index_riemann, water
 from webaudit.cli import main
 from webaudit.config import load_calibration, load_member_regions
 from webaudit.corpus import ingest_corpus, membership_filter
-from webaudit.metrics import (
-    MetricSet,
-    compute_fcp,
-    compute_fci,
-    compute_max_fid,
-    compute_speed_index,
-    compute_tti,
-)
+from webaudit.metrics import MetricSet, compute_all, compute_max_fid, compute_speed_index
 from webaudit.netsim import UNTHROTTLED, apply_throttle, waterfall_times
 from webaudit.report import RegionAggregate, overall_average, rank_regions
 from webaudit.scoring import METRIC_KEYS, ScoreCurve, aggregate, metric_score
@@ -112,12 +105,11 @@ def test_criterion_4_trace_metric_oracles():
         rng = random.Random(4)
         for _ in range(1000):
             trace = random_trace(rng)
-            fcp = compute_fcp(trace)
-            tti = compute_tti(trace, fcp, quiet)
-            assert tti == quiet_window_scan(trace, fcp, consider_network=True)
-            assert compute_fci(trace, fcp, quiet) == quiet_window_scan(trace, fcp, consider_network=False)
+            m = compute_all(trace, quiet)
+            assert m.tti == quiet_window_scan(trace, m.fcp, consider_network=True)
+            assert m.fci == quiet_window_scan(trace, m.fcp, consider_network=False)
             assert abs(compute_speed_index(trace) - speed_index_riemann(trace)) <= 0.5
-            assert compute_max_fid(trace, fcp, tti) == max_fid_brute(trace, fcp, tti)
+            assert compute_max_fid(trace, m.fcp, m.tti) == max_fid_brute(trace, m.fcp, m.tti)
 
 
 def test_criterion_5_netsim_oracle():

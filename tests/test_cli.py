@@ -160,6 +160,20 @@ class TestScoreCommand:
         assert err.startswith(f"error: {trace_file}: 'utf-8' codec can't decode byte 0xff")
         assert "Traceback" not in err
 
+    def test_a_curve_whose_podr_is_not_below_its_median_is_a_config_error(self, tmp_path, simple_trace, capsys):
+        trace_file = tmp_path / "t.json"
+        write_trace(simple_trace, trace_file)
+        document = json.loads(default_calibration_text())
+        document["curves"]["mobile"]["fcp"] = {"median_ms": 2000, "podr_ms": 2000}
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(document), "utf-8")
+        assert main(["score", "--trace", str(trace_file), "--calibration", str(calibration)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: $.curves.mobile.fcp: need 0 < podr_ms < median_ms, got podr=2000.0 median=2000.0\n"
+        )
+
 
 @pytest.mark.parametrize("kind", ["calibration", "profile", "plan", "corpus", "members"])
 def test_an_input_file_that_is_not_utf8_exits_two_naming_it(workspace, tmp_path, simple_trace, capsys, kind):
@@ -560,6 +574,17 @@ class TestBatchCommand:
             ["batch", "--corpus", str(bad), "--traces", str(workspace["traces"]), "--out", str(tmp_path / "r.jsonl")]
         )
         assert rc == 2
+
+    def test_a_repeated_url_is_a_usage_error_at_its_second_line(self, workspace, tmp_path, capsys):
+        with open(workspace["corpus"], encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[2][4] = rows[1][4]  # line 3 repeats line 2's url
+        with open(workspace["corpus"], "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        rc, out = run_batch_cli(workspace, tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: line 3, column 'url': duplicate url {rows[1][4]}\n"
+        assert not out.exists()
 
     def test_a_corpus_cell_over_the_csv_field_limit_is_a_usage_error(self, workspace, tmp_path, capsys):
         with open(workspace["corpus"], encoding="utf-8", newline="") as handle:
@@ -965,6 +990,12 @@ class TestOneWordingPerRule:
             ("aggregates", lambda d: d.update(failures=[]), "$.failures: must be an object"),
             ("aggregates", lambda d: d["aggregates"][0].pop("region"), "$.aggregates[0].region: missing field"),
             ("calibration", lambda d: d["quiet_window"].update(windw_ms=100), "$.quiet_window.windw_ms: unknown field"),
+            # Before, each misspelt key below took its default with exit 0.
+            ("calibration", lambda d: d["throttle_profiles"]["4g"].update(rtt=300),
+             "$.throttle_profiles.4g.rtt: unknown field"),
+            ("profile", lambda d: d.update(rtt=d.pop("rtt_ms")), "$.rtt: unknown field"),
+            ("plan", lambda d: d["requests"][1].update(parent=d["requests"][1].pop("parent_id")),
+             "$.requests[1].parent: unknown field"),
         ],
     )
     def test_a_bad_or_missing_field_exits_two_at_its_path(self, workspace, tmp_path, capsys, kind, edit, message):
@@ -1095,8 +1126,7 @@ class TestPackageNamespace:
         "config": ("load_calibration", "load_member_regions", "resolve_throttle"),
         "corpus": ("audit_trace", "ingest_corpus", "membership_filter", "run_batch", "trace_slug"),
         "errors": ("AuditError",),
-        "metrics": ("METRIC_KEYS", "compute_all", "compute_fci", "compute_fcp", "compute_fmp", "compute_max_fid",
-                    "compute_speed_index", "compute_tti"),
+        "metrics": ("METRIC_KEYS", "compute_all", "compute_fcp", "compute_fmp", "compute_max_fid", "compute_speed_index"),
         "netsim": ("UNTHROTTLED", "apply_throttle", "plan_from_dict", "waterfall_times"),
         "report": ("aggregate_regions", "build_aggregates", "emit_report", "overall_average", "rank_regions"),
         "scoring": ("ScoreCurve", "aggregate", "categorize", "metric_score"),
@@ -1112,7 +1142,7 @@ class TestPackageNamespace:
                 assert getattr(webaudit, name) is getattr(home, name), name
 
     def test_all_and_dir_list_the_names(self):
-        assert len(self.NAMES) == 45
+        assert len(self.NAMES) == 43
         assert sorted(webaudit.__all__) == sorted(self.NAMES)
         assert self.NAMES <= set(dir(webaudit))
 

@@ -104,7 +104,7 @@ class TestResolveThrottle:
         with pytest.raises(SchemaError, match="4g"):
             resolve_throttle("5g", calibration)
 
-    def test_profile_file_ignores_unknown_keys(self, tmp_path, calibration):
+    def test_profile_file_ignores_the_retired_uplink_kbps(self, tmp_path, calibration):
         old, new = tmp_path / "old.json", tmp_path / "new.json"
         old.write_text(json.dumps({"rtt_ms": 400, "downlink_kbps": 400, "uplink_kbps": 100}), "utf-8")
         new.write_text(json.dumps({"rtt_ms": 400, "downlink_kbps": 400}), "utf-8")

@@ -38,7 +38,7 @@ from webaudit.corpus import (
     trace_slug,
     write_results,
 )
-from webaudit.errors import AuditError, CsvError, DuplicateUrl, ParseError, SchemaError
+from webaudit.errors import AuditError, CsvError, ParseError, SchemaError
 from webaudit.metrics import MetricSet, compute_all
 from webaudit.netsim import apply_throttle
 from webaudit.report import build_aggregates, read_aggregates, write_aggregates
@@ -148,10 +148,10 @@ class TestIngestCorpus:
                 "2,B,provinsi,Kab. Garut,https://same.test",
             ],
         )
-        with pytest.raises(DuplicateUrl) as exc:
+        with pytest.raises(CsvError) as exc:
             ingest_corpus(path, MEMBERS)
-        assert exc.value.line == 3
-        assert exc.value.url == "https://same.test"
+        assert (exc.value.line, exc.value.column) == (3, "url")
+        assert str(exc.value) == "line 3, column 'url': duplicate url https://same.test"
 
     def test_blank_lines_ignored(self, tmp_path):
         path = write_corpus(tmp_path, ["", "1,A,provinsi,Kota Bandung,https://a.test", ""])

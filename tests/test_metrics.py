@@ -14,12 +14,10 @@ from webaudit.errors import IncompleteVisualProgress, NoContentfulPaint
 from webaudit.metrics import (
     MetricSet,
     compute_all,
-    compute_fci,
     compute_fcp,
     compute_fmp,
     compute_max_fid,
     compute_speed_index,
-    compute_tti,
     link_metrics,
     mode_metrics,
     _overload_intervals,
@@ -59,7 +57,7 @@ class TestFmp:
             (1000.0, "fmp-candidate", 5.0),
             (2000.0, "fmp-candidate", 12.0),
         )
-        assert compute_fmp(t) == 2000.0
+        assert compute_fmp(t, compute_fcp(t)) == 2000.0
 
     def test_tie_breaks_to_earliest(self):
         t = paints(
@@ -67,15 +65,15 @@ class TestFmp:
             (2500.0, "fmp-candidate", 7.0),
             (1500.0, "fmp-candidate", 7.0),
         )
-        assert compute_fmp(t) == 1500.0
+        assert compute_fmp(t, compute_fcp(t)) == 1500.0
 
     def test_falls_back_to_fcp_without_candidates(self):
         t = paints((800.0, "contentful-paint"))
-        assert compute_fmp(t) == 800.0
+        assert compute_fmp(t, compute_fcp(t)) == 800.0
 
     def test_clamped_up_to_fcp(self):
         t = paints((900.0, "contentful-paint"), (400.0, "fmp-candidate", 3.0))
-        assert compute_fmp(t) == 900.0
+        assert compute_fmp(t, compute_fcp(t)) == 900.0
 
 
 class TestSpeedIndex:
@@ -126,45 +124,53 @@ def quiet_trace(tasks=(), requests=()):
     )
 
 
+def interactivity(t, quiet):
+    """mode_metrics of a quiet_trace on a hand-built link with FCP at 500 ms,
+    since a quiet_trace has no visual progress for link_metrics to read."""
+    link = (500.0, 500.0, 0.0, _overload_intervals(t.requests, quiet.max_inflight_requests))
+    return mode_metrics(link, t, quiet)
+
+
 class TestTti:
     def test_no_activity_means_fcp(self, quiet):
-        assert compute_tti(quiet_trace(), 500.0, quiet) == 500.0
+        assert interactivity(quiet_trace(), quiet).tti == 500.0
 
     def test_single_long_task_sets_tti_at_its_end(self, quiet):
         t = quiet_trace(tasks=[(1000.0, 200.0)])
-        assert compute_tti(t, 500.0, quiet) == 1200.0
+        assert interactivity(t, quiet).tti == 1200.0
 
     def test_network_overload_delays_window_but_not_result_without_tasks(self, quiet):
         t = quiet_trace(requests=[(0.0, 10000.0)] * 3)
-        assert compute_tti(t, 500.0, quiet) == 500.0
+        assert interactivity(t, quiet).tti == 500.0
 
     def test_exactly_fifty_ms_task_is_not_long(self, quiet):
         t = quiet_trace(tasks=[(1000.0, 50.0)])
-        assert compute_tti(t, 500.0, quiet) == 500.0
+        assert interactivity(t, quiet).tti == 500.0
 
     def test_overload_then_long_task_pushes_past_both(self, quiet):
         t = quiet_trace(tasks=[(11000.0, 100.0)], requests=[(0.0, 10000.0)] * 3)
-        assert compute_tti(t, 500.0, quiet) == 11100.0
+        assert interactivity(t, quiet).tti == 11100.0
 
     def test_two_inflight_requests_are_fine(self, quiet):
         t = quiet_trace(requests=[(0.0, 10000.0)] * 2, tasks=[(600.0, 60.0)])
-        assert compute_tti(t, 500.0, quiet) == 660.0
+        assert interactivity(t, quiet).tti == 660.0
 
     def test_window_width_is_configurable(self, quiet):
         t = quiet_trace(tasks=[(600.0, 100.0), (1500.0, 100.0)])
         # the packaged window spans both tasks; a 300 ms window fits between them
-        assert compute_tti(t, 500.0, quiet) == 1600.0
-        assert compute_tti(t, 500.0, quiet._replace(window_ms=300.0)) == 700.0
+        assert interactivity(t, quiet).tti == 1600.0
+        assert interactivity(t, quiet._replace(window_ms=300.0)).tti == 700.0
 
 
 class TestFci:
     def test_ignores_network_entirely(self, quiet):
         t = quiet_trace(tasks=[(1000.0, 200.0)], requests=[(0.0, 10000.0)] * 3)
-        assert compute_fci(t, 500.0, quiet) == 1200.0
-        assert compute_fci(t, 500.0, quiet) <= compute_tti(t, 500.0, quiet)
+        m = interactivity(t, quiet)
+        assert m.fci == 1200.0
+        assert m.fci <= m.tti
 
     def test_no_tasks_means_fcp(self, quiet):
-        assert compute_fci(quiet_trace(), 500.0, quiet) == 500.0
+        assert interactivity(quiet_trace(), quiet).fci == 500.0
 
 
 class TestMaxFid:
@@ -188,16 +194,15 @@ class TestAgainstOracles:
     def test_interactivity_metrics_match_window_scan(self, quiet, rng):
         for _ in range(300):
             t = random_trace(rng)
-            fcp = compute_fcp(t)
-            assert compute_tti(t, fcp, quiet) == quiet_window_scan(t, fcp, consider_network=True)
-            assert compute_fci(t, fcp, quiet) == quiet_window_scan(t, fcp, consider_network=False)
+            m = compute_all(t, quiet)
+            assert m.tti == quiet_window_scan(t, m.fcp, consider_network=True)
+            assert m.fci == quiet_window_scan(t, m.fcp, consider_network=False)
 
     def test_max_fid_matches_brute_force(self, quiet, rng):
         for _ in range(300):
             t = random_trace(rng)
-            fcp = compute_fcp(t)
-            tti = compute_tti(t, fcp, quiet)
-            assert compute_max_fid(t, fcp, tti) == max_fid_brute(t, fcp, tti)
+            m = compute_all(t, quiet)
+            assert compute_max_fid(t, m.fcp, m.tti) == max_fid_brute(t, m.fcp, m.tti)
 
 
 def requests_over(*spans):

@@ -106,15 +106,22 @@ class TestPlanFromDict:
             ([{"id": 5}], "$.requests[0].id", "must be a string"),
             ([{"bytes": 5}], "$.requests[0].id", "missing field"),
             ([5], "$.requests[0]", "must be an object"),
+            ([{"id": "a"}, {"id": "b", "parent": "a"}], "$.requests[1].parent", "unknown field"),
         ],
         ids=["duplicate-id", "unknown-parent", "negative-offset", "nan-offset", "inf-offset", "negative-bytes",
-             "number-parent", "number-id", "missing-id", "number-request"],
+             "number-parent", "number-id", "missing-id", "number-request", "misspelt-parent"],
     )
     def test_bad_plan_names_the_path(self, requests, where, message):
         with pytest.raises(SchemaError) as excinfo:
             plan_from_dict({"requests": requests})
         assert excinfo.value.path == where
         assert str(excinfo.value) == f"{where}: {message}"
+
+    def test_a_wrapper_holds_only_requests(self):
+        # Before, the misspelt key left an empty plan, and simulate printed no request.
+        with pytest.raises(SchemaError) as excinfo:
+            plan_from_dict({"requets": [{"id": "a"}], "requests": []})
+        assert str(excinfo.value) == "$.requets: unknown field"
 
     def test_a_field_error_comes_before_a_duplicate(self):
         with pytest.raises(SchemaError, match=r"^\$\.requests\[2\]\.bytes: "):

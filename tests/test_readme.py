@@ -19,7 +19,8 @@ import webaudit
 from webaudit import audit_trace, cli, load_calibration, load_trace, netsim
 from webaudit.capture import trace_from_performance_entries
 from webaudit.collector import write_trace
-from webaudit.config import ThrottleSpec, resolve_throttle
+from webaudit.config import resolve_throttle
+from webaudit.corpus import read_results, write_results
 from webaudit.errors import AuditError
 from webaudit.synth import build_demo_trace, write_demo_workspace
 from webaudit.trace import NormalizedTrace
@@ -227,21 +228,9 @@ def test_an_edit_that_breaks_the_trace_json_example_is_found(tmp_path, old, new)
     assert trace_example_problem(edited.splitlines(), tmp_path) is not None
 
 
-def plan_keys() -> set[str]:
-    """The request keys plan_from_dict reads: each field name it passes one of its field readers."""
-    tree = ast.parse(inspect.getsource(netsim.plan_from_dict))
-    readers = {"_string", "_number", "_integer"}
-    return {
-        node.args[1].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers
-    }
-
-
 def plan_example_problem(block: list[str], root: Path, capsys) -> str | None:
     """Why the "Plan JSON" example block is not a plan that plan_from_dict
-    reads, naming only keys it reads, and whose requests `webaudit simulate
-    --plan` prints in id order, or None."""
+    reads and whose requests `webaudit simulate --plan` prints in id order, or None."""
     text = "\n".join(block)
     try:
         document = json.loads(text)
@@ -249,9 +238,6 @@ def plan_example_problem(block: list[str], root: Path, capsys) -> str | None:
     except (ValueError, AuditError) as exc:  # a JSONDecodeError is a ValueError
         return str(exc)
     requests = document["requests"] if isinstance(document, dict) else document
-    unread = {key for request in requests for key in request} - plan_keys()
-    if unread:
-        return f"plan_from_dict ignores {sorted(unread)}"
     (root / "plan.json").write_text(text, "utf-8")
     capsys.readouterr()
     code = cli.main(["simulate", "--plan", str(root / "plan.json")])
@@ -285,15 +271,14 @@ def test_an_edit_that_breaks_the_plan_json_example_is_found(tmp_path, capsys, ol
 
 def profile_example_problem(block: list[str], root: Path) -> str | None:
     """Why the throttle-profile example under "Calibration JSON" is not a
-    profile file that resolve_throttle reads, naming only keys it reads, or None."""
+    profile file that resolve_throttle reads, or None."""
     path = root / "profile.json"
     path.write_text("\n".join(block), "utf-8")
     try:
         resolve_throttle(str(path), load_calibration())
     except AuditError as exc:
         return str(exc)
-    unread = json.loads("\n".join(block)).keys() - set(ThrottleSpec._fields)
-    return f"resolve_throttle ignores {sorted(unread)}" if unread else None
+    return None
 
 
 def test_throttle_profile_example_is_a_profile_file(tmp_path):
@@ -315,6 +300,43 @@ def test_an_edit_that_breaks_the_throttle_profile_example_is_found(tmp_path, old
     edited = "\n".join(block).replace(old, new)
     assert edited != "\n".join(block), f"{old!r} is not in the block"
     assert profile_example_problem(edited.splitlines(), tmp_path) is not None
+
+
+def results_example_problem(block: list[str], root: Path) -> str | None:
+    """Why the "Results JSONL" example block is not results lines that
+    read_results reads and write_results writes back byte for byte, or None."""
+    path = root / "results.jsonl"
+    path.write_text("\n".join(block) + "\n", "utf-8")
+    try:
+        results = read_results(path)
+    except AuditError as exc:
+        return str(exc)
+    write_results(results, root / "rewritten.jsonl")
+    if (root / "rewritten.jsonl").read_bytes() != path.read_bytes():
+        return "the example does not write back as read"
+    return None
+
+
+def test_results_jsonl_example_reads_and_writes_back_the_same_bytes(tmp_path):
+    assert results_example_problem(fenced_block("**Results JSONL**"), tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"category":"average",', '"category":"average","nickname":"a",'),
+        ('"outlier_flag":false,"performance_score":79', '"outlier_flag":"no","performance_score":79'),
+        ('"performance_score":79.49259308527361', '"performance_score":101'),
+        ('"mode":"mobile","outlier_flag":false', '"mode":"mobile","outlier_flag":true'),
+        ('"category":"average","failure_reason":null', '"failure_reason":null,"category":"average"'),
+    ],
+    ids=["unknown-key", "flag-not-a-bool", "score-past-100", "flagged-failure", "keys-swapped"],
+)
+def test_an_edit_that_breaks_the_results_jsonl_example_is_found(tmp_path, old, new):
+    block = fenced_block("**Results JSONL**")
+    edited = "\n".join(block).replace(old, new, 1)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert results_example_problem(edited.splitlines(), tmp_path) is not None
 
 
 def batch_run_problem(block: list[str], root: Path) -> str | None:

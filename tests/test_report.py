@@ -9,7 +9,7 @@ import pytest
 
 from conftest import REFERENCE_REGION_MEANS, parse_report_csv
 from webaudit.corpus import AuditResult, SiteRecord
-from webaudit.errors import ParseError, SchemaError, UnknownFormat
+from webaudit.errors import ParseError, SchemaError
 from webaudit.metrics import MetricSet
 from webaudit.report import (
     REPORT_COLUMNS,
@@ -372,5 +372,5 @@ class TestAggregateFiles:
             read_aggregates(path)
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(UnknownFormat):
+        with pytest.raises(ValueError, match="^format must be csv, md or json, got 'pdf'$"):
             emit_report(rows_only([]), "pdf")

@@ -13,7 +13,6 @@ from oracles import (
     normal_cdf_oracle,
     z90_oracle,
 )
-from webaudit.errors import InvalidCurve
 from webaudit.metrics import MetricSet
 from webaudit.scoring import (
     _Z_90,
@@ -48,7 +47,7 @@ class TestScoreCurve:
     def test_podr_must_sit_below_median(self):
         ScoreCurve(median_ms=4000.0, podr_ms=2000.0)
         for median, podr in ((1000.0, 1000.0), (1000.0, 2000.0), (1000.0, 0.0), (0.0, 0.0), (-5.0, -10.0)):
-            with pytest.raises(InvalidCurve):
+            with pytest.raises(ValueError, match="^need 0 < podr_ms < median_ms"):
                 ScoreCurve(median_ms=median, podr_ms=podr)
 
 
