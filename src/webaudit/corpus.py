@@ -368,7 +368,8 @@ def _failed(site: SiteRecord, kind: str, test_date: date, exc: Exception) -> Aud
 
 def result_from_dict(data: Any) -> AuditResult:
     """Read one result line back; a bad value, an unknown key or a missing one
-    is a SchemaError at its JSON path, so a line read back writes the same bytes."""
+    is a SchemaError at its JSON path, so a line write_results wrote reads back
+    as the same bytes (a hand-edited "fcp": 1000 is written back as 1000.0)."""
     if type(data) is not dict:
         raise SchemaError("$", "result line must be an object")
     complete = data.keys() == _RESULT_FIELD_SET

@@ -15,22 +15,24 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from collections import Counter
 from datetime import date
 from pathlib import Path
-from typing import Any, KeysView, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .config import MODE_KINDS
 from .corpus import AuditResult, normalize_region
 from .errors import SchemaError
 from .scoring import SCORE_MAX, round_half_away
-from .trace import _array, _date, _field, _integer, _json_text, _known_keys, _number, _read_json, _string
+from .trace import _array, _date, _field, _integer, _json_text, _known_keys, _number, _object, _read_json, _string
 
 # Device mode kinds feeding the two report columns. The recording modes
 # are called mobile and desktop; reports label the desktop column "Web".
 MOBILE_KIND = "mobile"
 WEB_KIND = "desktop"
+_COLUMNS = ("mobile", "web")  # the two columns, as row fields name them: mean_mobile, n_ok_web, ...
 
 REPORT_COLUMNS = ("No", "Daerah", "Rata-rata Skor Mobile", "Rata-rata Skor Web", "Tanggal Uji")
 TOTAL_ROW_LABEL = "Rata-rata total"
@@ -53,7 +55,7 @@ class RegionAggregate(NamedTuple):
     n_ok_mobile: int
     n_ok_web: int
     n_failed: int
-    test_date: date | None
+    test_date: date
 
 
 class Outlier(NamedTuple):
@@ -115,21 +117,10 @@ def aggregate_regions(results: Sequence[AuditResult], member_regions: Sequence[s
     aggregates = []
     for key in keys:
         group = groups[key]
-        mobile, web = _ok_scores(group, MOBILE_KIND), _ok_scores(group, WEB_KIND)
-        raw_mobile, raw_web = (math.fsum(scores) / len(scores) if scores else None for scores in (mobile, web))
-        aggregates.append(
-            RegionAggregate(
-                region=display[key],
-                mean_mobile=_shown(raw_mobile),
-                mean_web=_shown(raw_web),
-                raw_mean_mobile=raw_mobile,
-                raw_mean_web=raw_web,
-                n_ok_mobile=len(mobile),
-                n_ok_web=len(web),
-                n_failed=sum(1 for r in group if r.status == "failed"),
-                test_date=max(r.test_date for r in group),
-            )
-        )
+        ok = [_ok_scores(group, MOBILE_KIND), _ok_scores(group, WEB_KIND)]
+        raw = [math.fsum(scores) / len(scores) if scores else None for scores in ok]
+        n_failed = sum(1 for r in group if r.status == "failed")
+        aggregates.append(_row(display[key], raw, [len(s) for s in ok], max(r.test_date for r in group), n_failed))
     return aggregates
 
 
@@ -138,9 +129,13 @@ def _ok_scores(group: Sequence[AuditResult], kind: str) -> list[float]:
     return [r.report.performance_score for r in group if r.mode == kind and r.status == "ok"]
 
 
-def _shown(raw_mean: float | None) -> float | None:
-    """The displayed mean: the raw one rounded half away from zero to 2 decimals."""
-    return None if raw_mean is None else round_half_away(raw_mean, 2)
+def _row(
+    region: str, raw: Sequence[float | None], n_ok: Sequence[int], test_date: date, n_failed: int
+) -> RegionAggregate:
+    """A region row from its raw means and ok counts, each a (mobile, web)
+    pair; a displayed mean is its raw one rounded half away from zero to 2 decimals."""
+    shown = [None if mean is None else round_half_away(mean, 2) for mean in raw]
+    return RegionAggregate(region, *shown, *raw, *n_ok, n_failed, test_date)
 
 
 def overall_average(aggregates: Sequence[RegionAggregate]) -> dict[str, float | None]:
@@ -181,7 +176,7 @@ def emit_report(aggregates: Aggregates, format: str, *, decimal_comma: bool = Fa
     if format == "md":
         return _emit_md(aggregates, decimal_comma)
     if format == "json":
-        return _json_text(_document(aggregates))
+        return _document_text(aggregates)
     raise ValueError(f"format must be csv, md or json, got {format!r}")
 
 
@@ -199,7 +194,7 @@ def _cells(number: int, aggregate: RegionAggregate, missing: str, comma: bool = 
         aggregate.region,
         _fmt(aggregate.mean_mobile, 2, missing, comma),
         _fmt(aggregate.mean_web, 2, missing, comma),
-        aggregate.test_date.isoformat() if aggregate.test_date else missing,
+        aggregate.test_date.isoformat(),
     ]
 
 
@@ -283,136 +278,129 @@ def _emit_md(aggregates: Aggregates, comma: bool) -> str:
     return "\n".join(lines)
 
 
-def aggregate_to_dict(aggregate: RegionAggregate) -> dict:
-    return {**aggregate._asdict(), "test_date": aggregate.test_date.isoformat() if aggregate.test_date else None}
-
-
-def aggregate_from_dict(data: Any, path: str = "$") -> RegionAggregate:
-    """Read one aggregates row; a bad value, an unknown key or a missing one
-    is a SchemaError at its JSON path."""
-    _exact(data, _ROW_KEYS, path)  # every key is present, even where null is allowed
-    aggregate = RegionAggregate(
-        region=_string(data, "region", path),
-        **{
-            key: _number(data, key, path, minimum=0.0, maximum=SCORE_MAX, default=None)
-            for key in ("mean_mobile", "mean_web", "raw_mean_mobile", "raw_mean_web")
-        },
-        **{key: _integer(data, key, path, minimum=0) for key in ("n_ok_mobile", "n_ok_web", "n_failed")},
-        test_date=_date(data, "test_date", path, default=None),
-    )
-    # The row as aggregate_regions writes it: no ok audit, no means.
-    for column in ("mobile", "web"):
-        raw = getattr(aggregate, f"raw_mean_{column}")
-        no_ok = getattr(aggregate, f"n_ok_{column}") == 0
-        if no_ok != (raw is None) or getattr(aggregate, f"mean_{column}") != _shown(raw):
-            raise SchemaError(
-                f"{path}.mean_{column}",
-                f"must be raw_mean_{column} rounded to 2 decimals, both null exactly when n_ok_{column} is 0",
-            )
-    return aggregate
-
-
-def _document(aggregates: Aggregates) -> dict:
-    """The aggregates file, which is also the JSON report."""
-    rows = aggregates.rows
+def _document(rows: Sequence[RegionAggregate], outliers: list[dict], failures: list[dict]) -> dict:
+    """The aggregates document of these rows around its outlier and failure
+    items, each an object of its record's fields."""
     return {
-        "aggregates": [aggregate_to_dict(a) for a in rows],
+        "aggregates": [{**a._asdict(), "test_date": a.test_date.isoformat()} for a in rows],
         "overall_average": overall_average(rows),
-        "outliers": [o._asdict() for o in aggregates.outliers],
-        "failures": {"total": len(aggregates.failures), "items": [f._asdict() for f in aggregates.failures]},
+        "outliers": outliers,
+        "failures": {"total": len(failures), "items": failures},
     }
 
 
-# The keys _document writes at each level, as ordered sets: one set
-# comparison checks an object, and a missing key is named in this order.
-_EMPTY_DOCUMENT = _document(Aggregates([], [], []))
-_DOCUMENT_KEYS = _EMPTY_DOCUMENT.keys()
-_OVERALL_KEYS = _EMPTY_DOCUMENT["overall_average"].keys()
-_FAILURES_KEYS = _EMPTY_DOCUMENT["failures"].keys()
-_ROW_KEYS = dict.fromkeys(RegionAggregate._fields).keys()
-_OUTLIER_KEYS = dict.fromkeys(Outlier._fields).keys()
-_FAILURE_KEYS = dict.fromkeys(Failure._fields).keys()
-
-
-def _exact(item: Any, keys: KeysView[str], path: str) -> dict:
-    """``item``, an object holding ``keys`` and no other key. Otherwise a
-    SchemaError at ``path`` names a non-object, else the first missing key,
-    else the first unknown one."""
-    if type(item) is not dict or item.keys() != keys:
-        for key in keys:
-            _field(item, key, path)
-        _known_keys(item, keys, path)
-    return item
+def _document_text(aggregates: Aggregates) -> str:
+    """The aggregates file, which is also the JSON report."""
+    items = [o._asdict() for o in aggregates.outliers], [f._asdict() for f in aggregates.failures]
+    return _json_text(_document(aggregates.rows, *items))
 
 
 def aggregates_from_dict(document: Any) -> Aggregates:
     """Read an aggregates document; a bad one is a SchemaError at its JSON path.
 
-    Every object must hold exactly the keys _document writes. Besides each
-    row (aggregate_from_dict), overall_average must be overall_average of
-    the rows, every outlier and failure field must have its type and
-    failures.total must count the items. Rows name distinct regions, and
-    every outlier and failure item is in a row's region: each row's n_failed
-    counts its region's failure items, and its n_ok_mobile and n_ok_web
-    bound its region's outliers in each mode.
+    It reads only what aggregate cannot derive: each row's region, raw
+    means, ok counts and test date, and every outlier and failure item
+    whole. The document must then be the one _document gives for them, so
+    a missing key, an unknown one, or another value or JSON type is a
+    SchemaError at the first path where the two differ. Besides, rows name
+    distinct regions, each row's n_ok_<col> is 0 exactly when its
+    raw_mean_<col> is null and bounds its region's outliers in that mode,
+    and every outlier and failure item is in a row's region.
     """
-    _exact(document, _DOCUMENT_KEYS, "$")
-    rows = [
-        aggregate_from_dict(item, f"$.aggregates[{i}]") for i, item in enumerate(_array(document, "aggregates", "$"))
-    ]
-    regions = {}  # each row by its region's normalize_region key
-    for i, row in enumerate(rows):
-        if regions.setdefault(normalize_region(row.region), row) is not row:
-            raise SchemaError(f"$.aggregates[{i}].region", "must differ from every other row's region")
-    overall = _exact(document["overall_average"], _OVERALL_KEYS, "$.overall_average")
-    for column, value in overall_average(rows).items():
-        if _number(overall, column, "$.overall_average", default=None) != value:
-            raise SchemaError(f"$.overall_average.{column}", f"must be the rows' average, {_fmt(value, 1, 'null')}")
-    outliers = [
-        Outlier(
-            *_entry(item, _OUTLIER_KEYS, f"$.outliers[{i}]"),
-            _number(item, "performance_score", f"$.outliers[{i}]", minimum=0.0, maximum=SCORE_MAX),
-        )
-        for i, item in enumerate(_array(document, "outliers", "$"))
-    ]
-    failures_doc = _exact(document["failures"], _FAILURES_KEYS, "$.failures")
-    total = _integer(failures_doc, "total", "$.failures", minimum=0)
-    failures = []
-    for i, item in enumerate(_array(failures_doc, "items", "$.failures")):
-        path = f"$.failures.items[{i}]"
-        failures.append(Failure(*_entry(item, _FAILURE_KEYS, path), _string(item, "reason", path, nonempty=True)))
-    if total != len(failures):
-        raise SchemaError("$.failures.total", f"must be the number of items, {len(failures)}")
+    known = []  # each row's fields but its displayed means and n_failed, in _row's order
+    regions = {}  # each row's index by its region's normalize_region key
+    for i, item in enumerate(_array(document, "aggregates", "$")):
+        path = f"$.aggregates[{i}]"
+        region = _string(item, "region", path)
+        raw = [_number(item, f"raw_mean_{c}", path, minimum=0.0, maximum=SCORE_MAX, default=None) for c in _COLUMNS]
+        n_ok = [_integer(item, f"n_ok_{c}", path, minimum=0) for c in _COLUMNS]
+        for column, mean, count in zip(_COLUMNS, raw, n_ok):
+            if (count == 0) != (mean is None):
+                _field(item, f"raw_mean_{column}", path)  # a missing raw mean read as null
+                raise SchemaError(
+                    f"{path}.mean_{column}",
+                    f"must be raw_mean_{column} rounded to 2 decimals, both null exactly when n_ok_{column} is 0",
+                )
+        if regions.setdefault(normalize_region(region), i) != i:
+            raise SchemaError(f"{path}.region", "must differ from every other row's region")
+        known.append((region, raw, n_ok, _date(item, "test_date", path)))
 
-    for name, entries in (("outliers", outliers), ("failures.items", failures)):
-        for i, entry in enumerate(entries):
-            if normalize_region(entry.region) not in regions:
-                raise SchemaError(f"$.{name}[{i}].region", "must be the region of an aggregates row")
-    failed = Counter(normalize_region(failure.region) for failure in failures)
-    flagged = Counter((normalize_region(outlier.region), outlier.mode) for outlier in outliers)
-    for i, (key, row) in enumerate(regions.items()):
-        if row.n_failed != failed[key]:
-            raise SchemaError(
-                f"$.aggregates[{i}].n_failed", f"must be the number of failure items in its region, {failed[key]}"
-            )
+    outliers, flagged = [], Counter()  # outliers per (row index, mode)
+    outlier_items = _array(document, "outliers", "$")
+    for i, item in enumerate(outlier_items):
+        path = f"$.outliers[{i}]"
+        row, region, url, mode = _entry(item, path, regions)
+        score = _number(item, "performance_score", path, minimum=0.0, maximum=SCORE_MAX)
+        outliers.append(_whole(item, Outlier(region, url, mode, score), path))
+        flagged[row, mode] += 1
+    failures, failed = [], Counter()  # failure items per row index
+    failure_items = _array(_object(document, "failures", "$"), "items", "$.failures")
+    for i, item in enumerate(failure_items):
+        path = f"$.failures.items[{i}]"
+        row, region, url, mode = _entry(item, path, regions)
+        failures.append(_whole(item, Failure(region, url, mode, _string(item, "reason", path, nonempty=True)), path))
+        failed[row] += 1
+
+    rows = [_row(*fields, failed[i]) for i, fields in enumerate(known)]
+    # Each item was read whole above, so the rebuild holds the parsed items and compares the rest.
+    _same(document, _document(rows, outlier_items, failure_items), "$")
+    for i, row in enumerate(rows):
         for mode, ok in ((MOBILE_KIND, row.n_ok_mobile), (WEB_KIND, row.n_ok_web)):
-            if flagged[key, mode] > ok:
+            if flagged[i, mode] > ok:
                 raise SchemaError(
                     "$.outliers", f"must hold no more entries than ok audits, {ok} for {row.region} ({mode})"
                 )
     return Aggregates(rows, outliers, failures)
 
 
-def _entry(item: Any, keys: KeysView[str], path: str) -> tuple[str, str, str]:
-    """(region, url, mode) of an outlier or failure entry, which must hold
-    exactly ``keys``; a bad entry is a SchemaError at path."""
-    _exact(item, keys, path)
-    return _string(item, "region", path), _string(item, "url", path), _string(item, "mode", path, choices=MODE_KINDS)
+def _entry(item: Any, path: str, regions: dict[str, int]) -> tuple[int, str, str, str]:
+    """(row index, region, url, mode) of an outlier or failure item, whose
+    region must be a row's: ``regions`` maps each normalized one to its
+    row's index. A bad item is a SchemaError at path."""
+    region = _string(item, "region", path)
+    row = regions.get(normalize_region(region))
+    if row is None:
+        raise SchemaError(f"{path}.region", "must be the region of an aggregates row")
+    return row, region, _string(item, "url", path), _string(item, "mode", path, choices=MODE_KINDS)
+
+
+def _whole(item: dict, record: Any, path: str) -> Any:
+    """``record``, whose every field was read from ``item``; an item holding
+    another key is a SchemaError naming it."""
+    if len(item) != len(record):
+        _same(item, record._asdict(), path)
+    return record
+
+
+def _same(actual: Any, expected: Any, path: str) -> None:
+    """A SchemaError at the first path where the parsed JSON ``actual``
+    differs from ``expected``: in an object, its first missing key, else
+    its first unknown one, else its first differing value; else another
+    JSON type or value. An integer may stand for an equal float."""
+    if type(expected) is dict:
+        if type(actual) is not dict:
+            raise SchemaError(path, "must be an object")
+        if actual.keys() != expected.keys():
+            missing = [key for key in expected if key not in actual]
+            if missing:
+                raise SchemaError(f"{path}.{missing[0]}", "missing field")
+            _known_keys(actual, expected.keys(), path)
+        for key, value in expected.items():
+            if actual[key] is not value:  # a value read from the document is the same object
+                _same(actual[key], value, f"{path}.{key}")
+    elif type(expected) is list:
+        if type(actual) is not list or len(actual) != len(expected):
+            raise SchemaError(path, f"must be an array of {len(expected)} items")
+        for i, (item, value) in enumerate(zip(actual, expected)):
+            if item is not value:
+                _same(item, value, f"{path}[{i}]")
+    elif actual != expected or type(actual) is not type(expected) and (type(actual), type(expected)) != (int, float):
+        raise SchemaError(path, f"must be {json.dumps(expected)}, as the rest of the document gives it")
 
 
 def write_aggregates(aggregates: Aggregates, path: str | Path) -> None:
     """Write the aggregates file the report step consumes."""
-    Path(path).write_text(_json_text(_document(aggregates)), "utf-8")
+    Path(path).write_text(_document_text(aggregates), "utf-8")
 
 
 def read_aggregates(path: str | Path) -> Aggregates:

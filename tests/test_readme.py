@@ -20,8 +20,9 @@ from webaudit import audit_trace, cli, load_calibration, load_trace, netsim
 from webaudit.capture import trace_from_performance_entries
 from webaudit.collector import write_trace
 from webaudit.config import resolve_throttle
-from webaudit.corpus import read_results, write_results
+from webaudit.corpus import ingest_corpus, read_results, write_results
 from webaudit.errors import AuditError
+from webaudit.report import aggregates_from_dict, emit_report
 from webaudit.synth import build_demo_trace, write_demo_workspace
 from webaudit.trace import NormalizedTrace
 
@@ -337,6 +338,83 @@ def test_an_edit_that_breaks_the_results_jsonl_example_is_found(tmp_path, old, n
     edited = "\n".join(block).replace(old, new, 1)
     assert edited != "\n".join(block), f"{old!r} is not in the block"
     assert results_example_problem(edited.splitlines(), tmp_path) is not None
+
+
+def corpus_example_problem(block: list[str], root: Path) -> str | None:
+    """Why the "Corpus CSV" example block is not a corpus whose every row
+    ingest_corpus reads as a site, or None."""
+    path = root / "corpus.csv"
+    path.write_text("\n".join(block) + "\n", "utf-8")
+    try:
+        sites = ingest_corpus(path)
+    except AuditError as exc:
+        return str(exc)
+    if len(sites) != len(block) - 1:
+        return f"{len(block) - 1} rows read as {len(sites)} sites"
+    return None
+
+
+def test_corpus_csv_example_is_a_corpus(tmp_path):
+    assert corpus_example_problem(fenced_block("**Corpus CSV**"), tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (",provinsi,", ",province,"),
+        ("https://cirebonkab.go.id", "https://bandung.go.id"),
+        ("no,institution,tier,region,url", "no,institution,tier,region"),
+        ("\n3,", "\nthree,"),
+    ],
+    ids=["bad-tier", "repeated-url", "short-header", "number-not-an-integer"],
+)
+def test_an_edit_that_breaks_the_corpus_csv_example_is_found(tmp_path, old, new):
+    block = fenced_block("**Corpus CSV**")
+    edited = "\n".join(block).replace(old, new, 1)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert corpus_example_problem(edited.splitlines(), tmp_path) is not None
+
+
+def aggregates_example_problem(block: list[str]) -> str | None:
+    """Why the "Aggregates JSON" example block is not a document that
+    aggregates_from_dict reads and the JSON report writes back byte for byte,
+    or None."""
+    text = "\n".join(block) + "\n"
+    try:
+        aggregates = aggregates_from_dict(json.loads(text))
+    except (ValueError, AuditError) as exc:  # a JSONDecodeError is a ValueError
+        return str(exc)
+    if emit_report(aggregates, "json") != text:
+        return "the example does not write back as read"
+    return None
+
+
+def test_aggregates_json_example_reads_and_writes_back_the_same_bytes():
+    assert aggregates_example_problem(fenced_block("**Aggregates JSON**")) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"mean_web": 60.13', '"mean_web": 60.12'),
+        ('"total": 1', '"total": 2'),
+        ('"n_failed": 1', '"n_failed": 0'),
+        ('"mobile": 68.4', '"mobile": 68.3'),
+        ('"mode": "desktop"', '"mode": "tablet"'),
+        ('"test_date": "2019-08-25"', '"test_date": null'),
+        ('"region": "Kota Bandung",\n      "url"', '"region": "Kota Cirebon",\n      "url"'),
+        ('"n_ok_web": 1,', '"n_ok_web": 1, "nickname": 1,'),
+    ],
+    ids=[
+        "mean-not-the-raw-rounded", "total-off-by-one", "failure-in-no-count", "overall-not-the-rows",
+        "unknown-mode", "no-test-date", "outlier-in-no-row", "unknown-row-key",
+    ],
+)
+def test_an_edit_that_breaks_the_aggregates_json_example_is_found(old, new):
+    block = fenced_block("**Aggregates JSON**")
+    edited = "\n".join(block).replace(old, new, 1)
+    assert edited != "\n".join(block), f"{old!r} is not in the block"
+    assert aggregates_example_problem(edited.splitlines()) is not None
 
 
 def batch_run_problem(block: list[str], root: Path) -> str | None:

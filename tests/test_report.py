@@ -8,16 +8,15 @@ from pathlib import Path
 import pytest
 
 from conftest import REFERENCE_REGION_MEANS, parse_report_csv
-from webaudit.corpus import AuditResult, SiteRecord
+from webaudit import report
+from webaudit.corpus import AuditResult, SiteRecord, normalize_region
 from webaudit.errors import ParseError, SchemaError
 from webaudit.metrics import MetricSet
 from webaudit.report import (
     REPORT_COLUMNS,
     Aggregates,
     RegionAggregate,
-    aggregate_from_dict,
     aggregate_regions,
-    aggregate_to_dict,
     aggregates_from_dict,
     build_aggregates,
     emit_report,
@@ -124,9 +123,7 @@ class TestOverallAverage:
 
     def test_missing_means_are_skipped(self):
         aggregates = reference_aggregates()
-        aggregates[0] = aggregate_from_dict(
-            dict(aggregate_to_dict(aggregates[0]), mean_mobile=None, raw_mean_mobile=None, n_ok_mobile=0)
-        )
+        aggregates[0] = aggregates[0]._replace(mean_mobile=None, raw_mean_mobile=None, n_ok_mobile=0)
         assert overall_average(aggregates)["mobile"] is not None
         assert overall_average([])["mobile"] is None
 
@@ -171,11 +168,11 @@ class TestCsvReport:
         assert rows[0]["test_date"] == DATE
 
     def test_missing_means_become_empty_cells(self):
-        row = RegionAggregate("NurWeb", None, 12.34, None, 12.34, 0, 1, 2, None)
+        row = RegionAggregate("NurWeb", None, 12.34, None, 12.34, 0, 1, 2, DATE)
         text = emit_report(rows_only([row]), "csv")
         parsed = parse_report_csv(text)[0]
         assert parsed["mean_mobile"] is None
-        assert parsed["test_date"] is None
+        assert parsed["mean_web"] == 12.34
 
     def test_unparsable_text_rejected(self):
         with pytest.raises(ParseError):
@@ -252,17 +249,56 @@ def md_cells(row: str) -> list[str]:
 
 
 TWO_ROWS = "$.aggregates[12].region: must differ from every other row's region"
+DERIVED = "as the rest of the document gives it"
+
+
+def golden_document() -> dict:
+    """The golden pipeline's aggregates: 12 rows, 8 outliers and no failure items."""
+    return json.loads((FIXTURES / "golden_aggregates.json").read_text("utf-8"))
 
 
 def second_row(region: str):
-    """An edit of an aggregates document: a copy of row 0 named region, with
-    no failure, appended, and overall_average that of the rows."""
+    """An edit of an aggregates document: a copy of row 0 named region appended."""
 
     def edit(document):
-        document["aggregates"].append(dict(document["aggregates"][0], region=region, n_failed=0))
-        document["overall_average"] = overall_average([aggregate_from_dict(row) for row in document["aggregates"]])
+        document["aggregates"].append(dict(document["aggregates"][0], region=region))
 
     return edit
+
+
+def scalar_leaves(node, path: str = "$"):
+    """(JSON path, parent, key) of every scalar in a parsed JSON document."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        child = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        if isinstance(value, (dict, list)):
+            yield from scalar_leaves(value, child)
+        else:
+            yield child, node, key
+
+
+def other_value(value):
+    """Another value of the same JSON type: a string grows by a letter and a
+    number by one, an integer staying an integer."""
+    return value + "x" if isinstance(value, str) else value + 1
+
+
+def checks_broken_by(path: str, document: dict) -> set[str]:
+    """The paths a SchemaError may name when the leaf at path is edited: its
+    own, or that of a cross-check the edit can break."""
+    parent, _, key = path.rpartition(".")
+    row = re.fullmatch(r"\$\.aggregates\[(\d+)\]", parent)
+    if key.startswith(("raw_mean_", "n_ok_")):  # the row's displayed mean, or the outliers it bounds
+        return {path, f"{parent}.mean_{key.rpartition('_')[2]}", "$.outliers"}
+    if row and key == "region":  # the outliers in its region
+        region = normalize_region(document["aggregates"][int(row[1])]["region"])
+        return {path} | {
+            f"$.outliers[{i}].region"
+            for i, outlier in enumerate(document["outliers"])
+            if normalize_region(outlier["region"]) == region
+        }
+    if parent.startswith("$.outliers[") and key in ("region", "mode"):  # the bound on outliers per mode
+        return {path, "$.outliers"}
+    return {path}
 
 
 class TestJsonReport:
@@ -290,32 +326,112 @@ class TestJsonReport:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("mean_mobile", 1e30, "must be <= 100.0000002"),
-            ("mean_web", 100.01, "must be <= 100.0000002"),
+            ("mean_mobile", 1e30, f"must be {REFERENCE_REGION_MEANS[0][1]}, {DERIVED}"),
+            ("mean_web", 100.01, f"must be {REFERENCE_REGION_MEANS[0][2]}, {DERIVED}"),
             ("raw_mean_mobile", -5.0, "must be >= 0"),
             ("raw_mean_web", 250.0, "must be <= 100.0000002"),
         ],
     )
     def test_mean_out_of_range_is_a_schema_error_at_its_path(self, field, value, message):
-        row = dict(aggregate_to_dict(reference_aggregates()[0]), **{field: value})
+        document = json.loads(emit_report(rows_only(reference_aggregates()), "json"))
+        document["aggregates"][0][field] = value
         with pytest.raises(SchemaError) as exc:
-            aggregate_from_dict(row, "$.aggregates[0]")
+            aggregates_from_dict(document)
         assert str(exc.value) == f"$.aggregates[0].{field}: {message}"
 
     def test_means_at_the_ends_of_their_range_or_null_are_read(self):
-        row = dict(
-            aggregate_to_dict(reference_aggregates()[0]),
-            mean_mobile=100.0, raw_mean_mobile=SCORE_MAX, mean_web=None, raw_mean_web=None, n_ok_web=0,
+        aggregates = rows_only(
+            [
+                RegionAggregate("Kota Bandung", 100.0, None, SCORE_MAX, None, 1, 0, 0, DATE),
+                RegionAggregate("Kab. Cirebon", 0.0, 0.0, 0.0, 0.0, 1, 1, 0, DATE),
+            ]
         )
-        aggregate = aggregate_from_dict(row)
-        assert (aggregate.mean_mobile, aggregate.raw_mean_mobile) == (100.0, SCORE_MAX)
-        assert aggregate.mean_web is aggregate.raw_mean_web is None
-        low = aggregate_from_dict(dict(row, mean_mobile=0.0, raw_mean_mobile=0.0))
-        assert (low.mean_mobile, low.raw_mean_mobile) == (0.0, 0.0)
+        assert aggregates_from_dict(json.loads(emit_report(aggregates, "json"))) == aggregates
+
+    def test_a_row_without_a_test_date_is_refused(self):
+        # aggregate writes a date on every row; null used to be read as a row without one.
+        document = golden_document()
+        document["aggregates"][0]["test_date"] = None
+        with pytest.raises(SchemaError) as exc:
+            aggregates_from_dict(document)
+        assert str(exc.value) == "$.aggregates[0].test_date: must be an ISO date string (YYYY-MM-DD)"
+
+    def one_region(self) -> Aggregates:
+        """A region with a mobile mean of 1.0, beside one failure."""
+        results = [result("Kota Bandung", "mobile", 1.0), result("Kota Bandung", "desktop", None)]
+        return build_aggregates(results, MEMBERS)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("aggregates", 0, "n_failed"), True),
+            (("aggregates", 0, "n_failed"), 1.0),
+            (("failures", "total"), True),
+            (("failures", "total"), 1.0),
+            (("aggregates", 0, "mean_mobile"), True),
+            (("overall_average", "mobile"), True),
+        ],
+        ids=["bool-count", "float-count", "bool-total", "float-total", "bool-mean", "bool-overall"],
+    )
+    def test_a_value_equal_in_python_but_of_another_json_type_is_refused(self, keys, value):
+        document = json.loads(emit_report(self.one_region(), "json"))
+        *parents, key = keys
+        parent = document
+        for step in parents:
+            parent = parent[step]
+        expected = parent[key]
+        assert value == expected  # True == 1 == 1.0 in Python
+        parent[key] = value
+        with pytest.raises(SchemaError) as exc:
+            aggregates_from_dict(document)
+        path = "$" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in keys)
+        assert str(exc.value) == f"{path}: must be {json.dumps(expected)}, {DERIVED}"
+
+    def test_an_integer_stands_for_an_equal_float(self):
+        document = json.loads(emit_report(self.one_region(), "json"))
+        document["aggregates"][0].update(mean_mobile=1, raw_mean_mobile=1)
+        document["overall_average"]["mobile"] = 1
+        assert aggregates_from_dict(document) == self.one_region()
+
+    def test_a_key_the_writer_derives_is_checked_with_no_reader_change(self, monkeypatch):
+        written = report._document
+        monkeypatch.setattr(report, "_document", lambda rows, *items: {**written(rows, *items), "n_rows": len(rows)})
+        aggregates = self.one_region()
+        document = json.loads(emit_report(aggregates, "json"))
+        assert document["n_rows"] == 1
+        assert aggregates_from_dict(document) == aggregates
+        for value in (0, 2, 1.0, True, None, "1", [1]):
+            with pytest.raises(SchemaError, match=r"^\$\.n_rows: must be 1, "):
+                aggregates_from_dict(dict(document, n_rows=value))
+        del document["n_rows"]
+        with pytest.raises(SchemaError, match=r"^\$\.n_rows: missing field$"):
+            aggregates_from_dict(document)
+
+    def test_every_leaf_edit_is_refused_at_its_check_or_written_back_as_edited(self):
+        golden = (FIXTURES / "golden_aggregates.json").read_text("utf-8")
+        assert json.dumps(json.loads(golden), indent=2, sort_keys=True) + "\n" == golden
+        document, paths, refused = json.loads(golden), [], set()
+        for path, parent, key in list(scalar_leaves(document)):
+            value = parent[key]
+            parent[key] = other_value(value)
+            edited = json.dumps(document, indent=2, sort_keys=True) + "\n"
+            parent[key] = value
+            try:
+                text = emit_report(aggregates_from_dict(json.loads(edited)), "json")
+            except SchemaError as exc:
+                where = str(exc).split(": ")[0]
+                assert where in checks_broken_by(path, document), f"{path} edited: {exc}"
+                if where == path:
+                    refused.add(path)
+            else:
+                assert text == edited, f"{path} edited reads back as another document"
+            paths.append(path)
+        assert len(paths) == 12 * 9 + 2 + 8 * 4 + 1
+        derived = {p for p in paths if re.search(r"\.(mean_mobile|mean_web|n_failed|total)$|^\$\.overall_average\.", p)}
+        assert len(derived) == 12 * 3 + 2 + 1 and derived <= refused
 
     def test_a_well_formed_document_is_checked_by_key_sets_alone(self, monkeypatch):
-        # The golden pipeline's aggregates: 12 rows, 8 outliers and no failure items.
-        document = json.loads((FIXTURES / "golden_aggregates.json").read_text("utf-8"))
+        document = golden_document()
         monkeypatch.setattr("webaudit.report._field", lambda *args: pytest.fail("read key by key"))
         text = emit_report(aggregates_from_dict(document), "json")
         assert text == (FIXTURES / "golden_aggregates.json").read_text("utf-8")
@@ -342,7 +458,7 @@ class TestJsonReport:
         ids=["outlier-in-no-row", "two-rows-for-a-region", "two-rows-for-a-normalized-region", "outliers-past-a-mode"],
     )
     def test_outliers_and_rows_are_held_to_the_rows_regions(self, edit, message):
-        document = json.loads((FIXTURES / "golden_aggregates.json").read_text("utf-8"))
+        document = golden_document()
         edit(document)
         with pytest.raises(SchemaError) as exc:
             aggregates_from_dict(document)
